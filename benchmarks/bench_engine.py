@@ -3,19 +3,26 @@
 Unlike the E1–E20 experiments (which regenerate paper claims), this module
 tracks the repo's own performance trajectory: it times
 ``run_deterministic`` under the serial engine tiers on the machine library
-across an input sweep, verifies on every cell that the tiers produce
-identical ``Run.final`` and ``RunStatistics``, and asserts speedup gates
-at the top N: streaming over reference on the largest library machine,
-and compiled over streaming on the sweep-heavy machines (where macro-step
+across an input sweep, and verifies on every cell that the tiers produce
+identical ``Run.final`` and ``RunStatistics``.  Its speedup floors at the
+top N are streaming over reference on the largest library machine, and
+compiled over streaming on the sweep-heavy machines (where macro-step
 run compression must engage — the row's ``macro_compression`` column
 records steps-per-dispatch as evidence that the win comes from
 compression, not just cheaper dispatch).
+
+The ``test_*`` functions here assert only identity and shape (verified
+cells, engaged compression), never wall-clock floors: they run in the
+gating test job, where a loaded host must not turn a timing into a
+failure.  The floors described here are enforced by
+``scripts/bench_to_json.py`` (full runs) and its ``--compare`` against
+the checked-in baseline, in CI's non-gating ``bench-smoke`` job.
 
 The batch sweep (:func:`run_batch_benchmark`) times the fourth tier on
 its own traffic shape — one machine, a whole batch of random inputs, the
 ``monte_carlo_fingerprint_trials`` workload profile — against a serial
 compiled loop over the same words, cross-checking every lane
-bit-identical first.  The gate is per-input wall-clock: batch must be
+bit-identical first.  The floor is per-input wall-clock: batch must be
 ≥ 5× compiled on the sweep-dominated machines at the top N, where the
 run itself is cheap and the serial tier's per-run overhead (interning,
 snapshot, cache lookups) is the dominant cost the batch tier amortizes.
@@ -26,7 +33,7 @@ shrink.
 The SIMD sweep (:func:`run_simd_benchmark`) times the fifth tier against
 the batch tier on the same shape at :data:`SIMD_LANES` lanes — the scale
 where NumPy state-cohort kernels amortize array-dispatch overhead.  The
-gate is again per-input wall-clock on the sweep-dominated machines:
+floor is again per-input wall-clock on the sweep-dominated machines:
 SIMD ≥ 2× batch at the top N, every lane cross-checked bit-identical to
 a serial compiled run first.  Requires the ``repro[simd]`` extra; the
 sweep is skipped (not failed) when NumPy is absent, since the fallback
@@ -578,14 +585,13 @@ def test_engine_speedup(benchmark):
     )
     benchmark.extra_info["table"] = table
 
-    # the acceptance gates: streaming >= 5x reference on the largest
-    # library machine; compiled >= 2x streaming on the sweep-dominated
-    # machines — and the compression column must prove macro sweeps
-    # engaged (>= 1 dispatch saved per 10 steps), so a win from cheaper
-    # dispatch alone cannot pass the gate silently
-    assert top_speedup(rows) >= GATE_SPEEDUP
+    # shape only: every cell cross-checked identical across the tiers,
+    # and on the sweep-dominated machines the compression column proves
+    # macro sweeps engaged (>= 1 dispatch saved per 10 steps).  The
+    # wall-clock floors (GATE_SPEEDUP, COMPILED_GATE_SPEEDUP) are checked
+    # by scripts/bench_to_json.py outside the gating test run.
+    assert all(r["verified_identical"] for r in rows)
     for machine_name in COMPILED_GATE_MACHINES:
-        assert compiled_top_speedup(rows, machine_name) >= COMPILED_GATE_SPEEDUP
         top = max(
             (r for r in rows if r["machine"] == machine_name),
             key=lambda r: r["n"],
@@ -626,11 +632,9 @@ def test_batch_engine_speedup(benchmark):
     )
     benchmark.extra_info["table"] = table
 
-    # the acceptance gate: batch >= 5x compiled per input on the
-    # sweep-dominated machines at the top N, with every lane verified
-    # bit-identical inside the cell before timing
-    for machine_name in BATCH_GATE_MACHINES:
-        assert batch_top_speedup(rows, machine_name) >= BATCH_GATE_SPEEDUP
+    # shape only: every lane verified bit-identical inside the cell
+    # before timing; the BATCH_GATE_SPEEDUP floor is checked by
+    # scripts/bench_to_json.py outside the gating test run
     assert all(r["verified_identical"] for r in rows)
 
     machine = equality_machine()
@@ -670,11 +674,9 @@ def test_simd_engine_speedup(benchmark):
     )
     benchmark.extra_info["table"] = table
 
-    # the acceptance gate: SIMD >= 2x batch per input on the
-    # sweep-dominated machines at the top N and SIMD_LANES lanes, every
-    # lane verified bit-identical to its compiled twin before timing
-    for machine_name in SIMD_GATE_MACHINES:
-        assert simd_top_speedup(rows, machine_name) >= SIMD_GATE_SPEEDUP
+    # shape only: every lane verified bit-identical to its compiled twin
+    # before timing; the SIMD_GATE_SPEEDUP floor is checked by
+    # scripts/bench_to_json.py outside the gating test run
     assert all(r["verified_identical"] for r in rows)
 
     machine = equality_machine()

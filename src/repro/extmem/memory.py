@@ -26,6 +26,8 @@ from .tracker import ResourceTracker
 
 def bit_cost(value: Any) -> int:
     """Number of bits charged for storing ``value`` in internal memory."""
+    if type(value) is int:  # the common case first; bool is not ``int``
+        return max(1, value.bit_length())
     if value is None:
         return 0
     if isinstance(value, bool):
@@ -64,7 +66,11 @@ class InternalMemory:
         ``current_internal_bits`` all in their pre-store state — the two
         views can never desynchronize.
         """
-        new_cost = bit_cost(value)  # may raise; nothing charged yet
+        # may raise; nothing charged yet (ints, the hot case, skip a call)
+        if type(value) is int:
+            new_cost = max(1, value.bit_length())
+        else:
+            new_cost = bit_cost(value)
         old_cost = self._charges.get(name, 0)
         self.tracker.charge_internal(new_cost - old_cost)
         # -- commit point: nothing below can fail --
@@ -89,11 +95,9 @@ class InternalMemory:
         for name in list(self._registers):
             self.free(name)
 
-    def __setitem__(self, name: str, value: Any) -> None:
-        self.store(name, value)
-
-    def __getitem__(self, name: str) -> Any:
-        return self.load(name)
+    # aliases, not wrappers: one Python frame less per register access
+    __setitem__ = store
+    __getitem__ = load
 
     def __delitem__(self, name: str) -> None:
         if name not in self._registers:

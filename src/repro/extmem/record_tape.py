@@ -9,8 +9,8 @@ the shared tracker.  One record-level scan corresponds to one symbol-level
 scan, so every O(·) claim about scans/reversals transfers verbatim.
 
 Random access is deliberately absent: the only primitives are read, write,
-single-cell moves, and end-seeking loops built from them, so an algorithm
-*cannot* cheat the cost model.
+single-cell moves, and end-seeking operations charged exactly as a walk of
+single-cell moves would be, so an algorithm *cannot* cheat the cost model.
 """
 
 from __future__ import annotations
@@ -76,8 +76,14 @@ class RecordTape:
             self._cells[self._head] = record
         elif self._head == len(self._cells):
             self._cells.append(record)
-        else:  # pragma: no cover - unreachable: head never skips cells
+        else:  # the head stepped past the end (step_read or move(+1))
             raise ReproError("head beyond end+1")
+
+    def _turn(self, direction: int) -> None:
+        """Face ``direction``: charge the reversal first, then flip, so a
+        denied charge leaves the direction unchanged."""
+        self.tracker.charge_reversal(self.tape_id)
+        self._direction = direction
 
     def move(self, direction: int) -> None:
         """Move one cell; flipping direction charges one reversal.
@@ -99,34 +105,64 @@ class RecordTape:
                 "would spin without charges — rewind() or move(+1) instead"
             )
         if direction != self._direction:
-            self.tracker.charge_reversal(self.tape_id)
-            self._direction = direction
+            self._turn(direction)
         if direction == -1 and self._head == 0:
             return  # the charged bounce: direction flipped, head stays put
         self._head += direction
 
-    # -- derived operations (built only from primitives) ---------------------
+    # -- derived operations ---------------------------------------------------
+    #
+    # The fast path: these are written out instead of looping over
+    # ``move``, but each charges and emits exactly what the per-cell walk
+    # would, in the same order.  A reversal is charged (``_turn``) only
+    # when the head must face the other way, always *before* the head
+    # moves, so a denied charge leaves head and direction unchanged.
+    # Generators re-read the head and direction on every record, so a
+    # caller that moves the head mid-scan or breaks early sees the
+    # per-cell walk's state.
 
     def step_write(self, record: Any) -> None:
         """Write then move right — the inner loop of every producing scan."""
-        self.write(record)
-        self.move(+1)
+        if record is None:
+            raise ReproError("None is the blank sentinel; cannot write it")
+        cells = self._cells
+        head = self._head
+        size = len(cells)
+        if head == size:
+            cells.append(record)
+        elif head < size:
+            cells[head] = record
+        else:
+            raise ReproError("head beyond end+1")
+        if self._direction != 1:
+            self._turn(1)
+        self._head = head + 1
 
     def step_read(self) -> Any:
-        """Read then move right — the inner loop of every consuming scan."""
-        record = self.read()
-        self.move(+1)
-        return record
+        """Read then move right — the inner loop of every consuming scan.
+
+        Past the end this reads ``None`` and still moves the head right.
+        """
+        if self._direction != 1:
+            self._turn(1)
+        head = self._head
+        self._head = head + 1
+        cells = self._cells
+        return cells[head] if head < len(cells) else None
 
     def seek_start(self) -> None:
-        """Walk left to cell 0 (costs at most one reversal)."""
-        while self._head > 0:
-            self.move(-1)
+        """Move to cell 0 (costs at most one reversal)."""
+        if self._head > 0:
+            if self._direction != -1:
+                self._turn(-1)
+            self._head = 0
 
     def seek_end(self) -> None:
-        """Walk right past the last record (costs at most one reversal)."""
-        while self._head < len(self._cells):
-            self.move(+1)
+        """Move right past the last record (costs at most one reversal)."""
+        if self._head < len(self._cells):
+            if self._direction != 1:
+                self._turn(1)
+            self._head = len(self._cells)
 
     def rewind(self) -> None:
         """Position at cell 0 facing right, ready for a forward scan.
@@ -137,23 +173,34 @@ class RecordTape:
         self.seek_start()
         if self._direction == -1:
             # Flip direction explicitly so the subsequent scan is forward.
-            self.tracker.charge_reversal(self.tape_id)
-            self._direction = +1
+            self._turn(+1)
 
     def scan(self) -> Iterator[Any]:
-        """Yield records left-to-right from the current head to the end."""
-        while self._head < len(self._cells):
-            yield self.step_read()
+        """Yield records left-to-right from the current head to the end.
+
+        The head passes each record before it is yielded, so breaking out
+        after k records leaves the head k cells further right.
+        """
+        cells = self._cells
+        while self._head < len(cells):
+            if self._direction != 1:
+                self._turn(1)
+            head = self._head
+            self._head = head + 1
+            yield cells[head]
 
     def scan_backward(self) -> Iterator[Any]:
         """Yield records right-to-left from the current head to the start."""
+        cells = self._cells
         while True:
-            record = self.read()
-            if record is not None:
-                yield record
+            head = self._head
+            if head < len(cells) and cells[head] is not None:
+                yield cells[head]
             if self._head == 0:
                 break
-            self.move(-1)
+            if self._direction != -1:
+                self._turn(-1)
+            self._head -= 1
 
     def write_all(self, records: Iterable[Any]) -> None:
         """Append every record in order (single forward scan)."""

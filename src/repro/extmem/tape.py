@@ -94,6 +94,12 @@ class SymbolTape:
         if self._head + 1 > self._max_used:
             self._max_used = self._head + 1
 
+    def _turn(self, direction: int) -> None:
+        """Face ``direction``: charge the reversal first, then flip, so a
+        denied charge leaves the direction unchanged."""
+        self.tracker.charge_reversal(self.tape_id)
+        self._direction = direction
+
     def move(self, direction: int) -> None:
         """Move the head one cell; charge a reversal if direction flips.
 
@@ -104,8 +110,7 @@ class SymbolTape:
         if direction not in (+1, -1):
             raise ReproError(f"direction must be +1 or -1, got {direction}")
         if direction != self._direction:
-            self.tracker.charge_reversal(self.tape_id)
-            self._direction = direction
+            self._turn(direction)
         if direction == -1 and self._head == 0:
             return
         self._head += direction
@@ -118,18 +123,32 @@ class SymbolTape:
     # -- convenience -------------------------------------------------------
 
     def seek_start(self) -> None:
-        """Walk the head back to cell 0 (at most one reversal)."""
-        while self._head > 0:
-            self.move(-1)
-        if self._direction == -1 and self._head == 0:
-            # make the next forward read well-defined without a hidden flip
-            pass
+        """Move the head to cell 0 (at most one reversal).
+
+        Charged exactly as a walk of ``move(-1)`` steps: one reversal if
+        the head must turn left, none at cell 0.  Moving left never raises
+        ``space_used``.
+        """
+        if self._head > 0:
+            if self._direction != -1:
+                self._turn(-1)
+            self._head = 0
 
     def scan_right(self) -> Iterator[str]:
-        """Yield symbols moving right until the written prefix is exhausted."""
-        while self._head < len(self._cells):
-            yield self.read()
-            self.move(+1)
+        """Yield symbols moving right until the written prefix is exhausted.
+
+        Each symbol is yielded *before* the head moves past it, as with
+        ``read()`` then ``move(+1)``: breaking out after k symbols leaves
+        the head k - 1 cells further right.
+        """
+        cells = self._cells
+        while self._head < len(cells):
+            yield cells[self._head]
+            if self._direction != 1:
+                self._turn(1)
+            self._head += 1
+            if self._head + 1 > self._max_used:
+                self._max_used = self._head + 1
 
     def contents(self) -> str:
         """The written prefix as a string (for assertions/debugging)."""

@@ -108,6 +108,7 @@ class ResourceTracker:
     def __init__(self, budget: Optional[ResourceBudget] = None):
         self.budget = budget
         self._reversals_per_tape: Dict[int, int] = {}
+        self._reversals = 0  # running sum of _reversals_per_tape
         self._tape_names: Dict[int, str] = {}
         self._tape_count = 0
         self._current_internal_bits = 0
@@ -146,18 +147,18 @@ class ResourceTracker:
     ) -> None:
         self._seq += 1
         self._sink.emit(
-            ResourceEvent(
-                seq=self._seq,
-                kind=kind,
-                tape_id=tape_id,
-                tape_name=self._tape_names.get(tape_id) if tape_id else None,
-                delta=delta,
-                scans=self.scans,
-                current_internal_bits=self._current_internal_bits,
-                peak_internal_bits=self._peak_internal_bits,
-                tapes_used=self._tape_count,
-                steps=self._steps,
-                label=label,
+            ResourceEvent(  # positional, in field order: this is the hot path
+                self._seq,
+                kind,
+                tape_id,
+                self._tape_names.get(tape_id) if tape_id else None,
+                delta,
+                1 + self._reversals,
+                self._current_internal_bits,
+                self._peak_internal_bits,
+                self._tape_count,
+                self._steps,
+                label,
             )
         )
 
@@ -216,6 +217,7 @@ class ResourceTracker:
                     self.scans + 1, self.budget.max_scans, tape=tape_id
                 )
         self._reversals_per_tape[tape_id] += 1
+        self._reversals += 1
         if self._sink is not None:
             self._emit(KIND_REVERSAL, tape_id=tape_id, delta=1)
 
@@ -306,6 +308,7 @@ class ResourceTracker:
                 )
         if reversals:
             self._reversals_per_tape[tape_id] += reversals
+            self._reversals += reversals
             if self._sink is not None:
                 self._emit(KIND_REVERSAL, tape_id=tape_id, delta=reversals)
         if internal_delta:
@@ -324,7 +327,7 @@ class ResourceTracker:
     @property
     def reversals(self) -> int:
         """Total head reversals across all external tapes."""
-        return sum(self._reversals_per_tape.values())
+        return self._reversals
 
     def reversals_on(self, tape_id: int) -> int:
         """Reversals charged to one tape — an O(1) counter read, unlike
@@ -338,7 +341,7 @@ class ResourceTracker:
     @property
     def scans(self) -> int:
         """The paper's bounded quantity: 1 + total reversals."""
-        return 1 + self.reversals
+        return 1 + self._reversals
 
     @property
     def peak_internal_bits(self) -> int:

@@ -24,8 +24,7 @@ Kinds:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, NamedTuple, Optional
 
 KIND_TAPE = "tape"
 KIND_REVERSAL = "reversal"
@@ -45,9 +44,13 @@ EVENT_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class ResourceEvent:
-    """One accounting event, with the post-event totals inlined."""
+class ResourceEvent(NamedTuple):
+    """One accounting event, with the post-event totals inlined.
+
+    An immutable ``NamedTuple``: assigning a field raises
+    ``AttributeError``.  Being a tuple, an event also compares equal to a
+    plain tuple holding the same values in field order.
+    """
 
     seq: int
     kind: str

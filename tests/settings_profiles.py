@@ -10,7 +10,10 @@ Tiers (each instance is usable directly as a decorator under ``@given``):
 - ``SIMD_SETTINGS``: 60 examples — SIMD cohort-regrouping invariance
   properties, where every example runs whole batches on two tiers and a
   counterexample means the vectorized kernels drifted from the serial
-  semantics.
+  semantics;
+- ``STATE_MACHINE_SETTINGS``: 200 examples — Hypothesis
+  ``RuleBasedStateMachine`` tests, where each example is a whole random
+  program of primitive operations checked against a pure reference model.
 
 All tiers disable the deadline and the too-slow health check: tape-level
 simulation cost is dominated by the generated machine, not by a bug, and
@@ -25,3 +28,4 @@ DIFFERENTIAL_SETTINGS = settings(max_examples=100, **_BASE)
 STANDARD_SETTINGS = settings(max_examples=50, **_BASE)
 QUICK_SETTINGS = settings(max_examples=20, **_BASE)
 SIMD_SETTINGS = settings(max_examples=60, **_BASE)
+STATE_MACHINE_SETTINGS = settings(max_examples=200, **_BASE)

@@ -1,5 +1,7 @@
 """Unit and property tests for the external-memory runtime (repro.extmem)."""
 
+from itertools import islice
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -522,6 +524,55 @@ class TestSymbolTape:
         t.write("a")
         t.move(+1)
         assert t.space_used == 2
+
+    def test_seek_and_scan_pin_the_per_cell_accounting(self):
+        t = SymbolTape("abcdef")
+        assert list(islice(t.scan_right(), 3)) == ["a", "b", "c"]
+        assert (t.head, t.reversals, t.space_used) == (2, 0, 6)
+        t.seek_start()  # one reversal; moving left never grows space
+        assert (t.head, t.direction, t.reversals, t.space_used) == (0, -1, 1, 6)
+        t.seek_start()  # already at cell 0: free
+        assert t.reversals == 1
+        assert t.contents() == "".join(t.scan_right())
+        # the walk ends one cell past the prefix, which it has touched
+        assert (t.head, t.direction, t.reversals, t.space_used) == (6, 1, 2, 7)
+
+    @STANDARD_SETTINGS
+    @given(
+        st.text(alphabet="ab", max_size=6),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["seek", "scan", "left", "right", "write"]),
+                st.integers(min_value=0, max_value=8),
+            ),
+            max_size=20,
+        ),
+    )
+    def test_seek_and_scan_match_per_cell_walk(self, contents, ops):
+        fast, walk = SymbolTape(contents), SymbolTape(contents)
+        for op, k in ops:
+            if op == "seek":
+                fast.seek_start()
+                while walk.head > 0:
+                    walk.move(-1)
+            elif op == "scan":
+                expected = []
+                while k and walk.head < len(walk):
+                    expected.append(walk.read())
+                    if len(expected) == k:
+                        break  # the generator is suspended at this yield
+                    walk.move(+1)
+                assert list(islice(fast.scan_right(), k)) == expected
+            elif op == "write":
+                fast.write("c")
+                walk.write("c")
+            else:
+                for tape in (fast, walk):
+                    tape.move(-1 if op == "left" else +1)
+            assert (fast.head, fast.direction, fast.reversals, fast.space_used) == (
+                walk.head, walk.direction, walk.reversals, walk.space_used,
+            )
+            assert fast.contents() == walk.contents()
 
 
 class TestRecordTape:

@@ -6,7 +6,11 @@ import random
 
 import pytest
 
-from repro.errors import SpaceBudgetExceeded
+from repro.errors import (
+    ReversalBudgetExceeded,
+    SpaceBudgetExceeded,
+    TapeBudgetExceeded,
+)
 from repro.extmem import (
     InternalMemory,
     RecordTape,
@@ -15,11 +19,14 @@ from repro.extmem import (
 )
 from repro.observability import (
     KIND_DENIED,
+    KIND_INTERNAL,
     KIND_PHASE,
     KIND_REVERSAL,
+    KIND_STEP,
     KIND_TAPE,
     JsonlFileSink,
     NullSink,
+    ResourceEvent,
     RingBufferSink,
     RunProfile,
     replay_jsonl,
@@ -172,6 +179,102 @@ class TestSinks:
         # a non-dict JSON line is skipped as "unknown", never a crash
         assert not list(replay_jsonl(["[1, 2, 3]"], registry=registry))
         assert registry.snapshot()["replay_skipped_total"]["samples"]
+
+
+def _every_kind_run(sink):
+    """A fixed run whose stream holds every event kind, denials included."""
+    tracker = ResourceTracker(
+        ResourceBudget(max_scans=3, max_internal_bits=8, max_tapes=2)
+    )
+    tracker.attach_sink(sink)
+    mem = InternalMemory(tracker)
+    a = RecordTape(["x", "y", "z"], tracker=tracker, name="a")
+    tracker.mark_phase("load")
+    mem["v"] = 5
+    list(a.scan())
+    a.seek_start()
+    tracker.mark_phase("work")
+    b = RecordTape(tracker=tracker, name="b")
+    b.write_all(["p", "q"])
+    a.rewind()
+    with pytest.raises(ReversalBudgetExceeded):
+        b.seek_start()
+    with pytest.raises(SpaceBudgetExceeded):
+        mem["w"] = 255
+    with pytest.raises(TapeBudgetExceeded):
+        RecordTape(tracker=tracker)
+    tracker.charge_step(4)
+    mem.free("v")
+    return tracker
+
+
+class TestResourceEventContract:
+    """``ResourceEvent`` is an immutable ``NamedTuple``; the stream it
+    carries is unchanged from when it was a frozen dataclass."""
+
+    def _event(self):
+        return ResourceEvent(7, KIND_REVERSAL, 1, "input", 1, 2, 0, 0, 1, 0)
+
+    def test_assignment_raises(self):
+        event = self._event()
+        with pytest.raises(AttributeError):
+            event.scans = 99
+        with pytest.raises(AttributeError):
+            event.label = "x"
+        assert event.scans == 2
+
+    def test_field_order_and_label_default(self):
+        assert ResourceEvent._fields == (
+            "seq", "kind", "tape_id", "tape_name", "delta", "scans",
+            "current_internal_bits", "peak_internal_bits", "tapes_used",
+            "steps", "label",
+        )
+        assert ResourceEvent._field_defaults == {"label": None}
+        assert self._event().label is None
+
+    def test_compares_equal_to_a_plain_tuple(self):
+        event = self._event()
+        assert event == (7, KIND_REVERSAL, 1, "input", 1, 2, 0, 0, 1, 0, None)
+        assert event == ResourceEvent(*tuple(event))
+
+    def test_jsonl_roundtrip_is_exact(self):
+        sink = RingBufferSink()
+        _every_kind_run(sink)
+        events = sink.events()
+        assert {e.kind for e in events} == {
+            KIND_TAPE, KIND_PHASE, KIND_REVERSAL, KIND_DENIED, KIND_INTERNAL,
+            KIND_STEP,
+        }
+        lines = [json.dumps(e.to_json_dict()) for e in events]
+        replayed = list(replay_jsonl(lines))
+        assert replayed == events
+        assert all(type(e) is ResourceEvent for e in replayed)
+
+    def test_run_profile_unchanged_on_a_fixed_stream(self):
+        # the values RunProfile.from_events gave on this stream while
+        # ResourceEvent was a frozen dataclass
+        sink = RingBufferSink()
+        _every_kind_run(sink)
+        profile = RunProfile.from_events(sink.events())
+        assert [
+            (p.name, p.start_seq, p.end_seq, p.reversals, p.reversals_per_tape,
+             p.tapes_registered, p.steps, p.denied, p.entry_internal_bits,
+             p.exit_internal_bits, p.peak_internal_bits)
+            for p in profile.phases
+        ] == [
+            ("(setup)", 1, 1, 0, {}, 1, 0, 0, 0, 0, 0),
+            ("load", 2, 4, 1, {"a": 1}, 0, 0, 0, 0, 3, 3),
+            ("work", 5, 12, 1, {"a": 1}, 1, 4, 3, 3, 0, 3),
+        ]
+        assert profile.scan_timeline == ((4, 2), (7, 3))
+        assert profile.space_timeline == ((3, 3), (12, 0))
+        assert (
+            profile.final_scans,
+            profile.final_peak_internal_bits,
+            profile.final_tapes_used,
+            profile.final_steps,
+            profile.denied_total,
+        ) == (3, 3, 2, 4, 3)
 
 
 class TestRunProfile:

@@ -1,14 +1,11 @@
 #!/usr/bin/env python
 """Regenerate BENCH_engine.json — the engine-benchmark trajectory point.
 
-Runs the serial engine sweep (reference vs. streaming vs. compiled), the
-batch-tier sweep (lock-step lanes vs. a compiled serial loop) and — when
-NumPy is importable — the SIMD-tier sweep (state-cohort kernels vs. the
-batch tier at 1024 lanes) from ``benchmarks/bench_engine.py`` and writes
-one row per tier (each row carries an ``engine`` field, plus derived
-``inputs_per_second`` / ``steps_per_second`` throughput) and a summary
-to JSON, so the speedups claimed in the repo are reproducible with one
-command:
+Runs the engine sweep (reference vs. streaming vs. compiled) from
+``benchmarks/bench_engine.py`` and writes one row per tier (each row
+carries an ``engine`` field, plus derived ``inputs_per_second`` /
+``steps_per_second`` throughput) and a summary to JSON, so the speedups
+claimed in the repo are reproducible with one command:
 
     python scripts/bench_to_json.py                 # full sweep
     python scripts/bench_to_json.py --quick         # CI smoke (small n)
@@ -21,16 +18,12 @@ speedup gate plus one verdict per (engine, workload) cell, each compared
 at the largest input size present in both payloads and judged against
 ``tolerance × baseline`` (default 0.8 — timing noise on shared runners
 makes a tighter bound flaky).  A regression names its culprit on stderr
-(which engine, which workload, measured vs. floor); the full detail
-rides in the JSON payload under ``comparison`` (flat historical keys
-plus ``rows``/``regressions``) and in the exit status, so CI can
-surface it non-gatingly as an artifact.  Comparison is tolerant of tier
-growth: engines present in this run but absent from the baseline's rows
-are reported under ``engines_new`` instead of failing, so a payload
-with a freshly added tier still compares cleanly against an older
-baseline.
+(which engine, which workload, measured vs. floor); the full verdict
+rides in the JSON payload under ``comparison`` and in the exit status,
+so CI can surface it non-gatingly as an artifact.  A cell the baseline
+lacks comes back ``new``, never as a failure.
 
-Ledger mode: ``--ledger PATH`` journals both sweeps (task outcomes,
+Ledger mode: ``--ledger PATH`` journals the sweep (task outcomes,
 heartbeats, stalls) to a JSONL sweep ledger; summarize it afterwards
 with ``python -m repro report summarize PATH``.
 
@@ -66,29 +59,16 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
 from bench_engine import (  # noqa: E402  (path setup must come first)
-    BATCH_GATE_MACHINES,
-    BATCH_GATE_SPEEDUP,
-    BATCH_LANES,
     COMPILED_GATE_MACHINES,
     COMPILED_GATE_SPEEDUP,
     GATE_MACHINE,
     GATE_SPEEDUP,
-    SIMD_GATE_MACHINES,
-    SIMD_GATE_SPEEDUP,
-    SIMD_LANES,
     SIZES,
-    batch_tier_rows,
-    batch_top_speedup,
     compiled_top_speedup,
     per_tier_rows,
-    run_batch_benchmark,
     run_engine_benchmark,
-    run_simd_benchmark,
-    simd_tier_rows,
-    simd_top_speedup,
     top_speedup,
 )
-from repro.machines import is_simd_available  # noqa: E402
 
 QUICK_SIZES = (16, 64)
 
@@ -98,10 +78,10 @@ def with_throughput(rows):
 
     Derived, never measured separately: ``seconds`` on every tier row is
     wall-clock per input, so its reciprocal is input throughput, and
-    rows that carry the run length (the serial tiers) additionally get
-    engine steps per second — the cross-tier normalizer, since a cheaper
-    second on a shorter run is not a win.  Rows without a positive
-    timing (or without ``run_length``) simply omit the fields.
+    rows that carry the run length additionally get engine steps per
+    second — the cross-tier normalizer, since a cheaper second on a
+    shorter run is not a win.  Rows without a positive timing (or
+    without ``run_length``) simply omit the fields.
     """
     out = []
     for r in rows:
@@ -119,45 +99,21 @@ def with_throughput(rows):
 def compare_against_baseline(gate, all_rows, baseline, tolerance):
     """The ``--compare`` verdict as a plain dict, testable in isolation.
 
-    Delegates to :func:`repro.observability.report.compare_bench` — the
-    noise-aware per-engine/per-workload detector — and keeps this
-    script's historical flat keys on top of its ``rows`` /
-    ``regressions`` detail, so old consumers of the payload's
-    ``comparison`` block keep parsing it.
-
-    Guards the vacuous-pass trap: a baseline whose ``top_n_speedup`` is
-    missing, non-numeric or non-positive cannot anchor a regression
-    floor (``tolerance × 0 = 0`` passes any measurement), so such a
-    baseline yields ``baseline_invalid: True`` with ``floor: None`` and
-    ``regressed: False`` — the caller warns loudly instead of silently
-    blessing the run.
+    This run's ``compare_bench`` verdict
+    (:mod:`repro.observability.report`) against ``baseline``.  A
+    baseline whose ``top_n_speedup`` is missing, non-numeric or
+    non-positive cannot anchor a regression floor (``tolerance × 0 = 0``
+    passes any measurement), so it yields ``baseline_invalid: True``, no
+    floor and ``regressed: False`` — the caller warns loudly instead of
+    silently blessing the run.
     """
     from repro.observability.report import compare_bench
 
-    detail = compare_bench(
+    return compare_bench(
         {"summary": {"top_n_speedup": gate}, "rows": list(all_rows)},
         baseline,
         tolerance=tolerance,
     )
-    base_engines = sorted(
-        {r.get("engine") for r in baseline.get("rows", ())} - {None}
-    )
-    run_engines = sorted({r.get("engine") for r in all_rows} - {None})
-    # engines this run has but the baseline predates: informational,
-    # never a comparison failure — a new tier has no baseline yet
-    engines_new = [e for e in run_engines if e not in base_engines]
-    return {
-        "baseline_top_n_speedup": detail["top"]["baseline"],
-        "baseline_invalid": detail["baseline_invalid"],
-        "baseline_engines": base_engines,
-        "engines_new": engines_new,
-        "tolerance": tolerance,
-        "floor": detail["top"]["floor"],
-        "measured_top_n_speedup": round(gate, 2),
-        "regressed": detail["regressed"],
-        "rows": detail["rows"],
-        "regressions": detail["regressions"],
-    }
 
 
 def _timed(fn):
@@ -255,7 +211,7 @@ def main(argv=None):
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for the sweeps (default 1 = serial); with "
+        help="worker processes for the sweep (default 1 = serial); with "
         "--jobs > 1 also writes the serial-vs-parallel wall-clock record",
     )
     parser.add_argument(
@@ -285,7 +241,7 @@ def main(argv=None):
     parser.add_argument(
         "--ledger",
         metavar="PATH",
-        help="append sweep/task records for both benchmark sweeps to this "
+        help="append sweep/task records for the benchmark sweep to this "
         "JSONL ledger (read it back with `repro report summarize`)",
     )
     args = parser.parse_args(argv)
@@ -312,16 +268,6 @@ def main(argv=None):
             sizes=sizes, repeats=args.repeats, jobs=args.jobs,
             cache_dir=cache_dir, ledger=ledger,
         )
-        batch_rows = run_batch_benchmark(
-            sizes=sizes, repeats=args.repeats, jobs=args.jobs,
-            cache_dir=cache_dir, ledger=ledger,
-        )
-        simd_rows = []
-        if is_simd_available():
-            simd_rows = run_simd_benchmark(
-                sizes=sizes, repeats=args.repeats, jobs=args.jobs,
-                cache_dir=cache_dir, ledger=ledger,
-            )
     finally:
         if ledger is not None:
             ledger.close()
@@ -335,19 +281,7 @@ def main(argv=None):
         name: round(compiled_top_speedup(rows, name), 2)
         for name in COMPILED_GATE_MACHINES
     }
-    batch_gates = {
-        name: round(batch_top_speedup(batch_rows, name), 2)
-        for name in BATCH_GATE_MACHINES
-    }
-    simd_gates = {
-        name: round(simd_top_speedup(simd_rows, name), 2)
-        for name in SIMD_GATE_MACHINES
-    } if simd_rows else {}
-    all_rows = with_throughput(
-        per_tier_rows(rows)
-        + batch_tier_rows(batch_rows)
-        + simd_tier_rows(simd_rows)
-    )
+    all_rows = with_throughput(per_tier_rows(rows))
     payload = {
         "benchmark": "engine",
         "description": (
@@ -355,12 +289,7 @@ def main(argv=None):
             "history + post-hoc statistics) vs. streaming engine "
             "(incremental statistics, O(1) memory per step) vs. compiled "
             "engine (dense transition tables + macro-step run "
-            "compression) vs. batch engine (one compilation, lock-step "
-            "lanes over structure-of-arrays tapes, timed per input on "
-            "whole random-input batches) vs. SIMD engine (the batch "
-            "layout as NumPy arrays, state-cohort kernels advancing "
-            "every live lane at once); one row per tier, keyed by the "
-            "'engine' field"
+            "compression); one row per tier, keyed by the 'engine' field"
         ),
         "command": "python scripts/bench_to_json.py",
         "python": platform.python_version(),
@@ -379,19 +308,6 @@ def main(argv=None):
             "compiled_gate_speedup_required": COMPILED_GATE_SPEEDUP,
             # compiled over streaming, per gated machine at top N
             "compiled_top_n_speedup": compiled_gates,
-            "batch_gate_machines": list(BATCH_GATE_MACHINES),
-            "batch_gate_speedup_required": BATCH_GATE_SPEEDUP,
-            "batch_lanes": BATCH_LANES,
-            # batch over compiled, per input, per gated machine at top N
-            "batch_top_n_speedup": batch_gates,
-            "simd_gate_machines": list(SIMD_GATE_MACHINES),
-            "simd_gate_speedup_required": SIMD_GATE_SPEEDUP,
-            "simd_lanes": SIMD_LANES,
-            # NumPy importable in this run; without it the SIMD sweep is
-            # skipped (the fallback path IS the batch tier)
-            "simd_available": bool(simd_rows),
-            # simd over batch, per input, per gated machine at top N
-            "simd_top_n_speedup": simd_gates,
             "all_cells_verified_identical": all(
                 r["verified_identical"] for r in all_rows
             ),
@@ -417,24 +333,9 @@ def main(argv=None):
     compiled_note = ", ".join(
         f"{name} {value:.1f}x" for name, value in compiled_gates.items()
     )
-    batch_note = ", ".join(
-        f"{name} {value:.1f}x" for name, value in batch_gates.items()
-    )
-    simd_note = (
-        "; simd over batch per input (%d lanes): %s" % (
-            SIMD_LANES,
-            ", ".join(
-                f"{name} {value:.1f}x" for name, value in simd_gates.items()
-            ),
-        )
-        if simd_gates
-        else "; simd sweep skipped (NumPy absent)"
-    )
     print(
         f"wrote {args.output}: streaming {gate:.1f}x over reference on "
-        f"{GATE_MACHINE}; compiled over streaming: {compiled_note}; "
-        f"batch over compiled per input ({BATCH_LANES} lanes): "
-        f"{batch_note}{simd_note}"
+        f"{GATE_MACHINE}; compiled over streaming: {compiled_note}"
     )
     if args.jobs > 1:
         record = parallel_payload(args.jobs, args.quick, args.repeats, sizes)
@@ -459,6 +360,7 @@ def main(argv=None):
         )
     if args.compare:
         comparison = payload["comparison"]
+        top = comparison["top"]
         if comparison["baseline_invalid"]:
             print(
                 f"compare vs {args.compare}: baseline invalid "
@@ -468,8 +370,7 @@ def main(argv=None):
             verdict = "REGRESSION" if regressed else "ok"
             print(
                 f"compare vs {args.compare}: baseline "
-                f"{comparison['baseline_top_n_speedup']:.1f}x, floor "
-                f"{comparison['floor']:.1f}x "
+                f"{top['baseline']:.1f}x, floor {top['floor']:.1f}x "
                 f"(tolerance {args.tolerance}) -> {verdict}"
             )
         # name exactly what fell below the floor and by how much —
@@ -494,30 +395,6 @@ def main(argv=None):
             print(
                 f"WARNING: compiled speedup below the "
                 f"{COMPILED_GATE_SPEEDUP}x gate on {', '.join(below)}",
-                file=sys.stderr,
-            )
-            return 1
-        batch_below = [
-            name
-            for name, value in batch_gates.items()
-            if value < BATCH_GATE_SPEEDUP
-        ]
-        if batch_below:
-            print(
-                f"WARNING: batch speedup below the {BATCH_GATE_SPEEDUP}x "
-                f"gate on {', '.join(batch_below)}",
-                file=sys.stderr,
-            )
-            return 1
-        simd_below = [
-            name
-            for name, value in simd_gates.items()
-            if value < SIMD_GATE_SPEEDUP
-        ]
-        if simd_below:
-            print(
-                f"WARNING: simd speedup below the {SIMD_GATE_SPEEDUP}x "
-                f"gate on {', '.join(simd_below)}",
                 file=sys.stderr,
             )
             return 1

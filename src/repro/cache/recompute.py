@@ -14,11 +14,10 @@ Kinds registered here out of the box:
 * ``fingerprint-mc`` — (m, n, kind, k, seed, base, count) rebuild a
   Monte Carlo trial block lane-for-lane.
 
-The benchmark verification kinds (``bench-verify`` /
-``bench-batch-verify``) register themselves when ``bench_engine`` is
-importable (their word builders live in ``benchmarks/``, outside the
-package); elsewhere they are reported as unverifiable rather than
-failing the sweep.
+The benchmark verification kind (``bench-verify``) registers itself
+when ``bench_engine`` is importable (its word builders live in
+``benchmarks/``, outside the package); elsewhere it is reported as
+unverifiable rather than failing the sweep.
 """
 
 from __future__ import annotations
@@ -79,9 +78,6 @@ def _ensure_default_recomputers() -> None:
             pass
         else:
             register_recompute("bench-verify", _recompute_bench_verify)
-            register_recompute(
-                "bench-batch-verify", _recompute_bench_batch_verify
-            )
 
 
 # -- per-kind recomputers ---------------------------------------------------
@@ -121,17 +117,6 @@ def _recompute_bench_verify(components: Dict[str, Any]) -> Any:
 
     return bench_engine.verify_cell(
         components["name"], components["n"], cache_dir=None
-    )
-
-
-def _recompute_bench_batch_verify(components: Dict[str, Any]) -> Any:
-    import bench_engine
-
-    return bench_engine.verify_batch_cell(
-        components["name"],
-        components["n"],
-        components["lanes"],
-        cache_dir=None,
     )
 
 

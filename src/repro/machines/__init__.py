@@ -22,29 +22,19 @@ Machines are built either directly from a transition relation or through
 the small DSL in :mod:`~repro.machines.builder`; :mod:`~repro.machines.
 library` ships concrete machines used across tests and experiments.
 
-Five engines implement the semantics, pinned bit-identical by
+Three engines implement the semantics, pinned bit-identical by
 differential tests: the **reference engine**
 (:mod:`~repro.machines.execute`) materializes full configuration
 histories, the **streaming engine** (:mod:`~repro.machines.fast_engine`)
 simulates in O(1) extra memory per step with incrementally maintained
-statistics, the **compiled engine**
+statistics, and the **compiled engine**
 (:mod:`~repro.machines.compiled_engine`) lowers the transition relation
 to dense integer tables and executes straight-line head sweeps as
-macro-steps, the **batch engine** (:mod:`~repro.machines.batch_engine`)
-compiles once and runs a whole input batch in lock-step lanes over
-structure-of-arrays tape columns, and the **SIMD engine**
-(:mod:`~repro.machines.simd_engine`) holds that lane layout as NumPy
-arrays and advances every live lane at once with state-cohort kernels
-(optional ``repro[simd]`` extra; byte-identical batch-tier fallback
-without it).  The package-level :func:`run_deterministic` /
+macro-steps.  The package-level :func:`run_deterministic` /
 :func:`run_with_choices` go through the tier-selection front door in
 :mod:`~repro.machines.engine` (``engine="auto"`` picks the compiled
 tier, falling back to streaming for ``trace=True``, attached probes and
-machines the compiler cannot lower); batch-shaped workloads go through
-:func:`run_deterministic_batch` / :func:`run_with_choices_batch`, which
-return one :class:`~repro.machines.batch_engine.LaneOutcome` per input
-(``engine="auto"`` there prefers the SIMD tier from
-:data:`~repro.machines.simd_engine.SIMD_CROSSOVER` lanes up).
+machines the compiler cannot lower).
 """
 
 from .tm import TuringMachine, Transition, L, N, R
@@ -59,17 +49,11 @@ from .execute import (
 # The canonical run functions are the tier-selecting front door; pass
 # engine="reference" / "streaming" / "compiled" to pin a tier.
 from .engine import (
-    BATCH_ENGINES,
     ENGINES,
-    resolve_batch_engine,
     resolve_engine,
     run_deterministic,
-    run_deterministic_batch,
     run_with_choices,
-    run_with_choices_batch,
 )
-from .batch_engine import LaneOutcome
-from .simd_engine import SIMD_CROSSOVER, is_simd_available
 
 # The canonical acceptance_probability is the streaming engine's iterative
 # DP — identical exact Fractions, no RecursionError on deep runs.  The
@@ -111,16 +95,9 @@ __all__ = [
     "enumerate_runs",
     "acceptance_probability",
     "run_with_choices",
-    "run_deterministic_batch",
-    "run_with_choices_batch",
-    "LaneOutcome",
     "choice_alphabet",
     "ENGINES",
-    "BATCH_ENGINES",
-    "SIMD_CROSSOVER",
-    "is_simd_available",
     "resolve_engine",
-    "resolve_batch_engine",
     "FastRun",
     "StepState",
     "fast_run_deterministic",

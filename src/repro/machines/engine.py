@@ -1,6 +1,6 @@
-"""Engine tier selection: one front door over the five execution engines.
+"""Engine tier selection: one front door over the three execution engines.
 
-The repo ships five implementations of the same run semantics, pinned
+The repo ships three implementations of the same run semantics, pinned
 bit-identical by the cross-engine differential tests:
 
 * ``reference`` (:mod:`repro.machines.execute`) — materializes the full
@@ -12,14 +12,6 @@ bit-identical by the cross-engine differential tests:
 * ``compiled`` (:mod:`repro.machines.compiled_engine`) — dense integer
   transition tables plus macro-step run compression; the fastest tier
   for a single run.
-* ``batch`` (:mod:`repro.machines.batch_engine`) — one compilation, many
-  inputs: lock-step lanes over structure-of-arrays tape columns,
-  amortizing interning/snapshot/dispatch overhead across a whole batch.
-  Batch-shaped only — it has no single-run entry point.
-* ``simd`` (:mod:`repro.machines.simd_engine`) — the batch layout held
-  as NumPy arrays, advancing every live lane at once with state-cohort
-  kernels.  Batch-shaped only; requires the optional ``repro[simd]``
-  extra and falls back to the batch tier byte-identically without it.
 
 :func:`run_deterministic` / :func:`run_with_choices` here accept an
 ``engine`` keyword (``"auto"`` | ``"reference"`` | ``"streaming"`` |
@@ -30,42 +22,22 @@ that need per-step observation (``trace=True``, an attached ``probe``)
 and for machines the compiler cannot lower; :func:`resolve_engine`
 reports the tier that would actually execute, without running anything.
 
-:func:`run_deterministic_batch` / :func:`run_with_choices_batch` are the
-batch-shaped front door: one machine, a sequence of inputs, one
-:class:`~repro.machines.batch_engine.LaneOutcome` per input.  Their
-``engine`` keyword additionally accepts ``"batch"`` and ``"simd"``;
-``"auto"`` picks the SIMD tier for deterministic, tracker-free batches
-of at least :data:`~repro.machines.simd_engine.SIMD_CROSSOVER` lanes
-when NumPy is importable, and the batch tier otherwise —
-:func:`resolve_batch_engine` reports the choice without running
-anything.  Pinning a serial tier runs the batch lane-by-lane on that
-tier with the same contained-error surface, which is what the
-differential tests compare against.
-
 The reference engine predates resource bridging and stays the plain
 oracle: asking for ``engine="reference"`` together with a ``tracker``
-(or any per-lane tracker in a batch) raises ``ValueError`` rather than
-silently dropping enforcement.
+raises ``ValueError`` rather than silently dropping enforcement.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import Sequence, Union
 
-from . import batch_engine, compiled_engine, execute, fast_engine, simd_engine
-from .batch_engine import LaneOutcome
-from ..errors import ReproError
+from . import compiled_engine, execute, fast_engine
 from .execute import DEFAULT_STEP_LIMIT, Run
 from .fast_engine import FastRun
 from .tm import TuringMachine
 
 #: The accepted values of the ``engine`` keyword.
 ENGINES = ("auto", "reference", "streaming", "compiled")
-
-#: The accepted values of the batch entry points' ``engine`` keyword.
-BATCH_ENGINES = (
-    "auto", "batch", "simd", "reference", "streaming", "compiled"
-)
 
 
 def _check_engine(engine: str, tracker) -> str:
@@ -170,163 +142,3 @@ def run_with_choices(
         machine, word, choices, step_limit=step_limit, trace=trace,
         probe=probe, tracker=tracker,
     )
-
-
-def _check_batch_engine(engine: str, trackers) -> str:
-    if engine not in BATCH_ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of {BATCH_ENGINES}"
-        )
-    if engine == "reference" and trackers is not None:
-        raise ValueError(
-            "the reference engine does not bridge ResourceTracker charges; "
-            "use engine='streaming' or engine='compiled'"
-        )
-    return engine
-
-
-def resolve_batch_engine(
-    machine: TuringMachine,
-    nlanes: int,
-    *,
-    engine: str = "auto",
-    trackers=None,
-) -> str:
-    """The batch tier that ``engine`` would dispatch, without running.
-
-    ``"auto"`` resolves to ``"simd"`` exactly when the SIMD tier would
-    vectorize the batch: NumPy importable, no per-lane trackers, at
-    least :data:`~repro.machines.simd_engine.SIMD_CROSSOVER` lanes and a
-    machine the compiler can lower.  Everything else resolves to itself
-    (a pinned ``"simd"`` handles its own byte-identical fallbacks);
-    validation matches the run functions.
-    """
-    engine = _check_batch_engine(engine, trackers)
-    if engine != "auto":
-        return engine
-    if (
-        trackers is None
-        and nlanes >= simd_engine.SIMD_CROSSOVER
-        and simd_engine.try_compile_simd(machine) is not None
-    ):
-        return "simd"
-    return "batch"
-
-
-def _serial_batch(tier, machine, words, choices_list, step_limit, trackers):
-    """Run a batch lane-by-lane on a pinned serial tier.
-
-    Mirrors the batch engine's contained-error surface: one
-    ``LaneOutcome`` per input, each lane's error caught and recorded
-    instead of aborting the rest of the batch.
-    """
-    outcomes: List[LaneOutcome] = []
-    for lane, word in enumerate(words):
-        tracker = trackers[lane] if trackers is not None else None
-        try:
-            if choices_list is None:
-                if tier is execute:
-                    run = tier.run_deterministic(
-                        machine, word, step_limit=step_limit
-                    )
-                else:
-                    run = tier.run_deterministic(
-                        machine, word, step_limit=step_limit, tracker=tracker
-                    )
-            else:
-                if tier is execute:
-                    run = tier.run_with_choices(
-                        machine, word, choices_list[lane],
-                        step_limit=step_limit,
-                    )
-                else:
-                    run = tier.run_with_choices(
-                        machine, word, choices_list[lane],
-                        step_limit=step_limit, tracker=tracker,
-                    )
-            outcomes.append(LaneOutcome(lane, run, None))
-        except ReproError as exc:
-            outcomes.append(LaneOutcome(lane, None, exc))
-    return outcomes
-
-
-def run_deterministic_batch(
-    machine: TuringMachine,
-    words: Sequence[str],
-    *,
-    step_limit: int = DEFAULT_STEP_LIMIT,
-    trackers: Optional[Sequence] = None,
-    registry=None,
-    tracer=None,
-    engine: str = "auto",
-) -> List[LaneOutcome]:
-    """Execute a deterministic machine on a whole input batch.
-
-    Returns one :class:`~repro.machines.batch_engine.LaneOutcome` per
-    input, in input order; lane ``i``'s result or contained error is
-    bit-identical to ``run_deterministic(machine, words[i], ...)`` on
-    any serial tier.  ``"auto"`` picks the SIMD tier for deterministic,
-    tracker-free batches of at least ``SIMD_CROSSOVER`` lanes when NumPy
-    is importable, the batch tier otherwise; pinning
-    ``"reference"``/``"streaming"``/``"compiled"`` runs the batch
-    lane-by-lane on that tier (the differential baseline).
-    """
-    engine = _check_batch_engine(engine, trackers)
-    if engine in ("auto", "batch", "simd"):
-        words = list(words)
-        tier = engine if engine != "auto" else resolve_batch_engine(
-            machine, len(words), trackers=trackers
-        )
-        runner = (
-            simd_engine if tier == "simd" else batch_engine
-        ).run_deterministic_batch
-        return runner(
-            machine, words, step_limit=step_limit, trackers=trackers,
-            registry=registry, tracer=tracer,
-        )
-    tier = {
-        "reference": execute,
-        "streaming": fast_engine,
-        "compiled": compiled_engine,
-    }[engine]
-    return _serial_batch(tier, machine, list(words), None, step_limit,
-                         list(trackers) if trackers is not None else None)
-
-
-def run_with_choices_batch(
-    machine: TuringMachine,
-    words: Sequence[str],
-    choices_list: Sequence[Sequence[int]],
-    *,
-    step_limit: int = DEFAULT_STEP_LIMIT,
-    trackers: Optional[Sequence] = None,
-    registry=None,
-    tracer=None,
-    engine: str = "auto",
-) -> List[LaneOutcome]:
-    """ρ_T(w, c) for a batch of (word, choice-sequence) lanes.
-
-    Same lane contract as :func:`run_deterministic_batch`; every tier —
-    batched or pinned-serial — consumes exactly one ``choices[step]``
-    per lane step, in order, so lazy RNG-backed choice sequences stream
-    identically everywhere.
-    """
-    engine = _check_batch_engine(engine, trackers)
-    if engine in ("auto", "batch", "simd"):
-        # choice lanes are inherently serial; the SIMD tier itself
-        # delegates them to the batch tier, so "auto" goes straight there
-        runner = (
-            simd_engine if engine == "simd" else batch_engine
-        ).run_with_choices_batch
-        return runner(
-            machine, words, choices_list, step_limit=step_limit,
-            trackers=trackers, registry=registry, tracer=tracer,
-        )
-    tier = {
-        "reference": execute,
-        "streaming": fast_engine,
-        "compiled": compiled_engine,
-    }[engine]
-    return _serial_batch(tier, machine, list(words), list(choices_list),
-                         step_limit,
-                         list(trackers) if trackers is not None else None)

@@ -103,8 +103,6 @@ class TuringMachine:
         "_transition_index",
         "_compiled_steps",
         "_compiled_program",
-        "_batch_program",
-        "_simd_program",
         "_machine_fingerprint",
     )
 
@@ -112,7 +110,7 @@ class TuringMachine:
         """Pickle the definition only, never the memoized caches.
 
         ``transition_index()``, the streaming engine's ``_compiled_steps``,
-        the compiled/batch programs and the cache layer's
+        the compiled program and the cache layer's
         ``_machine_fingerprint`` are stashed on the instance ``__dict__``;
         shipping them to worker processes would bloat every task payload
         with data the worker can rebuild in one pass over the (small)

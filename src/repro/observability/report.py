@@ -288,7 +288,6 @@ def render_summary(summary: Dict[str, Any]) -> List[str]:
 ROW_METRICS: Dict[str, str] = {
     "streaming": "speedup_vs_reference",
     "compiled": "speedup_vs_streaming",
-    "batch": "speedup_vs_compiled",
 }
 
 

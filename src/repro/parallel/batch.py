@@ -12,15 +12,13 @@ them.  This module defines that shape:
   (see :func:`derive_task_rng`), which is the entire determinism story:
   the stream a task sees depends only on ``(batch seed, task index)``,
   never on which worker ran it or in what order.  The
-  :meth:`BatchTask.map` variant carries a whole *input list* so
-  process-level batching composes with the lane-level batch engine
-  (:mod:`repro.machines.batch_engine`): the worker calls
-  ``fn(inputs, *args)`` once and the callee hands the whole list down as
-  lock-step lanes.  Seeded map tasks receive one rng *per input* under a
-  global lane numbering (see :func:`derive_lane_rng`), so the stream a
-  lane sees depends only on ``(batch seed, lane index)`` — regrouping
-  the same inputs into different task boundaries cannot change any
-  lane's stream;
+  :meth:`BatchTask.map` variant carries a whole *input list*: the worker
+  calls ``fn(inputs, *args)`` once and the callee handles every input (a
+  *lane*) in that call.  Seeded map tasks receive one rng *per input*
+  under a global lane numbering (see :func:`derive_lane_rng`), so the
+  stream a lane sees depends only on ``(batch seed, lane index)`` —
+  regrouping the same inputs into different task boundaries cannot
+  change any lane's stream;
 * :class:`TaskError` — a structured failure record.  Tracebacks ride
   along for debugging but are excluded from equality, so a failed batch
   compares equal across serial and parallel execution;
@@ -30,7 +28,7 @@ them.  This module defines that shape:
   batch statistics (worker restarts, wall clock, jobs).
 
 The worker-side entry points (:func:`execute_one`, :func:`execute_chunk`)
-live here too, so the executors in :mod:`~repro.parallel.executors` and
+live here too, so the executors in :mod:`~repro.parallel.adapters` and
 the worker processes they spawn share one definition of "run a task".
 """
 
@@ -108,8 +106,8 @@ class BatchTask:
 
     A *map task* (built by :meth:`map`) additionally carries ``inputs``,
     a tuple of lane inputs: the worker calls
-    ``fn(list(inputs), *args, **kwargs)`` so the callee can hand the
-    whole list to the lane-batched engine in one go.  With
+    ``fn(list(inputs), *args, **kwargs)`` so the callee handles the
+    whole list in one call.  With
     ``seeded=True`` a map task gets ``rngs=[derive_lane_rng(seed,
     base_index + j), ...]`` — one stream per lane under the sweep's
     global lane numbering — instead of a single ``rng``.

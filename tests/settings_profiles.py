@@ -7,10 +7,6 @@ Tiers (each instance is usable directly as a decorator under ``@given``):
 - ``STANDARD_SETTINGS``: 50 examples — regular property tests;
 - ``QUICK_SETTINGS``: 20 examples — expensive-per-example tests (machine
   generation, exact-probability DPs);
-- ``SIMD_SETTINGS``: 60 examples — SIMD cohort-regrouping invariance
-  properties, where every example runs whole batches on two tiers and a
-  counterexample means the vectorized kernels drifted from the serial
-  semantics;
 - ``STATE_MACHINE_SETTINGS``: 200 examples — Hypothesis
   ``RuleBasedStateMachine`` tests, where each example is a whole random
   program of primitive operations checked against a pure reference model.
@@ -27,5 +23,4 @@ _BASE = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 DIFFERENTIAL_SETTINGS = settings(max_examples=100, **_BASE)
 STANDARD_SETTINGS = settings(max_examples=50, **_BASE)
 QUICK_SETTINGS = settings(max_examples=20, **_BASE)
-SIMD_SETTINGS = settings(max_examples=60, **_BASE)
 STATE_MACHINE_SETTINGS = settings(max_examples=200, **_BASE)

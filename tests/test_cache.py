@@ -579,7 +579,7 @@ class TestCompareGuard:
     def test_zero_baseline_cannot_vacuously_pass(self):
         verdict = self._compare(0.01, {"top_n_speedup": 0})
         assert verdict["baseline_invalid"]
-        assert verdict["floor"] is None
+        assert verdict["top"]["floor"] is None
         assert not verdict["regressed"]
 
     def test_negative_and_missing_and_nonnumeric_baselines(self):
@@ -587,21 +587,21 @@ class TestCompareGuard:
                         {"top_n_speedup": True}):
             verdict = self._compare(4.0, summary)
             assert verdict["baseline_invalid"], summary
-            assert verdict["baseline_top_n_speedup"] is None
+            assert verdict["top"]["baseline"] is None
 
     def test_valid_baseline_still_gates(self):
         regressed = self._compare(3.0, {"top_n_speedup": 5.0})
         assert not regressed["baseline_invalid"]
-        assert regressed["floor"] == 4.0
+        assert regressed["top"]["floor"] == 4.0
         assert regressed["regressed"]
         fine = self._compare(4.5, {"top_n_speedup": 5.0})
         assert not fine["regressed"]
 
     def test_new_engines_are_informational(self):
-        verdict = self._compare(
-            5.0, {"top_n_speedup": 5.0}, rows=[{"engine": "batch"}]
-        )
-        assert verdict["engines_new"] == ["batch"]
+        row = {"engine": "compiled", "machine": "copy", "n": 64,
+               "speedup_vs_streaming": 1.0}
+        verdict = self._compare(5.0, {"top_n_speedup": 5.0}, rows=[row])
+        assert [r["verdict"] for r in verdict["rows"]] == ["new"]
         assert not verdict["regressed"]
 
 

@@ -322,131 +322,3 @@ class TestThreeWayDifferential:
             except ReproError as exc:
                 outcomes.append(((type(exc), str(exc)), tracker.report()))
         assert outcomes[0] == outcomes[1]
-
-
-# ---------------------------------------------------------------------------
-# Five-way differential: the batch and SIMD tiers vs. every serial tier
-# ---------------------------------------------------------------------------
-
-from repro.machines import run_deterministic_batch, run_with_choices_batch
-
-word_batches = st.lists(tm_words, max_size=5)
-
-
-def _lane_signature(outcome):
-    """What a lane must agree on across tiers: result or (type, message)."""
-    if outcome.ok:
-        return (outcome.result.final, outcome.result.statistics)
-    return (type(outcome.error), str(outcome.error))
-
-
-def _assert_batches_identical(batch_lanes, twin_lanes):
-    assert [o.index for o in batch_lanes] == [o.index for o in twin_lanes]
-    for got, exp in zip(batch_lanes, twin_lanes):
-        assert _lane_signature(got) == _lane_signature(exp)
-
-
-class TestFiveWayDifferential:
-    """The batch and SIMD tiers are the fourth and fifth engines: every
-    lane of a lock-step batch run must be bit-identical — result,
-    contained-error control flow, and tracker state — to a serial run of
-    the same word on each of the three serial tiers (which the three-way
-    differential above already pins to each other).  Pinning
-    ``engine="simd"`` exercises the vectorized path even below the
-    ``auto`` crossover lane count."""
-
-    @pytest.mark.parametrize(
-        "factory", DETERMINISTIC_LIBRARY, ids=lambda f: f.__name__
-    )
-    @given(batch=word_batches)
-    @DIFFERENTIAL_SETTINGS
-    def test_library_batches_identical(self, factory, batch):
-        machine = factory()
-        if factory is not equality_machine:
-            batch = [w.replace("#", "0") for w in batch]
-        lanes = run_deterministic_batch(machine, batch)
-        for engine in ("simd", "reference", "streaming", "compiled"):
-            twin = run_deterministic_batch(machine, batch, engine=engine)
-            _assert_batches_identical(lanes, twin)
-
-    @given(
-        seed=st.integers(0, 2**20),
-        tapes=st.integers(1, 3),
-        batch=st.lists(st.text(alphabet="01", max_size=8), max_size=4),
-        step_limit=st.sampled_from((5, 40, 10_000)),
-    )
-    @DIFFERENTIAL_SETTINGS
-    def test_random_machine_batches_agree_including_failures(
-        self, seed, tapes, batch, step_limit
-    ):
-        """Small step limits retire lanes on the step-budget path; stuck
-        machines retire lanes on the no-transition path — every retired
-        lane must carry the same exception type and message the serial
-        tiers raise for that word."""
-        machine = random_terminating_tm(seed, external_tapes=tapes, length=6)
-        lanes = run_deterministic_batch(machine, batch, step_limit=step_limit)
-        for engine in ("simd", "reference", "streaming", "compiled"):
-            twin = run_deterministic_batch(
-                machine, batch, step_limit=step_limit, engine=engine
-            )
-            _assert_batches_identical(lanes, twin)
-
-    @given(
-        batch=st.lists(
-            st.tuples(
-                st.text(alphabet="01", max_size=6),
-                st.lists(st.integers(1, 12), max_size=14),
-            ),
-            max_size=4,
-        )
-    )
-    @QUICK_SETTINGS
-    def test_choice_batches_agree_including_exhaustion(self, batch):
-        """Short choice sequences exhaust mid-run: the exhaustion
-        diagnosis must retire exactly the same lanes with the same
-        message on every tier."""
-        words = [w for w, _ in batch]
-        choices = [c for _, c in batch]
-        for factory in RANDOMIZED_LIBRARY:
-            machine = factory()
-            lanes = run_with_choices_batch(machine, words, choices)
-            for engine in ("simd", "reference", "streaming", "compiled"):
-                twin = run_with_choices_batch(
-                    machine, words, choices, engine=engine
-                )
-                _assert_batches_identical(lanes, twin)
-
-    @pytest.mark.parametrize(
-        "factory", DETERMINISTIC_LIBRARY, ids=lambda f: f.__name__
-    )
-    @given(
-        batch=st.lists(
-            st.text(alphabet="01", min_size=1, max_size=8),
-            min_size=1,
-            max_size=4,
-        ),
-        cap=st.integers(1, 6),
-    )
-    @QUICK_SETTINGS
-    def test_budget_denial_lanes_agree(self, factory, batch, cap):
-        """Every lane carries its own tracker: denied lanes must stop at
-        the same charge with the same exception and identical tracker
-        state on the batch tier and both tracker-bridging serial tiers
-        (the reference tier predates tracker bridging and sits this one
-        out)."""
-        machine = factory()
-        results = []
-        for engine in ("batch", "simd", "streaming", "compiled"):
-            trackers = [
-                ResourceTracker(ResourceBudget(max_scans=cap)) for _ in batch
-            ]
-            lanes = run_deterministic_batch(
-                machine, batch, trackers=trackers, engine=engine
-            )
-            results.append(
-                [
-                    (_lane_signature(o), t.report())
-                    for o, t in zip(lanes, trackers)
-                ]
-            )
-        assert results[0] == results[1] == results[2] == results[3]

@@ -517,7 +517,6 @@ def _payload(top, cells):
     metric = {
         "streaming": "speedup_vs_reference",
         "compiled": "speedup_vs_streaming",
-        "batch": "speedup_vs_compiled",
     }
     rows = [
         {"engine": engine, "machine": workload, "n": n,
@@ -562,7 +561,7 @@ class TestCompareBench:
         })
         run = _payload(5.0, {
             ("streaming", "parity", 256): 5.0,  # no shared n
-            ("batch", "copy", 64): 2.0,  # new tier
+            ("compiled", "parity", 64): 2.0,  # no baseline cell
         })
         verdict = compare_bench(run, baseline)
         by_cell = {
@@ -570,7 +569,7 @@ class TestCompareBench:
             for r in verdict["rows"]
         }
         assert by_cell[("streaming", "parity")] == "incomparable"
-        assert by_cell[("batch", "copy")] == "new"
+        assert by_cell[("compiled", "parity")] == "new"
         assert by_cell[("compiled", "copy")] == "missing"
         assert not verdict["regressed"]
 

@@ -16,7 +16,6 @@ from hypothesis import given, strategies as st
 
 from tests.settings_profiles import QUICK_SETTINGS
 from repro.errors import MachineError, ReproError
-from repro.machines import is_simd_available
 from repro.machines.library import coin_flip_machine, equality_machine
 from repro.machines.random_machines import random_terminating_tm
 from repro.parallel import (
@@ -58,6 +57,17 @@ def _accepts(machine, word):
     from repro.machines.fast_engine import run_deterministic
 
     return run_deterministic(machine, word).accepts(machine)
+
+
+def compiled_signature(machine, word):
+    """A compiled run's (final, statistics), or its error's (type, text)."""
+    from repro.machines.compiled_engine import run_deterministic
+
+    try:
+        run = run_deterministic(machine, word)
+    except ReproError as exc:
+        return (type(exc).__name__, str(exc))
+    return (run.final, run.statistics)
 
 
 def accepts_random_tm(seed, word):
@@ -217,18 +227,15 @@ class TestCrashContainment:
 
 class TestMachinePickling:
     def test_compiled_caches_are_not_pickled(self):
-        from repro.machines.batch_engine import try_compile_batch
         from repro.machines.compiled_engine import try_compile
 
         machine = equality_machine()
         word = "0101#0101"
         before = _accepts(machine, word)  # warms the streaming caches
         assert try_compile(machine) is not None  # ... and the compiled one
-        assert try_compile_batch(machine) is not None  # ... and the batch one
         assert "_compiled_steps" in machine.__dict__
         assert "_transition_index" in machine.__dict__
         assert "_compiled_program" in machine.__dict__
-        assert "_batch_program" in machine.__dict__
         state = machine.__getstate__()
         for attr in type(machine)._CACHE_ATTRS:
             assert attr not in state, attr
@@ -237,7 +244,6 @@ class TestMachinePickling:
         clone = pickle.loads(pickle.dumps(machine))
         assert "_compiled_steps" not in clone.__dict__
         assert "_compiled_program" not in clone.__dict__
-        assert "_batch_program" not in clone.__dict__
         assert clone == machine
         assert _accepts(clone, word) == before
 
@@ -251,24 +257,16 @@ class TestMachinePickling:
         added under a bare name would trip the inverse check below.
         """
         from repro.cache import machine_fingerprint
-        from repro.machines.batch_engine import try_compile_batch
         from repro.machines.compiled_engine import try_compile
-        from repro.machines.simd_engine import try_compile_simd
 
         machine = equality_machine()
         _accepts(machine, "01#01")
         try_compile(machine)
-        try_compile_batch(machine)
-        try_compile_simd(machine)
         machine_fingerprint(machine)
         warmed = {k for k in machine.__dict__ if k.startswith("_")}
         # every documented cache attr is actually warmable — the doc
         # tuple cannot drift ahead of (or behind) reality silently
-        expected = set(type(machine)._CACHE_ATTRS)
-        if not is_simd_available():
-            # without NumPy the SIMD tier declines before the memo
-            expected.discard("_simd_program")
-        assert warmed == expected
+        assert warmed == set(type(machine)._CACHE_ATTRS)
         clone = pickle.loads(pickle.dumps(machine))
         leaked = [k for k in clone.__dict__ if k.startswith("_")]
         assert leaked == []
@@ -290,24 +288,20 @@ class TestMachinePickling:
         assert rerun.statistics == original.statistics
 
     def test_unpickled_machine_runs_batch_bit_identically(self):
-        from repro.machines import run_deterministic_batch
-        from repro.machines.batch_engine import try_compile_batch
+        """A warmed machine shipped to workers inside batch tasks runs
+        every word — error words included — exactly as it does in
+        process."""
+        from repro.machines.compiled_engine import try_compile
 
         machine = equality_machine()
         words = ["0110#0110", "0#1", "zz", ""]
-        try_compile_batch(machine)  # warmed cache must not leak
-        original = run_deterministic_batch(machine, words)
-        clone = pickle.loads(pickle.dumps(machine))
-        rerun = run_deterministic_batch(clone, words)
-        for before, after in zip(original, rerun):
-            assert after.index == before.index
-            assert after.ok == before.ok
-            if before.ok:
-                assert after.result.final == before.result.final
-                assert after.result.statistics == before.result.statistics
-            else:
-                assert type(after.error) is type(before.error)
-                assert str(after.error) == str(before.error)
+        try_compile(machine)  # warmed cache must not leak into the pickle
+        tasks = [BatchTask.call(compiled_signature, machine, w) for w in words]
+        serial = SerialExecutor().run_batch(tasks)
+        par = ParallelExecutor(2).run_batch(tasks)
+        assert par.outcomes == serial.outcomes
+        # "zz" is outside the alphabet: its lane carries the error
+        assert par.values()[2][0] == "MachineError"
 
     def test_round_trip_runs_bit_identically(self):
         machine = coin_flip_machine()

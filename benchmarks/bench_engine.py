@@ -187,8 +187,8 @@ def bench_cell(name, n, repeats, cache_dir=None):
     }
 
 
-def run_engine_benchmark(sizes=SIZES, repeats=3, jobs=1, registry=None,
-                         cache_dir=None, ledger=None):
+def run_engine_benchmark(sizes=SIZES, repeats=3, jobs=1, cache_dir=None,
+                         ledger=None):
     """Time both engines over the library sweep; returns a list of rows.
 
     Every row is cross-checked: the streaming engine's final configuration
@@ -209,8 +209,7 @@ def run_engine_benchmark(sizes=SIZES, repeats=3, jobs=1, registry=None,
         for n in sizes
     ]
     return run_batch(
-        tasks, jobs=jobs, label="engine-bench", registry=registry,
-        ledger=ledger,
+        tasks, jobs=jobs, label="engine-bench", ledger=ledger
     ).values()
 
 

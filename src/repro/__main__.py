@@ -19,11 +19,10 @@ path.  With ``--shards K --shard-index I`` only the I-th
 content-addressed shard of the sweep runs, writing a shard artifact
 instead of the audit record.
 
-``python -m repro shard {plan,run,collect}`` spreads the audit over a CI
+``python -m repro shard {plan,collect}`` spreads the audit over a CI
 matrix: ``plan`` prints the deterministic shard partition (content
-addresses, cell counts, suggested commands), ``run`` executes one shard
-(``audit --shards K --shard-index I`` with a shard-shaped surface), and
-``collect`` merges all K shard artifacts back into
+addresses, cell counts, the ``audit --shards K --shard-index I`` command
+of each shard), and ``collect`` merges all K shard artifacts back into
 ``AUDIT_contracts.json`` — byte-identical to an unsharded run, with
 coverage (every cell exactly once, fingerprints agree) verified before a
 byte is written.
@@ -45,7 +44,7 @@ sample of entries from their provenance stamps and diffs the canonical
 bytes against what is stored.
 
 ``python -m repro trace <algorithm|machine> [--n N] [--chrome out.json]
-[--jsonl out.jsonl] [--metrics]`` runs one target under an
+[--jsonl out.jsonl] [--metrics] [--trials T [--jobs J]]`` runs one target under an
 :class:`~repro.observability.trace.EngineProbe` and prints the span
 timeline plus the per-phase profile.  ``--chrome`` writes Chrome
 trace-event JSON (open in Perfetto or chrome://tracing), ``--jsonl``
@@ -54,7 +53,8 @@ records, ``--metrics`` prints the metrics-registry snapshot.  Targets are
 the audit contract names (``fingerprint``, ``onepass``, ...) and the
 machine-library machines (``equality``, ``coin-flip``, ...); randomized
 machines are traced through ``acceptance_probability``'s branch
-exploration instead of a single run.
+exploration instead of a single run, and ``--trials`` adds a Monte Carlo
+estimate next to the exact DP (randomized machines only).
 """
 
 from __future__ import annotations
@@ -354,20 +354,6 @@ def _cmd_shard(args) -> int:
         )
         return 0
 
-    if args.shard_command == "run":
-        cache_dir = None if args.no_cache else args.cache
-        return _cmd_audit(
-            args.quick,
-            args.output,
-            False,
-            args.jobs,
-            cache_dir,
-            None,
-            args.ledger,
-            shards=args.shards,
-            shard_index=args.index,
-        )
-
     # collect: merge shard artifacts into the canonical audit JSON
     from .observability.audit import collect_audit_shards, write_audit_json
 
@@ -492,12 +478,7 @@ def _cmd_trace(
                 from .machines.randomized import estimate_acceptance_probability
 
                 estimate = estimate_acceptance_probability(
-                    machine,
-                    word,
-                    trials,
-                    seed=seed,
-                    jobs=jobs,
-                    registry=registry,
+                    machine, word, trials, seed=seed, jobs=jobs
                 )
                 print(
                     f"Monte Carlo estimate over {estimate.trials} trials "
@@ -620,7 +601,7 @@ def main(argv=None) -> int:
     )
     shard = sub.add_parser(
         "shard",
-        help="plan, run and collect content-addressed audit shards",
+        help="plan and collect content-addressed audit shards",
     )
     shard_sub = shard.add_subparsers(dest="shard_command")
     shard_plan = shard_sub.add_parser(
@@ -641,47 +622,6 @@ def main(argv=None) -> int:
         "--json",
         action="store_true",
         help="print the plan as canonical JSON instead of text",
-    )
-    shard_run = shard_sub.add_parser(
-        "run", help="run one shard (same surface as `audit --shards`)"
-    )
-    shard_run.add_argument(
-        "--quick", action="store_true", help="small sweep only"
-    )
-    shard_run.add_argument(
-        "--shards", type=int, required=True, metavar="K", help="shard count"
-    )
-    shard_run.add_argument(
-        "--index",
-        type=int,
-        required=True,
-        metavar="I",
-        help="which shard to run, 0 <= I < K",
-    )
-    shard_run.add_argument(
-        "--output",
-        default="AUDIT_contracts.json",
-        help="where to write the shard artifact (default: "
-        "audit-shard-<I>of<K>.json)",
-    )
-    shard_run.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for the shard"
-    )
-    shard_run.add_argument(
-        "--cache",
-        metavar="DIR",
-        default=os.environ.get("REPRO_CACHE_DIR"),
-        help="memoize sweep cells (default: $REPRO_CACHE_DIR if set)",
-    )
-    shard_run.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore --cache / $REPRO_CACHE_DIR and recompute everything",
-    )
-    shard_run.add_argument(
-        "--ledger",
-        metavar="PATH",
-        help="append sweep/task/cache records to this JSONL ledger",
     )
     shard_collect = shard_sub.add_parser(
         "collect",
@@ -865,14 +805,9 @@ def main(argv=None) -> int:
         )
     if args.command == "shard":
         if args.shard_command is None:
-            parser.error("shard needs a subcommand: plan, run, collect")
-        if args.shard_command in ("plan", "run") and args.shards < 1:
+            parser.error("shard needs a subcommand: plan, collect")
+        if args.shard_command == "plan" and args.shards < 1:
             parser.error("--shards must be >= 1")
-        if args.shard_command == "run":
-            if not 0 <= args.index < args.shards:
-                parser.error("--index must be in [0, --shards)")
-            if args.jobs < 1:
-                parser.error("--jobs must be >= 1")
         return _cmd_shard(args)
     if args.command == "report":
         if args.report_command is None:
@@ -893,6 +828,20 @@ def main(argv=None) -> int:
     if args.command == "trace":
         if args.jobs < 1:
             parser.error("--jobs must be >= 1")
+        if args.trials < 0:
+            parser.error("--trials must be >= 0")
+        randomized = sorted(
+            name
+            for name, (_factory, _word, is_random) in _machine_targets().items()
+            if is_random
+        )
+        if args.trials > 0 and args.target not in randomized:
+            parser.error(
+                "--trials needs a randomized machine target: "
+                + ", ".join(randomized)
+            )
+        if args.jobs > 1 and args.trials == 0:
+            parser.error("--jobs applies to the --trials sweep only")
         return _cmd_trace(
             args.target,
             args.n,

@@ -383,11 +383,8 @@ def monte_carlo_fingerprint_trials(
     seed: object = 0,
     jobs: int = 1,
     trials_per_task: int = 16,
-    registry=None,
-    tracer=None,
     cache=None,
     ledger=None,
-    executor=None,
     resume_from=None,
 ) -> TrialSummary:
     """The Theorem 8(a) error-rate experiment as a deterministic batch.
@@ -408,11 +405,8 @@ def monte_carlo_fingerprint_trials(
     journals the dispatched blocks as ``fingerprint-trials`` sweep
     records; cache hits surface through the store's own attached ledger.
 
-    ``executor`` (an :class:`~repro.parallel.ExecutorAdapter`) overrides
-    the jobs-based serial/pool choice — e.g. a
-    :class:`~repro.parallel.ShardExecutor` partitions the blocks along
-    content-addressed shard boundaries.  ``resume_from`` (a ledger path
-    or :class:`~repro.parallel.ResumeState`) replays the blocks a prior
+    ``resume_from`` (a ledger path or
+    :class:`~repro.parallel.ResumeState`) replays the blocks a prior
     interrupted run already journaled and dispatches only the rest; the
     summary is bit-identical to an uninterrupted run.
     """
@@ -457,10 +451,7 @@ def monte_carlo_fingerprint_trials(
             seed=seed,
             chunk_size="auto",
             label="fingerprint-trials",
-            registry=registry,
-            tracer=tracer,
             ledger=ledger,
-            executor=executor,
             resume_from=resume_from,
         ).values()
         for (base, count), accepted in zip(pending, counts):

@@ -17,10 +17,10 @@ Durability and concurrency:
   (moved under ``cachedir/quarantine/``) and reported as a miss, so the
   caller recomputes and overwrites — the cache can only ever serve
   entries that parse and match their address;
-* hit/miss/write/invalid totals are :class:`~repro.observability.metrics.Counter`
-  instruments (labelled by entry kind) in a
-  :class:`~repro.observability.metrics.MetricsRegistry`, so cache
-  behaviour shows up in the same snapshot surface as every other metric.
+* hit/miss/write/invalid totals are plain per-process counts
+  (:meth:`ResultStore.counter_snapshot`); the audit journals them in
+  its ``audit-cells`` ``sweep-end`` record, and an attached ledger gets
+  one ``cache`` record per event.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from .._version import __version__
 from ..errors import ReproError
-from ..observability.metrics import MetricsRegistry
 from .fingerprint import CacheKey, canonical_json
 
 __all__ = ["ResultStore", "SCHEMA_VERSION"]
@@ -49,37 +48,22 @@ QUARANTINE_DIR = "quarantine"
 class ResultStore:
     """A persistent content-addressed store for cacheable results.
 
-    ``registry`` defaults to a private
-    :class:`~repro.observability.metrics.MetricsRegistry`; pass the
-    caller's to surface the counters next to its other instruments.
+    ``hits`` (entries served), ``misses`` (lookups that found no usable
+    entry), ``writes`` (entries written) and ``invalid`` (corrupt or
+    stale entries quarantined at lookup time) count this process's
+    traffic.
     """
 
-    def __init__(
-        self,
-        root,
-        *,
-        registry: Optional[MetricsRegistry] = None,
-        ledger=None,
-    ):
+    def __init__(self, root, *, ledger=None):
         self.root = Path(root)
-        self.registry = registry if registry is not None else MetricsRegistry()
         # duck-typed LedgerWriter (never imported here — the ledger
         # module imports this package's fingerprint layer); every event
         # site pays one ``is None`` test when nothing is attached
         self._ledger = ledger
-        self._hits = self.registry.counter(
-            "cache_hits_total", "entries served from the result store"
-        )
-        self._misses = self.registry.counter(
-            "cache_misses_total", "lookups that found no usable entry"
-        )
-        self._writes = self.registry.counter(
-            "cache_writes_total", "entries written to the result store"
-        )
-        self._invalid = self.registry.counter(
-            "cache_invalid_total",
-            "corrupt/stale entries quarantined at lookup time",
-        )
+        self.hits = 0
+        self.misses = 0
+        self.writes = 0
+        self.invalid = 0
 
     def attach_ledger(self, ledger) -> None:
         """Journal every hit/miss/write/invalid to a sweep ledger.
@@ -102,22 +86,6 @@ class ResultStore:
         return self.root / digest[:2] / f"{digest[2:]}.json"
 
     # -- counters -----------------------------------------------------------
-
-    @property
-    def hits(self) -> int:
-        return self._hits.total
-
-    @property
-    def misses(self) -> int:
-        return self._misses.total
-
-    @property
-    def writes(self) -> int:
-        return self._writes.total
-
-    @property
-    def invalid(self) -> int:
-        return self._invalid.total
 
     def counter_snapshot(self) -> Dict[str, int]:
         """The four live totals, JSON-ready (process-local, not on-disk)."""
@@ -142,26 +110,26 @@ class ResultStore:
         try:
             text = path.read_text(encoding="utf-8")
         except (FileNotFoundError, NotADirectoryError):
-            self._misses.inc(kind=key.kind)
+            self.misses += 1
             self._event("miss", key)
             return None
         except (OSError, UnicodeDecodeError):
             # unreadable bytes are a corrupt entry, not a plain miss
             self._quarantine(path)
-            self._invalid.inc(kind=key.kind)
-            self._misses.inc(kind=key.kind)
+            self.invalid += 1
+            self.misses += 1
             self._event("invalid", key)
             self._event("miss", key)
             return None
         entry = self._parse_entry(text, key.digest)
         if entry is None:
             self._quarantine(path)
-            self._invalid.inc(kind=key.kind)
-            self._misses.inc(kind=key.kind)
+            self.invalid += 1
+            self.misses += 1
             self._event("invalid", key)
             self._event("miss", key)
             return None
-        self._hits.inc(kind=key.kind)
+        self.hits += 1
         self._event("hit", key)
         return entry["payload"]
 
@@ -227,7 +195,7 @@ class ResultStore:
                     tmp.unlink()
                 except OSError:
                     pass
-        self._writes.inc(kind=key.kind)
+        self.writes += 1
         self._event("write", key)
 
     def get_or_compute(

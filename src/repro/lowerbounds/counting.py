@@ -131,12 +131,9 @@ def enumerate_skeletons(
     jobs: int = 1,
     machine_factory: Optional[Callable[[], NLM]] = None,
     chunk_size: Union[int, str, None] = None,
-    registry=None,
-    tracer=None,
     cache=None,
     cache_key: Optional[object] = None,
     ledger=None,
-    executor=None,
     resume_from=None,
 ) -> SkeletonCensus:
     """Run a deterministic NLM on *every* input over ``alphabet``.
@@ -158,11 +155,7 @@ def enumerate_skeletons(
     its attached writer.  ``ledger`` additionally journals the parallel
     dispatch as a ``skeleton-census`` sweep.
 
-    ``executor`` (an :class:`~repro.parallel.ExecutorAdapter`) routes
-    the dispatch through an explicit adapter — a
-    :class:`~repro.parallel.ShardExecutor` partitions the ranges along
-    content-addressed shard boundaries — and forces the batch path even
-    at ``jobs=1``.  ``resume_from`` (a ledger path or
+    ``resume_from`` (a ledger path or
     :class:`~repro.parallel.ResumeState`) skips ranges a prior
     interrupted run journaled; census range values are sets, which the
     ledger cannot journal, so resumed ranges are recomputed — the census
@@ -188,7 +181,7 @@ def enumerate_skeletons(
         if payload is not None:
             return SkeletonCensus.from_payload(payload)
     skeletons: set = set()
-    if (jobs == 1 and executor is None) or total == 0:
+    if jobs == 1 or total == 0:
         for values in itertools.product(alphabet, repeat=nlm.m):
             run = run_deterministic(nlm, list(values))
             skeletons.add(skeleton_of_run(run))
@@ -221,10 +214,7 @@ def enumerate_skeletons(
             tasks,
             jobs=jobs,
             label="skeleton-census",
-            registry=registry,
-            tracer=tracer,
             ledger=ledger,
-            executor=executor,
             resume_from=resume_from,
         ).values():
             skeletons |= part

@@ -490,7 +490,8 @@ def acceptance_probability(
     depths feed the probe's ``branch_depth`` histogram, and the final
     configuration-DAG size — interned configurations, memo hits, frames
     opened — lands in the probe's registry (``dag_*`` counters), so
-    sweeps can report aggregate DAG statistics, not just the depth shape.
+    ``repro trace --metrics`` reports the DAG size, not just the depth
+    shape.
     """
     index = machine.transition_index()
     final_states = machine.final_states

@@ -10,9 +10,9 @@ oracle, no recursion-depth ceiling) — no sampling noise.
 
 Both checkers accept ``jobs=``: the per-word DPs are independent, so the
 word sample fans out over worker processes through
-:mod:`repro.parallel`, and each worker ships its configuration-DAG size
-(interned configs, memo hits, frames) home so a ``registry`` passed by
-the caller still aggregates DAG statistics across the whole sweep.
+:mod:`repro.parallel`, one unprobed ``acceptance_probability`` task per
+word.  To see one DP's configuration-DAG size (interned configs, memo
+hits, frames), trace it: ``repro trace coin-flip --metrics``.
 
 :func:`estimate_acceptance_probability` is the Monte Carlo twin of the
 exact DP: it samples whole runs under uniformly random choice sequences
@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Sequence, Tuple
 
 from ..errors import MachineError
 from .engine import run_with_choices
@@ -62,53 +62,6 @@ class RTMReport:
         return not self.violations
 
 
-class _DagProbe:
-    """Minimal acceptance-DP probe: collects DAG stats, ignores spans.
-
-    ``on_branch_enter`` returns ``None``, which the DP treats as "no span
-    opened", so this costs nothing beyond the final stats callback.
-    """
-
-    __slots__ = ("stats",)
-
-    def __init__(self) -> None:
-        self.stats: Optional[Dict[str, int]] = None
-
-    def on_branch_enter(self, depth: int, options: int, state: str) -> None:
-        return None
-
-    def on_dag_stats(self, **stats: int) -> None:
-        self.stats = stats
-
-
-def word_acceptance(
-    machine: TuringMachine, word: str, step_limit: int
-) -> Tuple[Fraction, Dict[str, int]]:
-    """One exact DP, packaged as a batch task: (probability, DAG stats)."""
-    probe = _DagProbe()
-    p = acceptance_probability(
-        machine, word, step_limit=step_limit, probe=probe
-    )
-    return p, probe.stats or {}
-
-
-def _aggregate_dag_stats(registry, stats_list: Sequence[Dict[str, int]]) -> None:
-    """Fold worker-side DAG stats into the same counters an in-process
-    :class:`~repro.observability.trace.EngineProbe` would maintain."""
-    if registry is None:
-        return
-    names = {
-        "interned": "dag_configs_interned_total",
-        "memoized": "dag_configs_memoized_total",
-        "memo_hits": "dag_memo_hits_total",
-        "frames": "dag_frames_total",
-    }
-    for stats in stats_list:
-        for key, metric in names.items():
-            if key in stats:
-                registry.counter(metric).inc(stats[key])
-
-
 def _check_rtm_words(
     machine: TuringMachine,
     yes_words: Sequence[str],
@@ -117,23 +70,20 @@ def _check_rtm_words(
     no_violated,
     step_limit: int,
     jobs: int,
-    registry,
-    tracer,
 ) -> RTMReport:
     from ..parallel import BatchTask, run_batch
 
     words = [(word, "yes") for word in yes_words]
     words += [(word, "no") for word in no_words]
     tasks = [
-        BatchTask.call(word_acceptance, machine, word, step_limit)
+        BatchTask.call(
+            acceptance_probability, machine, word, step_limit=step_limit
+        )
         for word, _side in words
     ]
-    values = run_batch(
-        tasks, jobs=jobs, label="rtm-check", registry=registry, tracer=tracer
-    ).values()
-    _aggregate_dag_stats(registry, [stats for _p, stats in values])
+    values = run_batch(tasks, jobs=jobs, label="rtm-check").values()
     violations = []
-    for (word, side), (p, _stats) in zip(words, values):
+    for (word, side), p in zip(words, values):
         violated = yes_violated(p) if side == "yes" else no_violated(p)
         if violated:
             violations.append(RTMViolation(word, side, p))
@@ -147,8 +97,6 @@ def check_half_zero_rtm(
     *,
     step_limit: int = DEFAULT_CHECK_STEP_LIMIT,
     jobs: int = 1,
-    registry=None,
-    tracer=None,
 ) -> RTMReport:
     """Exactly verify the (1/2, 0)-RTM contract on the given samples.
 
@@ -164,8 +112,6 @@ def check_half_zero_rtm(
         lambda p: p != 0,
         step_limit,
         jobs,
-        registry,
-        tracer,
     )
 
 
@@ -176,8 +122,6 @@ def check_co_half_zero_rtm(
     *,
     step_limit: int = DEFAULT_CHECK_STEP_LIMIT,
     jobs: int = 1,
-    registry=None,
-    tracer=None,
 ) -> RTMReport:
     """The complementary contract (co-RST side): yes-words accepted with
     probability 1, no-words accepted with probability ≤ 1/2."""
@@ -189,8 +133,6 @@ def check_co_half_zero_rtm(
         lambda p: p > Fraction(1, 2),
         step_limit,
         jobs,
-        registry,
-        tracer,
     )
 
 
@@ -269,8 +211,6 @@ def estimate_acceptance_probability(
     jobs: int = 1,
     trials_per_task: int = 32,
     step_limit: int = DEFAULT_CHECK_STEP_LIMIT,
-    registry=None,
-    tracer=None,
 ) -> MonteCarloAcceptance:
     """Sample Pr(T accepts w) over ``trials`` independent random runs.
 
@@ -299,11 +239,6 @@ def estimate_acceptance_probability(
         for count in blocks
     ]
     counts = run_batch(
-        tasks,
-        jobs=jobs,
-        seed=seed,
-        label="mc-acceptance",
-        registry=registry,
-        tracer=tracer,
+        tasks, jobs=jobs, seed=seed, label="mc-acceptance"
     ).values()
     return MonteCarloAcceptance(trials=trials, accepted=sum(counts))

@@ -14,22 +14,25 @@ Layered bottom-up:
   stream into per-phase scan/space timelines;
 * :mod:`~repro.observability.metrics` — :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` instruments with label sets, handed out by a
-  :class:`MetricsRegistry` whose snapshot is deterministic JSON;
+  :class:`MetricsRegistry` whose snapshot is deterministic JSON; an
+  :class:`EngineProbe` owns one, and ``repro trace --metrics`` prints it;
 * :mod:`~repro.observability.trace` — :class:`Span` records with monotone
   ids and parent links, a :class:`Tracer` exporting Chrome trace-event
   JSON (Perfetto-loadable) and text timelines, and the
   :class:`EngineProbe` hook the execution engines, the block tracer and
   the streaming query evaluators accept (``probe=None`` everywhere by
-  default — the hot paths pay at most one ``is None`` test);
+  default — the hot paths pay at most one ``is None`` test).  Probes
+  watch one in-process run; batch sweeps do not take them;
 * :mod:`~repro.observability.audit` — the contract-audit harness behind
   ``python -m repro audit``: sweeps the paper's algorithms across decades
   of N and checks every measured envelope against its claimed one.  (This
   submodule imports the algorithm packages, so it is loaded lazily — the
   tracker itself only needs :mod:`events`.)
 * :mod:`~repro.observability.ledger` — the durable layer above a single
-  run: a :class:`LedgerWriter` journals sweeps as canonical-JSON lines
-  (task outcomes, heartbeats, stalls, cache events, registry snapshots)
-  with every wall-clock field isolated in a marked ``wall`` section, so
+  run, and the batch runtime's only observer: a :class:`LedgerWriter`
+  journals sweeps as canonical-JSON lines (sweep start/end tallies, task
+  outcomes, worker restarts, heartbeats, stalls, cache events) with
+  every wall-clock field isolated in a marked ``wall`` section, so
   stripped ledgers of identical serial runs are byte-identical;
 * :mod:`~repro.observability.report` — rollups and regression verdicts
   over those records, behind ``python -m repro report``: deterministic

@@ -507,11 +507,8 @@ def _resolve_checks(
     *,
     jobs: int = 1,
     chunk_size: Union[int, str, None] = None,
-    registry=None,
-    tracer=None,
     cache=None,
     ledger=None,
-    executor=None,
 ):
     """Cache-lookup pass plus batch dispatch for per-spec cell lists.
 
@@ -558,10 +555,7 @@ def _resolve_checks(
             jobs=jobs,
             chunk_size=chunk_size,
             label="audit",
-            registry=registry,
-            tracer=tracer,
             ledger=ledger,
-            executor=executor,
         ).values()
         for spec, checks in zip(dispatch_specs, sweeps):
             for check in checks:
@@ -582,11 +576,8 @@ def run_contract_audit(
     sweep: Optional[Sequence[Tuple[int, int]]] = None,
     jobs: int = 1,
     chunk_size: Union[int, str, None] = None,
-    registry=None,
-    tracer=None,
     cache=None,
     ledger=None,
-    executor=None,
 ) -> AuditRun:
     """Sweep every contract; returns the full measured-vs-claimed record.
 
@@ -595,11 +586,10 @@ def run_contract_audit(
     so each worker hands a whole sweep down in one call; every cell
     seeds its own rng from its coordinates, so the result — and the JSON
     artifact written from it — is byte-identical to the serial sweep for
-    any ``jobs`` and to the old one-task-per-cell grouping.
-    ``executor`` overrides the jobs-based adapter choice with any
-    :class:`~repro.parallel.ExecutorAdapter` (for CI-matrix splits use
-    :func:`run_audit_shard` / :func:`collect_audit_shards` instead —
-    they partition by *cell*, not by contract).
+    any ``jobs`` and to the old one-task-per-cell grouping.  For
+    CI-matrix splits use :func:`run_audit_shard` /
+    :func:`collect_audit_shards` (they partition by *cell*, not by
+    contract).
 
     ``cache`` (a :class:`~repro.cache.ResultStore`) memoizes per check:
     cells whose content-addressed key is already stored skip their
@@ -629,11 +619,8 @@ def run_contract_audit(
         {spec.name: cells for spec in specs},
         jobs=jobs,
         chunk_size=chunk_size,
-        registry=registry,
-        tracer=tracer,
         cache=cache,
         ledger=ledger,
-        executor=executor,
     )
 
     if ledger is not None:
@@ -724,10 +711,10 @@ def plan_audit_shards(
 ) -> List[Dict[str, Any]]:
     """Describe the K-way split of the audit sweep without running it.
 
-    One dict per shard: the content-addressed shard key (composed over
-    the per-cell cache-key digests, exactly like
-    :meth:`~repro.parallel.shard.ShardSpec.key`), the global cell
-    indices it owns, and the (contract, m, n) coordinates — everything a
+    One dict per shard: the content-addressed shard key (composed
+    through ``compose_key("shard", …)`` over the per-cell cache-key
+    digests, the same code-versioned key discipline the result cache
+    uses), the global cell indices it owns, and the (contract, m, n) coordinates — everything a
     CI matrix job needs to run ``repro audit --shards K --shard-index i``.
     """
     from ..cache import compose_key
@@ -777,8 +764,6 @@ def run_audit_shard(
     shard_index: int,
     jobs: int = 1,
     chunk_size: Union[int, str, None] = None,
-    registry=None,
-    tracer=None,
     cache=None,
     ledger=None,
 ) -> Dict[str, Any]:
@@ -814,8 +799,6 @@ def run_audit_shard(
         spec_cells,
         jobs=jobs,
         chunk_size=chunk_size,
-        registry=registry,
-        tracer=tracer,
         cache=cache,
         ledger=ledger,
     )

@@ -7,15 +7,15 @@ batch and then dies with the process.  The ledger is the durable record
 (:func:`~repro.cache.fingerprint.canonical_json` — sorted keys, compact
 separators) per sweep event, so a ``repro audit``, a bench or a Monte
 Carlo sweep leaves behind a replayable journal of exactly what ran,
-what it cost, and what served it.  ROADMAP item 2's resumable shards
-are designed to replay the ``task-outcome`` records directly.
+what it cost, and what served it.  The resume path
+(:mod:`repro.parallel.resume`) replays the ``task-outcome`` records
+directly.
 
 Record kinds (all schema-versioned via :data:`LEDGER_SCHEMA`):
 
 * ``sweep-start`` — label, task count, jobs, the timestamp-free
   provenance stamp (``repro_version``), plus — when the batch runtime
-  computed one — the sweep ``fingerprint`` the resume path verifies and
-  the ``shards`` topology of a sharded executor;
+  computed one — the sweep ``fingerprint`` the resume path verifies;
 * ``task-outcome`` — one per :class:`~repro.parallel.batch.TaskOutcome`:
   index, ok, attempts (retries = attempts - 1), the structured error if
   any, an optional ``detail`` dict (the audit stamps contract/cell/source
@@ -36,8 +36,12 @@ Record kinds (all schema-versioned via :data:`LEDGER_SCHEMA`):
   attribution rides in the eventual ``task-outcome``'s error);
 * ``cache`` — one :class:`~repro.cache.ResultStore` hit/miss/write/
   invalid event, with the entry kind and content-addressed key digest;
-* ``sweep-end`` — final tallies (tasks/completed/failed/restarts), the
-  store's counter snapshot, and the metrics-registry snapshot.
+* ``sweep-end`` — final tallies (tasks/completed/failed/restarts) and,
+  for the audit's ``audit-cells`` sweep, the store's counter snapshot.
+
+The ledger is the batch runtime's only observer: every fact about a
+sweep's dispatch (tasks, jobs, completed, failed, worker restarts,
+per-task seconds) is journaled here and nowhere else.
 
 Determinism discipline — the property the ``ledger-determinism`` CI gate
 pins: every wall-clock-derived value lives in a clearly marked ``wall``
@@ -114,7 +118,7 @@ LEDGER_KINDS: Tuple[str, ...] = (
 #: strips byte-identical to an uninterrupted one.
 WALL_ONLY_KINDS = frozenset({KIND_STALL, KIND_SWEEP_RESUME})
 
-#: Same spread as the batch runtime's task-latency histogram: sweeps mix
+#: Buckets of the stall detector's latency histogram: sweeps mix
 #: sub-millisecond bench cells with multi-second full-sweep audit cells.
 LATENCY_BUCKETS: Tuple[float, ...] = (
     0.001,
@@ -168,8 +172,7 @@ class LedgerWriter:
     ``stall_factor`` / ``stall_quantile`` control stall detection: a
     task slower than ``stall_factor × quantile(stall_quantile)`` of the
     sweep's prior latencies (at least ``min_stall_samples`` of them)
-    gets a ``stall`` record.  ``registry`` (optional) counts written
-    records per kind under ``ledger_records_total``.
+    gets a ``stall`` record.
     """
 
     def __init__(
@@ -180,7 +183,6 @@ class LedgerWriter:
         stall_factor: float = 4.0,
         stall_quantile: float = 0.95,
         min_stall_samples: int = 8,
-        registry=None,
         mode: str = "w",
     ) -> None:
         if heartbeat_every < 1:
@@ -214,13 +216,6 @@ class LedgerWriter:
             "per-task latency feeding the stall detector",
             buckets=LATENCY_BUCKETS,
         )
-        self._records_counter = (
-            registry.counter(
-                "ledger_records_total", "ledger records written, by kind"
-            )
-            if registry is not None
-            else None
-        )
 
     # -- raw line ----------------------------------------------------------
 
@@ -229,8 +224,6 @@ class LedgerWriter:
         self._stream.write(canonical_json(record) + "\n")
         self._stream.flush()
         self.records_written += 1
-        if self._records_counter is not None:
-            self._records_counter.inc(kind=record.get("kind", "?"))
 
     # -- sweep lifecycle ---------------------------------------------------
 
@@ -254,14 +247,12 @@ class LedgerWriter:
         tasks: int,
         jobs: int = 1,
         fingerprint: Optional[str] = None,
-        shards: Optional[int] = None,
     ) -> None:
         """Open a sweep.  ``fingerprint`` (the batch runtime's
         :func:`~repro.parallel.shard.sweep_fingerprint`) is what a later
         ``run_batch(resume_from=…)`` verifies before merging outcomes;
-        ``shards`` records a sharded executor's topology.  Both are
-        deterministic and omitted rather than journaled as ``null``, so
-        pre-existing record shapes are unchanged."""
+        it is deterministic and omitted rather than journaled as
+        ``null``, so pre-existing record shapes are unchanged."""
         self._sweeps[label] = {
             "total": tasks,
             "ok": 0,
@@ -279,8 +270,6 @@ class LedgerWriter:
         }
         if fingerprint is not None:
             record["fingerprint"] = fingerprint
-        if shards is not None:
-            record["shards"] = shards
         self.record(record)
 
     def sweep_resume(
@@ -465,14 +454,12 @@ class LedgerWriter:
         label: str,
         *,
         cache: Optional[Dict[str, int]] = None,
-        metrics: Optional[Dict[str, Any]] = None,
     ) -> None:
         """Final tallies; closes the label's running state.
 
         ``cache`` (a :meth:`~repro.cache.ResultStore.counter_snapshot`)
-        is deterministic and rides top-level; ``metrics`` (a full
-        :meth:`~repro.observability.metrics.MetricsRegistry.snapshot`)
-        contains latency histograms and goes under ``wall``.
+        is deterministic and rides top-level; the sweep's elapsed time
+        goes under ``wall``.
         """
         state = self._sweeps.pop(label, None)
         if state is None:
@@ -490,7 +477,6 @@ class LedgerWriter:
                 "elapsed_seconds": round(
                     time.perf_counter() - state["started"], 6
                 ),
-                "metrics": metrics,
             },
         }
         if cache is not None:

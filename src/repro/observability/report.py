@@ -61,8 +61,8 @@ __all__ = [
 SUMMARY_SCHEMA = 1
 HISTORY_SCHEMA = 1
 
-#: Latency quantiles reported per sweep label (from exact values, not
-#: histogram buckets — the summary reads the ledger, not the registry).
+#: Latency quantiles reported per sweep label (nearest-rank over the
+#: ledger's exact per-task seconds, not histogram buckets).
 _QUANTILES = (0.5, 0.9, 0.99)
 
 

@@ -8,7 +8,7 @@ common cases:
 * :class:`RingBufferSink` — keeps the last ``capacity`` events in memory;
   the default harness sink (bounded memory on arbitrarily long runs).
 * :class:`JsonlFileSink` — appends one JSON object per line; the durable
-  form consumed by external tooling and checked by the CI audit job.
+  form ``repro trace --jsonl`` writes and :func:`replay_jsonl` reads back.
 
 With **no** sink attached the tracker skips event construction entirely —
 the hot path pays one ``is None`` test per charge.  With a sink attached,
@@ -146,9 +146,7 @@ class JsonlFileSink(EventSink):
             self._stream.close()
 
 
-def replay_jsonl(
-    lines: Iterable[str], *, registry=None
-) -> Iterator[ResourceEvent]:
+def replay_jsonl(lines: Iterable[str]) -> Iterator[ResourceEvent]:
     """Parse a JSONL stream (as written by :class:`JsonlFileSink`) back into
     :class:`ResourceEvent` objects — the inverse of ``to_json_dict``.
 
@@ -158,22 +156,10 @@ def replay_jsonl(
     :class:`~repro.observability.ledger.LedgerWriter` appends, when the
     layers share one JSONL file) are skipped losslessly — the line is
     left untouched in the source and nothing of the event layer is
-    consumed by it.  Pass ``registry`` (a :class:`MetricsRegistry`) to
-    surface the split: ``replay_events_total`` counts replayed events by
-    kind, ``replay_skipped_total`` counts skipped lines by their foreign
-    kind (``unknown`` when the line has none).
+    consumed by it.
     """
     from .events import EVENT_KINDS
 
-    replayed = skipped = None
-    if registry is not None:
-        replayed = registry.counter(
-            "replay_events_total", "resource events replayed from JSONL"
-        )
-        skipped = registry.counter(
-            "replay_skipped_total",
-            "non-event JSONL lines skipped during replay, by foreign kind",
-        )
     for line in lines:
         line = line.strip()
         if not line:
@@ -181,11 +167,7 @@ def replay_jsonl(
         raw = json.loads(line)
         kind = raw.get("kind") if isinstance(raw, dict) else None
         if kind not in EVENT_KINDS:
-            if skipped is not None:
-                skipped.inc(kind=kind if kind is not None else "unknown")
             continue
-        if replayed is not None:
-            replayed.inc(kind=kind)
         yield ResourceEvent(
             seq=raw["seq"],
             kind=raw["kind"],

@@ -1,27 +1,26 @@
 """Deterministic parallel batch runtime for sweeps, trials and censuses.
 
-One API — :func:`run_batch` — pluggable executor adapters
-(:class:`ExecutorAdapter`: ``submit`` / ``collect`` / ``shutdown`` plus
-:class:`ExecutorCapabilities` flags):
+One API — :func:`run_batch` — over two executor adapters
+(:class:`ExecutorAdapter`: ``submit`` / ``collect`` / ``shutdown``):
 
 * :class:`SerialExecutor` — in-process, the default everywhere and the
-  oracle the parallel paths are differentially tested against;
+  oracle the parallel path is differentially tested against;
 * :class:`ParallelExecutor` — ``ProcessPoolExecutor``-backed fan-out with
   worker-crash containment (quarantine retries, structured
-  ``worker-crash`` errors) and per-worker warm-up;
-* :class:`ShardExecutor` — the same pool chunked along content-addressed
-  shard boundaries (:func:`plan_shards` / ``repro shard plan``), so an
-  in-process run executes the exact units a CI matrix spreads over K
-  jobs.
+  ``worker-crash`` errors) and per-worker warm-up.
 
 The determinism contract — per-task ``random.Random`` streams derived
 from ``(batch seed, task index)``, outcomes ordered by task index,
 chunking invisible in results — makes ``jobs=K`` a pure wall-clock knob:
 ``python -m repro audit --jobs 4`` writes the same bytes as the serial
 run, and ``repro audit --shards 3 --shard-index i`` + ``repro shard
-collect`` reassembles them.  See DESIGN.md §6 ("The parallel runtime")
-and §10 ("The executor adapters").
+collect`` reassembles them (:func:`shard_indices` is the strided
+partition).  See DESIGN.md §6 ("The parallel runtime") and §10 ("The
+executor adapters").
 
+The sweep ledger is the runtime's only observer: ``run_batch(ledger=…)``
+journals ``sweep-start`` / ``task-outcome`` / ``worker-restart`` /
+``sweep-end`` records, and ``repro report summarize`` rolls them up.
 Sweeps journaled to a ledger carry a :func:`sweep_fingerprint` in their
 ``sweep-start``; ``run_batch(resume_from=ledger)`` verifies it and
 re-dispatches only the indices that never landed ``ok`` — bit-identical
@@ -30,7 +29,6 @@ to an uninterrupted run (:mod:`~repro.parallel.resume`).
 
 from .adapters import (
     ExecutorAdapter,
-    ExecutorCapabilities,
     JOBS_ENV_VAR,
     ParallelExecutor,
     SerialExecutor,
@@ -51,14 +49,7 @@ from .batch import (
     normalize_seed,
 )
 from .resume import ResumeState, load_resume_state, resolve_resume
-from .shard import (
-    ShardExecutor,
-    ShardSpec,
-    plan_shards,
-    shard_indices,
-    sweep_fingerprint,
-    task_fingerprint,
-)
+from .shard import shard_indices, sweep_fingerprint, task_fingerprint
 
 __all__ = [
     "BatchTask",
@@ -66,12 +57,8 @@ __all__ = [
     "TaskOutcome",
     "BatchResult",
     "ExecutorAdapter",
-    "ExecutorCapabilities",
     "SerialExecutor",
     "ParallelExecutor",
-    "ShardExecutor",
-    "ShardSpec",
-    "plan_shards",
     "shard_indices",
     "task_fingerprint",
     "sweep_fingerprint",

@@ -1,19 +1,16 @@
-"""Executor adapters: one batch lifecycle, pluggable execution backends.
+"""Executor adapters: one batch lifecycle, two execution backends.
 
 :class:`ExecutorAdapter` is the protocol every backend implements —
 ``submit`` / ``collect`` / ``shutdown`` over pre-indexed ``(index,
-task)`` pairs, plus :class:`ExecutorCapabilities` flags — while the
-batch *lifecycle* (instruments, sweep fingerprinting, the resume merge,
-outcome assembly) lives once on the base class.  Three adapters ship:
+task)`` pairs — while the batch *lifecycle* (sweep fingerprinting, the
+resume merge, ledger journaling, outcome assembly) lives once on the
+base class.  Two adapters ship:
 
 * :class:`SerialExecutor` — in-process, in order: the default everywhere
-  and the oracle the other adapters are differentially tested against;
+  and the oracle the pool is differentially tested against;
 * :class:`ParallelExecutor` — ``ProcessPoolExecutor``-backed fan-out
   with worker-crash containment (quarantine retries, structured
-  ``worker-crash`` errors) and per-worker warm-up;
-* :class:`~repro.parallel.shard.ShardExecutor` — the same pool, but
-  chunked along content-addressed shard boundaries so an in-process run
-  and a ``repro shard run``/``collect`` split execute identical units.
+  ``worker-crash`` errors) and per-worker warm-up.
 
 Determinism contract (what the differential tests pin):
 
@@ -25,10 +22,9 @@ Determinism contract (what the differential tests pin):
   dispatch overhead only, never results.
 
 Because adapters consume *pre-indexed* pairs, a subset of a batch can be
-dispatched under its original indices — the property both the resume
-path (re-run only never-landed indices) and the shard CLI (run shard
-``i`` of ``K``) rest on: index ``17`` derives the same rng stream
-whether it runs in a full sweep, a resumed tail or shard 2 of 3.
+dispatched under its original indices — the property the resume path
+(re-run only never-landed indices) rests on: index ``17`` derives the
+same rng stream whether it runs in a full sweep or a resumed tail.
 
 Resuming: ``run_batch(resume_from=ledger)`` reads a previous run's
 ``task-outcome`` records, verifies the journaled sweep fingerprint
@@ -57,19 +53,15 @@ For hot sweeps a picklable ``warmup`` callable can be passed to
 ``run_batch`` — it runs once per worker process (and once, in-process,
 for the serial executor) before any task.
 
-Observability: pass ``registry`` (a
-:class:`~repro.observability.metrics.MetricsRegistry`) and/or ``tracer``
-(a :class:`~repro.observability.trace.Tracer`) to get a ``batch:<label>``
-span per sweep, ``batch_tasks_dispatched`` / ``batch_tasks_completed`` /
-``batch_tasks_failed`` / ``batch_worker_restarts`` counters and a
-``batch_task_seconds`` latency histogram, all labelled ``batch=<label>``.
+Observability: the sweep ledger is the batch runtime's only observer.
 Pass ``ledger`` (a :class:`~repro.observability.ledger.LedgerWriter`,
-duck-typed — this module never imports it) to additionally journal the
-sweep durably: one ``sweep-start`` (carrying the sweep fingerprint the
-resume path verifies), one ``task-outcome`` per
+duck-typed — this module never imports it) to journal the sweep
+durably: one ``sweep-start`` (carrying the sweep fingerprint the resume
+path verifies), one ``task-outcome`` per
 :class:`~repro.parallel.batch.TaskOutcome` (with heartbeat/stall
 telemetry), one ``worker-restart`` per pool rebuild and one
-``sweep-end`` carrying the registry snapshot.
+``sweep-end`` with the final tallies.  ``repro report summarize`` rolls
+these up.
 """
 
 from __future__ import annotations
@@ -79,7 +71,6 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import BrokenExecutor, FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ReproError
@@ -95,7 +86,6 @@ from .batch import (
 )
 
 __all__ = [
-    "ExecutorCapabilities",
     "ExecutorAdapter",
     "SerialExecutor",
     "ParallelExecutor",
@@ -104,25 +94,6 @@ __all__ = [
     "default_jobs",
     "JOBS_ENV_VAR",
 ]
-
-#: Span category for batch sweeps (mirrors the constants in
-#: :mod:`~repro.observability.trace` without importing it eagerly).
-CATEGORY_BATCH = "batch"
-
-#: Latency buckets in seconds: batch cells range from sub-millisecond
-#: benchmark steps to multi-second full-sweep audit cells.
-LATENCY_BUCKETS: Tuple[float, ...] = (
-    0.001,
-    0.005,
-    0.01,
-    0.05,
-    0.1,
-    0.5,
-    1.0,
-    5.0,
-    10.0,
-    60.0,
-)
 
 #: Environment override for :func:`default_jobs` — CI shards pin their
 #: worker count with ``REPRO_JOBS=N`` instead of patching call sites.
@@ -206,75 +177,26 @@ def _chunked(
 
 
 class _Instruments:
-    """The batch's metrics/tracing/ledger hooks, no-ops when nothing is
-    attached — each layer costs one ``is None`` test per call site."""
+    """The batch's ledger hooks under one label; each call is a no-op
+    when no ledger is attached (one ``is None`` test per call site)."""
 
-    def __init__(self, registry, tracer, label: str, ledger=None):
+    __slots__ = ("label", "ledger")
+
+    def __init__(self, label: str, ledger=None):
         self.label = label
-        self.tracer = tracer
         self.ledger = ledger
-        self.registry = registry
-        self.span = None
-        if registry is not None:
-            self.dispatched = registry.counter(
-                "batch_tasks_dispatched",
-                "tasks handed to an executor (retries re-count)",
-            )
-            self.completed = registry.counter(
-                "batch_tasks_completed", "tasks that returned a value"
-            )
-            self.failed = registry.counter(
-                "batch_tasks_failed", "tasks that ended in a structured error"
-            )
-            self.restarts = registry.counter(
-                "batch_worker_restarts", "process-pool rebuilds after a crash"
-            )
-            self.latency = registry.histogram(
-                "batch_task_seconds",
-                "per-task wall clock measured inside the worker",
-                buckets=LATENCY_BUCKETS,
-            )
-        else:
-            self.dispatched = None
 
-    def open_span(
-        self,
-        tasks: int,
-        jobs: int,
-        *,
-        fingerprint: Optional[str] = None,
-        shards: Optional[int] = None,
+    def sweep_start(
+        self, tasks: int, jobs: int, fingerprint: Optional[str]
     ) -> None:
-        if self.tracer is not None:
-            self.span = self.tracer.begin(
-                f"batch:{self.label}", CATEGORY_BATCH, tasks=tasks, jobs=jobs
-            )
         if self.ledger is not None:
-            extra: Dict[str, Any] = {}
-            if fingerprint is not None:
-                extra["fingerprint"] = fingerprint
-            if shards is not None:
-                extra["shards"] = shards
-            self.ledger.sweep_start(self.label, tasks=tasks, jobs=jobs, **extra)
+            self.ledger.sweep_start(
+                self.label, tasks=tasks, jobs=jobs, fingerprint=fingerprint
+            )
 
-    def close_span(self, result: BatchResult) -> None:
-        if self.span is not None:
-            self.tracer.end(
-                self.span,
-                completed=sum(1 for o in result.outcomes if o.ok),
-                failed=len(result.errors),
-                worker_restarts=result.worker_restarts,
-            )
-            self.span = None
+    def sweep_end(self) -> None:
         if self.ledger is not None:
-            self.ledger.sweep_end(
-                self.label,
-                metrics=(
-                    self.registry.snapshot()
-                    if self.registry is not None
-                    else None
-                ),
-            )
+            self.ledger.sweep_end(self.label)
 
     def on_resume(self, *, fingerprint, tasks, reused, pending) -> None:
         if self.ledger is not None:
@@ -286,45 +208,18 @@ class _Instruments:
                 pending=pending,
             )
 
-    def on_dispatched(self, count: int) -> None:
-        if self.dispatched is not None:
-            self.dispatched.inc(count, batch=self.label)
-
     def on_outcome(self, outcome: TaskOutcome) -> None:
-        if self.dispatched is not None:
-            if outcome.ok:
-                self.completed.inc(batch=self.label)
-            else:
-                self.failed.inc(batch=self.label)
-            self.latency.observe(outcome.seconds, batch=self.label)
         if self.ledger is not None:
             self.ledger.task_outcome(self.label, outcome)
 
     def on_restart(self) -> None:
-        if self.dispatched is not None:
-            self.restarts.inc(batch=self.label)
         if self.ledger is not None:
             self.ledger.worker_restart(self.label)
 
 
-@dataclass(frozen=True)
-class ExecutorCapabilities:
-    """What an adapter can do — dispatch logic branches on flags, never
-    on concrete classes, so new backends slot in without call-site edits.
-
-    ``parallel``: tasks may run in separate OS processes.
-    ``crash_containment``: a dying worker is quarantined and attributed
-    exactly instead of sinking the whole batch.
-    ``sharded``: the adapter partitions work along the same
-    content-addressed shard boundaries ``repro shard plan`` emits.
-    ``eager_submit``: ``submit`` starts work before ``collect`` is
-    called (the serial adapter defers everything to ``collect``).
-    """
-
-    parallel: bool = False
-    crash_containment: bool = False
-    sharded: bool = False
-    eager_submit: bool = False
+#: What an adapter driven outside :meth:`ExecutorAdapter.run_batch`
+#: reports to: nothing.
+_UNOBSERVED = _Instruments("batch")
 
 
 class ExecutorAdapter(abc.ABC):
@@ -342,13 +237,12 @@ class ExecutorAdapter(abc.ABC):
       when ``collect`` raises.
 
     One submission may be outstanding per adapter at a time.
-    :meth:`run_batch` drives the full lifecycle: instruments, sweep
-    fingerprint, resume merge, submit/collect/shutdown, ordered
+    :meth:`run_batch` drives the full lifecycle: sweep fingerprint,
+    resume merge, ledger journaling, submit/collect/shutdown, ordered
     :class:`~repro.parallel.batch.BatchResult` assembly.
     """
 
     name: str = "adapter"
-    capabilities: ExecutorCapabilities = ExecutorCapabilities()
     jobs: int = 1
 
     # -- the backend protocol ---------------------------------------------
@@ -361,7 +255,7 @@ class ExecutorAdapter(abc.ABC):
         seed: Any = 0,
         chunk_size: Union[int, str, None] = None,
         warmup: Optional[Callable[[], Any]] = None,
-        instruments: Optional[_Instruments] = None,
+        instruments: _Instruments = _UNOBSERVED,
     ) -> Any:
         """Hand a batch of ``(index, task)`` pairs to the backend."""
 
@@ -377,10 +271,6 @@ class ExecutorAdapter(abc.ABC):
         """How many workers a batch of ``count`` tasks would use."""
         return 1
 
-    def shard_topology(self) -> Optional[int]:
-        """Shard count journaled in ``sweep-start`` (sharded adapters)."""
-        return None
-
     # -- the shared lifecycle ---------------------------------------------
 
     def run_batch(
@@ -390,14 +280,12 @@ class ExecutorAdapter(abc.ABC):
         seed: Any = 0,
         chunk_size: Union[int, str, None] = None,
         label: str = "batch",
-        registry=None,
-        tracer=None,
         ledger=None,
         warmup: Optional[Callable[[], Any]] = None,
         resume_from=None,
     ) -> BatchResult:
         tasks = tuple(tasks)
-        instruments = _Instruments(registry, tracer, label, ledger)
+        instruments = _Instruments(label, ledger)
         fingerprint: Optional[str] = None
         if ledger is not None or resume_from is not None:
             from .shard import sweep_fingerprint
@@ -419,12 +307,7 @@ class ExecutorAdapter(abc.ABC):
             if index not in reused
         ]
         workers = self.workers_for(len(pending) if reused else len(tasks))
-        instruments.open_span(
-            len(tasks),
-            workers,
-            fingerprint=fingerprint,
-            shards=self.shard_topology(),
-        )
+        instruments.sweep_start(len(tasks), workers, fingerprint)
         started = time.perf_counter()
         if resume_from is not None:
             instruments.on_resume(
@@ -458,7 +341,7 @@ class ExecutorAdapter(abc.ABC):
             worker_restarts=restarts,
             elapsed_seconds=time.perf_counter() - started,
         )
-        instruments.close_span(result)
+        instruments.sweep_end()
         return result
 
 
@@ -466,7 +349,6 @@ class SerialExecutor(ExecutorAdapter):
     """In-process batch execution: the default path and the test oracle."""
 
     name = "serial"
-    capabilities = ExecutorCapabilities()
     jobs = 1
 
     def __init__(self) -> None:
@@ -479,7 +361,7 @@ class SerialExecutor(ExecutorAdapter):
         seed: Any = 0,
         chunk_size: Union[int, str, None] = None,  # accepted for API parity; unused
         warmup: Optional[Callable[[], Any]] = None,
-        instruments: Optional[_Instruments] = None,
+        instruments: _Instruments = _UNOBSERVED,
     ) -> Any:
         if self._pending is not None:
             raise ReproError("SerialExecutor already has a submission open")
@@ -492,11 +374,8 @@ class SerialExecutor(ExecutorAdapter):
             warmup()
         outcomes: Dict[int, TaskOutcome] = {}
         for index, task in indexed:
-            if instruments is not None:
-                instruments.on_dispatched(1)
             outcome = execute_one(index, task, seed)
-            if instruments is not None:
-                instruments.on_outcome(outcome)
+            instruments.on_outcome(outcome)
             outcomes[index] = outcome
         return outcomes, 0
 
@@ -524,9 +403,6 @@ class ParallelExecutor(ExecutorAdapter):
     """
 
     name = "process-pool"
-    capabilities = ExecutorCapabilities(
-        parallel=True, crash_containment=True, eager_submit=True
-    )
 
     def __init__(
         self,
@@ -592,7 +468,7 @@ class ParallelExecutor(ExecutorAdapter):
             attempts=attempts,
         )
 
-    # -- chunk partition (the shard adapter overrides this) ----------------
+    # -- chunk partition ---------------------------------------------------
 
     def _partition(
         self,
@@ -613,18 +489,17 @@ class ParallelExecutor(ExecutorAdapter):
         seed: Any = 0,
         chunk_size: Union[int, str, None] = None,
         warmup: Optional[Callable[[], Any]] = None,
-        instruments: Optional[_Instruments] = None,
+        instruments: _Instruments = _UNOBSERVED,
     ) -> Any:
         if self._token is not None:
             raise ReproError(f"{self.name} executor already has a submission open")
         workers = self.workers_for(len(indexed))
         chunks = self._partition(indexed, chunk_size, workers)
         self._pool = self._new_pool(workers, warmup)
-        futures = {}
-        for chunk in chunks:
-            if instruments is not None:
-                instruments.on_dispatched(len(chunk))
-            futures[self._pool.submit(execute_chunk, (seed, chunk))] = chunk
+        futures = {
+            self._pool.submit(execute_chunk, (seed, chunk)): chunk
+            for chunk in chunks
+        }
         self._token = {
             "futures": futures,
             "seed": seed,
@@ -659,20 +534,17 @@ class ParallelExecutor(ExecutorAdapter):
                         for index, _task in chunk:
                             outcome = self._dispatch_error(index, exc, 1)
                             outcomes[index] = outcome
-                            if instruments is not None:
-                                instruments.on_outcome(outcome)
+                            instruments.on_outcome(outcome)
                     else:
                         for outcome in records:
                             outcomes[outcome.index] = outcome
-                            if instruments is not None:
-                                instruments.on_outcome(outcome)
+                            instruments.on_outcome(outcome)
         finally:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
         if not broken:
             return outcomes, 0
-        if instruments is not None:
-            instruments.on_restart()
+        instruments.on_restart()
         unfinished.sort(key=lambda pair: pair[0])
         restarts = 1 + self._quarantine(
             unfinished,
@@ -695,7 +567,7 @@ class ParallelExecutor(ExecutorAdapter):
         seed: Any,
         warmup: Optional[Callable[[], Any]],
         outcomes: Dict[int, TaskOutcome],
-        instruments: Optional[_Instruments],
+        instruments: _Instruments,
     ) -> int:
         """Post-crash recovery: one task at a time in a one-worker pool.
 
@@ -710,8 +582,6 @@ class ParallelExecutor(ExecutorAdapter):
                 attempts = 0
                 while True:
                     attempts += 1
-                    if instruments is not None:
-                        instruments.on_dispatched(1)
                     future = pool.submit(execute_chunk, (seed, [(index, task)]))
                     try:
                         outcome = future.result()[0]
@@ -725,8 +595,7 @@ class ParallelExecutor(ExecutorAdapter):
                         )
                     except BrokenExecutor:
                         restarts += 1
-                        if instruments is not None:
-                            instruments.on_restart()
+                        instruments.on_restart()
                         pool.shutdown(wait=True, cancel_futures=True)
                         pool = self._new_pool(1, warmup)
                         if attempts > self.max_retries:
@@ -736,8 +605,7 @@ class ParallelExecutor(ExecutorAdapter):
                     except Exception as exc:
                         outcome = self._dispatch_error(index, exc, attempts)
                     outcomes[index] = outcome
-                    if instruments is not None:
-                        instruments.on_outcome(outcome)
+                    instruments.on_outcome(outcome)
                     break
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
@@ -747,53 +615,45 @@ class ParallelExecutor(ExecutorAdapter):
 def run_batch(
     tasks: Sequence[BatchTask],
     *,
-    jobs: int = 1,
+    jobs: Optional[int] = 1,
     seed: Any = 0,
     chunk_size: Union[int, str, None] = None,
     max_retries: int = 2,
     label: str = "batch",
-    registry=None,
-    tracer=None,
     ledger=None,
     warmup: Optional[Callable[[], Any]] = None,
-    executor: Optional[ExecutorAdapter] = None,
     resume_from=None,
 ) -> BatchResult:
     """Run ``tasks`` serially (``jobs=1``, the default) or in parallel.
 
-    The convenience entry point every call site uses: picks
-    :class:`SerialExecutor` or :class:`ParallelExecutor` from ``jobs``
-    (``jobs=0`` or ``None``-like negative values are rejected; pass
-    ``jobs=default_jobs()`` for one worker per available core) and
-    forwards the shared keyword surface.  Results are bit-identical
+    The convenience entry point every call site uses: ``jobs=1`` picks
+    :class:`SerialExecutor`, any other value a :class:`ParallelExecutor`
+    with that many workers — ``jobs=None`` means :func:`default_jobs`
+    (one worker per available core), ``jobs < 1`` is rejected with
+    :class:`~repro.errors.ReproError`.  Results are bit-identical
     across any ``jobs`` for tasks that follow the determinism contract.
 
     ``chunk_size`` may be a positive int, or ``"auto"``/``None`` for the
     adaptive partition (:func:`auto_chunk_size`: ~4 chunks per worker,
     a deterministic function of the task and worker counts alone).
 
-    ``executor`` overrides the jobs-based choice with any
-    :class:`ExecutorAdapter` (a
-    :class:`~repro.parallel.shard.ShardExecutor`, say).  ``resume_from``
-    is a previous run's ledger (path or
+    ``ledger`` journals the sweep (see the module docstring).
+    ``resume_from`` is a previous run's ledger (path or
     :class:`~repro.parallel.resume.ResumeState`): outcomes that landed
     ``ok`` with a journaled value are merged in and only the rest are
     dispatched — bit-identical to an uninterrupted run, refused with
     :class:`~repro.errors.ReproError` when the journaled sweep
     fingerprint does not match these tasks.
     """
-    if executor is None:
-        if jobs == 1:
-            executor = SerialExecutor()
-        else:
-            executor = ParallelExecutor(jobs, max_retries=max_retries)
+    if jobs == 1:
+        executor: ExecutorAdapter = SerialExecutor()
+    else:
+        executor = ParallelExecutor(jobs, max_retries=max_retries)
     return executor.run_batch(
         tasks,
         seed=seed,
         chunk_size=chunk_size,
         label=label,
-        registry=registry,
-        tracer=tracer,
         ledger=ledger,
         warmup=warmup,
         resume_from=resume_from,

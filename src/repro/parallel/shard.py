@@ -1,8 +1,9 @@
 """Content-addressed sharding: split one batch into verifiable pieces.
 
-A *shard* is a deterministic slice of a batch — the tasks whose index
-``i`` satisfies ``i % shards == shard_index`` — plus enough identity to
-prove, at collect time, that every piece came from the *same* batch:
+A *shard* is a deterministic slice of a sweep — the cells whose index
+``i`` satisfies ``i % shards == shard_index``.  This module holds that
+partition and the content identities that let a resumed sweep prove it
+is the *same* batch:
 
 * :func:`task_fingerprint` — a structural sha256 of one
   :class:`~repro.parallel.batch.BatchTask`.  Deliberately *not* a pickle
@@ -13,48 +14,32 @@ prove, at collect time, that every piece came from the *same* batch:
   :func:`~repro.cache.fingerprint.machine_fingerprint`, so two processes
   that build the same task compute the same digest.  Returns ``None``
   for tasks carrying closures or other unaddressable values — such
-  sweeps still run, they just cannot be sharded or resumed verifiably;
+  sweeps still run, they just cannot be resumed verifiably;
 * :func:`sweep_fingerprint` — the digest of the whole batch (every task
   fingerprint, the normalized seed, the task count, the code version).
   ``run_batch`` journals it in ``sweep-start`` and the resume path
   refuses to merge a ledger whose fingerprint differs;
-* :class:`ShardSpec` — one shard's identity, keyed through
-  ``compose_key("shard", …)`` so shard artifacts are content-addressed
-  exactly like cache entries: same batch + same topology ⇒ same key,
-  any drift (code version included) ⇒ a different key that collect
-  rejects;
-* :class:`ShardExecutor` — an in-process adapter that *executes* along
-  shard boundaries: the chunk partition is exactly the strided shard
-  partition, so one process simulates what ``repro shard run`` does in
-  K separate jobs (useful for tests and for crash containment per
-  shard).
+* :func:`shard_indices` — the strided partition itself.  The audit's
+  shard path (:func:`~repro.observability.audit.plan_audit_shards`,
+  ``repro audit --shards K --shard-index I``, ``repro shard collect``)
+  slices its flattened cell list with it.
 
-The strided partition (:func:`shard_indices`) balances heterogeneous
-sweeps — consecutive cells usually grow together (the audit's N-decades,
-the census's prefix ranges), so giving each shard every K-th task keeps
-wall-clock per shard even without cost models.
+The strided partition balances heterogeneous sweeps — consecutive cells
+usually grow together (the audit's N-decades), so giving each shard
+every K-th cell keeps wall-clock per shard even without cost models.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence
 
 from .._util import normalize_seed
 from .._version import __version__
 from ..errors import ReproError
-from .adapters import ExecutorCapabilities, ParallelExecutor, default_jobs
 from .batch import BatchTask
 
-__all__ = [
-    "task_fingerprint",
-    "sweep_fingerprint",
-    "shard_indices",
-    "ShardSpec",
-    "plan_shards",
-    "ShardExecutor",
-]
+__all__ = ["task_fingerprint", "sweep_fingerprint", "shard_indices"]
 
 
 class _Unaddressable(Exception):
@@ -140,8 +125,7 @@ def task_fingerprint(task: BatchTask) -> Optional[str]:
 def sweep_fingerprint(
     tasks: Sequence[BatchTask], *, seed: Any = 0
 ) -> Optional[str]:
-    """The identity of a whole batch: what resume verifies, what shard
-    artifacts carry.
+    """The identity of a whole batch: what the resume path verifies.
 
     A pure function of the task list (order included), the normalized
     seed and the code version — and ``None`` as soon as any single task
@@ -175,150 +159,3 @@ def shard_indices(total: int, shards: int, shard_index: int) -> range:
             f"shard_index must be in [0, {shards}), got {shard_index}"
         )
     return range(shard_index, total, shards)
-
-
-@dataclass(frozen=True)
-class ShardSpec:
-    """One shard of a batch, content-addressed.
-
-    ``sweep`` is the batch's :func:`sweep_fingerprint`; ``task_indices``
-    are the global task indices this shard owns (strided);
-    ``task_digests`` their per-task fingerprints, so a runner can verify
-    it rebuilt the same tasks before executing.  :attr:`key` composes
-    everything through ``compose_key("shard", …)`` — the same
-    code-versioned key discipline the result cache uses.
-    """
-
-    label: str
-    seed: str
-    shards: int
-    index: int
-    sweep: str
-    task_indices: Tuple[int, ...]
-    task_digests: Tuple[str, ...] = field(repr=False)
-
-    @property
-    def key(self) -> str:
-        from ..cache.fingerprint import compose_key
-
-        return compose_key(
-            "shard",
-            sweep=self.sweep,
-            seed=self.seed,
-            shards=self.shards,
-            index=self.index,
-            tasks=list(self.task_digests),
-        ).digest
-
-    def to_json_dict(self) -> Dict[str, Any]:
-        return {
-            "label": self.label,
-            "seed": self.seed,
-            "shards": self.shards,
-            "index": self.index,
-            "sweep": self.sweep,
-            "key": self.key,
-            "task_indices": list(self.task_indices),
-            "tasks": len(self.task_indices),
-        }
-
-
-def plan_shards(
-    tasks: Sequence[BatchTask],
-    *,
-    shards: int,
-    seed: Any = 0,
-    label: str = "batch",
-) -> List[ShardSpec]:
-    """Partition a batch into ``shards`` content-addressed shard specs.
-
-    Every task lands in exactly one shard (strided assignment); shards
-    of an unaddressable batch cannot be planned — the error names the
-    first offending task so the caller can fix its payload.
-    """
-    tasks = tuple(tasks)
-    digests: List[str] = []
-    for position, task in enumerate(tasks):
-        digest = task_fingerprint(task)
-        if digest is None:
-            raise ReproError(
-                f"cannot shard: task {position} of label {label!r} has no "
-                "stable content fingerprint (closure or unaddressable value "
-                "in its payload)"
-            )
-        digests.append(digest)
-    sweep = sweep_fingerprint(tasks, seed=seed)
-    assert sweep is not None  # every task digested above
-    normalized = normalize_seed(seed)
-    specs: List[ShardSpec] = []
-    for shard_index in range(shards):
-        indices = tuple(shard_indices(len(tasks), shards, shard_index))
-        specs.append(
-            ShardSpec(
-                label=label,
-                seed=normalized,
-                shards=shards,
-                index=shard_index,
-                sweep=sweep,
-                task_indices=indices,
-                task_digests=tuple(digests[i] for i in indices),
-            )
-        )
-    return specs
-
-
-class ShardExecutor(ParallelExecutor):
-    """Execute a batch along its shard boundaries, one chunk per shard.
-
-    The chunk partition is exactly the strided partition
-    ``repro shard plan`` emits, so a single in-process run exercises the
-    same work units a CI matrix spreads over K jobs — and a worker crash
-    is contained per shard.  Results are bit-identical to every other
-    executor (the determinism contract only ever depends on task
-    indices).
-    """
-
-    name = "shard"
-    capabilities = ExecutorCapabilities(
-        parallel=True, crash_containment=True, sharded=True, eager_submit=True
-    )
-
-    def __init__(
-        self,
-        shards: int,
-        *,
-        jobs: Optional[int] = None,
-        max_retries: int = 2,
-        start_method: Optional[str] = None,
-    ):
-        if shards < 1:
-            raise ReproError(f"shards must be >= 1, got {shards}")
-        super().__init__(
-            jobs if jobs is not None else min(shards, default_jobs()),
-            max_retries=max_retries,
-            start_method=start_method,
-        )
-        self.shards = shards
-
-    def shard_topology(self) -> Optional[int]:
-        return self.shards
-
-    def _partition(
-        self,
-        indexed: Sequence[Tuple[int, BatchTask]],
-        chunk_size: Union[int, str, None],
-        workers: int,
-    ) -> List[List[Tuple[int, BatchTask]]]:
-        if chunk_size is not None and chunk_size != "auto":
-            # "auto" means "no explicit chunking request" and is allowed
-            # through so generic call sites can pass it uniformly; the
-            # shard boundaries themselves stay the only partition
-            raise ReproError(
-                "ShardExecutor chunks along shard boundaries; chunk_size "
-                "does not apply"
-            )
-        return [
-            [indexed[i] for i in shard_indices(len(indexed), self.shards, s)]
-            for s in range(self.shards)
-            if len(indexed) > s
-        ]

@@ -48,7 +48,6 @@ from repro.observability.audit import (
     run_audit_cell,
     run_contract_audit,
 )
-from repro.observability.metrics import MetricsRegistry
 from repro.parallel import BatchTask, run_batch
 
 
@@ -240,14 +239,6 @@ class TestResultStore:
         assert store.get_or_compute(key, compute) == {"v": 1}
         assert store.get_or_compute(key, compute) == {"v": 1}
         assert len(calls) == 1
-
-    def test_counters_surface_in_a_shared_registry(self, tmp_path):
-        registry = MetricsRegistry()
-        store = ResultStore(tmp_path, registry=registry)
-        store.lookup(compose_key("t", x=1))
-        snapshot = registry.snapshot()
-        assert "cache_misses_total" in snapshot
-        assert "cache_hits_total" in snapshot
 
     def test_stats_and_gc(self, tmp_path):
         store = ResultStore(tmp_path)

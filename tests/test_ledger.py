@@ -28,7 +28,6 @@ from repro.observability.ledger import (
     strip_nondeterministic,
     strip_record,
 )
-from repro.observability.metrics import MetricsRegistry
 from repro.observability.report import (
     append_history,
     compare_bench,
@@ -153,19 +152,6 @@ class TestLedgerWriter:
         assert [r["restarts"] for r in restarts] == [1, 2]
         end = next(r for r in records if r["kind"] == KIND_SWEEP_END)
         assert end["worker_restarts"] == 2
-
-    def test_registry_counts_records_by_kind(self):
-        registry = MetricsRegistry()
-        ledger = LedgerWriter(io.StringIO(), registry=registry)
-        ledger.sweep_start("m", tasks=1)
-        ledger.record_outcome("m", index=0, ok=True)
-        ledger.sweep_end("m")
-        snapshot = registry.snapshot()
-        cells = snapshot["ledger_records_total"]["samples"]
-        by_kind = {cell["labels"]["kind"]: cell["value"] for cell in cells}
-        assert by_kind == {
-            KIND_SWEEP_START: 1, KIND_TASK_OUTCOME: 1, KIND_SWEEP_END: 1,
-        }
 
     def test_writes_to_a_path_and_owns_the_handle(self, tmp_path):
         path = tmp_path / "sweep.jsonl"

@@ -140,8 +140,7 @@ class TestSinks:
     def test_replay_skips_span_and_ledger_lines_losslessly(self):
         """Satellite: one JSONL file can interleave all three schemas —
         tracker events, probe spans and sweep-ledger records — and the
-        event layer replays exactly, with the split counted."""
-        from repro.observability import MetricsRegistry
+        event layer replays exactly."""
         from repro.observability.ledger import LedgerWriter
 
         stream = io.StringIO()
@@ -158,27 +157,12 @@ class TestSinks:
         # interleave: span, ledger record, then events, then the rest
         mixed = [span_line, ledger_lines[0]] + event_lines + ledger_lines[1:]
 
-        registry = MetricsRegistry()
-        replayed = list(replay_jsonl(mixed, registry=registry))
+        replayed = list(replay_jsonl(mixed))
         reference = RingBufferSink()
         _tracked_run(reference)
         assert replayed == reference.events()
-
-        snapshot = registry.snapshot()
-        total = lambda name: sum(  # noqa: E731
-            s["value"] for s in snapshot[name]["samples"]
-        )
-        assert total("replay_events_total") == len(replayed)
-        assert total("replay_skipped_total") == 1 + len(ledger_lines)
-        skipped_kinds = {
-            s["labels"]["kind"]
-            for s in snapshot["replay_skipped_total"]["samples"]
-        }
-        assert "span" in skipped_kinds
-        assert "sweep-start" in skipped_kinds
-        # a non-dict JSON line is skipped as "unknown", never a crash
-        assert not list(replay_jsonl(["[1, 2, 3]"], registry=registry))
-        assert registry.snapshot()["replay_skipped_total"]["samples"]
+        # a non-dict JSON line is skipped, never a crash
+        assert not list(replay_jsonl(["[1, 2, 3]"]))
 
 
 def _every_kind_run(sink):
@@ -866,3 +850,36 @@ class TestCliTrace:
 
         assert main(["trace", "no-such-target"]) == 2
         assert "known targets" in capsys.readouterr().err
+
+    def test_trace_trials_estimate_next_to_the_dp(self, capsys):
+        from repro.__main__ import main
+
+        argv = ["trace", "coin-flip", "--n", "2", "--trials", "64"]
+        assert main(argv + ["--jobs", "2", "--metrics"]) == 0
+        out = capsys.readouterr().out
+        assert "Monte Carlo estimate over 64 trials (2 jobs): " in out
+        assert "(exact: 0.5000)" in out
+        # the probe watched the exact DP; the sweep reports nowhere else
+        assert "dag_configs_interned_total" in out
+        assert "mc-acceptance" not in out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["equality", "--n", "4", "--trials", "100", "--jobs", "3"],
+             "--trials needs a randomized machine"),
+            (["fingerprint", "--trials", "8"],
+             "--trials needs a randomized machine"),
+            (["coin-flip", "--n", "2", "--trials", "-5"],
+             "--trials must be >= 0"),
+            (["coin-flip", "--n", "2", "--jobs", "2"],
+             "--jobs applies to the --trials sweep only"),
+        ],
+    )
+    def test_trace_rejects_trials_it_would_ignore(self, argv, message, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["trace"] + argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err

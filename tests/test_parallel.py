@@ -4,7 +4,7 @@ The load-bearing property is the oracle relation: for any task list,
 ``ParallelExecutor(jobs=k)`` must produce outcomes *equal* to
 ``SerialExecutor`` — same values, same structured errors, same order —
 for every k and every chunking.  Everything else (crash containment,
-pickling hygiene, metrics) protects that property or observes it.
+pickling hygiene, the ledger) protects that property or observes it.
 """
 
 import os
@@ -314,42 +314,26 @@ class TestMachinePickling:
 
 
 class TestObservability:
-    def test_batch_span_and_counters(self):
-        from repro.observability.metrics import MetricsRegistry
-        from repro.observability.trace import Tracer
+    def test_pool_crash_reaches_the_ledger(self):
+        """A real worker death is journaled: one ``worker-restart`` per
+        pool rebuild, and ``sweep-end`` tallies match the result."""
+        import io
+        import json
 
-        registry = MetricsRegistry()
-        tracer = Tracer()
-        tasks = [BatchTask.call(square, x) for x in range(5)]
-        run_batch(
-            tasks, jobs=2, label="probe", registry=registry, tracer=tracer
-        )
-        assert registry.counter("batch_tasks_dispatched").value(
-            batch="probe"
-        ) == 5
-        assert registry.counter("batch_tasks_completed").value(
-            batch="probe"
-        ) == 5
-        assert registry.counter("batch_tasks_failed").value(batch="probe") == 0
-        assert registry.histogram("batch_task_seconds").count(batch="probe") == 5
-        (span,) = [s for s in tracer.spans() if s.name == "batch:probe"]
-        assert span.category == "batch"
-        assert span.args["tasks"] == 5
-        assert span.args["jobs"] == 2
-        assert span.args["completed"] == 5
-        assert span.args["failed"] == 0
+        from repro.observability.ledger import LedgerWriter
 
-    def test_restart_counter_on_crash(self):
-        from repro.observability.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
+        stream = io.StringIO()
         tasks = [BatchTask.call(die_on, x, 1) for x in range(3)]
-        ParallelExecutor(2, max_retries=0).run_batch(
-            tasks, label="crashy", registry=registry
+        result = ParallelExecutor(2, max_retries=0).run_batch(
+            tasks, label="crashy", ledger=LedgerWriter(stream)
         )
-        assert registry.counter("batch_worker_restarts").value(
-            batch="crashy"
-        ) >= 1
+        records = [json.loads(line) for line in stream.getvalue().splitlines()]
+        restarts = [r for r in records if r["kind"] == "worker-restart"]
+        (end,) = [r for r in records if r["kind"] == "sweep-end"]
+        assert result.worker_restarts >= 1
+        assert len(restarts) == result.worker_restarts
+        assert end["worker_restarts"] == result.worker_restarts
+        assert end["failed"] == len(result.errors) == 1
 
     def test_dag_stats_reach_the_registry(self):
         from repro.observability.metrics import MetricsRegistry

@@ -2,8 +2,7 @@
 
 Three properties carry this module:
 
-* the adapter protocol is honest — capability flags match behaviour,
-  and ``ShardExecutor`` is oracle-equal to ``SerialExecutor``;
+* the adapter protocol is abstract — only its two backends run work;
 * a shard plan is a partition — strided, disjoint, complete, with
   content-addressed keys that move iff the work moves;
 * a resumed sweep is invisible — outcomes equal to an uninterrupted
@@ -25,13 +24,8 @@ from repro.parallel import (
     JOBS_ENV_VAR,
     BatchTask,
     ExecutorAdapter,
-    ExecutorCapabilities,
-    ParallelExecutor,
-    SerialExecutor,
-    ShardExecutor,
     default_jobs,
     load_resume_state,
-    plan_shards,
     run_batch,
     shard_indices,
     sweep_fingerprint,
@@ -73,63 +67,9 @@ def _executions(log_path):
 
 
 class TestAdapterProtocol:
-    def test_capability_flags_match_behaviour(self):
-        serial = SerialExecutor().capabilities
-        assert not serial.parallel
-        assert not serial.crash_containment
-        assert not serial.sharded
-        pool = ParallelExecutor(jobs=2).capabilities
-        assert pool.parallel and pool.crash_containment
-        assert not pool.sharded
-        shard = ShardExecutor(3).capabilities
-        assert shard.parallel and shard.sharded
-
-    def test_capabilities_are_frozen(self):
-        caps = SerialExecutor().capabilities
-        with pytest.raises(AttributeError):
-            caps.parallel = True
-
     def test_adapter_is_abstract(self):
         with pytest.raises(TypeError):
             ExecutorAdapter()
-
-    def test_shard_topology(self):
-        assert SerialExecutor().shard_topology() is None
-        assert ParallelExecutor(jobs=2).shard_topology() is None
-        assert ShardExecutor(4).shard_topology() == 4
-
-    def test_explicit_executor_overrides_jobs(self):
-        tasks = _tasks()
-        serial = run_batch(tasks, jobs=1)
-        routed = run_batch(tasks, jobs=7, executor=SerialExecutor())
-        assert routed.values() == serial.values()
-
-    def test_shard_executor_rejects_chunk_size(self):
-        with pytest.raises(ReproError, match="chunk"):
-            run_batch(
-                _tasks(), executor=ShardExecutor(3), chunk_size=2
-            )
-
-    def test_shard_executor_validates_shards(self):
-        with pytest.raises(ReproError):
-            ShardExecutor(0)
-
-
-class TestShardOracle:
-    def test_shard_executor_equals_serial(self):
-        tasks = [BatchTask.call(draw, 3, seeded=True) for _ in range(7)]
-        serial = run_batch(tasks, seed=11)
-        sharded = run_batch(
-            tasks, seed=11, executor=ShardExecutor(3, jobs=1)
-        )
-        assert sharded.values() == serial.values()
-        assert [o.index for o in sharded.outcomes] == list(range(len(tasks)))
-
-    def test_more_shards_than_tasks(self):
-        tasks = _tasks(2)
-        serial = run_batch(tasks)
-        sharded = run_batch(tasks, executor=ShardExecutor(5, jobs=1))
-        assert sharded.values() == serial.values()
 
 
 class TestShardPlan:
@@ -151,31 +91,23 @@ class TestShardPlan:
             shard_indices(10, 3, -1)
 
     def test_plan_keys_are_content_addressed(self):
-        tasks = _tasks()
-        plan = plan_shards(tasks, shards=3, seed=5)
-        again = plan_shards(tasks, shards=3, seed=5)
-        assert [s.key for s in plan] == [s.key for s in again]
-        assert len({s.key for s in plan}) == 3
-        reseeded = plan_shards(tasks, shards=3, seed=6)
-        assert [s.key for s in plan] != [s.key for s in reseeded]
-        moved = plan_shards(_tasks(8), shards=3, seed=5)
-        assert [s.key for s in plan] != [s.key for s in moved]
+        from repro.observability.audit import plan_audit_shards
 
-    def test_plan_covers_every_index_once(self):
-        plan = plan_shards(_tasks(10), shards=3)
-        indices = sorted(i for spec in plan for i in spec.task_indices)
-        assert indices == list(range(10))
-        for spec in plan:
-            assert list(spec.task_indices) == list(
-                shard_indices(10, 3, spec.index)
-            )
+        keys = lambda **kw: [p["key"] for p in plan_audit_shards(**kw)]  # noqa: E731
+        plan = keys(quick=True, shards=3)
+        assert plan == keys(quick=True, shards=3)
+        assert len(set(plan)) == 3
+        assert plan != keys(quick=False, shards=3)  # other cells
+        assert not set(plan) & set(keys(quick=True, shards=2))
 
-    def test_unaddressable_task_refused_by_name(self):
+    def test_unaddressable_sweep_cannot_resume(self, tmp_path):
         tasks = _tasks(3) + [BatchTask.call(lambda x: x, 1)]
         assert task_fingerprint(tasks[-1]) is None
         assert sweep_fingerprint(tasks) is None
-        with pytest.raises(ReproError, match="task 3"):
-            plan_shards(tasks, shards=2)
+        with LedgerWriter(tmp_path / "full.jsonl") as ledger:
+            run_batch(tasks, ledger=ledger)
+        with pytest.raises(ReproError, match="fingerprint"):
+            run_batch(tasks, resume_from=tmp_path / "full.jsonl")
 
     def test_fingerprint_is_structural_not_positional(self):
         assert task_fingerprint(BatchTask.call(square, 4)) == task_fingerprint(
@@ -363,6 +295,22 @@ class TestAuditSharding:
         write_audit_json(collect_audit_shards(self._shards()), collected)
         assert collected.read_bytes() == serial.read_bytes()
 
+    def test_cli_shards_collect_to_the_serial_bytes(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        serial = tmp_path / "serial.json"
+        assert main(["audit", "--quick", "--output", str(serial)]) == 0
+        shards = []
+        for index in ("0", "1"):
+            shard = tmp_path / f"audit-shard-{index}.json"
+            argv = ["audit", "--quick", "--shards", "2", "--shard-index", index]
+            assert main(argv + ["--output", str(shard)]) == 0
+            shards.append(str(shard))
+        collected = tmp_path / "collected.json"
+        argv = ["shard", "collect", *shards, "--output", str(collected)]
+        assert main(argv) == 0
+        assert collected.read_bytes() == serial.read_bytes()
+
     def test_collect_refuses_missing_and_duplicate_shards(self):
         from repro.observability.audit import collect_audit_shards
 
@@ -487,23 +435,3 @@ class TestRoutedResume:
             trials_per_task=7, resume_from=broken,
         )
         assert resumed == baseline
-
-    def test_census_through_explicit_executor(self):
-        import functools
-
-        from repro.listmachine.examples import tandem_compare_nlm
-        from repro.lowerbounds.counting import enumerate_skeletons
-
-        alphabet = frozenset({"00", "01", "10", "11"})
-        factory = functools.partial(tandem_compare_nlm, alphabet, 2)
-        nlm = factory()
-        serial = enumerate_skeletons(nlm, sorted(alphabet), r=2)
-        sharded = enumerate_skeletons(
-            nlm,
-            sorted(alphabet),
-            r=2,
-            jobs=2,
-            machine_factory=factory,
-            executor=ShardExecutor(2, jobs=1),
-        )
-        assert sharded == serial

@@ -92,29 +92,35 @@ def fingerprint_space_budget(input_size: int) -> int:
     return registers * value_bits + 4 * log_n + 64
 
 
+# Register mirrors: the machines below keep each register's current value
+# in a local and read operands from it, because reads are free in the
+# model and a ``mem[...]`` load costs a Python frame.  Every change is
+# still a ``mem[name] = value`` store, in the order the register-reading
+# formulation makes it, so charges and events are unchanged
+# (``tests/test_fingerprint.py`` pins both against that formulation).
+
+
 def _residue_of_string(value: str, modulus: int, mem: InternalMemory) -> int:
     """e = (1·value) mod p1 computed bit-by-bit (one pass, O(log p1) bits)."""
-    mem["acc"] = 1 % modulus  # the injectivity prefix bit
+    mem["acc"] = acc = 1 % modulus  # the injectivity prefix bit
     for ch in value:
         if ch not in "01":
             raise EncodingError(f"non-binary character {ch!r} in value")
-        mem["acc"] = (mem["acc"] * 2 + (1 if ch == "1" else 0)) % modulus
-    result = mem["acc"]
+        mem["acc"] = acc = (acc * 2 + (1 if ch == "1" else 0)) % modulus
     mem.free("acc")
-    return result
+    return acc
 
 
 def _mod_pow_charged(base: int, exponent: int, modulus: int, mem: InternalMemory) -> int:
     """Square-and-multiply with every intermediate charged to internal memory."""
-    mem["pw_base"] = base % modulus
+    mem["pw_base"] = base = base % modulus
     mem["pw_exp"] = exponent
-    mem["pw_result"] = 1 % modulus
-    while mem["pw_exp"] > 0:
-        if mem["pw_exp"] % 2 == 1:
-            mem["pw_result"] = mem["pw_result"] * mem["pw_base"] % modulus
-        mem["pw_base"] = mem["pw_base"] * mem["pw_base"] % modulus
-        mem["pw_exp"] = mem["pw_exp"] // 2
-    result = mem["pw_result"]
+    mem["pw_result"] = result = 1 % modulus
+    while exponent > 0:
+        if exponent % 2 == 1:
+            mem["pw_result"] = result = result * base % modulus
+        mem["pw_base"] = base = base * base % modulus
+        mem["pw_exp"] = exponent = exponent // 2
     for name in ("pw_base", "pw_exp", "pw_result"):
         mem.free(name)
     return result
@@ -130,9 +136,10 @@ def multiset_equality_fingerprint(
     """Run the Theorem 8(a) machine on an instance.
 
     The default budget is ``(2 scans, fingerprint_space_budget(N) bits,
-    1 tape)`` — the co-RST(2, O(log N), 1) envelope.  Pass ``budget=None``
-    explicitly via a permissive :class:`ResourceBudget` to experiment with
-    other envelopes.  ``sink`` (any
+    1 tape)`` — the co-RST(2, O(log N), 1) envelope, which is also what
+    ``budget=None`` selects.  Pass another :class:`ResourceBudget` to
+    experiment with other envelopes; a permissive ``ResourceBudget()``
+    measures without enforcing.  ``sink`` (any
     :class:`~repro.observability.sinks.EventSink`) receives the run's full
     accounting event stream, with phase marks ``scan1`` / ``params`` /
     ``scan2``.
@@ -155,15 +162,15 @@ def multiset_equality_fingerprint(
 
     # ---- Scan 1 (forward): determine m, n, N -----------------------------
     tracker.mark_phase("scan1")
-    mem["count"] = 0
-    mem["n_max"] = 0
+    mem["count"] = count = 0
+    mem["n_max"] = n_max = 0
     for value in tape.scan():
-        mem["count"] = mem["count"] + 1
-        if len(value) > mem["n_max"]:
-            mem["n_max"] = len(value)
-    if mem["count"] % 2 != 0:
+        mem["count"] = count = count + 1
+        if len(value) > n_max:
+            mem["n_max"] = n_max = len(value)
+    if count % 2 != 0:
         raise EncodingError("odd number of values on the input tape")
-    m = mem["count"] // 2
+    m = count // 2
     if m == 0:
         return FingerprintResult(
             accepted=True,
@@ -177,40 +184,39 @@ def multiset_equality_fingerprint(
 
     # ---- Steps 2–4: choose p1, p2, x in internal memory -------------------
     tracker.mark_phase("params")
-    params = FingerprintParameters.for_shape(m, mem["n_max"])
-    mem["p1"] = random_prime_at_most(params.k, rng)
-    mem["p2"] = params.p2
-    mem["x"] = rng.randint(1, params.p2 - 1)
+    params = FingerprintParameters.for_shape(m, n_max)
+    mem["p1"] = p1 = random_prime_at_most(params.k, rng)
+    mem["p2"] = p2 = params.p2
+    mem["x"] = x = rng.randint(1, p2 - 1)
 
     # ---- Scan 2 (backward): accumulate Σ x^{e'_i} then Σ x^{e_i} ----------
     # After scan 1 the head sits just past the last record; walking left is
     # the single head reversal of the whole computation.
     tracker.mark_phase("scan2")
-    mem["sum_first"] = 0
-    mem["sum_second"] = 0
-    mem["idx"] = 0  # number of records consumed from the right
+    mem["sum_first"] = sum_first = 0
+    mem["sum_second"] = sum_second = 0
+    mem["idx"] = idx = 0  # number of records consumed from the right
     tape.move(-1)  # onto the last record (reversal #1)
     while True:
         value = tape.read()
-        e = _residue_of_string(value, mem["p1"], mem)
-        term = _mod_pow_charged(mem["x"], e, mem["p2"], mem)
-        if mem["idx"] < m:  # the last m records are the primed half
-            mem["sum_second"] = (mem["sum_second"] + term) % mem["p2"]
+        e = _residue_of_string(value, p1, mem)
+        term = _mod_pow_charged(x, e, p2, mem)
+        if idx < m:  # the last m records are the primed half
+            mem["sum_second"] = sum_second = (sum_second + term) % p2
         else:
-            mem["sum_first"] = (mem["sum_first"] + term) % mem["p2"]
-        mem["idx"] = mem["idx"] + 1
+            mem["sum_first"] = sum_first = (sum_first + term) % p2
+        mem["idx"] = idx = idx + 1
         if tape.at_start:
             break
         tape.move(-1)
 
-    accepted = mem["sum_first"] == mem["sum_second"]
     result = FingerprintResult(
-        accepted=accepted,
+        accepted=sum_first == sum_second,
         parameters=params,
-        p1=mem["p1"],
-        x=mem["x"],
-        sum_first=mem["sum_first"],
-        sum_second=mem["sum_second"],
+        p1=p1,
+        x=x,
+        sum_first=sum_first,
+        sum_second=sum_second,
         report=tracker.report(),
     )
     mem.clear()
@@ -268,40 +274,6 @@ def fingerprint_trial_with_range(
 # -- Monte Carlo trial sweeps ----------------------------------------------
 
 
-def fingerprint_mc_block(
-    m: int,
-    n: int,
-    count: int,
-    kind: str,
-    k: Optional[int],
-    rng: random.Random,
-) -> int:
-    """Batch task body: ``count`` independent trials, returns acceptances.
-
-    ``kind`` selects the instance population — ``"equal"`` (completeness:
-    every trial must accept) or ``"near-miss"`` (soundness: acceptances
-    are false positives).  ``k=None`` runs the full Theorem 8(a) tape
-    machine under its claimed budget; an explicit ``k`` runs the
-    E16-style ablation trial with that prime range.
-    """
-    from ..problems import near_miss_instance, random_equal_instance
-
-    if kind == "equal":
-        make = random_equal_instance
-    elif kind == "near-miss":
-        make = near_miss_instance
-    else:
-        raise EncodingError(f"unknown trial kind {kind!r}")
-    accepted = 0
-    for _ in range(count):
-        inst = make(m, n, rng)
-        if k is None:
-            accepted += multiset_equality_fingerprint(inst, rng).accepted
-        else:
-            accepted += fingerprint_trial_with_range(inst, rng, k)
-    return accepted
-
-
 def fingerprint_mc_lanes(
     lanes: Sequence[int],
     m: int,
@@ -317,6 +289,12 @@ def fingerprint_mc_lanes(
     batch runtime from ``(batch seed, lane index)`` — so the acceptance
     total is a pure function of (seed, trial count), independent of how
     trials are grouped into tasks or spread over workers.
+
+    ``kind`` selects the instance population — ``"equal"`` (completeness:
+    every trial must accept) or ``"near-miss"`` (soundness: acceptances
+    are false positives).  ``k=None`` runs the full Theorem 8(a) tape
+    machine under its claimed budget; an explicit ``k`` runs the
+    E16-style ablation trial with that prime range.
     """
     from ..problems import near_miss_instance, random_equal_instance
 

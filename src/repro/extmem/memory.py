@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, Optional
 
 from ..errors import ReproError
+from ..observability.events import KIND_INTERNAL
 from .tracker import ResourceTracker
 
 
@@ -59,21 +60,44 @@ class InternalMemory:
     def store(self, name: str, value: Any) -> None:
         """Store ``value`` under ``name``, re-charging space as needed.
 
-        The store is atomic with respect to budget enforcement: the tracker
+        The store is atomic with respect to budget enforcement: the space
         charge is the only fallible step and is check-then-commit, so a
         caught :class:`~repro.errors.SpaceBudgetExceeded` leaves the
         register table, ``used_bits`` *and* the tracker's
         ``current_internal_bits`` all in their pre-store state — the two
         views can never desynchronize.
+
+        This is the hottest charge in the repo, so an allowed charge is
+        committed here, exactly as :meth:`ResourceTracker.charge_internal`
+        would commit it; a charge that would go negative or past the
+        budget is handed to ``charge_internal``, which emits the denial
+        and raises.
         """
-        # may raise; nothing charged yet (ints, the hot case, skip a call)
+        # may raise; nothing charged yet (ints, the hot case, skip a call;
+        # ``or 1`` is max(1, bits) without the cost of calling max)
         if type(value) is int:
-            new_cost = max(1, value.bit_length())
+            new_cost = value.bit_length() or 1
         else:
             new_cost = bit_cost(value)
-        old_cost = self._charges.get(name, 0)
-        self.tracker.charge_internal(new_cost - old_cost)
-        # -- commit point: nothing below can fail --
+        delta = new_cost - self._charges.get(name, 0)
+        tracker = self.tracker
+        prospective = tracker._current_internal_bits + delta
+        # check, then commit: a refused charge raises (in charge_internal)
+        # before any counter or register moves
+        if prospective > tracker._peak_internal_bits:
+            budget = tracker.budget
+            if (
+                budget is not None
+                and budget.max_internal_bits is not None
+                and prospective > budget.max_internal_bits
+            ):
+                tracker.charge_internal(delta)  # emits the denial, raises
+            tracker._peak_internal_bits = prospective
+        elif prospective < 0:
+            tracker.charge_internal(delta)  # raises
+        tracker._current_internal_bits = prospective
+        if tracker._sink is not None:
+            tracker._emit(KIND_INTERNAL, delta=delta)
         self._registers[name] = value
         self._charges[name] = new_cost
 

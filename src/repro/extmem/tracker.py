@@ -98,7 +98,9 @@ class ResourceTracker:
     """Aggregates reversal/space/tape charges; optionally enforces a budget.
 
     Tapes call :meth:`charge_reversal`, internal memory calls
-    :meth:`charge_internal`, and anything that wants a step count calls
+    :meth:`charge_internal` (except that ``InternalMemory.store``, the
+    hottest charge, commits an allowed charge inline with the same
+    effect), and anything that wants a step count calls
     :meth:`charge_step`.  All charges are monotone and atomic: a charge that
     would exceed the budget raises *without* changing any counter, so
     ``report()`` can be taken at any point — including inside an ``except``
@@ -226,7 +228,8 @@ class ResourceTracker:
 
         Check-then-commit: a charge that would go negative (a bug in the
         caller) or exceed the space budget raises and leaves both the
-        current and the peak counter unchanged.
+        current and the peak counter unchanged.  ``InternalMemory.store``
+        repeats the commit below inline; change the two together.
         """
         prospective = self._current_internal_bits + delta_bits
         if prospective < 0:

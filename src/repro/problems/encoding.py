@@ -17,6 +17,13 @@ ALPHABET = frozenset("01#")
 SEPARATOR = "#"
 
 
+def _check_values(values: Sequence[str]) -> None:
+    """Raise :class:`EncodingError` unless every value is a 0-1 ``str``."""
+    for v in values:
+        if not isinstance(v, str) or v.strip("01"):
+            raise EncodingError(f"value {v!r} is not a 0-1 string")
+
+
 @dataclass(frozen=True)
 class Instance:
     """A decoded instance: the two halves (v_1..v_m) and (v'_1..v'_m)."""
@@ -29,9 +36,8 @@ class Instance:
             raise EncodingError(
                 f"halves differ in length: {len(self.first)} vs {len(self.second)}"
             )
-        for v in list(self.first) + list(self.second):
-            if any(ch not in "01" for ch in v):
-                raise EncodingError(f"value {v!r} is not a 0-1 string")
+        _check_values(self.first)
+        _check_values(self.second)
 
     @property
     def m(self) -> int:
@@ -62,9 +68,8 @@ def encode_instance(first: Sequence[str], second: Sequence[str]) -> str:
         raise EncodingError(
             f"halves differ in length: {len(first)} vs {len(second)}"
         )
-    for v in list(first) + list(second):
-        if any(ch not in "01" for ch in v):
-            raise EncodingError(f"value {v!r} is not a 0-1 string")
+    _check_values(first)
+    _check_values(second)
     parts: List[str] = []
     for v in first:
         parts.append(v)

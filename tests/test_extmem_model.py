@@ -2,8 +2,10 @@
 
 A Hypothesis ``RuleBasedStateMachine`` drives one :class:`ResourceTracker`
 (under a random :class:`ResourceBudget`, with a :class:`RingBufferSink`
-attached), one to three :class:`RecordTape` objects and an
-:class:`InternalMemory` through random programs of primitive operations.
+that a rule detaches and re-attaches, so the sink-free path every
+unobserved run takes is checked too), one to three :class:`RecordTape`
+objects and an :class:`InternalMemory` through random programs of
+primitive operations.
 Every operation also runs on :class:`Model`, a pure reference written in
 the one-cell-at-a-time style of the paper's tape model: derived operations
 (seeks, scans, bulk writes) are loops over single ``move`` steps, and every
@@ -62,8 +64,11 @@ class Model:
         self.current = self.peak = self.count = 0
         self.registers = {}  # name -> (value, cost)
         self.events = []
+        self.attached = True  # events are recorded only while a sink is
 
     def emit(self, kind, tape_id=None, delta=0, label=None):
+        if not self.attached:
+            return
         name = self.names.get(tape_id) if tape_id else None
         scans = 1 + sum(self.reversals.values())
         self.events.append((len(self.events) + 1, kind, tape_id, name, delta,
@@ -317,6 +322,14 @@ class ExtmemMachine(RuleBasedStateMachine):
     @rule(name=st.sampled_from(REGISTERS))
     def free(self, name):
         self.same(self.memory.free, self.model.free, name)
+
+    @rule()
+    def toggle_sink(self):
+        if self.tracker.sink is None:
+            self.tracker.attach_sink(self.sink)
+        else:
+            self.tracker.detach_sink()
+        self.model.attached = self.tracker.sink is not None
 
     # -- the comparison after every rule -------------------------------------
 

@@ -11,15 +11,25 @@ from repro.algorithms import (
     fingerprint_space_budget,
     multiset_equality_fingerprint,
 )
+from repro.algorithms.fingerprint import (
+    FingerprintParameters,
+    _mod_pow_charged,
+    _residue_of_string,
+    monte_carlo_fingerprint_trials,
+)
 from repro.errors import EncodingError
-from repro.numbertheory import is_prime
+from repro.extmem import InternalMemory, RecordTape, ResourceBudget, ResourceTracker
+from repro.numbertheory import is_prime, random_prime_at_most
+from repro.observability.sinks import RingBufferSink
 from repro.problems import (
     MULTISET_EQUALITY,
+    Instance,
     encode_instance,
     near_miss_instance,
     random_equal_instance,
     random_unequal_instance,
 )
+from tests.settings_profiles import DIFFERENTIAL_SETTINGS
 
 bit_words = st.lists(st.text(alphabet="01", min_size=1, max_size=10), max_size=8)
 
@@ -189,3 +199,181 @@ class TestAgainstReference:
         result = multiset_equality_fingerprint(inst, rng)
         if not result.accepted:
             assert not MULTISET_EQUALITY(inst)
+
+
+# -- the register-reading reference ----------------------------------------
+#
+# The machine keeps each register's value in a local and reads operands
+# from it.  Below is the same machine reading every operand back from
+# ``mem``, the formulation the Theorem 8(a) analysis charges.  Both make
+# the same stores in the same order, so charges, events, reports and the
+# registers left behind must agree exactly, budget denials included.
+
+
+def _residue_reference(value, modulus, mem):
+    mem["acc"] = 1 % modulus
+    for ch in value:
+        if ch not in "01":
+            raise EncodingError(f"non-binary character {ch!r} in value")
+        mem["acc"] = (mem["acc"] * 2 + (1 if ch == "1" else 0)) % modulus
+    result = mem["acc"]
+    mem.free("acc")
+    return result
+
+
+def _mod_pow_reference(base, exponent, modulus, mem):
+    mem["pw_base"] = base % modulus
+    mem["pw_exp"] = exponent
+    mem["pw_result"] = 1 % modulus
+    while mem["pw_exp"] > 0:
+        if mem["pw_exp"] % 2 == 1:
+            mem["pw_result"] = mem["pw_result"] * mem["pw_base"] % modulus
+        mem["pw_base"] = mem["pw_base"] * mem["pw_base"] % modulus
+        mem["pw_exp"] = mem["pw_exp"] // 2
+    result = mem["pw_result"]
+    for name in ("pw_base", "pw_exp", "pw_result"):
+        mem.free(name)
+    return result
+
+
+def _fingerprint_reference(inst, rng, budget, sink):
+    """The Theorem 8(a) machine's two scans, every operand read from ``mem``."""
+    tracker = ResourceTracker(budget)
+    tracker.attach_sink(sink)
+    mem = InternalMemory(tracker)
+    tape = RecordTape(
+        list(inst.first) + list(inst.second), tracker=tracker, name="input"
+    )
+    tracker.mark_phase("scan1")
+    mem["count"] = 0
+    mem["n_max"] = 0
+    for value in tape.scan():
+        mem["count"] = mem["count"] + 1
+        if len(value) > mem["n_max"]:
+            mem["n_max"] = len(value)
+    m = mem["count"] // 2
+    if m == 0:
+        return True, None, None, None, None, tracker.report()
+    tracker.mark_phase("params")
+    params = FingerprintParameters.for_shape(m, mem["n_max"])
+    mem["p1"] = random_prime_at_most(params.k, rng)
+    mem["p2"] = params.p2
+    mem["x"] = rng.randint(1, params.p2 - 1)
+    tracker.mark_phase("scan2")
+    mem["sum_first"] = 0
+    mem["sum_second"] = 0
+    mem["idx"] = 0
+    tape.move(-1)
+    while True:
+        e = _residue_reference(tape.read(), mem["p1"], mem)
+        term = _mod_pow_reference(mem["x"], e, mem["p2"], mem)
+        if mem["idx"] < m:
+            mem["sum_second"] = (mem["sum_second"] + term) % mem["p2"]
+        else:
+            mem["sum_first"] = (mem["sum_first"] + term) % mem["p2"]
+        mem["idx"] = mem["idx"] + 1
+        if tape.at_start:
+            break
+        tape.move(-1)
+    result = (
+        mem["sum_first"] == mem["sum_second"],
+        mem["p1"],
+        mem["x"],
+        mem["sum_first"],
+        mem["sum_second"],
+        tracker.report(),
+    )
+    mem.clear()
+    return result
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except Exception as exc:  # noqa: BLE001 - the type is what we compare
+        return None, type(exc)
+
+
+class TestAgainstRegisterReadingReference:
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.text(alphabet="01", max_size=12),
+                st.text(alphabet="012", max_size=4),
+            ),
+            max_size=4,
+        ),
+        modulus=st.integers(1, 2**34),
+        base=st.integers(0, 2**34),
+        exponent=st.integers(0, 2**34),
+        max_bits=st.one_of(st.none(), st.integers(0, 200)),
+    )
+    @DIFFERENTIAL_SETTINGS
+    def test_helpers_charge_like_the_reference(
+        self, values, modulus, base, exponent, max_bits
+    ):
+        def run(residue, mod_pow):
+            tracker = ResourceTracker(ResourceBudget(max_internal_bits=max_bits))
+            sink = RingBufferSink()
+            tracker.attach_sink(sink)
+            mem = InternalMemory(tracker)
+            terms = []
+
+            def fold():
+                for value in values:
+                    e = residue(value, modulus, mem)
+                    terms.append(mod_pow(base, exponent + e, modulus, mem))
+
+            _, error = _outcome(fold)
+            registers = {name: mem[name] for name in mem}
+            return terms, error, sink.events(), tracker.report(), registers
+
+        assert run(_residue_of_string, _mod_pow_charged) == run(
+            _residue_reference, _mod_pow_reference
+        )
+
+    @given(
+        first=bit_words,
+        second=bit_words,
+        seed=st.integers(min_value=0, max_value=2**32),
+        max_bits=st.one_of(st.none(), st.integers(0, 160)),
+    )
+    @DIFFERENTIAL_SETTINGS
+    def test_machine_charges_like_the_reference(self, first, second, seed, max_bits):
+        inst = Instance(
+            tuple(first[: len(second)]), tuple(second[: len(first)])
+        )
+        budget = ResourceBudget(max_scans=2, max_internal_bits=max_bits, max_tapes=1)
+
+        def machine(sink):
+            result = multiset_equality_fingerprint(
+                inst, random.Random(seed), budget=budget, sink=sink
+            )
+            return (
+                result.accepted,
+                result.p1,
+                result.x,
+                result.sum_first,
+                result.sum_second,
+                result.report,
+            )
+
+        real_sink, reference_sink = RingBufferSink(), RingBufferSink()
+        assert _outcome(machine, real_sink) == _outcome(
+            _fingerprint_reference, inst, random.Random(seed), budget, reference_sink
+        )
+        assert real_sink.events() == reference_sink.events()
+
+    @pytest.mark.parametrize(
+        "m, n, trials, kind, accepted",
+        [
+            (32, 16, 64, "equal", 64),
+            (32, 16, 64, "near-miss", 0),
+            # tiny shapes, where false positives occur and so the totals
+            # depend on every p1 and x the trials draw
+            (1, 2, 256, "near-miss", 62),
+        ],
+    )
+    def test_monte_carlo_totals_are_pinned(self, m, n, trials, kind, accepted):
+        summary = monte_carlo_fingerprint_trials(m, n, trials, kind=kind, seed=3)
+        assert (summary.trials, summary.accepted) == (trials, accepted)

@@ -81,6 +81,20 @@ class TestEncoding:
         with pytest.raises(EncodingError):
             encode_instance(["0x"], ["0x"])
 
+    def test_sequence_of_bits_is_not_a_value(self):
+        # a list of 0-1 characters iterates like a 0-1 string but cannot
+        # be encoded, so it must be refused up front
+        with pytest.raises(EncodingError, match="is not a 0-1 string"):
+            Instance((["0", "1"],), (("0", "1"),))
+        with pytest.raises(EncodingError, match="is not a 0-1 string"):
+            encode_instance([["0", "1"]], ["01"])
+
+    def test_non_string_values_raise_encoding_error(self):
+        with pytest.raises(EncodingError, match="is not a 0-1 string"):
+            Instance((1,), (1,))
+        with pytest.raises(EncodingError, match="is not a 0-1 string"):
+            encode_instance(["0"], [None])
+
     @given(
         st.lists(bitstrings, max_size=6).flatmap(
             lambda first: st.tuples(

@@ -16,6 +16,7 @@ from repro.machines import (
     parity_machine,
     run_deterministic,
 )
+from repro.problems import random_word
 
 from conftest import emit_table
 
@@ -24,7 +25,7 @@ def test_e12_runlength(benchmark, rng):
     rows = []
     cases = []
     for n in (8, 32, 128):
-        w = "".join(rng.choice("01") for _ in range(n))
+        w = random_word(n, rng)
         cases.append((equality_machine(), f"{w}#{w}", f"equality n={n}"))
         cases.append((copy_machine(), w, f"copy n={n}"))
         cases.append((parity_machine(), w, f"parity n={n}"))
@@ -47,6 +48,6 @@ def test_e12_runlength(benchmark, rng):
 
     # run length is linear in N for these machines: far below the bound
     machine = equality_machine()
-    w = "".join(rng.choice("01") for _ in range(64))
+    w = random_word(64, rng)
     run = benchmark(lambda: run_deterministic(machine, f"{w}#{w}"))
     assert run.accepts(machine)

@@ -16,6 +16,7 @@ from repro.listmachine.simulate_tm import (
     verify_block_reconstruction,
 )
 from repro.machines import copy_machine, equality_machine
+from repro.problems import random_word
 
 from conftest import emit_table
 
@@ -24,7 +25,7 @@ def test_e15_simulation(benchmark, rng):
     rows = []
     machine = equality_machine()
     for n in (8, 32, 128):
-        w = "".join(rng.choice("01") for _ in range(n))
+        w = random_word(n, rng)
         word = f"{w}#{w}"
         trace = block_trace(machine, word)
         stats = trace.run.statistics
@@ -81,6 +82,6 @@ def test_e15_simulation(benchmark, rng):
     # compression: NLM steps ≪ TM steps, and both scale linearly here
     assert all(row[2] <= row[1] for row in rows)
 
-    w = "".join(rng.choice("01") for _ in range(64))
+    w = random_word(64, rng)
     trace = benchmark(lambda: block_trace(machine, f"{w}#{w}"))
     assert trace.run.accepts(machine)

@@ -20,6 +20,7 @@ from repro.listmachine.simulate_tm import (
 )
 from repro.machines import run_deterministic as tm_run
 from repro.machines.random_machines import random_terminating_tm
+from repro.problems import random_word
 from repro.errors import MachineError
 
 from conftest import emit_table
@@ -61,7 +62,7 @@ def test_e20_fuzz_census(benchmark, rng):
     trace_ok = attempted = 0
     for seed in range(POPULATION):
         machine = random_terminating_tm(seed)
-        word = "".join(rng.choice("01") for _ in range(4))
+        word = random_word(4, rng)
         try:
             trace = block_trace(machine, word)
         except MachineError:

@@ -17,7 +17,7 @@ from repro.algorithms import (
     multiset_equality_fingerprint,
     sort_instance_strings,
 )
-from repro.problems import encode_instance, random_equal_instance
+from repro.problems import random_equal_instance, random_word
 
 rng = random.Random(7)
 
@@ -27,7 +27,7 @@ def main() -> None:
     print("-" * 42)
     for log_m in range(4, 13):
         m = 2**log_m
-        words = ["".join(rng.choice("01") for _ in range(16)) for _ in range(m)]
+        words = [random_word(16, rng) for _ in range(m)]
         out, tracker = sort_instance_strings(words)
         assert out == sorted(words)
         reversals = tracker.reversals

@@ -94,33 +94,79 @@ def fingerprint_space_budget(input_size: int) -> int:
 
 # Register mirrors: the machines below keep each register's current value
 # in a local and read operands from it, because reads are free in the
-# model and a ``mem[...]`` load costs a Python frame.  Every change is
-# still a ``mem[name] = value`` store, in the order the register-reading
+# model and a ``mem[...]`` load costs a Python frame.  Every change is a
+# ``mem[name] = value`` store, in the order the register-reading
 # formulation makes it, so charges and events are unchanged
 # (``tests/test_fingerprint.py`` pins both against that formulation).
+#
+# Deferred loops: when ``mem.has_headroom`` says no store of a helper's
+# loop can be observed (no sink, no possible denial), the loop runs on
+# locals, tracks the peak of its registers' total, and ``mem.commit_peak``
+# leaves the registers, the current total and the peak exactly where the
+# per-store loop below it would.  That loop stays the definition.
 
 
 def _residue_of_string(value: str, modulus: int, mem: InternalMemory) -> int:
     """e = (1·value) mod p1 computed bit-by-bit (one pass, O(log p1) bits)."""
-    mem["acc"] = acc = 1 % modulus  # the injectivity prefix bit
-    for ch in value:
-        if ch not in "01":
-            raise EncodingError(f"non-binary character {ch!r} in value")
-        mem["acc"] = acc = (acc * 2 + (1 if ch == "1" else 0)) % modulus
+    # a non-binary value declines: mid-value, the per-store loop raises
+    # with ``acc`` still stored
+    if (
+        mem.has_headroom({"acc": (modulus - 1).bit_length() or 1})
+        and type(value) is str
+        and not value.strip("01")
+    ):
+        acc = 1 % modulus
+        peak = 1  # the charge of 1 % modulus
+        for ch in value:
+            acc = (acc * 2 + (ch == "1")) % modulus
+            bits = acc.bit_length()
+            if bits > peak:
+                peak = bits
+        mem.commit_peak({"acc": acc}, peak)
+    else:
+        mem["acc"] = acc = 1 % modulus  # the injectivity prefix bit
+        for ch in value:
+            if ch not in "01":
+                raise EncodingError(f"non-binary character {ch!r} in value")
+            mem["acc"] = acc = (acc * 2 + (1 if ch == "1" else 0)) % modulus
     mem.free("acc")
     return acc
 
 
 def _mod_pow_charged(base: int, exponent: int, modulus: int, mem: InternalMemory) -> int:
     """Square-and-multiply with every intermediate charged to internal memory."""
-    mem["pw_base"] = base = base % modulus
-    mem["pw_exp"] = exponent
-    mem["pw_result"] = result = 1 % modulus
-    while exponent > 0:
-        if exponent % 2 == 1:
-            mem["pw_result"] = result = result * base % modulus
-        mem["pw_base"] = base = base * base % modulus
-        mem["pw_exp"] = exponent = exponent // 2
+    width = (modulus - 1).bit_length() or 1
+    exp_bits = exponent.bit_length() or 1
+    if mem.has_headroom({"pw_base": width, "pw_exp": exp_bits, "pw_result": width}):
+        base %= modulus
+        result = 1 % modulus
+        base_bits = base.bit_length() or 1
+        result_bits = 1
+        peak = base_bits + exp_bits + result_bits
+        while exponent > 0:
+            if exponent % 2 == 1:
+                result = result * base % modulus
+                result_bits = result.bit_length() or 1
+                if base_bits + exp_bits + result_bits > peak:
+                    peak = base_bits + exp_bits + result_bits
+            base = base * base % modulus
+            base_bits = base.bit_length() or 1
+            if base_bits + exp_bits + result_bits > peak:
+                peak = base_bits + exp_bits + result_bits
+            exponent //= 2  # the exponent only shrinks: no new peak
+            exp_bits = exponent.bit_length() or 1
+        mem.commit_peak(
+            {"pw_base": base, "pw_exp": exponent, "pw_result": result}, peak
+        )
+    else:
+        mem["pw_base"] = base = base % modulus
+        mem["pw_exp"] = exponent
+        mem["pw_result"] = result = 1 % modulus
+        while exponent > 0:
+            if exponent % 2 == 1:
+                mem["pw_result"] = result = result * base % modulus
+            mem["pw_base"] = base = base * base % modulus
+            mem["pw_exp"] = exponent = exponent // 2
     for name in ("pw_base", "pw_exp", "pw_result"):
         mem.free(name)
     return result
@@ -390,6 +436,10 @@ def monte_carlo_fingerprint_trials(
     """
     if trials < 1:
         raise EncodingError(f"trials must be >= 1, got {trials}")
+    if kind not in ("equal", "near-miss"):
+        raise EncodingError(f"unknown trial kind {kind!r}")
+    if kind == "near-miss" and (m < 1 or n < 1):
+        raise EncodingError("near-miss trials require m >= 1 and n >= 1")
     if trials_per_task < 1:
         raise EncodingError(
             f"trials_per_task must be >= 1, got {trials_per_task}"

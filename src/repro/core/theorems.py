@@ -63,12 +63,13 @@ def verify_all(seed: int = 0) -> List[TheoremCheck]:
 )
 def _check_lemma3(rng, result_id, statement):
     from ..machines import equality_machine, run_deterministic
+    from ..problems import random_word
     from .bounds import lemma3_bound
 
     machine = equality_machine()
     worst_ratio = 0.0
     for n in (4, 8, 16):
-        w = "".join(rng.choice("01") for _ in range(n))
+        w = random_word(n, rng)
         run = run_deterministic(machine, f"{w}#{w}")
         stats = run.statistics
         r = stats.external_scans(machine.external_tapes)
@@ -256,10 +257,10 @@ def _check_corollary9(rng, result_id, statement):
 )
 def _check_corollary10(rng, result_id, statement):
     from ..algorithms import sort_instance_strings
-    from ..problems import CHECK_SORT, encode_instance
+    from ..problems import CHECK_SORT, encode_instance, random_word
 
     # the reduction direction that the corollary uses: sorting ⇒ checksort
-    words = ["".join(rng.choice("01") for _ in range(6)) for _ in range(12)]
+    words = [random_word(6, rng) for _ in range(12)]
     sorted_words, _ = sort_instance_strings(words)
     inst = encode_instance(words, sorted_words)
     ok = CHECK_SORT(inst)

@@ -101,6 +101,52 @@ class InternalMemory:
         self._registers[name] = value
         self._charges[name] = new_cost
 
+    def has_headroom(self, widest: Dict[str, int]) -> bool:
+        """May a loop over these registers defer its stores to :meth:`commit_peak`?
+
+        ``widest`` maps each register the loop stores to the charge of the
+        widest value it can hold (for a residue below ``p``, the bit length
+        of ``p − 1``).  True only when the loop's individual stores cannot
+        be observed: no sink is attached, so they would emit no events;
+        none of the registers is held yet; and the current total plus
+        every register at its widest fits ``max_internal_bits``, so no
+        store could be denied.  Their only effects are then the final
+        registers, the current total and the peak.  The sink is tested
+        first, so a traced run pays one test.
+        """
+        tracker = self.tracker
+        if tracker._sink is not None or not self._charges.keys().isdisjoint(widest):
+            return False
+        budget = tracker.budget
+        if budget is None or budget.max_internal_bits is None:
+            return True
+        return (
+            tracker._current_internal_bits + sum(widest.values())
+            <= budget.max_internal_bits
+        )
+
+    def commit_peak(self, values: Dict[str, Any], peak_bits: int) -> None:
+        """Commit a loop that :meth:`has_headroom` let run on locals.
+
+        ``values`` holds the loop's final register values, in the order it
+        first stored them; ``peak_bits`` is the highest total charge of
+        those registers after any one of its stores.  The registers and
+        their charges are stored, the current total grows by those
+        charges, and the tracker's peak is raised to the total at the
+        loop's peak: the state the loop's ``store`` calls would have left.
+        """
+        tracker = self.tracker
+        base = tracker._current_internal_bits
+        total = base
+        for name, value in values.items():
+            cost = bit_cost(value)
+            self._registers[name] = value
+            self._charges[name] = cost
+            total += cost
+        tracker._current_internal_bits = total
+        if base + peak_bits > tracker._peak_internal_bits:
+            tracker._peak_internal_bits = base + peak_bits
+
     def load(self, name: str) -> Any:
         """Read a register (KeyError via ReproError if absent)."""
         if name not in self._registers:

@@ -100,11 +100,13 @@ class ResourceTracker:
     Tapes call :meth:`charge_reversal`, internal memory calls
     :meth:`charge_internal` (except that ``InternalMemory.store``, the
     hottest charge, commits an allowed charge inline with the same
-    effect), and anything that wants a step count calls
-    :meth:`charge_step`.  All charges are monotone and atomic: a charge that
-    would exceed the budget raises *without* changing any counter, so
-    ``report()`` can be taken at any point — including inside an ``except``
-    block around a denied charge.
+    effect, and ``InternalMemory.commit_peak`` commits a whole register
+    loop at once: its final total and its peak, when no sink observes
+    the loop and no budget could deny any of its stores), and anything
+    that wants a step count calls :meth:`charge_step`.  All charges are
+    monotone and atomic: a charge that would exceed the budget raises
+    *without* changing any counter, so ``report()`` can be taken at any
+    point — including inside an ``except`` block around a denied charge.
     """
 
     def __init__(self, budget: Optional[ResourceBudget] = None):
@@ -230,6 +232,10 @@ class ResourceTracker:
         caller) or exceed the space budget raises and leaves both the
         current and the peak counter unchanged.  ``InternalMemory.store``
         repeats the commit below inline; change the two together.
+        ``InternalMemory.commit_peak`` sets both counters for a register
+        loop that ``InternalMemory.has_headroom`` let run on locals: no
+        sink was attached and none of its stores could have been denied,
+        so the final total and the peak are all the loop's stores leave.
         """
         prospective = self._current_internal_bits + delta_bits
         if prospective < 0:

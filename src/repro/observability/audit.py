@@ -239,29 +239,6 @@ def check_from_payload(payload: Dict[str, Any]) -> ContractCheck:
     )
 
 
-# -- instance helpers ------------------------------------------------------
-
-
-def _random_words(m: int, n: int, rng: random.Random) -> List[str]:
-    return ["".join(rng.choice("01") for _ in range(n)) for _ in range(m)]
-
-
-def _equal_instance(m: int, n: int, rng: random.Random):
-    from ..problems.encoding import Instance
-
-    first = _random_words(m, n, rng)
-    second = list(first)
-    rng.shuffle(second)
-    return Instance(tuple(first), tuple(second))
-
-
-def _sorted_instance(m: int, n: int, rng: random.Random):
-    from ..problems.encoding import Instance
-
-    first = _random_words(m, n, rng)
-    return Instance(tuple(first), tuple(sorted(first)))
-
-
 #: A fully permissive budget: audit runs measure, they do not enforce.
 _UNENFORCED = ResourceBudget()
 
@@ -274,8 +251,9 @@ def _run_fingerprint(m, n, rng, sink):
         fingerprint_space_budget,
         multiset_equality_fingerprint,
     )
+    from ..problems import random_equal_instance
 
-    inst = _equal_instance(m, n, rng)
+    inst = random_equal_instance(m, n, rng)
     result = multiset_equality_fingerprint(
         inst, rng, budget=_UNENFORCED, sink=sink
     )
@@ -292,11 +270,12 @@ def _run_mergesort(m, n, rng, sink):
         mergesort_scan_budget,
         sort_instance_strings,
     )
+    from ..problems import random_word
 
     tracker = ResourceTracker()
     tracker.attach_sink(sink)
     ordered, tracker = sort_instance_strings(
-        _random_words(m, n, rng), tracker=tracker
+        [random_word(n, rng) for _ in range(m)], tracker=tracker
     )
     assert ordered == sorted(ordered)
     # tapes: input + three work tapes + the sorted output
@@ -311,8 +290,9 @@ def _run_checksort(m, n, rng, sink):
         check_sort_deterministic,
         checksort_reversal_budget,
     )
+    from ..problems import random_checksort_instance
 
-    inst = _sorted_instance(m, n, rng)
+    inst = random_checksort_instance(m, n, rng, yes=True)
     result = check_sort_deterministic(inst, sink=sink)
     # tapes: first + second + three work tapes + the sorted output
     claimed = ResourceBudget(
@@ -325,8 +305,9 @@ def _run_checksort(m, n, rng, sink):
 
 def _run_onepass(m, n, rng, sink):
     from ..algorithms.onepass import one_pass_multiset_test
+    from ..problems import random_equal_instance
 
-    inst = _equal_instance(m, n, rng)
+    inst = random_equal_instance(m, n, rng)
     result = one_pass_multiset_test(inst, sink=sink)
     claimed = ResourceBudget(max_scans=1, max_internal_bits=0, max_tapes=1)
     return result.report, claimed
@@ -335,9 +316,10 @@ def _run_onepass(m, n, rng, sink):
 def _run_lasvegas(m, n, rng, sink):
     from ..algorithms.lasvegas import LasVegasSorter
     from ..algorithms.mergesort_tape import mergesort_scan_budget
+    from ..problems import random_word
 
     sorter = LasVegasSorter(failure_probability=0.0)
-    result = sorter.sort(_random_words(m, n, rng), rng, sink=sink)
+    result = sorter.sort([random_word(n, rng) for _ in range(m)], rng, sink=sink)
     assert result.answered
     claimed = ResourceBudget(
         max_scans=mergesort_scan_budget(m), max_internal_bits=0, max_tapes=5
@@ -352,8 +334,9 @@ def _run_relational(m, n, rng, sink):
         set_equality_database,
         streaming_scan_budget,
     )
+    from ..problems import random_equal_instance
 
-    inst = _equal_instance(m, n, rng)
+    inst = random_equal_instance(m, n, rng)
     db = set_equality_database(inst)
     query = symmetric_difference_query()
     evaluator = StreamingEvaluator(db)
@@ -383,8 +366,9 @@ def _run_xml_figure1(m, n, rng, sink):
         figure1_filter_streaming,
         instance_to_token_tape,
     )
+    from ..problems import random_equal_instance
 
-    inst = _equal_instance(m, n, rng)
+    inst = random_equal_instance(m, n, rng)
     tracker = ResourceTracker()
     tracker.attach_sink(sink)
     token_tape, tracker = instance_to_token_tape(inst, tracker)
@@ -398,8 +382,9 @@ def _run_xml_theorem12(m, n, rng, sink):
         instance_to_token_tape,
         theorem12_query_streaming,
     )
+    from ..problems import random_equal_instance
 
-    inst = _equal_instance(m, n, rng)
+    inst = random_equal_instance(m, n, rng)
     tracker = ResourceTracker()
     tracker.attach_sink(sink)
     token_tape, tracker = instance_to_token_tape(inst, tracker)

@@ -41,6 +41,7 @@ from .definitions import (
 )
 from .instances import (
     IntervalFamily,
+    random_word,
     random_equal_instance,
     random_unequal_instance,
     near_miss_instance,
@@ -67,6 +68,7 @@ __all__ = [
     "sort_strings",
     "ALL_PROBLEMS",
     "IntervalFamily",
+    "random_word",
     "random_equal_instance",
     "random_unequal_instance",
     "near_miss_instance",

@@ -19,8 +19,34 @@ from ..lowerbounds.sortedness import phi_permutation
 from .encoding import Instance
 
 
-def _random_word(n: int, rng: random.Random) -> str:
-    return "".join(rng.choice("01") for _ in range(n))
+#: ``bytes.translate`` table over a Mersenne Twister word's top byte: the
+#: byte's bit 6 (the word's bit 30) is the drawn bit.  Bytes with bit 7
+#: set are deleted first (``_REJECTED``), so their entries are never read.
+_TOP_BYTE_TO_BIT = b"0" * 0x40 + b"1" * 0x40 + bytes(0x80)
+_REJECTED = bytes(range(0x80, 0x100))
+
+
+def random_word(n: int, rng: random.Random) -> str:
+    """A uniform word in {0,1}^n, drawn from ``rng`` in bulk.
+
+    The result is the string ``"".join(rng.choice("01") for _ in
+    range(n))`` would return, and ``rng`` is left in the same state
+    (``tests/test_problems.py`` pins both).  ``choice("01")`` draws one
+    32-bit Mersenne Twister word, keeps its top two bits and draws again
+    when they read 2 or 3; ``getrandbits(32 * k)`` returns the next k
+    words, the first one lowest.  So each round draws one word per bit
+    still missing and reads the words' top bytes: a set top bit rejects
+    the word, and otherwise bit 30 is the bit.  A round never accepts
+    more bits than are missing, so the draws stop on the same word.
+    """
+    chunks = []
+    missing = n
+    while missing > 0:
+        words = rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")
+        bits = words[3::4].translate(_TOP_BYTE_TO_BIT, _REJECTED)
+        chunks.append(bits)
+        missing -= len(bits)
+    return b"".join(chunks).decode("ascii")
 
 
 def random_equal_instance(
@@ -28,7 +54,7 @@ def random_equal_instance(
 ) -> Instance:
     """A yes-instance of (MULTI)SET-EQUALITY: second half a permutation of
     the first (identical multiset; ``shuffle=False`` keeps the order)."""
-    first = [_random_word(n, rng) for _ in range(m)]
+    first = [random_word(n, rng) for _ in range(m)]
     second = list(first)
     if shuffle:
         rng.shuffle(second)
@@ -45,8 +71,8 @@ def random_unequal_instance(
     from collections import Counter
 
     for _ in range(max_attempts):
-        first = [_random_word(n, rng) for _ in range(m)]
-        second = [_random_word(n, rng) for _ in range(m)]
+        first = [random_word(n, rng) for _ in range(m)]
+        second = [random_word(n, rng) for _ in range(m)]
         if Counter(first) != Counter(second):
             return Instance(tuple(first), tuple(second))
     raise EncodingError(
@@ -83,7 +109,7 @@ def random_checksort_instance(
     m: int, n: int, rng: random.Random, *, yes: bool
 ) -> Instance:
     """A CHECK-SORT instance: second half sorted (yes) or perturbed (no)."""
-    first = [_random_word(n, rng) for _ in range(m)]
+    first = [random_word(n, rng) for _ in range(m)]
     second = sorted(first)
     if not yes:
         if m < 2:

@@ -5,7 +5,8 @@ A Hypothesis ``RuleBasedStateMachine`` drives one :class:`ResourceTracker`
 that a rule detaches and re-attaches, so the sink-free path every
 unobserved run takes is checked too), one to three :class:`RecordTape`
 objects and an :class:`InternalMemory` through random programs of
-primitive operations.
+primitive operations.  One rule is a register loop, which commits
+through ``has_headroom``/``commit_peak`` whenever they allow it.
 Every operation also runs on :class:`Model`, a pure reference written in
 the one-cell-at-a-time style of the paper's tape model: derived operations
 (seeks, scans, bulk writes) are loops over single ``move`` steps, and every
@@ -37,12 +38,14 @@ from repro.errors import (
     TapeBudgetExceeded,
 )
 from repro.extmem import InternalMemory, RecordTape, ResourceBudget, ResourceTracker
+from repro.extmem.memory import bit_cost
 from repro.extmem.tracker import ResourceReport
 from repro.observability.sinks import RingBufferSink
 from tests.settings_profiles import STATE_MACHINE_SETTINGS
 
 MAX_TAPES = 3
 REGISTERS = ("a", "b", "c")
+LOOP_REGISTERS = ("x", "y")
 
 RECORDS = st.one_of(st.integers(-50, 50), st.text(alphabet="xy", max_size=3))
 SCALARS = st.one_of(
@@ -214,13 +217,16 @@ class ExtmemMachine(RuleBasedStateMachine):
         max_bits=st.one_of(st.none(), st.integers(0, 96)),
         max_tapes=st.one_of(st.none(), st.integers(1, MAX_TAPES)),
         records=st.lists(st.one_of(RECORDS, st.just(None)), max_size=6),
+        attached=st.booleans(),
     )
-    def setup(self, max_scans, max_bits, max_tapes, records):
+    def setup(self, max_scans, max_bits, max_tapes, records, attached):
         budget = ResourceBudget(max_scans, max_bits, max_tapes)
         self.model = Model(budget)
         self.tracker = ResourceTracker(budget)
         self.sink = RingBufferSink()
         self.tracker.attach_sink(self.sink)
+        if not attached:
+            self.toggle_sink()
         self.memory = InternalMemory(self.tracker)
         self.tapes = []
         self.add_tape(records)
@@ -319,9 +325,47 @@ class ExtmemMachine(RuleBasedStateMachine):
     def store(self, name, value):
         self.same(self.memory.store, self.model.store, name, value)
 
-    @rule(name=st.sampled_from(REGISTERS))
+    @rule(name=st.sampled_from(REGISTERS + LOOP_REGISTERS))
     def free(self, name):
         self.same(self.memory.free, self.model.free, name)
+
+    @rule(
+        stores=st.lists(
+            st.tuples(st.sampled_from(LOOP_REGISTERS), SCALARS),
+            min_size=1,
+            max_size=6,
+        ),
+        free_after=st.booleans(),
+    )
+    def loop(self, stores, free_after):
+        """A register loop: one commit when the headroom test allows it,
+        store by store otherwise.  The model always stores one by one.
+        Like the fingerprint helpers, the loop may free its registers."""
+
+        def run(stores):
+            widest, costs, final = {}, {}, {}
+            total = peak = 0
+            for name, value in stores:
+                cost = bit_cost(value)
+                widest[name] = max(widest.get(name, 0), cost)
+                total += cost - costs.get(name, 0)
+                costs[name] = cost
+                final[name] = value
+                peak = max(peak, total)
+            if self.memory.has_headroom(widest):
+                self.memory.commit_peak(final, peak)
+            else:
+                for name, value in stores:
+                    self.memory.store(name, value)
+
+        def model(stores):
+            for name, value in stores:
+                self.model.store(name, value)
+
+        self.same(run, model, stores)
+        if free_after:
+            for name in LOOP_REGISTERS:
+                self.free(name)
 
     @rule()
     def toggle_sink(self):

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.algorithms import (
     amplified_multiset_equality,
@@ -364,6 +364,83 @@ class TestAgainstRegisterReadingReference:
         )
         assert real_sink.events() == reference_sink.events()
 
+    def test_helpers_without_a_sink_charge_like_the_reference(self):
+        """No sink: the deferred loops against the reference's stores.
+
+        Budgets straddle the loop's widest total, so the helpers defer
+        in some examples and decline in others; the explicit examples
+        make sure both happen, and each example checks that the helper
+        deferred exactly when no store could be denied and the value
+        is a 0-1 string.
+        """
+        branches = set()
+
+        @given(
+            value=st.one_of(
+                st.text(alphabet="01", max_size=12),
+                st.text(alphabet="012", max_size=4),
+            ),
+            modulus=st.integers(1, 2**34),
+            base=st.integers(0, 2**34),
+            exponent=st.integers(0, 2**34),
+            held=st.integers(0, 2**20),
+            helper=st.sampled_from(["residue", "mod_pow"]),
+            slack=st.one_of(st.none(), st.integers(-3, 3)),
+        )
+        @example("0110", 11, 3, 9, 5, "residue", None)  # defers
+        @example("0110", 11, 3, 9, 5, "mod_pow", 0)  # defers: just fits
+        @example("0110", 11, 3, 9, 5, "mod_pow", -1)  # declines: budget
+        @example("0120", 11, 3, 9, 5, "residue", None)  # declines: value
+        @DIFFERENTIAL_SETTINGS
+        def check(value, modulus, base, exponent, held, helper, slack):
+            width = (modulus - 1).bit_length() or 1
+            if helper == "residue":
+                widest = width
+            else:
+                widest = 2 * width + (exponent.bit_length() or 1)
+            held_bits = held.bit_length() or 1
+            max_bits = None
+            if slack is not None:
+                max_bits = held_bits + max(0, widest + slack)
+            deferrable = (max_bits is None or held_bits + widest <= max_bits) and (
+                helper == "mod_pow" or set(value) <= set("01")
+            )
+
+            def run(residue, mod_pow):
+                tracker = ResourceTracker(ResourceBudget(max_internal_bits=max_bits))
+                mem = InternalMemory(tracker)
+                commits = []
+                commit_peak = mem.commit_peak
+
+                def recording_commit(values, peak_bits):
+                    commits.append(values)
+                    commit_peak(values, peak_bits)
+
+                mem.commit_peak = recording_commit
+                mem["held"] = held
+
+                def call():
+                    if helper == "residue":
+                        return residue(value, modulus, mem)
+                    return mod_pow(base, exponent, modulus, mem)
+
+                result, error = _outcome(call)
+                registers = {name: mem[name] for name in mem}
+                return (
+                    (result, error, tracker.report(), tracker.current_internal_bits,
+                     mem.used_bits, registers),
+                    bool(commits),
+                )
+
+            real, deferred = run(_residue_of_string, _mod_pow_charged)
+            reference, _ = run(_residue_reference, _mod_pow_reference)
+            assert real == reference
+            assert deferred == deferrable
+            branches.add(deferred)
+
+        check()
+        assert branches == {True, False}
+
     @pytest.mark.parametrize(
         "m, n, trials, kind, accepted",
         [
@@ -377,3 +454,65 @@ class TestAgainstRegisterReadingReference:
     def test_monte_carlo_totals_are_pinned(self, m, n, trials, kind, accepted):
         summary = monte_carlo_fingerprint_trials(m, n, trials, kind=kind, seed=3)
         assert (summary.trials, summary.accepted) == (trials, accepted)
+
+
+class TestSinkFreeRuns:
+    """Without a sink the helpers may defer their stores; with one they
+    cannot, so the traced run is the per-store reference."""
+
+    @given(
+        first=bit_words,
+        second=bit_words,
+        seed=st.integers(min_value=0, max_value=2**32),
+        slack=st.one_of(st.none(), st.integers(-12, 12)),
+    )
+    @DIFFERENTIAL_SETTINGS
+    def test_untraced_run_matches_the_traced_run(self, first, second, seed, slack):
+        inst = Instance(
+            tuple(first[: len(second)]), tuple(second[: len(first)])
+        )
+        # tight budgets: around the peak of an unbudgeted traced run
+        peak = multiset_equality_fingerprint(
+            inst, random.Random(seed), budget=ResourceBudget(), sink=RingBufferSink()
+        ).report.peak_internal_bits
+        max_bits = None if slack is None else max(0, peak + slack)
+        budget = ResourceBudget(max_scans=2, max_internal_bits=max_bits, max_tapes=1)
+
+        def run(sink):
+            try:
+                return multiset_equality_fingerprint(
+                    inst, random.Random(seed), budget=budget, sink=sink
+                ), None
+            except Exception as exc:  # noqa: BLE001 - compared below
+                return None, (type(exc), exc.args)
+
+        assert run(None) == run(RingBufferSink())
+
+
+class TestMonteCarloArguments:
+    """Bad trial arguments fail before any cache lookup or dispatch."""
+
+    class _NoLookups:
+        def lookup(self, key):
+            raise AssertionError("cache looked up before the arguments were checked")
+
+    @pytest.fixture(autouse=True)
+    def no_dispatch(self, monkeypatch):
+        import repro.parallel
+
+        def run_batch(*args, **kwargs):
+            raise AssertionError("batch dispatched before the arguments were checked")
+
+        monkeypatch.setattr(repro.parallel, "run_batch", run_batch)
+
+    def test_unknown_kind(self):
+        with pytest.raises(EncodingError, match="unknown trial kind 'bogus'"):
+            monte_carlo_fingerprint_trials(
+                4, 4, 4, kind="bogus", cache=self._NoLookups()
+            )
+
+    def test_near_miss_needs_a_bit_to_flip(self):
+        with pytest.raises(EncodingError, match="near-miss"):
+            monte_carlo_fingerprint_trials(
+                4, 0, 4, kind="near-miss", cache=self._NoLookups()
+            )

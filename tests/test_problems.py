@@ -24,6 +24,7 @@ from repro.problems import (
     random_checksort_instance,
     random_equal_instance,
     random_unequal_instance,
+    random_word,
     short_variant,
     sort_strings,
 )
@@ -211,6 +212,17 @@ class TestGenerators:
     def test_unequal_requires_m_positive(self):
         with pytest.raises(EncodingError):
             random_unequal_instance(0, 4, random.Random(0))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 31, 32, 33, 64, 257])
+    def test_random_word_is_the_choice_loop(self, n):
+        # pins the bulk draw to CPython's choice/getrandbits: a change in
+        # either makes this fail rather than silently move every instance
+        for seed in range(300):
+            bulk, loop = random.Random(seed), random.Random(seed)
+            assert random_word(n, bulk) == "".join(
+                loop.choice("01") for _ in range(n)
+            )
+            assert bulk.getstate() == loop.getstate()
 
 
 class TestIntervalFamily:

@@ -1,22 +1,18 @@
-"""Engine benchmark — reference vs. streaming vs. compiled.
+"""Engine benchmark — reference vs. streaming.
 
 Unlike the E1–E20 experiments (which regenerate paper claims), this module
 tracks the repo's own performance trajectory: it times
-``run_deterministic`` under the three engine tiers on the machine library
-across an input sweep, and verifies on every cell that the tiers produce
-identical ``Run.final`` and ``RunStatistics``.  Its speedup floors at the
-top N are streaming over reference on the largest library machine, and
-compiled over streaming on the sweep-heavy machines (where macro-step
-run compression must engage — the row's ``macro_compression`` column
-records steps-per-dispatch as evidence that the win comes from
-compression, not just cheaper dispatch).
+``run_deterministic`` under the two engines on the machine library
+across an input sweep, and verifies on every cell that the engines
+produce identical ``Run.final`` and ``RunStatistics``.  Its speedup floor
+is streaming over reference on the largest library machine at the top N.
 
-The ``test_*`` functions here assert only identity and shape (verified
-cells, engaged compression), never wall-clock floors: they run in the
-gating test job, where a loaded host must not turn a timing into a
-failure.  The floors described here are enforced by
-``scripts/bench_to_json.py`` (full runs) and its ``--compare`` against
-the checked-in baseline, in CI's non-gating ``bench-smoke`` job.
+The ``test_*`` functions here assert only identity (verified cells),
+never wall-clock floors: they run in the gating test job, where a loaded
+host must not turn a timing into a failure.  The floor described here is
+enforced by ``scripts/bench_to_json.py`` (full runs) and its
+``--compare`` against the checked-in baseline, in CI's non-gating
+``bench-smoke`` job.
 
 Importable: :func:`run_engine_benchmark` returns the result rows as
 plain dicts; ``scripts/bench_to_json.py`` wraps it to regenerate
@@ -32,7 +28,7 @@ from repro.machines import (
     majority_machine,
     parity_machine,
 )
-from repro.machines import compiled_engine, execute, fast_engine
+from repro.machines import execute, fast_engine
 
 from conftest import emit_table
 
@@ -53,13 +49,6 @@ CASE_MAP = {name: (factory, build_word) for name, factory, build_word in CASES}
 SIZES = (64, 256, 1024)
 GATE_MACHINE = "equality"  # largest library machine
 GATE_SPEEDUP = 5.0
-
-#: Compiled-tier gate: machines whose runs are dominated by straight-line
-#: head sweeps, so macro compression must engage.  parity/majority spin in
-#: tight multi-state loops the sweep detector does not (and need not)
-#: compress — they are benched but not gated.
-COMPILED_GATE_MACHINES = ("copy", "equality")
-COMPILED_GATE_SPEEDUP = 2.0  # compiled over *streaming*, at top N
 
 STEP_LIMIT = 1_000_000
 
@@ -89,7 +78,7 @@ def _open_store(cache_dir):
 
 
 def verify_cell(name, n, cache_dir=None):
-    """The correctness half of one sweep cell: the three-tier cross-check.
+    """The correctness half of one sweep cell: the two-engine cross-check.
 
     Deterministic in (machine definition, word, step limit, code) — so
     with ``cache_dir`` the result is served through the content-addressed
@@ -107,21 +96,13 @@ def verify_cell(name, n, cache_dir=None):
         fast = fast_engine.run_deterministic(
             machine, word, step_limit=STEP_LIMIT
         )
-        comp = compiled_engine.run_deterministic(
-            machine, word, step_limit=STEP_LIMIT
-        )
-        for tier_name, run in (("streaming", fast), ("compiled", comp)):
-            if run.final != ref.final or run.statistics != ref.statistics:
-                raise AssertionError(
-                    f"{tier_name} engine mismatch on {name} at n={n}: "
-                    f"{run.statistics} != {ref.statistics}"
-                )
-        dispatch = compiled_engine.dispatch_count(
-            machine, word, step_limit=STEP_LIMIT
-        )
+        if fast.final != ref.final or fast.statistics != ref.statistics:
+            raise AssertionError(
+                f"streaming engine mismatch on {name} at n={n}: "
+                f"{fast.statistics} != {ref.statistics}"
+            )
         return {
             "run_length": ref.statistics.length,
-            "macro_compression": round(dispatch.compression, 1),
             "verified_identical": True,
         }
 
@@ -137,13 +118,13 @@ def verify_cell(name, n, cache_dir=None):
         n=n,
         word=digest_of(word),
         step_limit=STEP_LIMIT,
-        engines="reference+streaming+compiled",
+        engines="reference+streaming",
     )
     return store.get_or_compute(key, compute, engine="bench")
 
 
 def bench_cell(name, n, repeats, cache_dir=None):
-    """One sweep cell: cross-check all tiers, then time each (best-of).
+    """One sweep cell: cross-check the engines, then time each (best-of).
 
     A module-level batch task so the sweep can fan out over worker
     processes — the cell is looked up by name and the machine rebuilt
@@ -166,12 +147,6 @@ def bench_cell(name, n, repeats, cache_dir=None):
         ),
         repeats,
     )
-    compiled_seconds = _best_of(
-        lambda: compiled_engine.run_deterministic(
-            machine, word, step_limit=STEP_LIMIT
-        ),
-        repeats,
-    )
     return {
         "machine": name,
         "n": n,
@@ -179,10 +154,7 @@ def bench_cell(name, n, repeats, cache_dir=None):
         "run_length": verified["run_length"],
         "ref_seconds": ref_seconds,
         "fast_seconds": fast_seconds,
-        "compiled_seconds": compiled_seconds,
         "speedup": ref_seconds / fast_seconds,
-        "compiled_speedup": fast_seconds / compiled_seconds,
-        "macro_compression": verified["macro_compression"],
         "verified_identical": verified["verified_identical"],
     }
 
@@ -219,18 +191,13 @@ def top_speedup(rows, machine=GATE_MACHINE):
     return max(candidates, key=lambda r: r["n"])["speedup"]
 
 
-def compiled_top_speedup(rows, machine):
-    """Compiled-over-streaming speedup of ``machine`` at the largest n."""
-    candidates = [r for r in rows if r["machine"] == machine]
-    return max(candidates, key=lambda r: r["n"])["compiled_speedup"]
-
-
 def per_tier_rows(rows):
-    """Expand combined sweep cells into one row per engine tier.
+    """Expand combined sweep cells into one row per engine.
 
-    ``BENCH_engine.json`` records the trajectory per tier: each cell
-    becomes three rows sharing (machine, n, ...) with an ``engine`` field
-    and that tier's timing, plus the derived speedups on the faster tiers.
+    ``BENCH_engine.json`` records the trajectory per engine: each cell
+    becomes two rows sharing (machine, n, ...) with an ``engine`` field
+    and that engine's timing, plus the derived speedup on the streaming
+    row.
     """
     tiers = []
     for r in rows:
@@ -250,26 +217,14 @@ def per_tier_rows(rows):
                 speedup_vs_reference=round(r["speedup"], 2),
             )
         )
-        tiers.append(
-            dict(
-                shared,
-                engine="compiled",
-                seconds=r["compiled_seconds"],
-                speedup_vs_streaming=round(r["compiled_speedup"], 2),
-                macro_compression=r["macro_compression"],
-            )
-        )
     return tiers
 
 
 def test_engine_speedup(benchmark):
     rows = run_engine_benchmark()
     table = emit_table(
-        "ENGINE — reference vs. streaming vs. compiled run_deterministic",
-        (
-            "machine", "n", "N", "steps", "ref s", "fast s", "comp s",
-            "fast/ref", "comp/fast", "steps/disp",
-        ),
+        "ENGINE — reference vs. streaming run_deterministic",
+        ("machine", "n", "N", "steps", "ref s", "fast s", "fast/ref"),
         [
             (
                 r["machine"],
@@ -278,34 +233,23 @@ def test_engine_speedup(benchmark):
                 r["run_length"],
                 f"{r['ref_seconds']:.5f}",
                 f"{r['fast_seconds']:.5f}",
-                f"{r['compiled_seconds']:.5f}",
                 f"{r['speedup']:.1f}x",
-                f"{r['compiled_speedup']:.1f}x",
-                f"{r['macro_compression']:.0f}",
             )
             for r in rows
         ],
     )
     benchmark.extra_info["table"] = table
 
-    # shape only: every cell cross-checked identical across the tiers,
-    # and on the sweep-dominated machines the compression column proves
-    # macro sweeps engaged (>= 1 dispatch saved per 10 steps).  The
-    # wall-clock floors (GATE_SPEEDUP, COMPILED_GATE_SPEEDUP) are checked
-    # by scripts/bench_to_json.py outside the gating test run.
+    # identity only: every cell cross-checked identical across the
+    # engines.  The wall-clock floor (GATE_SPEEDUP) is checked by
+    # scripts/bench_to_json.py outside the gating test run.
     assert all(r["verified_identical"] for r in rows)
-    for machine_name in COMPILED_GATE_MACHINES:
-        top = max(
-            (r for r in rows if r["machine"] == machine_name),
-            key=lambda r: r["n"],
-        )
-        assert top["macro_compression"] > 10
 
     machine = equality_machine()
     word = ("01" * SIZES[-1])[:SIZES[-1]]
     word = word + "#" + word
     result = benchmark(
-        lambda: compiled_engine.run_deterministic(
+        lambda: fast_engine.run_deterministic(
             machine, word, step_limit=STEP_LIMIT
         )
     )

@@ -1,11 +1,11 @@
 #!/usr/bin/env python
 """Regenerate BENCH_engine.json — the engine-benchmark trajectory point.
 
-Runs the engine sweep (reference vs. streaming vs. compiled) from
-``benchmarks/bench_engine.py`` and writes one row per tier (each row
+Runs the engine sweep (reference vs. streaming) from
+``benchmarks/bench_engine.py`` and writes one row per engine (each row
 carries an ``engine`` field, plus derived ``inputs_per_second`` /
-``steps_per_second`` throughput) and a summary to JSON, so the speedups
-claimed in the repo are reproducible with one command:
+``steps_per_second`` throughput) and a summary to JSON, so the speedup
+claimed in the repo is reproducible with one command:
 
     python scripts/bench_to_json.py                 # full sweep
     python scripts/bench_to_json.py --quick         # CI smoke (small n)
@@ -28,7 +28,7 @@ heartbeats, stalls) to a JSONL sweep ledger; summarize it afterwards
 with ``python -m repro report summarize PATH``.
 
 Cache mode: ``--cache DIR`` (or ``$REPRO_CACHE_DIR``) routes each cell's
-three-tier correctness cross-check through the content-addressed result
+two-engine correctness cross-check through the content-addressed result
 store in :mod:`repro.cache` — a warm rerun re-verifies unchanged cells
 without executing a single engine step.  Timings are **never** cached:
 every invocation re-measures every cell, cache or not, so the artifact
@@ -59,12 +59,9 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
 from bench_engine import (  # noqa: E402  (path setup must come first)
-    COMPILED_GATE_MACHINES,
-    COMPILED_GATE_SPEEDUP,
     GATE_MACHINE,
     GATE_SPEEDUP,
     SIZES,
-    compiled_top_speedup,
     per_tier_rows,
     run_engine_benchmark,
     top_speedup,
@@ -76,10 +73,10 @@ QUICK_SIZES = (16, 64)
 def with_throughput(rows):
     """Add per-row ``inputs_per_second`` / ``steps_per_second`` fields.
 
-    Derived, never measured separately: ``seconds`` on every tier row is
+    Derived, never measured separately: ``seconds`` on every engine row is
     wall-clock per input, so its reciprocal is input throughput, and
     rows that carry the run length additionally get engine steps per
-    second — the cross-tier normalizer, since a cheaper second on a
+    second — the cross-workload normalizer, since a cheaper second on a
     shorter run is not a win.  Rows without a positive timing (or
     without ``run_length``) simply omit the fields.
     """
@@ -277,19 +274,14 @@ def main(argv=None):
             f"({ledger.records_written} records)"
         )
     gate = top_speedup(rows)
-    compiled_gates = {
-        name: round(compiled_top_speedup(rows, name), 2)
-        for name in COMPILED_GATE_MACHINES
-    }
     all_rows = with_throughput(per_tier_rows(rows))
     payload = {
         "benchmark": "engine",
         "description": (
             "run_deterministic: reference engine (full configuration "
             "history + post-hoc statistics) vs. streaming engine "
-            "(incremental statistics, O(1) memory per step) vs. compiled "
-            "engine (dense transition tables + macro-step run "
-            "compression); one row per tier, keyed by the 'engine' field"
+            "(incremental statistics, O(1) memory per step); one row per "
+            "engine, keyed by the 'engine' field"
         ),
         "command": "python scripts/bench_to_json.py",
         "python": platform.python_version(),
@@ -304,10 +296,6 @@ def main(argv=None):
             # streaming over reference — the quantity --compare baselines
             # have always recorded, so old payloads stay comparable
             "top_n_speedup": round(gate, 2),
-            "compiled_gate_machines": list(COMPILED_GATE_MACHINES),
-            "compiled_gate_speedup_required": COMPILED_GATE_SPEEDUP,
-            # compiled over streaming, per gated machine at top N
-            "compiled_top_n_speedup": compiled_gates,
             "all_cells_verified_identical": all(
                 r["verified_identical"] for r in all_rows
             ),
@@ -330,12 +318,9 @@ def main(argv=None):
             )
 
     Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
-    compiled_note = ", ".join(
-        f"{name} {value:.1f}x" for name, value in compiled_gates.items()
-    )
     print(
         f"wrote {args.output}: streaming {gate:.1f}x over reference on "
-        f"{GATE_MACHINE}; compiled over streaming: {compiled_note}"
+        f"{GATE_MACHINE}"
     )
     if args.jobs > 1:
         record = parallel_payload(args.jobs, args.quick, args.repeats, sizes)
@@ -383,18 +368,6 @@ def main(argv=None):
         if gate < GATE_SPEEDUP:
             print(
                 f"WARNING: streaming speedup below the {GATE_SPEEDUP}x gate",
-                file=sys.stderr,
-            )
-            return 1
-        below = [
-            name
-            for name, value in compiled_gates.items()
-            if value < COMPILED_GATE_SPEEDUP
-        ]
-        if below:
-            print(
-                f"WARNING: compiled speedup below the "
-                f"{COMPILED_GATE_SPEEDUP}x gate on {', '.join(below)}",
                 file=sys.stderr,
             )
             return 1

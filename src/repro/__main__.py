@@ -46,9 +46,11 @@ bytes against what is stored.
 ``python -m repro trace <algorithm|machine> [--n N] [--chrome out.json]
 [--jsonl out.jsonl] [--metrics] [--trials T [--jobs J]]`` runs one target under an
 :class:`~repro.observability.trace.EngineProbe` and prints the span
-timeline plus the per-phase profile.  ``--chrome`` writes Chrome
+timeline plus the per-phase profile.  The event buffer keeps the last
+65,536 events; when a run emits more, the profile is not printed and the
+output says how many events were dropped.  ``--chrome`` writes Chrome
 trace-event JSON (open in Perfetto or chrome://tracing), ``--jsonl``
-writes a single file holding both the resource-event stream and the span
+writes a single file holding both the kept resource events and the span
 records, ``--metrics`` prints the metrics-registry snapshot.  Targets are
 the audit contract names (``fingerprint``, ``onepass``, ...) and the
 machine-library machines (``equality``, ``coin-flip``, ...); randomized
@@ -487,10 +489,7 @@ def _cmd_trace(
                     f"= {float(estimate.estimate):.4f}  (exact: {float(p):.4f})"
                 )
         else:
-            # front door: the attached probe forces the per-step streaming
-            # tier, so the span/event output stays byte-identical even when
-            # the machine is compilable
-            from .machines.engine import run_deterministic
+            from .machines.fast_engine import run_deterministic
 
             result = run_deterministic(machine, word, probe=probe)
             probe.finish()
@@ -507,7 +506,15 @@ def _cmd_trace(
         print("  " + line)
 
     events = ring.events()
-    if events:
+    emitted = ring.dropped + len(events)
+    if ring.dropped:
+        # a profile over a suffix of the stream would book every charge
+        # before the first kept event to the wrong phase (or to none)
+        print(
+            f"\nper-phase profile: not shown; the event buffer dropped the "
+            f"first {ring.dropped} of {emitted} events and kept {len(events)}"
+        )
+    elif events:
         profile = RunProfile.from_events(events)
         print("\nper-phase profile (from the resource-event stream):")
         for line in profile.summary_lines():
@@ -528,7 +535,12 @@ def _cmd_trace(
                 file_sink.emit(event)
             for span in probe.tracer.spans():
                 file_sink.emit(span)
-        print(f"combined JSONL (events + spans) -> {jsonl}")
+        held = (
+            f"the last {len(events)} of {emitted} events"
+            if ring.dropped
+            else "events"
+        )
+        print(f"combined JSONL ({held} + spans) -> {jsonl}")
     return 0
 
 
@@ -826,6 +838,8 @@ def main(argv=None) -> int:
             parser.error("--sample must be >= 1")
         return _cmd_cache(args.action, args.dir, args.sample, args.seed)
     if args.command == "trace":
+        if args.n < 0:
+            parser.error("--n must be >= 0")
         if args.jobs < 1:
             parser.error("--jobs must be >= 1")
         if args.trials < 0:

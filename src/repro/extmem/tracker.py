@@ -261,76 +261,6 @@ class ResourceTracker:
         if self._sink is not None:
             self._emit(KIND_STEP, delta=count)
 
-    def charge_batch(
-        self,
-        *,
-        tape_id: Optional[int] = None,
-        reversals: int = 0,
-        internal_delta: int = 0,
-        steps: int = 0,
-    ) -> None:
-        """Atomically charge a macro-step's aggregated resources.
-
-        Used by the compiled engine's sweep layer: one bounded jump may
-        cover thousands of machine steps, a tape reversal and internal
-        growth.  Check-then-commit extends across the whole batch —
-        every component is validated against the budget *before* any
-        counter mutates, so a caught ``*BudgetExceeded`` leaves the
-        tracker bit-identical to a budget-free twin, exactly as with the
-        per-step charge methods.  Validation (and event emission) order
-        matches a per-step engine's stream order: reversal, then
-        internal space, then steps.
-        """
-        if reversals:
-            if tape_id is None or tape_id not in self._reversals_per_tape:
-                raise ValueError(f"unknown tape id {tape_id}")
-            if self.budget is not None and self.budget.max_scans is not None:
-                if self.scans + reversals > self.budget.max_scans:
-                    if self._sink is not None:
-                        self._emit(
-                            KIND_DENIED,
-                            tape_id=tape_id,
-                            delta=reversals,
-                            label="reversal",
-                        )
-                    raise ReversalBudgetExceeded(
-                        self.scans + reversals,
-                        self.budget.max_scans,
-                        tape=tape_id,
-                    )
-        prospective = self._current_internal_bits + internal_delta
-        if internal_delta:
-            if prospective < 0:
-                raise ValueError("internal memory usage went negative")
-            if (
-                prospective > self._peak_internal_bits
-                and self.budget is not None
-                and self.budget.max_internal_bits is not None
-                and prospective > self.budget.max_internal_bits
-            ):
-                if self._sink is not None:
-                    self._emit(
-                        KIND_DENIED, delta=internal_delta, label="internal"
-                    )
-                raise SpaceBudgetExceeded(
-                    prospective, self.budget.max_internal_bits
-                )
-        if reversals:
-            self._reversals_per_tape[tape_id] += reversals
-            self._reversals += reversals
-            if self._sink is not None:
-                self._emit(KIND_REVERSAL, tape_id=tape_id, delta=reversals)
-        if internal_delta:
-            self._current_internal_bits = prospective
-            if prospective > self._peak_internal_bits:
-                self._peak_internal_bits = prospective
-            if self._sink is not None:
-                self._emit(KIND_INTERNAL, delta=internal_delta)
-        if steps:
-            self._steps += steps
-            if self._sink is not None:
-                self._emit(KIND_STEP, delta=steps)
-
     # -- queries ----------------------------------------------------------
 
     @property

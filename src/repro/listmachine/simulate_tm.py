@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import MachineError
 from ..machines.execute import Run
-from ..machines.engine import run_deterministic
+from ..machines.fast_engine import run_deterministic
 from ..machines.tm import TuringMachine
 
 

@@ -293,7 +293,7 @@ def verify_cell_contents(
     result: SimulationResult, machine: TuringMachine, word: str
 ) -> bool:
     """Every persisted cell content matches the TM's actual final tape."""
-    from ..machines.engine import run_deterministic
+    from ..machines.fast_engine import run_deterministic
 
     run = run_deterministic(machine, word)
     final = run.final

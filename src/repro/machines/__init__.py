@@ -22,19 +22,17 @@ Machines are built either directly from a transition relation or through
 the small DSL in :mod:`~repro.machines.builder`; :mod:`~repro.machines.
 library` ships concrete machines used across tests and experiments.
 
-Three engines implement the semantics, pinned bit-identical by
+Two engines implement the semantics, pinned bit-identical by
 differential tests: the **reference engine**
 (:mod:`~repro.machines.execute`) materializes full configuration
-histories, the **streaming engine** (:mod:`~repro.machines.fast_engine`)
-simulates in O(1) extra memory per step with incrementally maintained
-statistics, and the **compiled engine**
-(:mod:`~repro.machines.compiled_engine`) lowers the transition relation
-to dense integer tables and executes straight-line head sweeps as
-macro-steps.  The package-level :func:`run_deterministic` /
-:func:`run_with_choices` go through the tier-selection front door in
-:mod:`~repro.machines.engine` (``engine="auto"`` picks the compiled
-tier, falling back to streaming for ``trace=True``, attached probes and
-machines the compiler cannot lower).
+histories and is the oracle the tests compare against, and the
+**streaming engine** (:mod:`~repro.machines.fast_engine`) simulates in
+O(1) extra memory per step with incrementally maintained statistics and
+charges an attached :class:`~repro.extmem.tracker.ResourceTracker` as it
+goes.  The package-level :func:`run_deterministic`,
+:func:`run_with_choices` and :func:`acceptance_probability` are the
+streaming engine's; the reference versions stay at
+:mod:`repro.machines.execute`.
 """
 
 from .tm import TuringMachine, Transition, L, N, R
@@ -46,24 +44,14 @@ from .execute import (
     choice_alphabet,
 )
 
-# The canonical run functions are the tier-selecting front door; pass
-# engine="reference" / "streaming" / "compiled" to pin a tier.
-from .engine import (
-    ENGINES,
-    resolve_engine,
-    run_deterministic,
-    run_with_choices,
-)
-
-# The canonical acceptance_probability is the streaming engine's iterative
-# DP — identical exact Fractions, no RecursionError on deep runs.  The
-# recursive reference oracle stays at repro.machines.execute.
+# acceptance_probability's DP is iterative: the reference oracle's exact
+# Fractions without its RecursionError on deep runs.
 from .fast_engine import (
     FastRun,
     StepState,
     acceptance_probability,
-    run_deterministic as fast_run_deterministic,
-    run_with_choices as fast_run_with_choices,
+    run_deterministic,
+    run_with_choices,
 )
 from .builder import MachineBuilder
 from .library import (
@@ -96,12 +84,8 @@ __all__ = [
     "acceptance_probability",
     "run_with_choices",
     "choice_alphabet",
-    "ENGINES",
-    "resolve_engine",
     "FastRun",
     "StepState",
-    "fast_run_deterministic",
-    "fast_run_with_choices",
     "MachineBuilder",
     "copy_machine",
     "parity_machine",

@@ -136,9 +136,8 @@ class StepState:
         """Advance one step under ``tr``, updating statistics in place.
 
         All writes land before any head moves (the order the streaming
-        loop and the compiled engine's micro-steps use too), so an
-        attached tracker sees charges — and budget denials — in the same
-        stream order in every execution mode.
+        loop uses too), so an attached tracker sees charges — and budget
+        denials — in the same stream order in both run modes.
         """
         buffers = self.buffers
         positions = self.positions

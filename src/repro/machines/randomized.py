@@ -28,8 +28,7 @@ from fractions import Fraction
 from typing import Any, Sequence, Tuple
 
 from ..errors import MachineError
-from .engine import run_with_choices
-from .fast_engine import acceptance_probability
+from .fast_engine import acceptance_probability, run_with_choices
 from .tm import TuringMachine
 
 #: The checkers' default per-word step ceiling.

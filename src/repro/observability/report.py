@@ -283,11 +283,10 @@ def render_summary(summary: Dict[str, Any]) -> List[str]:
 
 # -- bench regression detection --------------------------------------------
 
-#: Per-engine speedup metric each tier's rows carry (the reference tier
-#: is the denominator of the chain and has no ratio of its own).
+#: Per-engine speedup metric each engine's rows carry (the reference
+#: engine is the denominator and has no ratio of its own).
 ROW_METRICS: Dict[str, str] = {
     "streaming": "speedup_vs_reference",
-    "compiled": "speedup_vs_streaming",
 }
 
 

@@ -589,8 +589,8 @@ class TestCompareGuard:
         assert not fine["regressed"]
 
     def test_new_engines_are_informational(self):
-        row = {"engine": "compiled", "machine": "copy", "n": 64,
-               "speedup_vs_streaming": 1.0}
+        row = {"engine": "streaming", "machine": "copy", "n": 64,
+               "speedup_vs_reference": 1.0}
         verdict = self._compare(5.0, {"top_n_speedup": 5.0}, rows=[row])
         assert [r["verdict"] for r in verdict["rows"]] == ["new"]
         assert not verdict["regressed"]

@@ -241,113 +241,6 @@ class TestTrackerAtomicity:
 
     @STANDARD_SETTINGS
     @given(
-        st.lists(
-            st.one_of(
-                st.just(("tape",)),
-                st.tuples(
-                    st.just("batch"),
-                    st.integers(min_value=0, max_value=3),  # reversals
-                    st.integers(min_value=0, max_value=8),  # internal bits
-                    st.integers(min_value=0, max_value=9),  # steps
-                ),
-                st.integers(min_value=1, max_value=16).map(
-                    lambda b: ("alloc", b)
-                ),
-                st.just(("free",)),
-            ),
-            max_size=40,
-        ),
-        st.integers(min_value=1, max_value=8),
-        st.integers(min_value=1, max_value=24),
-    )
-    def test_batched_charges_match_budget_free_twin(
-        self, script, max_scans, max_bits
-    ):
-        """The compiled engine's macro sweeps charge via ``charge_batch``;
-        its check-then-commit must extend across the whole batch: a caught
-        denial leaves the enforced tracker bit-identical to the twin that
-        only performed the successful (batched and per-step) charges."""
-        budget = ResourceBudget(
-            max_scans=max_scans, max_internal_bits=max_bits
-        )
-        enforced = ResourceTracker(budget)
-        twin = ResourceTracker()
-        tape_ids = []
-        allocated = 0
-        for op in script:
-            try:
-                if op[0] == "tape":
-                    enforced.register_tape()
-                    twin.register_tape()
-                    tape_ids.append(len(tape_ids) + 1)
-                elif op[0] == "batch":
-                    _, revs, bits, steps = op
-                    if revs and not tape_ids:
-                        continue
-                    kwargs = dict(
-                        reversals=revs, internal_delta=bits, steps=steps
-                    )
-                    if revs:
-                        kwargs["tape_id"] = tape_ids[-1]
-                    enforced.charge_batch(**kwargs)
-                    twin.charge_batch(**kwargs)
-                    allocated += bits
-                elif op[0] == "alloc":
-                    enforced.charge_internal(op[1])
-                    twin.charge_internal(op[1])
-                    allocated += op[1]
-                elif op[0] == "free" and allocated:
-                    enforced.charge_internal(-allocated)
-                    twin.charge_internal(-allocated)
-                    allocated = 0
-            except (ReversalBudgetExceeded, SpaceBudgetExceeded):
-                pass  # denied batch: no component committed, twin untouched
-            assert enforced.report() == twin.report()
-            assert enforced.report().within(budget)
-
-    def test_batch_denial_commits_nothing_across_components(self):
-        # reversal fits but internal does not: the already-validated
-        # reversal must not have been committed when the batch raises
-        tr = ResourceTracker(ResourceBudget(max_scans=10, max_internal_bits=4))
-        tid = tr.register_tape()
-        with pytest.raises(SpaceBudgetExceeded):
-            tr.charge_batch(
-                tape_id=tid, reversals=2, internal_delta=5, steps=7
-            )
-        assert tr.reversals == 0
-        assert tr.peak_internal_bits == 0
-        assert tr.steps == 0
-
-    def test_batch_validates_reversals_before_internal(self):
-        # stream order: the reversal denial must win when both would deny
-        tr = ResourceTracker(ResourceBudget(max_scans=1, max_internal_bits=1))
-        tid = tr.register_tape()
-        with pytest.raises(ReversalBudgetExceeded):
-            tr.charge_batch(tape_id=tid, reversals=1, internal_delta=5)
-
-    def test_batch_requires_known_tape_for_reversals(self):
-        tr = ResourceTracker()
-        with pytest.raises(ValueError):
-            tr.charge_batch(tape_id=None, reversals=1)
-        with pytest.raises(ValueError):
-            tr.charge_batch(tape_id=7, reversals=1)
-
-    def test_batch_equals_per_step_charges(self):
-        batched = ResourceTracker()
-        stepped = ResourceTracker()
-        b_tid = batched.register_tape("t")
-        s_tid = stepped.register_tape("t")
-        batched.charge_batch(
-            tape_id=b_tid, reversals=2, internal_delta=3, steps=5
-        )
-        for _ in range(2):
-            stepped.charge_reversal(s_tid)
-        stepped.charge_internal(3)
-        stepped.charge_step(5)
-        assert batched.report() == stepped.report()
-
-    @STANDARD_SETTINGS
-    @given(
         CHARGE_OPS,
         st.integers(min_value=1, max_value=8),
         st.integers(min_value=1, max_value=24),

@@ -23,7 +23,8 @@ from repro.extmem.tape import BLANK
 from repro.machines import (
     MachineBuilder,
     acceptance_probability,
-    fast_run_deterministic,
+    run_deterministic,
+    run_with_choices,
 )
 from repro.machines import execute, fast_engine
 from repro.machines.config import apply_transition, initial_configuration
@@ -135,8 +136,29 @@ class TestRunModes:
         assert traced == execute.run_deterministic(machine, "0101")
 
     def test_package_alias_is_fast_engine(self):
-        assert fast_run_deterministic is fast_engine.run_deterministic
+        assert run_deterministic is fast_engine.run_deterministic
+        assert run_with_choices is fast_engine.run_with_choices
         assert acceptance_probability is fast_engine.acceptance_probability
+
+    def test_choices_stay_lazy(self):
+        # the Monte Carlo sampler's choices draw from an RNG on access:
+        # exactly one access per step, in order
+        class Lazy:
+            def __init__(self):
+                self.accesses = []
+
+            def __len__(self):
+                return 64
+
+            def __getitem__(self, index):
+                self.accesses.append(index)
+                return 1
+
+        for machine in (coin_flip_machine(), random_branching_tm(7, 12)):
+            choices = Lazy()
+            run = run_with_choices(machine, "0110", choices)
+            steps = run.statistics.length - 1
+            assert choices.accesses == list(range(steps))
 
     def test_nondeterministic_machine_rejected(self):
         with pytest.raises(MachineError):

@@ -500,13 +500,9 @@ class TestSummarize:
 
 def _payload(top, cells):
     """cells: {(engine, workload, n): speedup} -> a bench-shaped payload."""
-    metric = {
-        "streaming": "speedup_vs_reference",
-        "compiled": "speedup_vs_streaming",
-    }
     rows = [
         {"engine": engine, "machine": workload, "n": n,
-         metric[engine]: value}
+         "speedup_vs_reference": value}
         for (engine, workload, n), value in cells.items()
     ]
     return {"summary": {"top_n_speedup": top}, "rows": rows}
@@ -517,12 +513,12 @@ class TestCompareBench:
         baseline = _payload(10.0, {
             ("streaming", "equality", 64): 8.0,
             ("streaming", "equality", 1024): 10.0,
-            ("compiled", "copy", 1024): 4.0,
+            ("streaming", "copy", 1024): 4.0,
         })
         run = _payload(9.5, {
             ("streaming", "equality", 64): 2.0,  # small n: not compared
             ("streaming", "equality", 1024): 9.5,
-            ("compiled", "copy", 1024): 2.0,  # regressed
+            ("streaming", "copy", 1024): 2.0,  # regressed
         })
         verdict = compare_bench(run, baseline, tolerance=0.8)
         assert not verdict["baseline_invalid"]
@@ -532,22 +528,22 @@ class TestCompareBench:
         }
         streaming = by_cell[("streaming", "equality")]
         assert streaming["n"] == 1024 and streaming["verdict"] == "ok"
-        compiled = by_cell[("compiled", "copy")]
-        assert compiled["verdict"] == "regressed"
-        assert compiled["floor"] == 3.2
+        copy = by_cell[("streaming", "copy")]
+        assert copy["verdict"] == "regressed"
+        assert copy["floor"] == 3.2
         assert verdict["regressed"]
-        assert any("compiled/copy" in line for line in verdict["regressions"])
+        assert any("streaming/copy" in line for line in verdict["regressions"])
         rendered = render_comparison(verdict)
         assert rendered[-1] == "  verdict: REGRESSION"
 
     def test_new_missing_and_incomparable_cells(self):
         baseline = _payload(5.0, {
             ("streaming", "parity", 64): 5.0,
-            ("compiled", "copy", 64): 3.0,
+            ("streaming", "copy", 64): 3.0,
         })
         run = _payload(5.0, {
             ("streaming", "parity", 256): 5.0,  # no shared n
-            ("compiled", "parity", 64): 2.0,  # no baseline cell
+            ("streaming", "majority", 64): 2.0,  # no baseline cell
         })
         verdict = compare_bench(run, baseline)
         by_cell = {
@@ -555,8 +551,8 @@ class TestCompareBench:
             for r in verdict["rows"]
         }
         assert by_cell[("streaming", "parity")] == "incomparable"
-        assert by_cell[("compiled", "parity")] == "new"
-        assert by_cell[("compiled", "copy")] == "missing"
+        assert by_cell[("streaming", "majority")] == "new"
+        assert by_cell[("streaming", "copy")] == "missing"
         assert not verdict["regressed"]
 
     def test_invalid_baseline_never_passes(self):

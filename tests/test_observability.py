@@ -604,42 +604,6 @@ class TestEngineProbe:
         assert ref_run.args == fast_run.args
         assert ref_run.args["steps"] == r_fast.statistics.length - 1
 
-    def test_probe_forces_compiled_tier_into_streaming_fallback(self):
-        """Satellite bugfix: an attached probe needs per-step hooks, so
-        the compiled tier (and the ``auto`` front door) must fall back to
-        streaming — with probe output byte-identical to calling the
-        streaming engine directly, even on a compilable machine."""
-        from repro.machines import equality_machine, resolve_engine
-        from repro.machines import compiled_engine, fast_engine
-        from repro.machines.engine import run_deterministic as front_door
-        from repro.observability import EngineProbe
-
-        machine = equality_machine()
-        word = "0101#0101"
-        probe_free = EngineProbe()
-        assert resolve_engine(machine) == "compiled"
-        assert resolve_engine(machine, probe=probe_free) == "streaming"
-
-        def observed(run_fn):
-            probe = EngineProbe()
-            result = run_fn(machine, word, probe=probe)
-            probe.finish()
-            # structural span records with wall-clock timing stripped:
-            # everything else must match byte for byte
-            spans = []
-            for span in probe.tracer.spans():
-                record = span.to_json_dict()
-                record.pop("start_us", None)
-                record.pop("end_us", None)
-                spans.append(json.dumps(record, sort_keys=True))
-            return probe.steps_observed, spans, result.statistics
-
-        streaming = observed(fast_engine.run_deterministic)
-        compiled = observed(compiled_engine.run_deterministic)
-        auto = observed(front_door)
-        assert compiled == streaming
-        assert auto == streaming
-
     def test_branch_spans_and_depth_histogram(self):
         from fractions import Fraction
 
@@ -832,6 +796,33 @@ class TestCliTrace:
         assert "span" in kinds  # both layers in one file
         assert list(replay_jsonl(lines))  # event layer still replays
 
+    def test_trace_prints_no_profile_from_a_partial_stream(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A profile over the suffix a full ring buffer kept books the
+        dropped charges to the wrong phase (with 64 slots, fingerprint at
+        n=4 reads ``peak 121`` against a measured 123), so none is shown."""
+        from repro.__main__ import main
+        from repro.observability import sinks
+
+        monkeypatch.setattr(
+            sinks, "RingBufferSink", lambda capacity: RingBufferSink(64)
+        )
+        jsonl = tmp_path / "trace.jsonl"
+        assert main(["trace", "fingerprint", "--n", "4",
+                     "--jsonl", str(jsonl)]) == 0
+        out = capsys.readouterr().out
+        assert "peak_internal_bits=123" in out
+        assert "per-phase profile (from the resource-event stream)" not in out
+        assert (
+            "per-phase profile: not shown; the event buffer dropped the "
+            "first 378 of 442 events and kept 64"
+        ) in out
+        assert "combined JSONL (the last 64 of 442 events + spans)" in out
+        kinds = [json.loads(line)["kind"] for line in
+                 jsonl.read_text().splitlines()]
+        assert len(kinds) - kinds.count("span") == 64
+
     def test_trace_machine_target(self, capsys):
         from repro.__main__ import main
 
@@ -874,6 +865,7 @@ class TestCliTrace:
              "--trials must be >= 0"),
             (["coin-flip", "--n", "2", "--jobs", "2"],
              "--jobs applies to the --trials sweep only"),
+            (["equality", "--n", "-3"], "--n must be >= 0"),
         ],
     )
     def test_trace_rejects_trials_it_would_ignore(self, argv, message, capsys):

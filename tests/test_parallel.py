@@ -59,9 +59,9 @@ def _accepts(machine, word):
     return run_deterministic(machine, word).accepts(machine)
 
 
-def compiled_signature(machine, word):
-    """A compiled run's (final, statistics), or its error's (type, text)."""
-    from repro.machines.compiled_engine import run_deterministic
+def run_signature(machine, word):
+    """A streaming run's (final, statistics), or its error's (type, text)."""
+    from repro.machines.fast_engine import run_deterministic
 
     try:
         run = run_deterministic(machine, word)
@@ -227,23 +227,16 @@ class TestCrashContainment:
 
 class TestMachinePickling:
     def test_compiled_caches_are_not_pickled(self):
-        from repro.machines.compiled_engine import try_compile
-
         machine = equality_machine()
         word = "0101#0101"
         before = _accepts(machine, word)  # warms the streaming caches
-        assert try_compile(machine) is not None  # ... and the compiled one
         assert "_compiled_steps" in machine.__dict__
         assert "_transition_index" in machine.__dict__
-        assert "_compiled_program" in machine.__dict__
         state = machine.__getstate__()
         for attr in type(machine)._CACHE_ATTRS:
             assert attr not in state, attr
-        # the compiled program holds re patterns, which do not pickle:
-        # stripping it is what keeps the machine picklable at all
         clone = pickle.loads(pickle.dumps(machine))
         assert "_compiled_steps" not in clone.__dict__
-        assert "_compiled_program" not in clone.__dict__
         assert clone == machine
         assert _accepts(clone, word) == before
 
@@ -257,11 +250,9 @@ class TestMachinePickling:
         added under a bare name would trip the inverse check below.
         """
         from repro.cache import machine_fingerprint
-        from repro.machines.compiled_engine import try_compile
 
         machine = equality_machine()
         _accepts(machine, "01#01")
-        try_compile(machine)
         machine_fingerprint(machine)
         warmed = {k for k in machine.__dict__ if k.startswith("_")}
         # every documented cache attr is actually warmable — the doc
@@ -274,16 +265,14 @@ class TestMachinePickling:
         # the fingerprint memo rebuilds to the same digest after the trip
         assert machine_fingerprint(clone) == machine_fingerprint(machine)
 
-    def test_unpickled_machine_runs_compiled_bit_identically(self):
-        from repro.machines import compiled_engine, fast_engine
-        from repro.machines.compiled_engine import try_compile
+    def test_unpickled_machine_runs_bit_identically(self):
+        # the clone rebuilds its step tables on its first run
+        from repro.machines.fast_engine import run_deterministic
 
         machine = equality_machine()
         word = "0110#0110"
-        try_compile(machine)  # warmed cache must not leak into the pickle
-        clone = pickle.loads(pickle.dumps(machine))
-        original = fast_engine.run_deterministic(machine, word)
-        rerun = compiled_engine.run_deterministic(clone, word)
+        original = run_deterministic(machine, word)  # warmed before pickling
+        rerun = run_deterministic(pickle.loads(pickle.dumps(machine)), word)
         assert rerun.final == original.final
         assert rerun.statistics == original.statistics
 
@@ -291,12 +280,10 @@ class TestMachinePickling:
         """A warmed machine shipped to workers inside batch tasks runs
         every word — error words included — exactly as it does in
         process."""
-        from repro.machines.compiled_engine import try_compile
-
         machine = equality_machine()
         words = ["0110#0110", "0#1", "zz", ""]
-        try_compile(machine)  # warmed cache must not leak into the pickle
-        tasks = [BatchTask.call(compiled_signature, machine, w) for w in words]
+        _accepts(machine, words[0])  # warmed caches must not leak
+        tasks = [BatchTask.call(run_signature, machine, w) for w in words]
         serial = SerialExecutor().run_batch(tasks)
         par = ParallelExecutor(2).run_batch(tasks)
         assert par.outcomes == serial.outcomes

@@ -7,6 +7,8 @@ streaming Theorem 12 query across a decade sweep, agreement with the DOM
 evaluators, and the log-law shape.
 """
 
+import random
+
 import pytest
 
 from repro._util import ceil_log2
@@ -24,6 +26,14 @@ from conftest import emit_table
 SWEEP = [8, 32, 128, 512]
 
 
+def _not_contained(m, rng):
+    """An instance whose first set has a string the second lacks."""
+    while True:
+        inst = random_unequal_instance(m, 8, rng)
+        if not set(inst.first) <= set(inst.second):
+            return inst
+
+
 def test_e19_streaming_xml(benchmark, rng):
     rows = []
     for m in SWEEP:
@@ -35,6 +45,13 @@ def test_e19_streaming_xml(benchmark, rng):
         tape2, tracker2 = instance_to_token_tape(inst)
         q12 = theorem12_query_streaming(tape2, tracker2)
         assert q12.answer is True  # equal instance
+
+        # the firing side: X ⊄ Y, drawn apart from the fixture's stream
+        # so the table's instances stay put
+        no = _not_contained(m, random.Random(f"e19-no:{m}"))
+        no_tape, no_tracker = instance_to_token_tape(no)
+        assert figure1_filter_streaming(no_tape, no_tracker).answer is True
+        assert matches(figure1_query(), instance_to_document(no)) is True
 
         tokens = len(tape.snapshot())
         rows.append(

@@ -7,7 +7,7 @@ the string-value of an element is the concatenation of all descendant text.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Iterable, Iterator, List, Optional, Union
 
 from ...errors import XMLError
 from .tokens import EndTag, StartTag, Text, Token, tokenize
@@ -28,11 +28,19 @@ class Node:
             node = node.parent
 
     def descendants(self) -> Iterator["Node"]:
-        """All proper descendants, document order."""
-        if isinstance(self, Element):
-            for child in self.children:
-                yield child
-                yield from child.descendants()
+        """All proper descendants, document order.
+
+        The walk keeps an explicit stack, so depth is bounded by memory
+        rather than by the interpreter's recursion limit.
+        """
+        if not isinstance(self, Element):
+            return
+        stack = self.children[::-1]
+        while stack:
+            node = stack.pop()
+            yield node
+            if isinstance(node, Element):
+                stack.extend(node.children[::-1])
 
 
 class Element(Node):
@@ -59,9 +67,13 @@ class Element(Node):
 
     def string_value(self) -> str:
         parts: List[str] = []
-        for node in self.descendants():
+        stack: List[Node] = self.children[::-1]
+        while stack:
+            node = stack.pop()
             if isinstance(node, TextNode):
                 parts.append(node.value)
+            else:
+                stack.extend(node.children[::-1])
         return "".join(parts)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -141,12 +153,26 @@ def parse(source: str) -> Document:
 
 
 def serialize(node: Node) -> str:
-    """Serialize a node (canonical, no insignificant whitespace)."""
-    if isinstance(node, TextNode):
-        return node.value
-    if isinstance(node, Element):
-        if not node.children:
-            return f"<{node.name}/>"
-        inner = "".join(serialize(c) for c in node.children)
-        return f"<{node.name}>{inner}</{node.name}>"
-    raise XMLError(f"cannot serialize {node!r}")
+    """Serialize a node (canonical, no insignificant whitespace).
+
+    Iterative: the stack holds nodes still to write and the end tags of
+    open elements, so any depth that :func:`parse` accepts serializes.
+    """
+    parts: List[str] = []
+    stack: List[Union[Node, str]] = [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, TextNode):
+            parts.append(item.value)
+        elif isinstance(item, Element):
+            if not item.children:
+                parts.append(f"<{item.name}/>")
+            else:
+                parts.append(f"<{item.name}>")
+                stack.append(f"</{item.name}>")
+                stack.extend(item.children[::-1])
+        else:
+            raise XMLError(f"cannot serialize {item!r}")
+    return "".join(parts)

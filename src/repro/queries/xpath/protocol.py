@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from ...errors import ReproError
 from ...problems.definitions import InstanceLike, as_instance
+from ..xml.document import Document
 from ..xml.encode import instance_to_document
 from .evaluate import figure1_query, matches
 
@@ -69,14 +70,30 @@ class ProtocolResult:
     t_tilde_runs: int
 
 
+def _documents(instance: InstanceLike) -> Tuple[Document, Document]:
+    """The instance's document and its swapped document, in T̃'s order."""
+    inst = as_instance(instance)
+    return instance_to_document(inst), instance_to_document(inst.swapped())
+
+
+def _both_reject(
+    documents: Tuple[Document, Document],
+    filter_t: CoRFilter,
+    rng: random.Random,
+) -> bool:
+    # T runs on both orientations, forward first, even when the forward
+    # run already accepted: the coins each run draws are part of the
+    # protocol's observable behaviour
+    forward = filter_t(documents[0], rng)
+    backward = filter_t(documents[1], rng)
+    return (not forward) and (not backward)
+
+
 def t_tilde(
     instance: InstanceLike, filter_t: CoRFilter, rng: random.Random
 ) -> bool:
     """One run of T̃: accept iff T rejects both document orientations."""
-    inst = as_instance(instance)
-    forward = filter_t(instance_to_document(inst), rng)
-    backward = filter_t(instance_to_document(inst.swapped()), rng)
-    return (not forward) and (not backward)
+    return _both_reject(_documents(instance), filter_t, rng)
 
 
 def set_equality_protocol(
@@ -97,7 +114,9 @@ def set_equality_protocol(
     if amplification < 1:
         raise ReproError("amplification must be >= 1")
     filter_t = filter_t or CoRFilter()
+    # every run filters the same two documents: encode them once per call
+    documents = _documents(instance)
     for run in range(1, amplification + 1):
-        if t_tilde(instance, filter_t, rng):
+        if _both_reject(documents, filter_t, rng):
             return ProtocolResult(accepted=True, t_tilde_runs=run)
     return ProtocolResult(accepted=False, t_tilde_runs=amplification)

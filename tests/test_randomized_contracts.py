@@ -1,5 +1,6 @@
 """Tests for the randomized-contract checkers and the Theorem 13 protocol."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -112,3 +113,43 @@ class TestTheorem13Protocol:
             for _ in range(400)
         )
         assert accepted / 400 >= 0.5
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (0, "895482fcdac2a73d"),
+            (1, "b01020c3bf99be85"),
+            (2, "da01139abcc88558"),
+            (3, "6a55f1edbe6b5ed7"),
+            (4, "41fd5053144a2307"),
+        ],
+    )
+    def test_coin_order_is_pinned(self, seed, digest):
+        """The end-to-end benchmark's schedule draws the same coins.
+
+        Every T̃ run filters the forward document, then the swapped one,
+        and each filter call that finds no match draws one coin.  400
+        calls on 6×6 instances, yes and no alternating, amplification
+        cycling 1–4: the (accepted, runs) sequence and the rng's next
+        draw hash to pinned digests, so a change in which coins are
+        drawn, or in their order, shows.
+        """
+        inputs = random.Random(f"protocol-inputs:{seed}")
+        yes = random_equal_instance(6, 6, inputs)
+        while True:
+            no = random_unequal_instance(6, 6, inputs)
+            if set(no.first) != set(no.second):
+                break
+        coins = random.Random(f"protocol-coins:{seed}")
+        worst = CoRFilter(rejection_probability=0.5)
+        outcomes = []
+        for i in range(400):
+            result = set_equality_protocol(
+                yes if i % 2 == 0 else no,
+                coins,
+                filter_t=worst,
+                amplification=(1, 2, 3, 4)[(i // 2) % 4],
+            )
+            outcomes.append((result.accepted, result.t_tilde_runs))
+        record = repr((outcomes, coins.random())).encode()
+        assert hashlib.sha256(record).hexdigest()[:16] == digest

@@ -1,33 +1,10 @@
 """Round-trip fuzzing of the XML substrate with random document trees."""
 
-import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
-from repro.queries.xml import (
-    Document,
-    Element,
-    TextNode,
-    parse,
-    serialize,
-)
+from repro.queries.xml import TextNode, parse, serialize
 from repro.queries.xml.tokens import tokenize, well_formed
-
-names = st.sampled_from(["a", "b", "item", "set1", "string", "x_1"])
-texts = st.text(alphabet="01ab", min_size=1, max_size=6)
-
-
-def _tree_strategy():
-    leaf = st.one_of(
-        names.map(lambda n: Element(n)),
-        texts.map(TextNode),
-    )
-
-    def extend(children):
-        return st.tuples(names, st.lists(children, max_size=4)).map(
-            lambda t: Element(t[0], list(t[1]))
-        )
-
-    return st.recursive(leaf, extend, max_leaves=12)
+from tests.xml_strategies import element_strategy
 
 
 def _normalize(node):
@@ -49,20 +26,20 @@ def _normalize(node):
 
 
 class TestXMLFuzz:
-    @given(_tree_strategy().filter(lambda n: isinstance(n, Element)))
+    @given(element_strategy())
     @settings(max_examples=80, deadline=None)
     def test_serialize_parse_roundtrip(self, root):
         source = serialize(root)
         reparsed = parse(source)
         assert _normalize(reparsed.root) == _normalize(root)
 
-    @given(_tree_strategy().filter(lambda n: isinstance(n, Element)))
+    @given(element_strategy())
     @settings(max_examples=60, deadline=None)
     def test_token_stream_well_formed(self, root):
         tokens = list(tokenize(serialize(root)))
         assert well_formed(tokens)
 
-    @given(_tree_strategy().filter(lambda n: isinstance(n, Element)))
+    @given(element_strategy())
     @settings(max_examples=60, deadline=None)
     def test_string_value_is_text_concatenation(self, root):
         def collect(node):
@@ -72,7 +49,7 @@ class TestXMLFuzz:
 
         assert root.string_value() == collect(root)
 
-    @given(_tree_strategy().filter(lambda n: isinstance(n, Element)))
+    @given(element_strategy())
     @settings(max_examples=40, deadline=None)
     def test_parent_pointers_consistent(self, root):
         doc = parse(serialize(root))

@@ -115,6 +115,43 @@ class TestXPathEvaluation:
         assert out[0].string_value() == "10"
 
 
+class TestDocumentOrder:
+    """Node-sets come back in document order, whatever order the axes
+    walk them in."""
+
+    TREE = parse("<r><a><b><c/></b><d/></a></r>")
+
+    @pytest.mark.parametrize(
+        "path, names",
+        [
+            # children of nested contexts: d (child of a) precedes c
+            # (child of b) in discovery, follows it in the document
+            ("descendant::*/child::*", ["a", "b", "c", "d"]),
+            # the ancestor axes walk upwards
+            ("//c/ancestor-or-self::*", ["r", "a", "b", "c"]),
+        ],
+    )
+    def test_result_is_in_document_order(self, path, names):
+        assert [n.name for n in evaluate_xpath(path, self.TREE)] == names
+
+
+class TestDeepDocuments:
+    """Depth is bounded by memory, not by the interpreter's recursion limit."""
+
+    DEPTH = 5000
+
+    def test_chain_of_5000_elements(self):
+        source = "<a>" * self.DEPTH + "x" + "</a>" * self.DEPTH
+        doc = parse(source)
+        chain = evaluate_xpath("//a", doc)
+        assert len(chain) == self.DEPTH
+        assert all(c.parent is p for p, c in zip(chain, chain[1:]))
+        assert doc.root.string_value() == "x"
+        written = serialize(doc.root)
+        assert written == source and doc.stream_length == len(source)
+        assert serialize(parse(written).root) == source
+
+
 class TestFigure1:
     def test_selects_set_difference(self):
         # X = {01, 10}, Y = {10, 11} → X − Y = {01}

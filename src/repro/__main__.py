@@ -15,17 +15,8 @@ or enforcement denied a charge.  With ``--cache DIR`` (or
 ``$REPRO_CACHE_DIR``) sweep cells are memoized in the content-addressed
 result store of :mod:`repro.cache`: a warm rerun writes the same bytes
 without re-running a single check, and ``--no-cache`` forces the scratch
-path.  With ``--shards K --shard-index I`` only the I-th
-content-addressed shard of the sweep runs, writing a shard artifact
-instead of the audit record.
-
-``python -m repro shard {plan,collect}`` spreads the audit over a CI
-matrix: ``plan`` prints the deterministic shard partition (content
-addresses, cell counts, the ``audit --shards K --shard-index I`` command
-of each shard), and ``collect`` merges all K shard artifacts back into
-``AUDIT_contracts.json`` — byte-identical to an unsharded run, with
-coverage (every cell exactly once, fingerprints agree) verified before a
-byte is written.
+path.  ``--jobs N`` fans the sweep out over N worker processes and
+writes the same bytes; ``--ledger PATH`` journals the sweep.
 
 ``python -m repro report {summarize,compare,history,strip}`` works the
 observability artifacts: ``summarize`` rolls one or more sweep ledgers
@@ -98,8 +89,6 @@ def _cmd_audit(
     cache_dir: "str | None" = None,
     cache_stats: "str | None" = None,
     ledger_path: "str | None" = None,
-    shards: "int | None" = None,
-    shard_index: "int | None" = None,
 ) -> int:
     from .observability.audit import run_contract_audit, write_audit_json
 
@@ -118,51 +107,6 @@ def _cmd_audit(
     mode = "quick" if quick else "full"
     workers = f", {jobs} worker processes" if jobs != 1 else ""
     cached = f", cache at {cache_dir}" if cache is not None else ""
-
-    if shards is not None:
-        from .observability.audit import (
-            run_audit_shard,
-            write_audit_shard_json,
-        )
-
-        if output == "AUDIT_contracts.json":
-            output = f"audit-shard-{shard_index}of{shards}.json"
-        print(
-            f"repro {__version__} — contract audit shard {shard_index}/"
-            f"{shards} ({mode} sweep{workers}{cached})\n"
-        )
-        try:
-            artifact = run_audit_shard(
-                quick=quick,
-                shards=shards,
-                shard_index=shard_index,
-                jobs=jobs,
-                cache=cache,
-                ledger=ledger,
-            )
-        finally:
-            if ledger is not None:
-                ledger.close()
-        write_audit_shard_json(artifact, output)
-        from .observability.audit import check_from_payload
-
-        for entry in artifact["checks"]:
-            check = check_from_payload(entry["payload"])
-            flag = "ok " if check.ok else "FAIL"
-            print(
-                f"  [{flag}] cell {entry['index']:<3} "
-                f"{entry['contract']:<22} N={check.input_size}"
-            )
-        print(
-            f"\n{len(artifact['checks'])}/{artifact['total_cells']} cells "
-            f"(shard key {artifact['shard_key'][:16]}, sweep "
-            f"{artifact['sweep'][:16]}) -> {output}"
-        )
-        print(
-            "collect with: python -m repro shard collect "
-            "audit-shard-*.json --output AUDIT_contracts.json"
-        )
-        return 0 if artifact["ok"] else 1
 
     print(
         f"repro {__version__} — contract audit ({mode} sweep{workers}"
@@ -320,64 +264,6 @@ def _cmd_report(args) -> int:
     else:
         sys.stdout.write(text)
     return 0
-
-
-def _cmd_shard(args) -> int:
-    import json as _json
-    from pathlib import Path
-
-    if args.shard_command == "plan":
-        from .cache.fingerprint import canonical_json
-        from .observability.audit import plan_audit_shards
-
-        plans = plan_audit_shards(quick=args.quick, shards=args.shards)
-        if args.json:
-            print(canonical_json(plans))
-            return 0
-        mode = "quick" if args.quick else "full"
-        print(
-            f"repro {__version__} — audit shard plan ({mode} sweep, "
-            f"{args.shards} shards, sweep {plans[0]['sweep'][:16]})\n"
-        )
-        quick_flag = "--quick " if args.quick else ""
-        for plan in plans:
-            print(
-                f"  shard {plan['index']}/{plan['shards']}  "
-                f"key={plan['key'][:16]}  cells={len(plan['cells'])}"
-            )
-            print(
-                f"    python -m repro audit {quick_flag}--shards "
-                f"{plan['shards']} --shard-index {plan['index']} "
-                f"--output audit-shard-{plan['index']}.json"
-            )
-        print(
-            "\ncollect with: python -m repro shard collect "
-            "audit-shard-*.json --output AUDIT_contracts.json"
-        )
-        return 0
-
-    # collect: merge shard artifacts into the canonical audit JSON
-    from .observability.audit import collect_audit_shards, write_audit_json
-
-    artifacts = [
-        _json.loads(Path(path).read_text(encoding="utf-8"))
-        for path in args.artifacts
-    ]
-    run = collect_audit_shards(artifacts)
-    write_audit_json(run, args.output)
-    print(
-        f"repro {__version__} — collected {len(artifacts)} audit shards "
-        f"({run.mode} sweep)\n"
-    )
-    for line in run.summary_lines():
-        print(line)
-    total = sum(len(c.checks) for c in run.contracts)
-    print(
-        f"\n{total} contract checks across {len(run.contracts)} algorithms "
-        f"-> {args.output}: "
-        + ("ALL WITHIN CLAIMED ENVELOPES" if run.ok else "VIOLATIONS FOUND")
-    )
-    return 0 if run.ok else 1
 
 
 #: Machine trace targets: library factory + the bench_engine word builder.
@@ -597,59 +483,6 @@ def main(argv=None) -> int:
         help="append sweep/task/cache records to this JSONL ledger "
         "(read it back with `repro report summarize`)",
     )
-    audit.add_argument(
-        "--shards",
-        type=int,
-        metavar="K",
-        help="run one content-addressed shard of the sweep instead of all "
-        "of it (pair with --shard-index; reassemble with `repro shard "
-        "collect`)",
-    )
-    audit.add_argument(
-        "--shard-index",
-        type=int,
-        metavar="I",
-        help="which shard to run, 0 <= I < K (requires --shards)",
-    )
-    shard = sub.add_parser(
-        "shard",
-        help="plan and collect content-addressed audit shards",
-    )
-    shard_sub = shard.add_subparsers(dest="shard_command")
-    shard_plan = shard_sub.add_parser(
-        "plan",
-        help="print the shard partition (keys, cells, suggested commands)",
-    )
-    shard_plan.add_argument(
-        "--quick", action="store_true", help="plan the quick sweep"
-    )
-    shard_plan.add_argument(
-        "--shards",
-        type=int,
-        required=True,
-        metavar="K",
-        help="how many shards to partition the sweep into",
-    )
-    shard_plan.add_argument(
-        "--json",
-        action="store_true",
-        help="print the plan as canonical JSON instead of text",
-    )
-    shard_collect = shard_sub.add_parser(
-        "collect",
-        help="merge shard artifacts into the canonical audit JSON",
-    )
-    shard_collect.add_argument(
-        "artifacts",
-        nargs="+",
-        help="audit-shard JSON artifacts (every shard exactly once)",
-    )
-    shard_collect.add_argument(
-        "--output",
-        default="AUDIT_contracts.json",
-        help="where to write the merged record (default: "
-        "AUDIT_contracts.json) — byte-identical to an unsharded audit",
-    )
     report = sub.add_parser(
         "report",
         help="summarize sweep ledgers, compare bench runs, keep history",
@@ -797,13 +630,6 @@ def main(argv=None) -> int:
         cache_dir = None if args.no_cache else args.cache
         if args.cache_stats and cache_dir is None:
             parser.error("--cache-stats needs an active --cache directory")
-        if (args.shards is None) != (args.shard_index is None):
-            parser.error("--shards and --shard-index go together")
-        if args.shards is not None:
-            if args.shards < 1:
-                parser.error("--shards must be >= 1")
-            if not 0 <= args.shard_index < args.shards:
-                parser.error("--shard-index must be in [0, --shards)")
         return _cmd_audit(
             args.quick,
             args.output,
@@ -812,15 +638,7 @@ def main(argv=None) -> int:
             cache_dir,
             args.cache_stats,
             args.ledger,
-            shards=args.shards,
-            shard_index=args.shard_index,
         )
-    if args.command == "shard":
-        if args.shard_command is None:
-            parser.error("shard needs a subcommand: plan, collect")
-        if args.shard_command == "plan" and args.shards < 1:
-            parser.error("--shards must be >= 1")
-        return _cmd_shard(args)
     if args.command == "report":
         if args.report_command is None:
             parser.error(

@@ -28,6 +28,7 @@ tape, and O(log N) internal bits, all enforced by a
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -397,6 +398,14 @@ def mc_block_key(
     )
 
 
+def _accepted_of(payload, *, count: int) -> int:
+    """Decode a stored trial block: its acceptance total, or ``ValueError``."""
+    accepted = payload["accepted"]
+    if type(accepted) is not int or not 0 <= accepted <= count:
+        raise ValueError(f"trial block of {count} accepted {accepted!r}")
+    return accepted
+
+
 def monte_carlo_fingerprint_trials(
     m: int,
     n: int,
@@ -409,7 +418,6 @@ def monte_carlo_fingerprint_trials(
     trials_per_task: int = 16,
     cache=None,
     ledger=None,
-    resume_from=None,
 ) -> TrialSummary:
     """The Theorem 8(a) error-rate experiment as a deterministic batch.
 
@@ -425,14 +433,11 @@ def monte_carlo_fingerprint_trials(
     stored skip dispatch entirely, only the misses run, and the summary
     is bit-identical either way (the per-lane streams are anchored to
     global lane indices, never to which blocks happened to recompute).
+    A stored block whose ``accepted`` is not an int in ``[0, count]`` is
+    quarantined and recomputed like any other invalid entry.
     ``ledger`` (a :class:`~repro.observability.ledger.LedgerWriter`)
     journals the dispatched blocks as ``fingerprint-trials`` sweep
     records; cache hits surface through the store's own attached ledger.
-
-    ``resume_from`` (a ledger path or
-    :class:`~repro.parallel.ResumeState`) replays the blocks a prior
-    interrupted run already journaled and dispatches only the rest; the
-    summary is bit-identical to an uninterrupted run.
     """
     if trials < 1:
         raise EncodingError(f"trials must be >= 1, got {trials}")
@@ -454,9 +459,12 @@ def monte_carlo_fingerprint_trials(
     pending = []
     for base, count in blocks:
         if cache is not None:
-            payload = cache.lookup(mc_block_key(m, n, kind, k, seed, base, count))
-            if payload is not None:
-                accepted_by_base[base] = payload["accepted"]
+            accepted = cache.lookup(
+                mc_block_key(m, n, kind, k, seed, base, count),
+                functools.partial(_accepted_of, count=count),
+            )
+            if accepted is not None:
+                accepted_by_base[base] = accepted
                 continue
         pending.append((base, count))
     if pending:
@@ -480,7 +488,6 @@ def monte_carlo_fingerprint_trials(
             chunk_size="auto",
             label="fingerprint-trials",
             ledger=ledger,
-            resume_from=resume_from,
         ).values()
         for (base, count), accepted in zip(pending, counts):
             if cache is not None:

@@ -13,10 +13,11 @@ Durability and concurrency:
   and land via ``os.replace`` — readers never observe a half-written
   entry, and two processes racing the same key both win (identical
   bytes, last rename is a no-op in content terms);
-* a corrupt, truncated, wrong-schema or mis-keyed entry is *quarantined*
-  (moved under ``cachedir/quarantine/``) and reported as a miss, so the
-  caller recomputes and overwrites — the cache can only ever serve
-  entries that parse and match their address;
+* a corrupt, truncated, wrong-schema or mis-keyed entry — or one whose
+  payload the caller's decoder rejects — is *quarantined* (moved under
+  ``cachedir/quarantine/``) and reported as a miss, so the caller
+  recomputes and overwrites — the cache can only ever serve entries
+  that parse, match their address and decode;
 * hit/miss/write/invalid totals are plain per-process counts
   (:meth:`ResultStore.counter_snapshot`); the audit journals them in
   its ``audit-cells`` ``sweep-end`` record, and an attached ledger gets
@@ -98,13 +99,18 @@ class ResultStore:
 
     # -- read path ----------------------------------------------------------
 
-    def lookup(self, key: CacheKey) -> Optional[Any]:
+    def lookup(
+        self, key: CacheKey, decode: Optional[Callable[[Any], Any]] = None
+    ) -> Optional[Any]:
         """Return the payload for ``key`` or ``None`` (a miss).
 
-        Any unusable entry — unparseable JSON (corrupt or truncated
-        mid-write), wrong schema version, digest that does not match its
-        address — is quarantined and counted ``invalid`` *and* ``miss``:
-        the caller's obligation is always the same, recompute.
+        With ``decode``, return ``decode(payload)`` instead; a decoder
+        that raises ``KeyError``, ``TypeError`` or ``ValueError`` marks
+        the entry unusable.  Any unusable entry — unparseable JSON
+        (corrupt or truncated mid-write), wrong schema version, digest
+        that does not match its address, a payload that does not decode
+        — is quarantined and counted ``invalid`` *and* ``miss``: the
+        caller's obligation is always the same, recompute.
         """
         path = self.path_for(key)
         try:
@@ -115,23 +121,27 @@ class ResultStore:
             return None
         except (OSError, UnicodeDecodeError):
             # unreadable bytes are a corrupt entry, not a plain miss
-            self._quarantine(path)
-            self.invalid += 1
-            self.misses += 1
-            self._event("invalid", key)
-            self._event("miss", key)
-            return None
+            return self._reject(path, key)
         entry = self._parse_entry(text, key.digest)
         if entry is None:
-            self._quarantine(path)
-            self.invalid += 1
-            self.misses += 1
-            self._event("invalid", key)
-            self._event("miss", key)
-            return None
+            return self._reject(path, key)
+        value = entry["payload"]
+        if decode is not None:
+            try:
+                value = decode(value)
+            except (KeyError, TypeError, ValueError):
+                return self._reject(path, key)
         self.hits += 1
         self._event("hit", key)
-        return entry["payload"]
+        return value
+
+    def _reject(self, path: Path, key: CacheKey) -> None:
+        """Quarantine an unusable entry; count it ``invalid`` and ``miss``."""
+        self._quarantine(path)
+        self.invalid += 1
+        self.misses += 1
+        self._event("invalid", key)
+        self._event("miss", key)
 
     @staticmethod
     def _parse_entry(text: str, expected_digest: str) -> Optional[Dict[str, Any]]:

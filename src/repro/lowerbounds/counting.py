@@ -134,7 +134,6 @@ def enumerate_skeletons(
     cache=None,
     cache_key: Optional[object] = None,
     ledger=None,
-    resume_from=None,
 ) -> SkeletonCensus:
     """Run a deterministic NLM on *every* input over ``alphabet``.
 
@@ -152,14 +151,9 @@ def enumerate_skeletons(
     requires ``cache_key``, a caller-supplied identity token for the
     machine family (see :func:`census_key`).  Hits skip the enumeration
     entirely; the store's hit/miss events reach the sweep ledger through
-    its attached writer.  ``ledger`` additionally journals the parallel
-    dispatch as a ``skeleton-census`` sweep.
-
-    ``resume_from`` (a ledger path or
-    :class:`~repro.parallel.ResumeState`) skips ranges a prior
-    interrupted run journaled; census range values are sets, which the
-    ledger cannot journal, so resumed ranges are recomputed — the census
-    is still identical because every range is deterministic.
+    its attached writer; a stored census that does not decode is
+    quarantined and recomputed.  ``ledger`` additionally journals the
+    parallel dispatch as a ``skeleton-census`` sweep.
     """
     if not nlm.is_deterministic:
         raise MachineError("exhaustive enumeration expects a deterministic NLM")
@@ -177,9 +171,9 @@ def enumerate_skeletons(
                 "content-fingerprinted)"
             )
         key = census_key(cache_key, alphabet, r, nlm)
-        payload = cache.lookup(key)
-        if payload is not None:
-            return SkeletonCensus.from_payload(payload)
+        census = cache.lookup(key, SkeletonCensus.from_payload)
+        if census is not None:
+            return census
     skeletons: set = set()
     if jobs == 1 or total == 0:
         for values in itertools.product(alphabet, repeat=nlm.m):
@@ -215,7 +209,6 @@ def enumerate_skeletons(
             jobs=jobs,
             label="skeleton-census",
             ledger=ledger,
-            resume_from=resume_from,
         ).values():
             skeletons |= part
     census = SkeletonCensus(

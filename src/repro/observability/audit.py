@@ -486,74 +486,6 @@ def run_audit_cells(
     return [run_audit_cell(spec, m, n) for m, n in cells]
 
 
-def _resolve_checks(
-    run_specs: Sequence[ContractSpec],
-    spec_cells: Dict[str, Sequence[Tuple[int, int]]],
-    *,
-    jobs: int = 1,
-    chunk_size: Union[int, str, None] = None,
-    cache=None,
-    ledger=None,
-):
-    """Cache-lookup pass plus batch dispatch for per-spec cell lists.
-
-    The shared core of the full audit and the sharded audit: look every
-    requested (spec, m, n) cell up in the store, dispatch only the
-    misses (one lane-batched map task per spec, label ``audit``), store
-    what was computed, and return ``(checks by (name, m, n), hit keys)``.
-    """
-    from ..parallel import BatchTask, run_batch
-
-    cached_checks: Dict[Tuple[str, int, int], ContractCheck] = {}
-    missing: Dict[str, List[Tuple[int, int]]] = {}
-    if cache is not None:
-        for spec in run_specs:
-            for m, n in spec_cells[spec.name]:
-                payload = cache.lookup(audit_cell_key(spec.name, m, n))
-                if payload is None:
-                    missing.setdefault(spec.name, []).append((m, n))
-                else:
-                    cached_checks[(spec.name, m, n)] = check_from_payload(
-                        payload
-                    )
-        dispatch_specs = [spec for spec in run_specs if missing.get(spec.name)]
-        dispatch_cells = {
-            spec.name: tuple(missing[spec.name]) for spec in dispatch_specs
-        }
-    else:
-        dispatch_specs = [
-            spec for spec in run_specs if spec_cells[spec.name]
-        ]
-        dispatch_cells = {
-            spec.name: tuple(spec_cells[spec.name]) for spec in dispatch_specs
-        }
-    hit_keys = frozenset(cached_checks)
-    if dispatch_specs:
-        tasks = [
-            BatchTask.map(
-                run_audit_cells, dispatch_cells[spec.name], spec
-            )
-            for spec in dispatch_specs
-        ]
-        sweeps = run_batch(
-            tasks,
-            jobs=jobs,
-            chunk_size=chunk_size,
-            label="audit",
-            ledger=ledger,
-        ).values()
-        for spec, checks in zip(dispatch_specs, sweeps):
-            for check in checks:
-                if cache is not None:
-                    cache.store(
-                        audit_cell_key(check.contract, check.m, check.n),
-                        check_to_payload(check),
-                        engine="audit",
-                    )
-                cached_checks[(spec.name, check.m, check.n)] = check
-    return cached_checks, hit_keys
-
-
 def run_contract_audit(
     *,
     quick: bool = False,
@@ -566,23 +498,22 @@ def run_contract_audit(
 ) -> AuditRun:
     """Sweep every contract; returns the full measured-vs-claimed record.
 
-    ``jobs`` fans the per-contract N-sweeps out over worker processes
-    via :mod:`repro.parallel` — one lane-batched map task per contract,
-    so each worker hands a whole sweep down in one call; every cell
-    seeds its own rng from its coordinates, so the result — and the JSON
+    Every contract runs over the same (m, n) cell list.  ``jobs`` fans
+    the per-contract N-sweeps out over worker processes via
+    :mod:`repro.parallel` — one lane-batched map task per contract, so
+    each worker hands a whole sweep down in one call; every cell seeds
+    its own rng from its coordinates, so the result — and the JSON
     artifact written from it — is byte-identical to the serial sweep for
-    any ``jobs`` and to the old one-task-per-cell grouping.  For
-    CI-matrix splits use :func:`run_audit_shard` /
-    :func:`collect_audit_shards` (they partition by *cell*, not by
-    contract).
+    any ``jobs``.
 
     ``cache`` (a :class:`~repro.cache.ResultStore`) memoizes per check:
     cells whose content-addressed key is already stored skip their
     contract runner entirely (zero engine work) and only the misses are
-    dispatched — with a warm cache the whole audit is lookups.  The
-    assembled record is byte-identical with the cache on, off, cold or
-    warm; the store's hit/miss counters prove which path served each
-    cell.
+    dispatched — with a warm cache the whole audit is lookups.  An entry
+    that does not decode back into a check is quarantined and
+    recomputed.  The assembled record is byte-identical with the cache
+    on, off, cold or warm; the store's hit/miss counters prove which
+    path served each cell.
 
     ``ledger`` (a :class:`~repro.observability.ledger.LedgerWriter`)
     journals the run durably on two layers: the batch runtime writes one
@@ -594,19 +525,49 @@ def run_contract_audit(
     via its ``sweep-end`` cache counters, with the store's hit/miss
     totals.
     """
+    from ..parallel import BatchTask, run_batch
+
     cells = tuple(sweep) if sweep is not None else (
         QUICK_SWEEP if quick else FULL_SWEEP
     )
     specs = tuple(contracts if contracts is not None else CONTRACTS)
 
-    cached_checks, hit_keys = _resolve_checks(
-        specs,
-        {spec.name: cells for spec in specs},
-        jobs=jobs,
-        chunk_size=chunk_size,
-        cache=cache,
-        ledger=ledger,
-    )
+    checks: Dict[Tuple[str, int, int], ContractCheck] = {}
+    missing: Dict[str, List[Tuple[int, int]]] = {}
+    for spec in specs:
+        for m, n in cells:
+            check = None
+            if cache is not None:
+                check = cache.lookup(
+                    audit_cell_key(spec.name, m, n), check_from_payload
+                )
+            if check is None:
+                missing.setdefault(spec.name, []).append((m, n))
+            else:
+                checks[(spec.name, m, n)] = check
+    hit_keys = frozenset(checks)
+    dispatch = [spec for spec in specs if spec.name in missing]
+    if dispatch:
+        tasks = [
+            BatchTask.map(run_audit_cells, missing[spec.name], spec)
+            for spec in dispatch
+        ]
+        sweeps = run_batch(
+            tasks,
+            jobs=jobs,
+            chunk_size=chunk_size,
+            label="audit",
+            ledger=ledger,
+        ).values()
+        for spec, computed in zip(dispatch, sweeps):
+            for check in computed:
+                if cache is not None:
+                    cache.store(
+                        audit_cell_key(check.contract, check.m, check.n),
+                        check_to_payload(check),
+                        engine="audit",
+                    )
+                checks[(spec.name, check.m, check.n)] = check
 
     if ledger is not None:
         # The reconciliation layer: one deterministic outcome record per
@@ -619,7 +580,7 @@ def run_contract_audit(
         index = 0
         for spec in specs:
             for m, n in cells:
-                check = cached_checks[(spec.name, m, n)]
+                check = checks[(spec.name, m, n)]
                 source = (
                     "cache" if (spec.name, m, n) in hit_keys else "computed"
                 )
@@ -646,285 +607,12 @@ def run_contract_audit(
             ContractOutcome(
                 name=spec.name,
                 description=spec.description,
-                checks=tuple(
-                    cached_checks[(spec.name, m, n)] for m, n in cells
-                ),
+                checks=tuple(checks[(spec.name, m, n)] for m, n in cells),
             )
         )
     return AuditRun(
         mode="quick" if quick else "full", contracts=tuple(outcomes)
     )
-
-
-# -- sharded audit ---------------------------------------------------------
-
-#: Schema version of the shard artifact ``repro audit --shards`` writes
-#: and ``repro shard collect`` consumes.
-AUDIT_SHARD_SCHEMA = 1
-
-
-def _audit_flat(
-    quick: bool,
-) -> Tuple[str, Tuple[Tuple[int, int], ...], List[Tuple[ContractSpec, int, int]]]:
-    """The audit sweep flattened in spec × cell order (the artifact order)."""
-    cells = QUICK_SWEEP if quick else FULL_SWEEP
-    mode = "quick" if quick else "full"
-    flat = [(spec, m, n) for spec in CONTRACTS for m, n in cells]
-    return mode, cells, flat
-
-
-def audit_sweep_digest(*, quick: bool = False) -> str:
-    """The identity of the whole audit sweep, code version included.
-
-    Every shard artifact carries it, and ``collect`` recomputes it
-    locally — so shards from a different sweep shape, contract set or
-    code version can never be merged into one ``AUDIT_contracts.json``.
-    """
-    from ..cache import compose_key
-
-    mode, cells, _flat = _audit_flat(quick)
-    return compose_key(
-        "audit-sweep",
-        mode=mode,
-        contracts=[spec.name for spec in CONTRACTS],
-        cells=[[m, n] for m, n in cells],
-    ).digest
-
-
-def plan_audit_shards(
-    *, quick: bool = False, shards: int
-) -> List[Dict[str, Any]]:
-    """Describe the K-way split of the audit sweep without running it.
-
-    One dict per shard: the content-addressed shard key (composed
-    through ``compose_key("shard", …)`` over the per-cell cache-key
-    digests, the same code-versioned key discipline the result cache
-    uses), the global cell indices it owns, and the (contract, m, n) coordinates — everything a
-    CI matrix job needs to run ``repro audit --shards K --shard-index i``.
-    """
-    from ..cache import compose_key
-    from ..parallel.shard import shard_indices
-
-    mode, _cells, flat = _audit_flat(quick)
-    sweep = audit_sweep_digest(quick=quick)
-    plans: List[Dict[str, Any]] = []
-    for shard_index in range(shards):
-        indices = list(shard_indices(len(flat), shards, shard_index))
-        cell_digests = [
-            audit_cell_key(flat[g][0].name, flat[g][1], flat[g][2]).digest
-            for g in indices
-        ]
-        plans.append(
-            {
-                "mode": mode,
-                "shards": shards,
-                "index": shard_index,
-                "sweep": sweep,
-                "key": compose_key(
-                    "shard",
-                    sweep=sweep,
-                    seed=mode,
-                    shards=shards,
-                    index=shard_index,
-                    tasks=cell_digests,
-                ).digest,
-                "cells": [
-                    {
-                        "index": g,
-                        "contract": flat[g][0].name,
-                        "m": flat[g][1],
-                        "n": flat[g][2],
-                    }
-                    for g in indices
-                ],
-            }
-        )
-    return plans
-
-
-def run_audit_shard(
-    *,
-    quick: bool = False,
-    shards: int,
-    shard_index: int,
-    jobs: int = 1,
-    chunk_size: Union[int, str, None] = None,
-    cache=None,
-    ledger=None,
-) -> Dict[str, Any]:
-    """Run one strided shard of the audit sweep; returns the artifact dict.
-
-    The shard owns every flattened (contract, m, n) cell whose global
-    index ``g`` satisfies ``g % shards == shard_index``.  Cells are
-    self-seeded from their coordinates, so a shard computes exactly the
-    checks the unsharded audit would — the artifact carries them as
-    lossless :func:`check_to_payload` payloads keyed by global index,
-    plus the sweep digest ``collect`` verifies.  Composes with the
-    result cache and the ledger exactly like :func:`run_contract_audit`
-    (batch label ``audit``, reconciliation label ``audit-cells`` with
-    global indices).
-    """
-    from ..parallel.shard import shard_indices
-
-    mode, _cells, flat = _audit_flat(quick)
-    plan = plan_audit_shards(quick=quick, shards=shards)[shard_index]
-    indices = list(shard_indices(len(flat), shards, shard_index))
-
-    spec_cells: Dict[str, List[Tuple[int, int]]] = {}
-    run_specs: List[ContractSpec] = []
-    for g in indices:
-        spec, m, n = flat[g]
-        if spec.name not in spec_cells:
-            spec_cells[spec.name] = []
-            run_specs.append(spec)
-        spec_cells[spec.name].append((m, n))
-
-    checks, hit_keys = _resolve_checks(
-        run_specs,
-        spec_cells,
-        jobs=jobs,
-        chunk_size=chunk_size,
-        cache=cache,
-        ledger=ledger,
-    )
-
-    if ledger is not None:
-        ledger.sweep_start("audit-cells", tasks=len(indices), jobs=jobs)
-        for g in indices:
-            spec, m, n = flat[g]
-            check = checks[(spec.name, m, n)]
-            ledger.record_outcome(
-                "audit-cells",
-                index=g,
-                ok=check.ok,
-                detail={
-                    "contract": spec.name,
-                    "m": m,
-                    "n": n,
-                    "source": (
-                        "cache" if (spec.name, m, n) in hit_keys else "computed"
-                    ),
-                },
-            )
-        ledger.sweep_end(
-            "audit-cells",
-            cache=cache.counter_snapshot() if cache is not None else None,
-        )
-
-    return {
-        "tool": "python -m repro audit",
-        "kind": "audit-shard",
-        "schema": AUDIT_SHARD_SCHEMA,
-        "mode": mode,
-        "shards": shards,
-        "shard_index": shard_index,
-        "sweep": plan["sweep"],
-        "shard_key": plan["key"],
-        "total_cells": len(flat),
-        "ok": all(
-            checks[(flat[g][0].name, flat[g][1], flat[g][2])].ok
-            for g in indices
-        ),
-        "checks": [
-            {
-                "index": g,
-                "contract": flat[g][0].name,
-                "payload": check_to_payload(
-                    checks[(flat[g][0].name, flat[g][1], flat[g][2])]
-                ),
-            }
-            for g in indices
-        ],
-    }
-
-
-def collect_audit_shards(payloads: Sequence[Dict[str, Any]]) -> AuditRun:
-    """Merge shard artifacts back into the full :class:`AuditRun`.
-
-    Verifies before merging: every artifact must carry this code
-    version's sweep digest for one mode and one topology, and together
-    the shards must cover every flattened cell exactly once (no gaps,
-    no overlaps, no duplicates).  The reassembled run renders
-    ``AUDIT_contracts.json`` byte-identical to an unsharded audit — the
-    property the ``shard-identity`` CI gate diffs.
-    """
-    from ..errors import ReproError
-
-    if not payloads:
-        raise ReproError("no shard artifacts to collect")
-    first = payloads[0]
-    for artifact in payloads:
-        if artifact.get("kind") != "audit-shard":
-            raise ReproError(
-                f"not an audit shard artifact: kind={artifact.get('kind')!r}"
-            )
-        if artifact.get("schema") != AUDIT_SHARD_SCHEMA:
-            raise ReproError(
-                f"audit shard schema {artifact.get('schema')!r} != "
-                f"{AUDIT_SHARD_SCHEMA}"
-            )
-        for field_name in ("mode", "shards", "sweep", "total_cells"):
-            if artifact.get(field_name) != first.get(field_name):
-                raise ReproError(
-                    f"shard artifacts disagree on {field_name!r}: "
-                    f"{artifact.get(field_name)!r} != "
-                    f"{first.get(field_name)!r}"
-                )
-    mode = first["mode"]
-    quick = mode == "quick"
-    expected_sweep = audit_sweep_digest(quick=quick)
-    if first["sweep"] != expected_sweep:
-        raise ReproError(
-            "refusing to collect: shard sweep digest "
-            f"{first['sweep'][:16]}… does not match this code version's "
-            f"audit sweep {expected_sweep[:16]}… (different contracts, "
-            "cells or repro version)"
-        )
-    _mode, cells, flat = _audit_flat(quick)
-    if first["total_cells"] != len(flat):
-        raise ReproError(
-            f"shard artifacts cover {first['total_cells']} cells, this "
-            f"sweep has {len(flat)}"
-        )
-    by_index: Dict[int, ContractCheck] = {}
-    for artifact in payloads:
-        for entry in artifact["checks"]:
-            g = entry["index"]
-            if g in by_index:
-                raise ReproError(
-                    f"cell index {g} appears in more than one shard artifact"
-                )
-            check = check_from_payload(entry["payload"])
-            spec, m, n = flat[g]
-            if (check.contract, check.m, check.n) != (spec.name, m, n):
-                raise ReproError(
-                    f"cell index {g} carries check for "
-                    f"({check.contract}, {check.m}, {check.n}), expected "
-                    f"({spec.name}, {m}, {n})"
-                )
-            by_index[g] = check
-    missing = [g for g in range(len(flat)) if g not in by_index]
-    if missing:
-        raise ReproError(
-            f"shard artifacts leave {len(missing)} cells uncovered "
-            f"(first missing: index {missing[0]} = "
-            f"{flat[missing[0]][0].name} m={flat[missing[0]][1]})"
-        )
-    outcomes = []
-    g = 0
-    for spec in CONTRACTS:
-        spec_checks = []
-        for _m, _n in cells:
-            spec_checks.append(by_index[g])
-            g += 1
-        outcomes.append(
-            ContractOutcome(
-                name=spec.name,
-                description=spec.description,
-                checks=tuple(spec_checks),
-            )
-        )
-    return AuditRun(mode=mode, contracts=tuple(outcomes))
 
 
 def write_audit_json(run: AuditRun, path: str) -> None:
@@ -935,11 +623,3 @@ def write_audit_json(run: AuditRun, path: str) -> None:
         json.dump(run.to_json_dict(), handle, indent=2, sort_keys=False)
         handle.write("\n")
 
-
-def write_audit_shard_json(artifact: Dict[str, Any], path: str) -> None:
-    """Write one shard's artifact (the file ``repro shard collect`` reads)."""
-    import json
-
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(artifact, handle, indent=2, sort_keys=False)
-        handle.write("\n")

@@ -6,27 +6,17 @@ batch and then dies with the process.  The ledger is the durable record
 *across* runs: a :class:`LedgerWriter` appends one canonical-JSON line
 (:func:`~repro.cache.fingerprint.canonical_json` — sorted keys, compact
 separators) per sweep event, so a ``repro audit``, a bench or a Monte
-Carlo sweep leaves behind a replayable journal of exactly what ran,
-what it cost, and what served it.  The resume path
-(:mod:`repro.parallel.resume`) replays the ``task-outcome`` records
-directly.
+Carlo sweep leaves behind a journal of exactly what ran, what it cost,
+and what served it.
 
 Record kinds (all schema-versioned via :data:`LEDGER_SCHEMA`):
 
-* ``sweep-start`` — label, task count, jobs, the timestamp-free
-  provenance stamp (``repro_version``), plus — when the batch runtime
-  computed one — the sweep ``fingerprint`` the resume path verifies;
+* ``sweep-start`` — label, task count, jobs and the timestamp-free
+  provenance stamp (``repro_version``);
 * ``task-outcome`` — one per :class:`~repro.parallel.batch.TaskOutcome`:
   index, ok, attempts (retries = attempts - 1), the structured error if
-  any, an optional ``detail`` dict (the audit stamps contract/cell/source
-  attribution here), and — for ``ok`` outcomes whose value survives an
-  exact canonical-JSON round trip — the ``value`` itself, which is what
-  lets ``run_batch(resume_from=…)`` reconstruct the outcome bit-identically
-  instead of re-running the task;
-* ``sweep-resume`` — a new run merged outcomes from a previous ledger:
-  the verified fingerprint plus reused/pending counts.  Dropped by
-  :func:`strip_record` — whether a sweep was interrupted is a
-  wall-clock accident, not a property of the work;
+  any, and an optional ``detail`` dict (the audit stamps
+  contract/cell/source attribution here);
 * ``heartbeat`` — progress every ``heartbeat_every`` completed tasks:
   completed/total plus throughput and ETA;
 * ``stall`` — a task whose latency exceeded ``stall_factor`` × the
@@ -51,6 +41,11 @@ those, after which two identical serial sweeps write byte-identical
 ledgers.  Everything outside ``wall`` is a pure function of the work:
 indices, counts, error structures, cache key digests, attempts.
 
+Crash tolerance: records are flushed one whole line at a time, so a
+crash can leave at most one torn line, the last one, with no newline.
+Every reader given a path drops such a line when it does not parse, and
+reads every complete line before it as usual.
+
 Hot path: every instrumented call site guards with the same ``is None``
 test the tracker and probe use — with no ledger attached, a sweep pays
 one pointer comparison per outcome and allocates nothing.
@@ -72,14 +67,12 @@ __all__ = [
     "LEDGER_KINDS",
     "WALL_ONLY_KINDS",
     "KIND_SWEEP_START",
-    "KIND_SWEEP_RESUME",
     "KIND_TASK_OUTCOME",
     "KIND_HEARTBEAT",
     "KIND_STALL",
     "KIND_WORKER_RESTART",
     "KIND_CACHE_EVENT",
     "KIND_SWEEP_END",
-    "journalable_value",
     "LedgerWriter",
     "iter_ledger",
     "load_ledger",
@@ -92,7 +85,6 @@ __all__ = [
 LEDGER_SCHEMA = 1
 
 KIND_SWEEP_START = "sweep-start"
-KIND_SWEEP_RESUME = "sweep-resume"
 KIND_TASK_OUTCOME = "task-outcome"
 KIND_HEARTBEAT = "heartbeat"
 KIND_STALL = "stall"
@@ -102,7 +94,6 @@ KIND_SWEEP_END = "sweep-end"
 
 LEDGER_KINDS: Tuple[str, ...] = (
     KIND_SWEEP_START,
-    KIND_SWEEP_RESUME,
     KIND_TASK_OUTCOME,
     KIND_HEARTBEAT,
     KIND_STALL,
@@ -112,11 +103,9 @@ LEDGER_KINDS: Tuple[str, ...] = (
 )
 
 #: Kinds whose very *existence* depends on wall-clock accidents (a stall
-#: only happens when the host is slow; a resume only happens after an
-#: interrupted run); stripping drops them entirely, where ordinary
-#: records merely lose their ``wall`` section — so a resumed sweep
-#: strips byte-identical to an uninterrupted one.
-WALL_ONLY_KINDS = frozenset({KIND_STALL, KIND_SWEEP_RESUME})
+#: only happens when the host is slow); stripping drops them entirely,
+#: where ordinary records merely lose their ``wall`` section.
+WALL_ONLY_KINDS = frozenset({KIND_STALL})
 
 #: Buckets of the stall detector's latency histogram: sweeps mix
 #: sub-millisecond bench cells with multi-second full-sweep audit cells.
@@ -132,28 +121,6 @@ LATENCY_BUCKETS: Tuple[float, ...] = (
     10.0,
     60.0,
 )
-
-#: Sentinel distinguishing "no value journaled" from a journaled ``None``.
-_OMITTED = object()
-
-
-def journalable_value(value: Any) -> Any:
-    """``value`` if it survives an exact canonical-JSON round trip, else
-    the omission sentinel.
-
-    The resume path reconstructs ``ok`` outcomes from journaled values,
-    and the reconstruction must be *bit-identical* to the original —
-    so a value is journaled only when ``json.loads(canonical_json(v))``
-    compares equal to ``v``.  That rejects tuples (decode as lists),
-    NaN (never equal to itself), non-string dict keys (coerced by JSON)
-    and anything unserialisable; such outcomes are simply re-run on
-    resume, which is equally correct because tasks are deterministic.
-    """
-    try:
-        decoded = json.loads(canonical_json(value))
-    except (TypeError, ValueError):
-        return _OMITTED
-    return value if decoded == value else _OMITTED
 
 
 class LedgerWriter:
@@ -240,19 +207,8 @@ class LedgerWriter:
             self._sweeps[label] = state
         return state
 
-    def sweep_start(
-        self,
-        label: str,
-        *,
-        tasks: int,
-        jobs: int = 1,
-        fingerprint: Optional[str] = None,
-    ) -> None:
-        """Open a sweep.  ``fingerprint`` (the batch runtime's
-        :func:`~repro.parallel.shard.sweep_fingerprint`) is what a later
-        ``run_batch(resume_from=…)`` verifies before merging outcomes;
-        it is deterministic and omitted rather than journaled as
-        ``null``, so pre-existing record shapes are unchanged."""
+    def sweep_start(self, label: str, *, tasks: int, jobs: int = 1) -> None:
+        """Open a sweep: reset the label's tallies and journal its shape."""
         self._sweeps[label] = {
             "total": tasks,
             "ok": 0,
@@ -260,45 +216,16 @@ class LedgerWriter:
             "restarts": 0,
             "started": time.perf_counter(),
         }
-        record: Dict[str, Any] = {
-            "schema": LEDGER_SCHEMA,
-            "kind": KIND_SWEEP_START,
-            "label": label,
-            "tasks": tasks,
-            "jobs": jobs,
-            "provenance": {"repro_version": __version__},
-        }
-        if fingerprint is not None:
-            record["fingerprint"] = fingerprint
-        self.record(record)
-
-    def sweep_resume(
-        self,
-        label: str,
-        *,
-        fingerprint: Optional[str],
-        tasks: int,
-        reused: int,
-        pending: int,
-    ) -> None:
-        """A new run merged this label's outcomes from a previous ledger.
-
-        Journaled for the operator (how much work the resume saved) and
-        dropped by :func:`strip_record`: whether a sweep was interrupted
-        is a scheduling accident, and a resumed run must strip to the
-        same bytes as an uninterrupted one.
-        """
-        record: Dict[str, Any] = {
-            "schema": LEDGER_SCHEMA,
-            "kind": KIND_SWEEP_RESUME,
-            "label": label,
-            "tasks": tasks,
-            "reused": reused,
-            "pending": pending,
-        }
-        if fingerprint is not None:
-            record["fingerprint"] = fingerprint
-        self.record(record)
+        self.record(
+            {
+                "schema": LEDGER_SCHEMA,
+                "kind": KIND_SWEEP_START,
+                "label": label,
+                "tasks": tasks,
+                "jobs": jobs,
+                "provenance": {"repro_version": __version__},
+            }
+        )
 
     def record_outcome(
         self,
@@ -310,7 +237,6 @@ class LedgerWriter:
         seconds: float = 0.0,
         error: Optional[Dict[str, Any]] = None,
         detail: Optional[Dict[str, Any]] = None,
-        value: Any = _OMITTED,
     ) -> None:
         """One task's outcome, plus any heartbeat/stall it triggers.
 
@@ -318,10 +244,6 @@ class LedgerWriter:
         is deterministic; ``detail`` is the caller's structured
         attribution (the audit stamps ``{contract, m, n, source}`` so
         ledger lines reconcile against ``AUDIT_contracts.json``).
-        ``value`` — when passed — is journaled verbatim; it must already
-        be canonical-JSON-safe (:meth:`task_outcome` screens through
-        :func:`journalable_value`), and is what the resume path
-        reconstructs ``ok`` outcomes from.
         """
         state = self._state(label)
         record: Dict[str, Any] = {
@@ -336,8 +258,6 @@ class LedgerWriter:
         }
         if detail is not None:
             record["detail"] = detail
-        if value is not _OMITTED:
-            record["value"] = value
         self.record(record)
         # stall check against the latency distribution *before* this
         # sample — an outlier must not be allowed to raise its own bar
@@ -398,13 +318,7 @@ class LedgerWriter:
             )
 
     def task_outcome(self, label: str, outcome, *, detail=None) -> None:
-        """Adapter for a :class:`~repro.parallel.batch.TaskOutcome`.
-
-        ``ok`` outcomes whose value survives an exact canonical-JSON
-        round trip are journaled *with* the value, making the line fully
-        replayable by ``run_batch(resume_from=…)``; everything else
-        journals without one and is simply re-run on resume.
-        """
+        """Adapter for a :class:`~repro.parallel.batch.TaskOutcome`."""
         error = None
         if outcome.error is not None:
             error = {
@@ -412,7 +326,6 @@ class LedgerWriter:
                 "exception_type": outcome.error.exception_type,
                 "message": outcome.error.message,
             }
-        value = journalable_value(outcome.value) if outcome.ok else _OMITTED
         self.record_outcome(
             label,
             index=outcome.index,
@@ -421,7 +334,6 @@ class LedgerWriter:
             seconds=outcome.seconds,
             error=error,
             detail=detail,
-            value=value,
         )
 
     def worker_restart(self, label: str, count: int = 1) -> None:
@@ -502,9 +414,22 @@ class LedgerWriter:
 
 
 def _lines_of(source: Union[str, Path, Iterable[str]]) -> List[str]:
-    if isinstance(source, (str, Path)):
-        return Path(source).read_text(encoding="utf-8").splitlines()
-    return list(source)
+    """The lines of a ledger, without a path's torn final line.
+
+    The writer flushes whole lines, so a last line with no newline that
+    does not parse is a write a crash cut short: it is dropped rather
+    than read as a foreign line.
+    """
+    if not isinstance(source, (str, Path)):
+        return list(source)
+    text = Path(source).read_text(encoding="utf-8")
+    lines = text.splitlines()
+    if lines and not text.endswith("\n"):
+        try:
+            json.loads(lines[-1])
+        except json.JSONDecodeError:
+            lines.pop()
+    return lines
 
 
 def _parse_ledger_line(line: str) -> Optional[Dict[str, Any]]:
@@ -576,9 +501,10 @@ def strip_nondeterministic(
     """Canonical lines of the ledger's deterministic projection.
 
     Two identical serial sweeps produce byte-identical output — the
-    property the ``ledger-determinism`` CI job diffs.  Non-ledger lines
-    (foreign schemas sharing the file) pass through untouched: they are
-    not ours to strip.
+    property the ``ledger-determinism`` CI job diffs.  Complete
+    non-ledger lines (foreign schemas sharing the file) pass through
+    untouched: they are not ours to strip.  A path's torn final line is
+    dropped (:func:`_lines_of`).
     """
     out: List[str] = []
     for line in _lines_of(source):

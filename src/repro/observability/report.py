@@ -39,7 +39,6 @@ from .ledger import (
     KIND_HEARTBEAT,
     KIND_STALL,
     KIND_SWEEP_END,
-    KIND_SWEEP_RESUME,
     KIND_SWEEP_START,
     KIND_TASK_OUTCOME,
     KIND_WORKER_RESTART,
@@ -109,8 +108,6 @@ def summarize_ledgers(
                 "cache": None,
                 "_seconds": [],
                 "_stalls": 0,
-                "_resumes": 0,
-                "_reused": 0,
             },
         )
 
@@ -144,10 +141,6 @@ def summarize_ledgers(
             sweep(label)["heartbeats"] += 1
         elif kind == KIND_STALL:
             sweep(label)["_stalls"] += 1
-        elif kind == KIND_SWEEP_RESUME:
-            state = sweep(label)
-            state["_resumes"] += 1
-            state["_reused"] += record.get("reused") or 0
         elif kind == KIND_WORKER_RESTART:
             state = sweep(label)
             state["worker_restarts"] = max(
@@ -174,8 +167,6 @@ def summarize_ledgers(
         state = sweeps[label]
         seconds = sorted(state.pop("_seconds"))
         stalls = state.pop("_stalls")
-        resumes = state.pop("_resumes")
-        reused = state.pop("_reused")
         entry: Dict[str, Any] = {
             key: state[key]
             for key in (
@@ -193,8 +184,6 @@ def summarize_ledgers(
             entry["sources"] = dict(sorted(state["sources"].items()))
         if state["cache"] is not None:
             entry["cache"] = state["cache"]
-        if resumes:
-            entry["resumes"] = {"count": resumes, "reused": reused}
         latency = None
         if seconds:
             latency = {
@@ -253,12 +242,6 @@ def render_summary(summary: Dict[str, Any]) -> List[str]:
             lines.append(
                 "    cache counters: "
                 + ", ".join(f"{k}={cache[k]}" for k in sorted(cache))
-            )
-        if "resumes" in sweep:
-            resumes = sweep["resumes"]
-            lines.append(
-                f"    resumed {resumes['count']}x, "
-                f"{resumes['reused']} outcomes replayed from the ledger"
             )
         wall = sweep.get("wall", {})
         latency = wall.get("latency_seconds")

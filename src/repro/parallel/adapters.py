@@ -1,10 +1,9 @@
 """Executor adapters: one batch lifecycle, two execution backends.
 
-:class:`ExecutorAdapter` is the protocol every backend implements —
-``submit`` / ``collect`` / ``shutdown`` over pre-indexed ``(index,
-task)`` pairs — while the batch *lifecycle* (sweep fingerprinting, the
-resume merge, ledger journaling, outcome assembly) lives once on the
-base class.  Two adapters ship:
+:class:`ExecutorAdapter` owns the batch *lifecycle* — ledger journaling
+and ordered :class:`~repro.parallel.batch.BatchResult` assembly — and
+each backend implements one method, :meth:`ExecutorAdapter.execute`,
+that runs the whole batch.  Two adapters ship:
 
 * :class:`SerialExecutor` — in-process, in order: the default everywhere
   and the oracle the pool is differentially tested against;
@@ -21,32 +20,18 @@ Determinism contract (what the differential tests pin):
 * chunking (``chunk_size``, including the adaptive ``"auto"``) affects
   dispatch overhead only, never results.
 
-Because adapters consume *pre-indexed* pairs, a subset of a batch can be
-dispatched under its original indices — the property the resume path
-(re-run only never-landed indices) rests on: index ``17`` derives the
-same rng stream whether it runs in a full sweep or a resumed tail.
-
-Resuming: ``run_batch(resume_from=ledger)`` reads a previous run's
-``task-outcome`` records, verifies the journaled sweep fingerprint
-against this batch (refusing to merge foreign work), replays every
-outcome that landed ``ok`` with a journaled value, and dispatches only
-the rest.  The merged outcome tuple is bit-identical to an
-uninterrupted sweep; the new ledger records one ``sweep-resume`` event
-(dropped by ``repro report strip`` — whether a sweep was interrupted is
-a wall-clock accident, not a property of the work).
-
 Worker-crash containment: a Python exception inside a task is caught in
 the worker and returned as a structured :class:`~repro.parallel.batch.TaskError`
 — it never breaks the pool.  A worker that *dies* (SIGKILL, segfault,
-``os._exit``) breaks the pool; the executor then rebuilds it and enters a
-quarantine pass that re-runs every unfinished task one at a time in a
+``os._exit``) breaks the pool; the executor then enters a quarantine
+pass that re-runs every unfinished task one at a time in a
 single-worker pool, so the culprit is identified exactly: the task whose
 solo run keeps killing its worker is retried up to ``max_retries`` times
 and then reported as a ``worker-crash`` error, while innocent tasks that
 merely shared the broken pool complete normally.  The batch always
 finishes with one outcome per task, in order.
 
-Compiled-machine caches are never pickled (see
+Memoized machine caches are never pickled (see
 ``TuringMachine.__getstate__``): workers receive bare machines and
 rebuild ``_compiled_steps`` / ``_transition_index`` lazily on first use.
 For hot sweeps a picklable ``warmup`` callable can be passed to
@@ -56,8 +41,7 @@ for the serial executor) before any task.
 Observability: the sweep ledger is the batch runtime's only observer.
 Pass ``ledger`` (a :class:`~repro.observability.ledger.LedgerWriter`,
 duck-typed — this module never imports it) to journal the sweep
-durably: one ``sweep-start`` (carrying the sweep fingerprint the resume
-path verifies), one ``task-outcome`` per
+durably: one ``sweep-start``, one ``task-outcome`` per
 :class:`~repro.parallel.batch.TaskOutcome` (with heartbeat/stall
 telemetry), one ``worker-restart`` per pool rebuild and one
 ``sweep-end`` with the final tallies.  ``repro report summarize`` rolls
@@ -68,9 +52,8 @@ from __future__ import annotations
 
 import abc
 import multiprocessing
-import os
 import time
-from concurrent.futures import BrokenExecutor, FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ReproError
@@ -91,47 +74,7 @@ __all__ = [
     "ParallelExecutor",
     "auto_chunk_size",
     "run_batch",
-    "default_jobs",
-    "JOBS_ENV_VAR",
 ]
-
-#: Environment override for :func:`default_jobs` — CI shards pin their
-#: worker count with ``REPRO_JOBS=N`` instead of patching call sites.
-JOBS_ENV_VAR = "REPRO_JOBS"
-
-
-def default_jobs() -> int:
-    """The worker count ``jobs=None`` resolves to.
-
-    Resolution order:
-
-    1. ``$REPRO_JOBS`` — an explicit integer override (>= 1), so CI
-       matrix shards can pin worker counts without touching call sites;
-    2. ``os.process_cpu_count()`` where it exists (Python 3.13+) — the
-       cores *this process* may actually use, which respects cgroup
-       quotas and CPU affinity masks in containers;
-    3. ``os.cpu_count()`` — every visible core, or 1 when unknown.
-    """
-    override = os.environ.get(JOBS_ENV_VAR)
-    if override is not None and override.strip():
-        try:
-            jobs = int(override)
-        except ValueError:
-            raise ReproError(
-                f"${JOBS_ENV_VAR} must be an integer >= 1, got {override!r}"
-            )
-        if jobs < 1:
-            raise ReproError(
-                f"${JOBS_ENV_VAR} must be an integer >= 1, got {override!r}"
-            )
-        return jobs
-    process_cpu_count = getattr(os, "process_cpu_count", None)
-    if process_cpu_count is not None:
-        counted = process_cpu_count()
-        if counted:
-            return counted
-    return os.cpu_count() or 1
-
 
 #: Chunks-per-worker target of :func:`auto_chunk_size` — large enough
 #: chunks to amortize IPC, enough of them to balance uneven task costs.
@@ -186,27 +129,13 @@ class _Instruments:
         self.label = label
         self.ledger = ledger
 
-    def sweep_start(
-        self, tasks: int, jobs: int, fingerprint: Optional[str]
-    ) -> None:
+    def sweep_start(self, tasks: int, jobs: int) -> None:
         if self.ledger is not None:
-            self.ledger.sweep_start(
-                self.label, tasks=tasks, jobs=jobs, fingerprint=fingerprint
-            )
+            self.ledger.sweep_start(self.label, tasks=tasks, jobs=jobs)
 
     def sweep_end(self) -> None:
         if self.ledger is not None:
             self.ledger.sweep_end(self.label)
-
-    def on_resume(self, *, fingerprint, tasks, reused, pending) -> None:
-        if self.ledger is not None:
-            self.ledger.sweep_resume(
-                self.label,
-                fingerprint=fingerprint,
-                tasks=tasks,
-                reused=reused,
-                pending=pending,
-            )
 
     def on_outcome(self, outcome: TaskOutcome) -> None:
         if self.ledger is not None:
@@ -217,61 +146,33 @@ class _Instruments:
             self.ledger.worker_restart(self.label)
 
 
-#: What an adapter driven outside :meth:`ExecutorAdapter.run_batch`
-#: reports to: nothing.
-_UNOBSERVED = _Instruments("batch")
-
-
 class ExecutorAdapter(abc.ABC):
     """The executor protocol plus the shared batch lifecycle.
 
-    Backends implement three primitives over **pre-indexed** pairs —
-    indices need not be dense or zero-based, which is what lets the
-    resume path dispatch only the never-landed tail of a sweep under
-    original indices:
-
-    * :meth:`submit` — accept ``(index, task)`` pairs, return a token;
-    * :meth:`collect` — block until done, return ``(outcomes-by-index,
-      worker_restarts)``;
-    * :meth:`shutdown` — release resources; idempotent, called even
-      when ``collect`` raises.
-
-    One submission may be outstanding per adapter at a time.
-    :meth:`run_batch` drives the full lifecycle: sweep fingerprint,
-    resume merge, ledger journaling, submit/collect/shutdown, ordered
-    :class:`~repro.parallel.batch.BatchResult` assembly.
+    A backend implements :meth:`execute`: run every task, report each
+    outcome to the instruments as it lands, and return the outcomes in
+    index order plus the number of worker restarts.  :meth:`run_batch`
+    wraps it in the ledger's ``sweep-start`` / ``sweep-end`` and
+    assembles the :class:`~repro.parallel.batch.BatchResult`.
     """
 
-    name: str = "adapter"
     jobs: int = 1
 
-    # -- the backend protocol ---------------------------------------------
-
     @abc.abstractmethod
-    def submit(
+    def execute(
         self,
-        indexed: Sequence[Tuple[int, BatchTask]],
+        tasks: Sequence[BatchTask],
         *,
-        seed: Any = 0,
-        chunk_size: Union[int, str, None] = None,
-        warmup: Optional[Callable[[], Any]] = None,
-        instruments: _Instruments = _UNOBSERVED,
-    ) -> Any:
-        """Hand a batch of ``(index, task)`` pairs to the backend."""
-
-    @abc.abstractmethod
-    def collect(self, token: Any) -> Tuple[Dict[int, TaskOutcome], int]:
-        """Outcomes keyed by original index, plus the restart count."""
-
-    @abc.abstractmethod
-    def shutdown(self) -> None:
-        """Release backend resources (idempotent)."""
+        seed: Any,
+        chunk_size: Union[int, str, None],
+        warmup: Optional[Callable[[], Any]],
+        instruments: _Instruments,
+    ) -> Tuple[List[TaskOutcome], int]:
+        """Outcomes in task order, plus the worker-restart count."""
 
     def workers_for(self, count: int) -> int:
         """How many workers a batch of ``count`` tasks would use."""
         return 1
-
-    # -- the shared lifecycle ---------------------------------------------
 
     def run_batch(
         self,
@@ -282,61 +183,24 @@ class ExecutorAdapter(abc.ABC):
         label: str = "batch",
         ledger=None,
         warmup: Optional[Callable[[], Any]] = None,
-        resume_from=None,
     ) -> BatchResult:
         tasks = tuple(tasks)
         instruments = _Instruments(label, ledger)
-        fingerprint: Optional[str] = None
-        if ledger is not None or resume_from is not None:
-            from .shard import sweep_fingerprint
-
-            fingerprint = sweep_fingerprint(tasks, seed=seed)
-        reused: Dict[int, TaskOutcome] = {}
-        if resume_from is not None:
-            from .resume import resolve_resume
-
-            reused = resolve_resume(
-                resume_from,
-                label=label,
-                fingerprint=fingerprint,
-                total=len(tasks),
-            )
-        pending = [
-            (index, task)
-            for index, task in enumerate(tasks)
-            if index not in reused
-        ]
-        workers = self.workers_for(len(pending) if reused else len(tasks))
-        instruments.sweep_start(len(tasks), workers, fingerprint)
+        workers = self.workers_for(len(tasks))
+        instruments.sweep_start(len(tasks), workers)
         started = time.perf_counter()
-        if resume_from is not None:
-            instruments.on_resume(
-                fingerprint=fingerprint,
-                tasks=len(tasks),
-                reused=len(reused),
-                pending=len(pending),
-            )
-            # replay reused outcomes in index order so the journal's
-            # deterministic projection matches an uninterrupted sweep
-            for index in sorted(reused):
-                instruments.on_outcome(reused[index])
-        fresh: Dict[int, TaskOutcome] = {}
+        outcomes: List[TaskOutcome] = []
         restarts = 0
-        if pending:
-            token = self.submit(
-                pending,
+        if tasks:
+            outcomes, restarts = self.execute(
+                tasks,
                 seed=seed,
                 chunk_size=chunk_size,
                 warmup=warmup,
                 instruments=instruments,
             )
-            try:
-                fresh, restarts = self.collect(token)
-            finally:
-                self.shutdown()
-        merged = {**reused, **fresh}
         result = BatchResult(
-            outcomes=tuple(merged[index] for index in range(len(tasks))),
+            outcomes=tuple(outcomes),
             jobs=workers,
             worker_restarts=restarts,
             elapsed_seconds=time.perf_counter() - started,
@@ -348,39 +212,23 @@ class ExecutorAdapter(abc.ABC):
 class SerialExecutor(ExecutorAdapter):
     """In-process batch execution: the default path and the test oracle."""
 
-    name = "serial"
-    jobs = 1
-
-    def __init__(self) -> None:
-        self._pending: Optional[Tuple[Any, ...]] = None
-
-    def submit(
+    def execute(
         self,
-        indexed: Sequence[Tuple[int, BatchTask]],
+        tasks: Sequence[BatchTask],
         *,
-        seed: Any = 0,
-        chunk_size: Union[int, str, None] = None,  # accepted for API parity; unused
-        warmup: Optional[Callable[[], Any]] = None,
-        instruments: _Instruments = _UNOBSERVED,
-    ) -> Any:
-        if self._pending is not None:
-            raise ReproError("SerialExecutor already has a submission open")
-        self._pending = (list(indexed), seed, warmup, instruments)
-        return self._pending
-
-    def collect(self, token: Any) -> Tuple[Dict[int, TaskOutcome], int]:
-        indexed, seed, warmup, instruments = token
+        seed: Any,
+        chunk_size: Union[int, str, None],  # accepted for API parity; unused
+        warmup: Optional[Callable[[], Any]],
+        instruments: _Instruments,
+    ) -> Tuple[List[TaskOutcome], int]:
         if warmup is not None:
             warmup()
-        outcomes: Dict[int, TaskOutcome] = {}
-        for index, task in indexed:
+        outcomes: List[TaskOutcome] = []
+        for index, task in enumerate(tasks):
             outcome = execute_one(index, task, seed)
             instruments.on_outcome(outcome)
-            outcomes[index] = outcome
+            outcomes.append(outcome)
         return outcomes, 0
-
-    def shutdown(self) -> None:
-        self._pending = None
 
 
 def _warmup_initializer(warmup: Optional[Callable[[], Any]]) -> None:
@@ -391,38 +239,32 @@ def _warmup_initializer(warmup: Optional[Callable[[], Any]]) -> None:
 class ParallelExecutor(ExecutorAdapter):
     """Multiprocess batch execution over a ``ProcessPoolExecutor``.
 
-    ``jobs=None`` means :func:`default_jobs` workers.  ``start_method``
-    defaults to ``fork`` where available (cheap workers that inherit
-    ``sys.path``) and falls back to ``spawn``; either way task arguments
-    and results cross the process boundary pickled, so machines ship
-    *without* their compiled caches.
+    ``start_method`` defaults to ``fork`` where available (cheap workers
+    that inherit ``sys.path``) and falls back to ``spawn``; either way
+    task arguments and results cross the process boundary pickled, so
+    machines ship *without* their memoized caches.
 
-    ``submit`` is eager: the pool spins up and chunk futures are in
-    flight before ``collect`` is called.  ``collect`` drains the
-    optimistic pass and runs the quarantine recovery if a worker died.
+    :meth:`execute` submits every chunk at once, drains the optimistic
+    pass and runs the quarantine recovery if a worker died.
     """
-
-    name = "process-pool"
 
     def __init__(
         self,
-        jobs: Optional[int] = None,
+        jobs: int,
         *,
         max_retries: int = 2,
         start_method: Optional[str] = None,
     ):
-        if jobs is not None and jobs < 1:
+        if jobs < 1:
             raise ReproError(f"jobs must be >= 1, got {jobs}")
         if max_retries < 0:
             raise ReproError(f"max_retries must be >= 0, got {max_retries}")
-        self.jobs = jobs if jobs is not None else default_jobs()
+        self.jobs = jobs
         self.max_retries = max_retries
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else "spawn"
         self._context = multiprocessing.get_context(start_method)
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._token: Optional[Dict[str, Any]] = None
 
     def workers_for(self, count: int) -> int:
         return min(self.jobs, max(1, count))
@@ -480,86 +322,55 @@ class ParallelExecutor(ExecutorAdapter):
             indexed, _resolve_chunk_size(chunk_size, len(indexed), workers)
         )
 
-    # -- the protocol ------------------------------------------------------
+    # -- the backend -------------------------------------------------------
 
-    def submit(
+    def execute(
         self,
-        indexed: Sequence[Tuple[int, BatchTask]],
+        tasks: Sequence[BatchTask],
         *,
-        seed: Any = 0,
-        chunk_size: Union[int, str, None] = None,
-        warmup: Optional[Callable[[], Any]] = None,
-        instruments: _Instruments = _UNOBSERVED,
-    ) -> Any:
-        if self._token is not None:
-            raise ReproError(f"{self.name} executor already has a submission open")
-        workers = self.workers_for(len(indexed))
-        chunks = self._partition(indexed, chunk_size, workers)
-        self._pool = self._new_pool(workers, warmup)
-        futures = {
-            self._pool.submit(execute_chunk, (seed, chunk)): chunk
-            for chunk in chunks
-        }
-        self._token = {
-            "futures": futures,
-            "seed": seed,
-            "warmup": warmup,
-            "instruments": instruments,
-        }
-        return self._token
-
-    def collect(self, token: Any) -> Tuple[Dict[int, TaskOutcome], int]:
-        if token is not self._token or token is None:
-            raise ReproError("collect() needs the token submit() returned")
-        futures = token["futures"]
-        instruments = token["instruments"]
+        seed: Any,
+        chunk_size: Union[int, str, None],
+        warmup: Optional[Callable[[], Any]],
+        instruments: _Instruments,
+    ) -> Tuple[List[TaskOutcome], int]:
+        workers = self.workers_for(len(tasks))
+        chunks = self._partition(list(enumerate(tasks)), chunk_size, workers)
         outcomes: Dict[int, TaskOutcome] = {}
-        broken = False
         unfinished: List[Tuple[int, BatchTask]] = []
+        pool = self._new_pool(workers, warmup)
         try:
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    chunk = futures[future]
-                    try:
-                        records = future.result()
-                    except BrokenExecutor:
-                        broken = True
-                        unfinished.extend(chunk)
-                    except Exception as exc:
-                        # the chunk could not cross the process boundary
-                        # (unpicklable task or result); every task in it
-                        # gets the same structured dispatch error
-                        for index, _task in chunk:
-                            outcome = self._dispatch_error(index, exc, 1)
-                            outcomes[index] = outcome
-                            instruments.on_outcome(outcome)
-                    else:
-                        for outcome in records:
-                            outcomes[outcome.index] = outcome
-                            instruments.on_outcome(outcome)
+            futures = {
+                pool.submit(execute_chunk, (seed, chunk)): chunk
+                for chunk in chunks
+            }
+            for future in as_completed(futures):
+                chunk = futures[future]
+                try:
+                    records = future.result()
+                except BrokenExecutor:
+                    unfinished.extend(chunk)
+                except Exception as exc:
+                    # the chunk could not cross the process boundary
+                    # (unpicklable task or result); every task in it
+                    # gets the same structured dispatch error
+                    for index, _task in chunk:
+                        outcome = self._dispatch_error(index, exc, 1)
+                        outcomes[index] = outcome
+                        instruments.on_outcome(outcome)
+                else:
+                    for outcome in records:
+                        outcomes[outcome.index] = outcome
+                        instruments.on_outcome(outcome)
         finally:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-        if not broken:
-            return outcomes, 0
-        instruments.on_restart()
-        unfinished.sort(key=lambda pair: pair[0])
-        restarts = 1 + self._quarantine(
-            unfinished,
-            token["seed"],
-            token["warmup"],
-            outcomes,
-            instruments,
-        )
-        return outcomes, restarts
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-        self._token = None
+            pool.shutdown(wait=True, cancel_futures=True)
+        restarts = 0
+        if unfinished:
+            instruments.on_restart()
+            unfinished.sort(key=lambda pair: pair[0])
+            restarts = 1 + self._quarantine(
+                unfinished, seed, warmup, outcomes, instruments
+            )
+        return [outcomes[index] for index in range(len(tasks))], restarts
 
     def _quarantine(
         self,
@@ -615,21 +426,19 @@ class ParallelExecutor(ExecutorAdapter):
 def run_batch(
     tasks: Sequence[BatchTask],
     *,
-    jobs: Optional[int] = 1,
+    jobs: int = 1,
     seed: Any = 0,
     chunk_size: Union[int, str, None] = None,
     max_retries: int = 2,
     label: str = "batch",
     ledger=None,
     warmup: Optional[Callable[[], Any]] = None,
-    resume_from=None,
 ) -> BatchResult:
     """Run ``tasks`` serially (``jobs=1``, the default) or in parallel.
 
     The convenience entry point every call site uses: ``jobs=1`` picks
     :class:`SerialExecutor`, any other value a :class:`ParallelExecutor`
-    with that many workers — ``jobs=None`` means :func:`default_jobs`
-    (one worker per available core), ``jobs < 1`` is rejected with
+    with that many workers; ``jobs < 1`` is rejected with
     :class:`~repro.errors.ReproError`.  Results are bit-identical
     across any ``jobs`` for tasks that follow the determinism contract.
 
@@ -638,12 +447,6 @@ def run_batch(
     a deterministic function of the task and worker counts alone).
 
     ``ledger`` journals the sweep (see the module docstring).
-    ``resume_from`` is a previous run's ledger (path or
-    :class:`~repro.parallel.resume.ResumeState`): outcomes that landed
-    ``ok`` with a journaled value are merged in and only the rest are
-    dispatched — bit-identical to an uninterrupted run, refused with
-    :class:`~repro.errors.ReproError` when the journaled sweep
-    fingerprint does not match these tasks.
     """
     if jobs == 1:
         executor: ExecutorAdapter = SerialExecutor()
@@ -656,5 +459,4 @@ def run_batch(
         label=label,
         ledger=ledger,
         warmup=warmup,
-        resume_from=resume_from,
     )

@@ -345,6 +345,31 @@ class TestAdversarialEntries:
         store.path_for(key).write_bytes(b"\xff\xfe\x00garbage")
         self._assert_recovers(store, key)
 
+    def test_every_byte_substitution_of_an_audit_entry(self, tmp_path):
+        """Each byte of a real audit entry replaced by ``x`` or ``7``:
+        decoding lookups never raise, and every miss leaves the damaged
+        file in quarantine."""
+        spec = CONTRACTS[0]
+        store = ResultStore(tmp_path)
+        key = audit_cell_key(spec.name, 4, 12)
+        store.store(key, check_to_payload(run_audit_cell(spec, 4, 12)))
+        path = store.path_for(key)
+        parked = tmp_path / "quarantine" / f"{path.parent.name}-{path.name}"
+        original = path.read_bytes()
+        variants = 0
+        for offset, byte in enumerate(original):
+            for replacement in b"x7":
+                if replacement == byte:
+                    continue
+                variants += 1
+                damaged = bytearray(original)
+                damaged[offset] = replacement
+                path.write_bytes(bytes(damaged))
+                if store.lookup(key, check_from_payload) is None:
+                    assert not path.exists() and parked.exists(), offset
+        assert store.hits + store.invalid == variants
+        assert store.misses == store.invalid > 0
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_concurrent_writers_racing_one_key(self, tmp_path, jobs):
         tasks = [
@@ -433,6 +458,21 @@ class TestCachedAudit:
         assert clone == check
         assert clone.to_json_dict() == check.to_json_dict()
 
+    def test_damaged_field_name_recomputes_the_cell(self, tmp_path):
+        # an entry that parses but no longer decodes into a check is
+        # quarantined and recomputed like unparseable JSON
+        store = ResultStore(tmp_path)
+        plain = _audit_json()
+        _audit_json(cache=store)
+        path = store.path_for(audit_cell_key(CONTRACTS[0].name, 4, 12))
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace('"scans":', '"scant":'), encoding="utf-8")
+        warm = ResultStore(tmp_path)
+        assert _audit_json(cache=warm) == plain
+        assert warm.counter_snapshot() == {
+            "hits": 23, "misses": 1, "writes": 1, "invalid": 1,
+        }
+
     def test_poisoned_cell_recomputes_instead_of_crashing(self, tmp_path):
         store = ResultStore(tmp_path)
         plain = _audit_json()
@@ -460,6 +500,27 @@ class TestCachedTrials:
         assert warm == plain
         assert store.counter_snapshot()["hits"] == 3  # 48/16 blocks
         assert store.counter_snapshot()["writes"] == 3
+
+    def test_damaged_block_recomputes(self, tmp_path):
+        from repro.algorithms.fingerprint import (
+            mc_block_key,
+            monte_carlo_fingerprint_trials,
+        )
+
+        store = ResultStore(tmp_path)
+        plain = monte_carlo_fingerprint_trials(8, 8, 16, seed=5, cache=store)
+        path = store.path_for(mc_block_key(8, 8, "near-miss", None, 5, 0, 16))
+        damages = ({}, {"accepted": "3"}, {"accepted": True},
+                   {"accepted": -1}, {"accepted": 17})
+        for payload in damages:
+            entry = json.loads(path.read_text(encoding="utf-8"))
+            entry["payload"] = payload
+            path.write_text(canonical_json(entry), encoding="utf-8")
+            again = monte_carlo_fingerprint_trials(
+                8, 8, 16, seed=5, cache=store
+            )
+            assert again == plain
+        assert store.invalid == len(damages)
 
     def test_extending_the_sweep_reuses_whole_blocks(self, tmp_path):
         from repro.algorithms.fingerprint import monte_carlo_fingerprint_trials

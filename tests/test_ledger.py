@@ -230,6 +230,32 @@ class TestLedgerReaders:
         assert '{"kind": "span", "name": "other-schema"}' in stripped
         assert "not json at all" in stripped
 
+    def test_torn_final_line_at_every_byte(self, tmp_path):
+        """A crash leaves a prefix of the ledger, cut at any byte: strip
+        and summarize read every record whose bytes are all on disk and
+        drop the torn tail instead of passing it off as a foreign line."""
+        stream = io.StringIO()
+        ledger = LedgerWriter(stream)
+        ledger.sweep_start("cut", tasks=2)
+        ledger.record_outcome(
+            "cut", index=0, ok=True, seconds=0.5,
+            detail={"source": "computed"},
+        )
+        ledger.cache_event("miss", "audit-cell", "cd" * 32)
+        ledger.record_outcome("cut", index=1, ok=True, seconds=0.25)
+        ledger.sweep_end("cut")
+        data = stream.getvalue()
+        lines = data.splitlines(True)
+        ends = [sum(map(len, lines[: i + 1])) for i in range(len(lines))]
+        path = tmp_path / "cut.jsonl"
+        for cut in range(len(data) + 1):
+            path.write_text(data[:cut], encoding="utf-8")
+            # a record is whole once every byte but its newline landed
+            whole = sum(end - 1 <= cut for end in ends)
+            expected = strip_nondeterministic(lines[:whole])
+            assert strip_nondeterministic(path) == expected, cut
+            assert summarize_ledgers([path])["skipped_lines"] == 0, cut
+
 
 # -- run_batch threading ---------------------------------------------------
 
@@ -439,6 +465,25 @@ class TestCensusCache:
         assert other == cold
         assert store.misses == 2 and store.writes == 2
 
+    def test_damaged_entry_recomputes(self, tmp_path):
+        from repro.cache.fingerprint import canonical_json
+        from repro.lowerbounds.counting import enumerate_skeletons
+
+        nlm, alphabet = self._machine()
+        store = ResultStore(tmp_path)
+        cold = enumerate_skeletons(
+            nlm, alphabet, r=2, cache=store, cache_key="tandem-2"
+        )
+        ((path, entry),) = store.entries()
+        payload = entry["payload"]
+        payload["distinct_skeletonz"] = payload.pop("distinct_skeletons")
+        path.write_text(canonical_json(entry), encoding="utf-8")
+        again = enumerate_skeletons(
+            nlm, alphabet, r=2, cache=store, cache_key="tandem-2"
+        )
+        assert again == cold
+        assert store.invalid == 1 and store.writes == 2
+
 
 # -- summaries -------------------------------------------------------------
 
@@ -571,6 +616,53 @@ class TestCompareBench:
             compare_bench(_payload(1.0, {}), _payload(1.0, {}), tolerance=0.0)
         with pytest.raises(ValueError):
             compare_bench(_payload(1.0, {}), _payload(1.0, {}), tolerance=1.5)
+
+
+class TestCompareParallelPayloads:
+    """Wall-clock speedups only gate against the same silicon."""
+
+    def _payload(self, cpu, audit=1.8, engine=1.5):
+        return {
+            "benchmark": "parallel",
+            "cpu_count": cpu,
+            "process_cpu_count": cpu,
+            "jobs": 4,
+            "topology": {"executor": "parallel", "jobs": 4, "shards": None},
+            "sweeps": {
+                "audit": {"speedup": audit},
+                "engine": {"speedup": engine},
+            },
+        }
+
+    def test_same_host_regression_detected(self):
+        out = compare_bench(
+            self._payload(4, audit=0.9), self._payload(4), tolerance=0.8
+        )
+        assert out["environment"]["comparable"]
+        verdicts = {r["workload"]: r["verdict"] for r in out["rows"]}
+        assert verdicts == {"audit": "regressed", "engine": "ok"}
+        assert out["regressed"]
+
+    def test_different_core_count_is_incomparable_not_regressed(self):
+        out = compare_bench(
+            self._payload(1, audit=0.2, engine=0.2),
+            self._payload(8),
+            tolerance=0.8,
+        )
+        assert not out["environment"]["comparable"]
+        assert all(r["verdict"] == "incomparable" for r in out["rows"])
+        assert not out["regressed"]
+        assert out["top"]["verdict"] == "incomparable"
+        text = "\n".join(render_comparison(out))
+        assert "different hosts" in text
+
+    def test_baseline_without_sweeps_is_invalid(self):
+        out = compare_bench(
+            self._payload(4), {"benchmark": "parallel", "cpu_count": 4}
+        )
+        assert out["baseline_invalid"]
+        assert out["top"]["verdict"] == "baseline-invalid"
+        assert not out["regressed"]
 
 
 # -- history ---------------------------------------------------------------

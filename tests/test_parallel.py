@@ -22,6 +22,7 @@ from repro.parallel import (
     ERROR_EXCEPTION,
     ERROR_WORKER_CRASH,
     BatchTask,
+    ExecutorAdapter,
     ParallelExecutor,
     SerialExecutor,
     auto_chunk_size,
@@ -76,6 +77,17 @@ def accepts_random_tm(seed, word):
         return _accepts(machine, word)
     except MachineError as exc:  # generator artifact: left-end fall
         return f"machine-error:{exc}"
+
+
+class TestAdapterProtocol:
+    def test_adapter_is_abstract(self):
+        with pytest.raises(TypeError):
+            ExecutorAdapter()
+
+    def test_jobs_below_one_rejected(self):
+        for bad in (0, -2):
+            with pytest.raises(ReproError, match="jobs"):
+                run_batch([BatchTask.call(square, 1)], jobs=bad)
 
 
 class TestOracleRelation:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, Optional
 
 from ..errors import ReproError
-from ..observability.events import KIND_INTERNAL
+from ..observability.events import KIND_INTERNAL, new_event
 from .tracker import ResourceTracker
 
 
@@ -71,7 +71,9 @@ class InternalMemory:
         committed here, exactly as :meth:`ResourceTracker.charge_internal`
         would commit it; a charge that would go negative or past the
         budget is handed to ``charge_internal``, which emits the denial
-        and raises.
+        and raises.  With a sink attached, the ``internal`` event is
+        built here too, field for field as ``ResourceTracker._emit``
+        builds it: the two event layouts change together.
         """
         # may raise; nothing charged yet (ints, the hot case, skip a call;
         # ``or 1`` is max(1, bits) without the cost of calling max)
@@ -96,8 +98,24 @@ class InternalMemory:
         elif prospective < 0:
             tracker.charge_internal(delta)  # raises
         tracker._current_internal_bits = prospective
-        if tracker._sink is not None:
-            tracker._emit(KIND_INTERNAL, delta=delta)
+        sink = tracker._sink
+        if sink is not None:
+            tracker._seq += 1
+            sink.emit(
+                new_event((  # ResourceTracker._emit's layout, inlined
+                    tracker._seq,
+                    KIND_INTERNAL,
+                    None,
+                    None,
+                    delta,
+                    1 + tracker._reversals,
+                    prospective,
+                    tracker._peak_internal_bits,
+                    tracker._tape_count,
+                    tracker._steps,
+                    None,
+                ))
+            )
         self._registers[name] = value
         self._charges[name] = new_cost
 

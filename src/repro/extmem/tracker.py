@@ -44,7 +44,7 @@ from ..observability.events import (
     KIND_REVERSAL,
     KIND_STEP,
     KIND_TAPE,
-    ResourceEvent,
+    new_event,
 )
 
 
@@ -149,9 +149,14 @@ class ResourceTracker:
         delta: int = 0,
         label: Optional[str] = None,
     ) -> None:
+        """Number one event and deliver it to the sink.
+
+        ``InternalMemory.store`` builds its ``internal`` event inline
+        with this layout; change the two together.
+        """
         self._seq += 1
         self._sink.emit(
-            ResourceEvent(  # positional, in field order: this is the hot path
+            new_event((  # every field, in field order: this is the hot path
                 self._seq,
                 kind,
                 tape_id,
@@ -163,7 +168,7 @@ class ResourceTracker:
                 self._tape_count,
                 self._steps,
                 label,
-            )
+            ))
         )
 
     def mark_phase(self, name: str) -> None:

@@ -6,12 +6,13 @@ Layered bottom-up:
   :class:`~repro.extmem.ResourceTracker` emits for every registration,
   charge, denial and phase mark (monotone ``seq``, per-tape attribution,
   post-event totals inlined);
-* :mod:`~repro.observability.sinks` — where events go: :class:`NullSink`,
+* :mod:`~repro.observability.sinks` — where events go: :class:`TallySink`
+  (counts and the last event; what the audit attaches),
   :class:`RingBufferSink`, :class:`JsonlFileSink`.  With no sink attached
   (the default everywhere) the tracker pays one ``is None`` test per
   charge and allocates nothing;
 * :mod:`~repro.observability.profile` — :class:`RunProfile` turns an event
-  stream into per-phase scan/space timelines;
+  stream into per-phase scan/space timelines (``repro trace`` prints it);
 * :mod:`~repro.observability.metrics` — :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` instruments with label sets, handed out by a
   :class:`MetricsRegistry` whose snapshot is deterministic JSON; an
@@ -25,7 +26,8 @@ Layered bottom-up:
   watch one in-process run; batch sweeps do not take them;
 * :mod:`~repro.observability.audit` — the contract-audit harness behind
   ``python -m repro audit``: sweeps the paper's algorithms across decades
-  of N and checks every measured envelope against its claimed one.  (This
+  of N and checks every measured envelope against its claimed one, and
+  each cell's tally of the event stream against its counters.  (This
   submodule imports the algorithm packages, so it is loaded lazily — the
   tracker itself only needs :mod:`events`.)
 * :mod:`~repro.observability.ledger` — the durable layer above a single
@@ -61,8 +63,8 @@ from .profile import SETUP_PHASE, PhaseProfile, RunProfile
 from .sinks import (
     EventSink,
     JsonlFileSink,
-    NullSink,
     RingBufferSink,
+    TallySink,
     replay_jsonl,
 )
 from .trace import EngineProbe, Span, Tracer
@@ -107,7 +109,7 @@ __all__ = [
     "KIND_PHASE",
     "KIND_DENIED",
     "EventSink",
-    "NullSink",
+    "TallySink",
     "RingBufferSink",
     "JsonlFileSink",
     "replay_jsonl",

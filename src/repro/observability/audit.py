@@ -9,13 +9,14 @@ Section 4 bound for the streaming XML queries.
 
 :func:`run_contract_audit` sweeps each contract across decades of input
 size N, runs the algorithm under an *unenforced* tracker with a
-:class:`~repro.observability.sinks.RingBufferSink` attached, and checks
+:class:`~repro.observability.sinks.TallySink` attached, and checks
 
 1. the measured ``(scans, peak_internal_bits, tapes_used)`` is ``within``
    the claimed :class:`~repro.extmem.ResourceBudget` at every N,
-2. the event stream's final totals agree with ``report()`` (the stream and
-   the counters are two independent views of the same charges), and
-3. enforcement never fired (no ``denied`` events).
+2. the event stream's final totals (those its last event carries) agree
+   with ``report()`` (the stream and the counters are two independent
+   views of the same charges), and
+3. enforcement never fired (no ``denied`` event anywhere in the stream).
 
 ``python -m repro audit`` wraps this and writes ``AUDIT_contracts.json``;
 all randomness is seeded per sweep cell, so the artifact is reproducible.
@@ -28,18 +29,13 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..extmem import ResourceBudget, ResourceReport, ResourceTracker
-from .profile import RunProfile
-from .sinks import RingBufferSink
+from .sinks import EventSink, TallySink
 
 #: (m, n) sweep cells: m values per half, n bits per value.  N = m·(2n + 2).
 QUICK_SWEEP: Tuple[Tuple[int, int], ...] = ((4, 12), (16, 12), (64, 12))
 FULL_SWEEP: Tuple[Tuple[int, int], ...] = QUICK_SWEEP + ((256, 12), (1024, 12))
 
-#: Ring capacity for audit runs; final totals stay exact even if the buffer
-#: wraps, because every event snapshots the running totals.
-_RING_CAPACITY = 1 << 16
-
-Runner = Callable[[int, int, random.Random, RingBufferSink], Tuple[ResourceReport, ResourceBudget]]
+Runner = Callable[[int, int, random.Random, EventSink], Tuple[ResourceReport, ResourceBudget]]
 
 
 @dataclass(frozen=True)
@@ -141,15 +137,16 @@ class AuditRun:
         lines = []
         for contract in self.contracts:
             flag = "ok " if contract.ok else "FAIL"
-            worst = max(
-                (c.report.scans / c.claimed.max_scans)
+            used = [
+                c.report.scans / c.claimed.max_scans
                 for c in contract.checks
                 if c.claimed.max_scans
-            )
+            ]
+            worst = f"{max(used):.0%}" if used else "n/a"  # no scan claim
             sizes = f"N={contract.checks[0].input_size}..{contract.checks[-1].input_size}"
             lines.append(
                 f"  [{flag}] {contract.name:<22} {sizes:<16} "
-                f"max scan-headroom used: {worst:.0%}"
+                f"max scan-headroom used: {worst}"
             )
         return lines
 
@@ -451,14 +448,17 @@ def run_audit_cell(spec: ContractSpec, m: int, n: int) -> ContractCheck:
     record is byte-identical at any ``jobs``.
     """
     rng = random.Random(f"audit:{spec.name}:{m}:{n}")
-    sink = RingBufferSink(_RING_CAPACITY)
+    sink = TallySink()
     report, claimed = spec.run(m, n, rng, sink)
-    profile = RunProfile.from_events(sink.events())
-    consistent = (
-        profile.final_scans == report.scans
-        and profile.final_peak_internal_bits == report.peak_internal_bits
-        and profile.final_tapes_used == report.tapes_used
+    last = sink.last
+    # every event carries the running totals; with no event, the stream
+    # stands for a run that charged nothing
+    final = (
+        (last.scans, last.peak_internal_bits, last.tapes_used)
+        if last is not None
+        else (1, 0, 0)
     )
+    counted = (report.scans, report.peak_internal_bits, report.tapes_used)
     return ContractCheck(
         contract=spec.name,
         m=m,
@@ -466,9 +466,9 @@ def run_audit_cell(spec: ContractSpec, m: int, n: int) -> ContractCheck:
         input_size=_instance_size(m, n),
         report=report,
         claimed=claimed,
-        events=len(sink) + sink.dropped,
-        denied=profile.denied_total,
-        event_stream_consistent=consistent,
+        events=sink.events,
+        denied=sink.denied,
+        event_stream_consistent=final == counted,
     )
 
 

@@ -24,6 +24,7 @@ Kinds:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, NamedTuple, Optional
 
 KIND_TAPE = "tape"
@@ -83,3 +84,11 @@ class ResourceEvent(NamedTuple):
         if self.label is not None:
             out["label"] = self.label
         return out
+
+
+#: ``new_event((seq, kind, …, label))`` builds a :class:`ResourceEvent`
+#: from one tuple of all eleven fields in field order (``label`` has no
+#: default here).  It runs no Python frame; calling the class runs its
+#: generated ``__new__``, one frame per event.  The tracker's hot paths
+#: build every event through it.
+new_event = partial(tuple.__new__, ResourceEvent)

@@ -3,18 +3,19 @@
 A sink is anything with an ``emit(event)`` method; these three cover the
 common cases:
 
-* :class:`NullSink` — accepts and discards.  Useful to measure the pure
-  emission overhead, or as an explicit "observed but unrecorded" marker.
-* :class:`RingBufferSink` — keeps the last ``capacity`` events in memory;
-  the default harness sink (bounded memory on arbitrarily long runs).
+* :class:`TallySink` — counts the events and the ``denied`` events over
+  the whole stream and keeps the last event, whose totals are the run's
+  final ones.  The contract audit attaches one to every check.
+* :class:`RingBufferSink` — keeps the last ``capacity`` events in memory
+  (bounded memory on arbitrarily long runs); ``repro trace`` folds its
+  contents into a :class:`~repro.observability.profile.RunProfile`.
 * :class:`JsonlFileSink` — appends one JSON object per line; the durable
   form ``repro trace --jsonl`` writes and :func:`replay_jsonl` reads back.
 
 With **no** sink attached the tracker skips event construction entirely —
 the hot path pays one ``is None`` test per charge.  With a sink attached,
 every charge builds one event and makes one ``emit`` call; the full
-``repro audit`` attaches a :class:`RingBufferSink` to each check and emits
-about 158k events.
+``repro audit`` emits about 158k events into its tally sinks.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import json
 from collections import deque
 from typing import IO, Iterable, Iterator, List, Optional, Union
 
-from .events import ResourceEvent
+from .events import KIND_DENIED, ResourceEvent
 
 
 class EventSink:
@@ -42,14 +43,25 @@ class EventSink:
         self.close()
 
 
-class NullSink(EventSink):
-    """Discards every event (but still counts them)."""
+class TallySink(EventSink):
+    """Counts the events and the ``denied`` events, and keeps the last event.
+
+    Every event carries the post-event running totals, so ``last`` holds
+    the run's final scans, bits and tapes (``None`` until an event
+    arrives).  Unlike a ring buffer's suffix, ``events`` and ``denied``
+    cover the whole stream, in constant memory.
+    """
 
     def __init__(self) -> None:
-        self.emitted = 0
+        self.events = 0
+        self.denied = 0
+        self.last: Optional[ResourceEvent] = None
 
     def emit(self, event: ResourceEvent) -> None:
-        self.emitted += 1
+        self.events += 1
+        if event.kind == KIND_DENIED:
+            self.denied += 1
+        self.last = event
 
 
 class RingBufferSink(EventSink):

@@ -25,14 +25,15 @@ from repro.observability import (
     KIND_STEP,
     KIND_TAPE,
     JsonlFileSink,
-    NullSink,
     ResourceEvent,
     RingBufferSink,
     RunProfile,
+    TallySink,
     replay_jsonl,
 )
 from repro.observability.audit import (
     CONTRACTS,
+    ContractSpec,
     run_contract_audit,
     write_audit_json,
 )
@@ -73,7 +74,7 @@ class TestEventStream:
     def test_no_sink_means_no_events_and_identical_accounting(self):
         sink = RingBufferSink()
         observed = _tracked_run(sink)
-        silent = _tracked_run(NullSink())
+        silent = _tracked_run(TallySink())
         assert observed.report() == silent.report()
 
     def test_detach_sink_stops_the_stream(self):
@@ -114,6 +115,15 @@ class TestSinks:
     def test_ring_buffer_rejects_silly_capacity(self):
         with pytest.raises(ValueError):
             RingBufferSink(capacity=0)
+
+    def test_tally_counts_the_whole_stream_and_keeps_the_last_event(self):
+        ring, tally = RingBufferSink(), TallySink()
+        _every_kind_run(ring)
+        _every_kind_run(tally)
+        events = ring.events()
+        assert tally.events == len(events)
+        assert tally.denied == 3
+        assert tally.last == events[-1]
 
     def test_jsonl_roundtrip(self):
         stream = io.StringIO()
@@ -229,6 +239,7 @@ class TestResourceEventContract:
             KIND_TAPE, KIND_PHASE, KIND_REVERSAL, KIND_DENIED, KIND_INTERNAL,
             KIND_STEP,
         }
+        assert all(type(e) is ResourceEvent for e in events)
         lines = [json.dumps(e.to_json_dict()) for e in events]
         replayed = list(replay_jsonl(lines))
         assert replayed == events
@@ -317,6 +328,14 @@ class TestRunProfile:
         assert profile.denied_total == 0
 
 
+def _audit_one_cell(runner):
+    """Audit a test runner as a one-contract, one-cell sweep."""
+    spec = ContractSpec(runner.__name__, "a test runner", runner)
+    (outcome,) = run_contract_audit(contracts=[spec], sweep=[(4, 4)]).contracts
+    (check,) = outcome.checks
+    return check
+
+
 class TestContractAudit:
     def test_quick_audit_all_within_envelopes(self):
         run = run_contract_audit(quick=True, sweep=[(4, 8), (16, 8)])
@@ -330,8 +349,6 @@ class TestContractAudit:
 
     def test_audit_detects_a_broken_envelope(self):
         # shrink one claim below reality: the harness must flag it
-        from repro.observability.audit import ContractSpec
-
         def overtight(m, n, rng, sink):
             tracker = ResourceTracker()
             tracker.attach_sink(sink)
@@ -372,6 +389,66 @@ class TestContractAudit:
         one = run_contract_audit(quick=True, sweep=[(4, 8)])
         two = run_contract_audit(quick=True, sweep=[(4, 8)])
         assert one.to_json_dict() == two.to_json_dict()
+
+    def test_audit_counts_a_denial_anywhere_in_the_stream(self):
+        # the denial is the first of 2 + 2**16 events: more than a
+        # 65,536-event suffix of the stream would hold
+        def denied_early(m, n, rng, sink):
+            tracker = ResourceTracker(ResourceBudget(max_tapes=0))
+            tracker.attach_sink(sink)
+            with pytest.raises(TapeBudgetExceeded):
+                tracker.register_tape("t")
+            for _ in range((1 << 16) + 1):
+                tracker.charge_step()
+            return tracker.report(), ResourceBudget()
+
+        check = _audit_one_cell(denied_early)
+        assert check.events == (1 << 16) + 2
+        assert check.denied == 1
+        assert check.within and check.event_stream_consistent
+        assert not check.ok
+
+    def test_audit_flags_charges_made_after_the_sink_is_detached(self):
+        def detached(m, n, rng, sink):
+            tracker = ResourceTracker()
+            tracker.attach_sink(sink)
+            tape = tracker.register_tape("t")
+            tracker.detach_sink()
+            tracker.charge_reversal(tape)  # counted, never emitted
+            return tracker.report(), ResourceBudget()
+
+        check = _audit_one_cell(detached)
+        assert check.events == 1
+        assert check.event_stream_consistent is False
+        assert not check.ok
+
+    def test_a_run_that_emits_nothing_is_consistent(self):
+        # an empty stream reads as (scans, bits, tapes) = (1, 0, 0)
+        def silent(m, n, rng, sink):
+            return ResourceTracker().report(), ResourceBudget()
+
+        check = _audit_one_cell(silent)
+        assert (check.events, check.denied) == (0, 0)
+        report = check.report
+        assert (
+            report.scans, report.peak_internal_bits, report.tapes_used
+        ) == (1, 0, 0)
+        assert check.event_stream_consistent is True
+        assert check.ok
+
+    def test_summary_renders_a_contract_without_a_scan_claim(self):
+        def tapes_only(m, n, rng, sink):
+            tracker = ResourceTracker()
+            tracker.attach_sink(sink)
+            RecordTape(list(range(m)), tracker=tracker, name="t")
+            return tracker.report(), ResourceBudget(max_tapes=1)
+
+        spec = ContractSpec("tapes-only", "claims one tape only", tapes_only)
+        run = run_contract_audit(contracts=[spec], sweep=[(4, 4), (16, 4)])
+        assert run.ok
+        (line,) = run.summary_lines()
+        assert "tapes-only" in line
+        assert line.endswith("max scan-headroom used: n/a")
 
 
 class TestCliAudit:

@@ -101,10 +101,15 @@ def fingerprint_space_budget(input_size: int) -> int:
 # (``tests/test_fingerprint.py`` pins both against that formulation).
 #
 # Deferred loops: when ``mem.has_headroom`` says no store of a helper's
-# loop can be observed (no sink, no possible denial), the loop runs on
-# locals, tracks the peak of its registers' total, and ``mem.commit_peak``
-# leaves the registers, the current total and the peak exactly where the
-# per-store loop below it would.  That loop stays the definition.
+# loop needs to be seen on its own (no sink, or a tally that only counts
+# them, and no possible denial), the loop runs on locals, tracks the peak
+# of its registers' total, and ``mem.commit_peak`` leaves the registers,
+# the current total and the peak exactly where the per-store loop below
+# it would.  With a tally attached it also takes the loop's store count
+# and its last store's delta, for the tally's event count and last event;
+# both are worked out in closed form, and only while a sink is attached,
+# so the loop itself, and a sink-free run, do no extra work.  The
+# per-store loop stays the definition.
 
 
 def _residue_of_string(value: str, modulus: int, mem: InternalMemory) -> int:
@@ -123,7 +128,16 @@ def _residue_of_string(value: str, modulus: int, mem: InternalMemory) -> int:
             bits = acc.bit_length()
             if bits > peak:
                 peak = bits
-        mem.commit_peak({"acc": acc}, peak)
+        stores = delta = 0
+        if mem.tracker.sink is not None:
+            # the prefix bit's store and one per bit; the last adds the
+            # charge of ``acc`` less that of the residue before the last
+            # bit (an empty value's only store fills an empty register)
+            stores, delta = 1 + len(value), 1
+            if value:
+                before = int("1" + value[:-1], 2) % modulus
+                delta = (acc.bit_length() or 1) - (before.bit_length() or 1)
+        mem.commit_peak({"acc": acc}, peak, stores, delta)
     else:
         mem["acc"] = acc = 1 % modulus  # the injectivity prefix bit
         for ch in value:
@@ -139,6 +153,16 @@ def _mod_pow_charged(base: int, exponent: int, modulus: int, mem: InternalMemory
     width = (modulus - 1).bit_length() or 1
     exp_bits = exponent.bit_length() or 1
     if mem.has_headroom({"pw_base": width, "pw_exp": exp_bits, "pw_result": width}):
+        stores = delta = 0
+        if mem.tracker.sink is not None:
+            # three set-up stores, the last filling the empty
+            # ``pw_result``; then each bit stores ``pw_base`` and
+            # ``pw_exp``, and ``pw_result`` on a one bit, the last taking
+            # ``pw_exp`` from 1 to 0 at no change of charge
+            stores, delta = 3, 1
+            if exponent > 0:
+                stores += 2 * exp_bits + bin(exponent).count("1")
+                delta = 0
         base %= modulus
         result = 1 % modulus
         base_bits = base.bit_length() or 1
@@ -157,7 +181,10 @@ def _mod_pow_charged(base: int, exponent: int, modulus: int, mem: InternalMemory
             exponent //= 2  # the exponent only shrinks: no new peak
             exp_bits = exponent.bit_length() or 1
         mem.commit_peak(
-            {"pw_base": base, "pw_exp": exponent, "pw_result": result}, peak
+            {"pw_base": base, "pw_exp": exponent, "pw_result": result},
+            peak,
+            stores,
+            delta,
         )
     else:
         mem["pw_base"] = base = base % modulus

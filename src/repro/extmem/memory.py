@@ -73,7 +73,8 @@ class InternalMemory:
         budget is handed to ``charge_internal``, which emits the denial
         and raises.  With a sink attached, the ``internal`` event is
         built here too, field for field as ``ResourceTracker._emit``
-        builds it: the two event layouts change together.
+        builds it, and :meth:`commit_peak` builds a loop's last one the
+        same way: the three event layouts change together.
         """
         # may raise; nothing charged yet (ints, the hot case, skip a call;
         # ``or 1`` is max(1, bits) without the cost of calling max)
@@ -124,16 +125,24 @@ class InternalMemory:
 
         ``widest`` maps each register the loop stores to the charge of the
         widest value it can hold (for a residue below ``p``, the bit length
-        of ``p − 1``).  True only when the loop's individual stores cannot
-        be observed: no sink is attached, so they would emit no events;
+        of ``p − 1``).  True only when no sink needs the loop's individual
+        stores: none is attached, or the one attached only tallies (it has
+        an ``emit_loop`` method, as
+        :class:`~repro.observability.sinks.TallySink` does; any other sink,
+        a ring buffer, a JSONL file or a trace probe, gets every event);
         none of the registers is held yet; and the current total plus
         every register at its widest fits ``max_internal_bits``, so no
-        store could be denied.  Their only effects are then the final
-        registers, the current total and the peak.  The sink is tested
-        first, so a traced run pays one test.
+        store could be denied.  The loop's only effects are then the final
+        registers, the current total, the peak and, for a tally, the
+        number of events and the last one.  The sink is tested first, so a
+        run with a ring buffer attached pays one test and one attribute
+        lookup.
         """
         tracker = self.tracker
-        if tracker._sink is not None or not self._charges.keys().isdisjoint(widest):
+        sink = tracker._sink
+        if (
+            sink is not None and getattr(sink, "emit_loop", None) is None
+        ) or not self._charges.keys().isdisjoint(widest):
             return False
         budget = tracker.budget
         if budget is None or budget.max_internal_bits is None:
@@ -143,15 +152,27 @@ class InternalMemory:
             <= budget.max_internal_bits
         )
 
-    def commit_peak(self, values: Dict[str, Any], peak_bits: int) -> None:
+    def commit_peak(
+        self, values: Dict[str, Any], peak_bits: int, stores: int, last_delta: int
+    ) -> None:
         """Commit a loop that :meth:`has_headroom` let run on locals.
 
         ``values`` holds the loop's final register values, in the order it
         first stored them; ``peak_bits`` is the highest total charge of
-        those registers after any one of its stores.  The registers and
-        their charges are stored, the current total grows by those
-        charges, and the tracker's peak is raised to the total at the
-        loop's peak: the state the loop's ``store`` calls would have left.
+        those registers after any one of its stores; ``stores`` is the
+        number of stores the loop made, at least one, and ``last_delta``
+        the charge its last store added (its new value's charge minus the
+        one it replaced).  Only a tally reads those two, so a caller may
+        pass 0 for both while no sink is attached and skip working them
+        out.  The registers and their charges are stored, the
+        current total grows by those charges, and the tracker's peak is
+        raised to the total at the loop's peak: the state the loop's
+        ``store`` calls would have left.  With a tally attached, the
+        tracker's sequence number advances by ``stores`` and the tally's
+        ``emit_loop`` receives the count and the ``internal`` event the
+        last store would have built: its delta, the totals after the loop
+        and ``ResourceTracker._emit``'s layout.  The loop could not be
+        denied, so none of its events is a denial.
         """
         tracker = self.tracker
         base = tracker._current_internal_bits
@@ -164,6 +185,25 @@ class InternalMemory:
         tracker._current_internal_bits = total
         if base + peak_bits > tracker._peak_internal_bits:
             tracker._peak_internal_bits = base + peak_bits
+        sink = tracker._sink
+        if sink is not None:
+            tracker._seq += stores
+            sink.emit_loop(
+                stores,
+                new_event((  # ResourceTracker._emit's layout, as in store
+                    tracker._seq,
+                    KIND_INTERNAL,
+                    None,
+                    None,
+                    last_delta,
+                    1 + tracker._reversals,
+                    total,
+                    tracker._peak_internal_bits,
+                    tracker._tape_count,
+                    tracker._steps,
+                    None,
+                )),
+            )
 
     def load(self, name: str) -> Any:
         """Read a register (KeyError via ReproError if absent)."""

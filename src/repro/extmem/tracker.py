@@ -101,9 +101,11 @@ class ResourceTracker:
     :meth:`charge_internal` (except that ``InternalMemory.store``, the
     hottest charge, commits an allowed charge inline with the same
     effect, and ``InternalMemory.commit_peak`` commits a whole register
-    loop at once: its final total and its peak, when no sink observes
-    the loop and no budget could deny any of its stores), and anything
-    that wants a step count calls :meth:`charge_step`.  All charges are
+    loop at once: its final total and its peak, when no budget could
+    deny any of its stores and the sink, if any, only tallies; a tally
+    then receives the loop's event count and last event, and the
+    sequence number advances past every store), and anything that
+    wants a step count calls :meth:`charge_step`.  All charges are
     monotone and atomic: a charge that would exceed the budget raises
     *without* changing any counter, so ``report()`` can be taken at any
     point — including inside an ``except`` block around a denied charge.
@@ -151,8 +153,9 @@ class ResourceTracker:
     ) -> None:
         """Number one event and deliver it to the sink.
 
-        ``InternalMemory.store`` builds its ``internal`` event inline
-        with this layout; change the two together.
+        ``InternalMemory.store`` and ``InternalMemory.commit_peak``
+        build their ``internal`` events inline with this layout; change
+        the three together.
         """
         self._seq += 1
         self._sink.emit(
@@ -238,9 +241,11 @@ class ResourceTracker:
         current and the peak counter unchanged.  ``InternalMemory.store``
         repeats the commit below inline; change the two together.
         ``InternalMemory.commit_peak`` sets both counters for a register
-        loop that ``InternalMemory.has_headroom`` let run on locals: no
-        sink was attached and none of its stores could have been denied,
-        so the final total and the peak are all the loop's stores leave.
+        loop that ``InternalMemory.has_headroom`` let run on locals: none
+        of its stores could have been denied and no sink needs them one
+        by one, so the final total and the peak are all they leave, with,
+        for a tally, the number of events and the last one, which
+        ``commit_peak`` builds in :meth:`_emit`'s layout.
         """
         prospective = self._current_internal_bits + delta_bits
         if prospective < 0:

@@ -5,7 +5,11 @@ common cases:
 
 * :class:`TallySink` — counts the events and the ``denied`` events over
   the whole stream and keeps the last event, whose totals are the run's
-  final ones.  The contract audit attaches one to every check.
+  final ones.  The contract audit attaches one to every check.  It is
+  the one sink that declares it only tallies, by having
+  :meth:`~TallySink.emit_loop`: a register loop that no budget can deny
+  may then hand it its stores as one count and the loop's last event
+  (see ``InternalMemory.has_headroom``).
 * :class:`RingBufferSink` — keeps the last ``capacity`` events in memory
   (bounded memory on arbitrarily long runs); ``repro trace`` folds its
   contents into a :class:`~repro.observability.profile.RunProfile`.
@@ -14,8 +18,10 @@ common cases:
 
 With **no** sink attached the tracker skips event construction entirely —
 the hot path pays one ``is None`` test per charge.  With a sink attached,
-every charge builds one event and makes one ``emit`` call; the full
-``repro audit`` emits about 158k events into its tally sinks.
+every charge builds one event and makes one ``emit`` call, except the
+stores of a register loop taken whole by a tally: the full
+``repro audit`` counts 157,816 events into its tally sinks and delivers
+about 24k of them one by one.
 """
 
 from __future__ import annotations
@@ -50,6 +56,12 @@ class TallySink(EventSink):
     the run's final scans, bits and tapes (``None`` until an event
     arrives).  Unlike a ring buffer's suffix, ``events`` and ``denied``
     cover the whole stream, in constant memory.
+
+    Because it reads nothing else, a tally may take a register loop
+    whole: :meth:`emit_loop` is what marks a sink as one that only
+    tallies, and ``InternalMemory.commit_peak`` calls it in place of one
+    :meth:`emit` per store.  A subclass inherits that declaration, so
+    one that needs every event must not derive from this class.
     """
 
     def __init__(self) -> None:
@@ -62,6 +74,16 @@ class TallySink(EventSink):
         if event.kind == KIND_DENIED:
             self.denied += 1
         self.last = event
+
+    def emit_loop(self, count: int, last: ResourceEvent) -> None:
+        """Take ``count`` ``internal`` events at once, ``last`` the last.
+
+        These are the stores of a register loop that no budget could
+        deny, so none of them is a denial, and ``last`` carries the
+        totals the loop left.
+        """
+        self.events += count
+        self.last = last
 
 
 class RingBufferSink(EventSink):
@@ -122,7 +144,7 @@ class JsonlFileSink(EventSink):
     """Writes one JSON object per event to ``path`` (or an open stream).
 
     Events are written eagerly but the stream is flushed only on
-    :meth:`close` (or context-manager exit) unless ``flush_every`` is set.
+    :meth:`close` (or context-manager exit).
 
     Close semantics are explicit: :meth:`close` **always flushes**, and
     closes the underlying handle only when this sink opened it (a ``path``
@@ -130,26 +152,18 @@ class JsonlFileSink(EventSink):
     opened it, the caller closes it.
     """
 
-    def __init__(
-        self,
-        target: Union[str, IO[str]],
-        *,
-        flush_every: Optional[int] = None,
-    ) -> None:
+    def __init__(self, target: Union[str, IO[str]]) -> None:
         if isinstance(target, str):
             self._stream: IO[str] = open(target, "w", encoding="utf-8")
             self._owns_stream = True
         else:
             self._stream = target
             self._owns_stream = False
-        self.flush_every = flush_every
         self.emitted = 0
 
     def emit(self, event: ResourceEvent) -> None:
         self._stream.write(json.dumps(event.to_json_dict()) + "\n")
         self.emitted += 1
-        if self.flush_every is not None and self.emitted % self.flush_every == 0:
-            self._stream.flush()
 
     def close(self) -> None:
         """Flush always; close the handle only if this sink opened it."""

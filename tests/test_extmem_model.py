@@ -3,17 +3,22 @@
 A Hypothesis ``RuleBasedStateMachine`` drives one :class:`ResourceTracker`
 (under a random :class:`ResourceBudget`, with a :class:`RingBufferSink`
 that a rule detaches and re-attaches, so the sink-free path every
-unobserved run takes is checked too), one to three :class:`RecordTape`
-objects and an :class:`InternalMemory` through random programs of
-primitive operations.  One rule is a register loop, which commits
-through ``has_headroom``/``commit_peak`` whenever they allow it.
+unobserved run takes is checked too, and that another rule replaces with
+a fresh :class:`TallySink`), one to three :class:`RecordTape` objects and
+an :class:`InternalMemory` through random programs of primitive
+operations.  One rule is a register loop, which commits through
+``has_headroom``/``commit_peak`` whenever they allow it: with no sink or
+with the tally attached.
 Every operation also runs on :class:`Model`, a pure reference written in
 the one-cell-at-a-time style of the paper's tape model: derived operations
 (seeks, scans, bulk writes) are loops over single ``move`` steps, and every
 charge is check-then-commit.  After each rule the test compares the full
 event stream, every head and direction, every tape's contents, the
 tracker's ``report()`` and the memory registers; each rule also compares
-its return value and the type of any exception it raised.
+its return value and the type of any exception it raised.  While the
+tally is attached, its count, its denials and its last event must equal
+those of the model's events since it was attached, so a loop the tally
+took whole is checked against the model's stores one at a time.
 
 The model is the oracle for the tapes' fast paths: however the runtime
 implements a seek or a scan, it must charge and emit exactly what this
@@ -40,7 +45,7 @@ from repro.errors import (
 from repro.extmem import InternalMemory, RecordTape, ResourceBudget, ResourceTracker
 from repro.extmem.memory import bit_cost
 from repro.extmem.tracker import ResourceReport
-from repro.observability.sinks import RingBufferSink
+from repro.observability.sinks import RingBufferSink, TallySink
 from tests.settings_profiles import STATE_MACHINE_SETTINGS
 
 MAX_TAPES = 3
@@ -66,16 +71,21 @@ class Model:
         self.names = {}
         self.current = self.peak = self.count = 0
         self.registers = {}  # name -> (value, cost)
-        self.events = []
-        self.attached = True  # events are recorded only while a sink is
+        self.seq = 0
+        # events are numbered and recorded only while a sink is attached,
+        # under that sink's name; the tally's list restarts with each one
+        self.sink = "ring"
+        self.events = {"ring": [], "tally": []}
 
     def emit(self, kind, tape_id=None, delta=0, label=None):
-        if not self.attached:
+        if self.sink is None:
             return
+        self.seq += 1
         name = self.names.get(tape_id) if tape_id else None
         scans = 1 + sum(self.reversals.values())
-        self.events.append((len(self.events) + 1, kind, tape_id, name, delta,
-                            scans, self.current, self.peak, self.count, 0, label))
+        self.events[self.sink].append((self.seq, kind, tape_id, name, delta,
+                                       scans, self.current, self.peak,
+                                       self.count, 0, label))
 
     def register(self, name):
         limit = self.budget.max_tapes
@@ -217,15 +227,18 @@ class ExtmemMachine(RuleBasedStateMachine):
         max_bits=st.one_of(st.none(), st.integers(0, 96)),
         max_tapes=st.one_of(st.none(), st.integers(1, MAX_TAPES)),
         records=st.lists(st.one_of(RECORDS, st.just(None)), max_size=6),
-        attached=st.booleans(),
+        sink=st.sampled_from(["ring", "tally", None]),
     )
-    def setup(self, max_scans, max_bits, max_tapes, records, attached):
+    def setup(self, max_scans, max_bits, max_tapes, records, sink):
         budget = ResourceBudget(max_scans, max_bits, max_tapes)
         self.model = Model(budget)
         self.tracker = ResourceTracker(budget)
         self.sink = RingBufferSink()
         self.tracker.attach_sink(self.sink)
-        if not attached:
+        self.tally = None
+        if sink == "tally":
+            self.attach_tally()
+        elif sink is None:
             self.toggle_sink()
         self.memory = InternalMemory(self.tracker)
         self.tapes = []
@@ -348,12 +361,13 @@ class ExtmemMachine(RuleBasedStateMachine):
             for name, value in stores:
                 cost = bit_cost(value)
                 widest[name] = max(widest.get(name, 0), cost)
-                total += cost - costs.get(name, 0)
+                delta = cost - costs.get(name, 0)  # the last one is kept
+                total += delta
                 costs[name] = cost
                 final[name] = value
                 peak = max(peak, total)
             if self.memory.has_headroom(widest):
-                self.memory.commit_peak(final, peak)
+                self.memory.commit_peak(final, peak, len(stores), delta)
             else:
                 for name, value in stores:
                     self.memory.store(name, value)
@@ -369,11 +383,21 @@ class ExtmemMachine(RuleBasedStateMachine):
 
     @rule()
     def toggle_sink(self):
+        """Detach whichever sink is attached, or re-attach the ring."""
         if self.tracker.sink is None:
             self.tracker.attach_sink(self.sink)
+            self.model.sink = "ring"
         else:
             self.tracker.detach_sink()
-        self.model.attached = self.tracker.sink is not None
+            self.model.sink = None
+
+    @rule()
+    def attach_tally(self):
+        """Attach a fresh tally in place of whatever is attached."""
+        self.tally = TallySink()
+        self.tracker.attach_sink(self.tally)
+        self.model.sink = "tally"
+        self.model.events["tally"] = []
 
     # -- the comparison after every rule -------------------------------------
 
@@ -382,8 +406,16 @@ class ExtmemMachine(RuleBasedStateMachine):
         if not hasattr(self, "model"):
             return
         model = self.model
-        assert [_event_tuple(e) for e in self.sink.events()] == model.events
+        assert [_event_tuple(e) for e in self.sink.events()] == model.events["ring"]
         assert self.sink.dropped == 0
+        if self.tally is not None:
+            tallied = model.events["tally"]
+            assert self.tally.events == len(tallied)
+            assert self.tally.denied == sum(e[1] == "denied" for e in tallied)
+            last = self.tally.last
+            assert (_event_tuple(last) if last else None) == (
+                tallied[-1] if tallied else None
+            )
         for tape, (cells, head, direction, _, _) in zip(self.tapes, model.tapes):
             assert (tape.head, tape.direction) == (head, direction)
             assert tape.snapshot() == cells

@@ -20,7 +20,7 @@ from repro.algorithms.fingerprint import (
 from repro.errors import EncodingError
 from repro.extmem import InternalMemory, RecordTape, ResourceBudget, ResourceTracker
 from repro.numbertheory import is_prime, random_prime_at_most
-from repro.observability.sinks import RingBufferSink
+from repro.observability.sinks import RingBufferSink, TallySink
 from repro.problems import (
     MULTISET_EQUALITY,
     Instance,
@@ -412,9 +412,9 @@ class TestAgainstRegisterReadingReference:
                 commits = []
                 commit_peak = mem.commit_peak
 
-                def recording_commit(values, peak_bits):
+                def recording_commit(values, peak_bits, stores, last_delta):
                     commits.append(values)
-                    commit_peak(values, peak_bits)
+                    commit_peak(values, peak_bits, stores, last_delta)
 
                 mem.commit_peak = recording_commit
                 mem["held"] = held
@@ -457,8 +457,8 @@ class TestAgainstRegisterReadingReference:
 
 
 class TestSinkFreeRuns:
-    """Without a sink the helpers may defer their stores; with one they
-    cannot, so the traced run is the per-store reference."""
+    """Without a sink the helpers may defer their stores; with a ring
+    buffer they cannot, so the traced run is the per-store reference."""
 
     @given(
         first=bit_words,
@@ -487,6 +487,124 @@ class TestSinkFreeRuns:
                 return None, (type(exc), exc.args)
 
         assert run(None) == run(RingBufferSink())
+
+
+class _RecordingTally(TallySink):
+    """A tally that keeps ``(events, last)`` after every delivery."""
+
+    def __init__(self):
+        super().__init__()
+        self.deliveries = []
+        self.loops = 0
+
+    def emit(self, event):
+        super().emit(event)
+        self.deliveries.append((self.events, self.last))
+
+    def emit_loop(self, count, last):
+        super().emit_loop(count, last)
+        self.loops += 1
+        self.deliveries.append((self.events, self.last))
+
+
+def _assert_tally_matches_ring(tally, ring):
+    """Count, denials, and every ``last`` the tally held, at its place.
+
+    A helper's ``free`` replaces the last event a loop left, so a wrong
+    last event shows only in the deliveries recorded after the loop.
+    """
+    events = ring.events()
+    assert ring.dropped == 0
+    assert tally.events == len(events)
+    assert tally.denied == sum(event.kind == "denied" for event in events)
+    for count, last in tally.deliveries:
+        assert last == events[count - 1]
+
+
+class TestTallyRuns:
+    """With a tally attached the helpers may take their loops whole; a
+    ring buffer receives every store, so its run is the reference."""
+
+    def test_helpers_with_a_tally_match_the_ring(self):
+        whole = set()
+
+        @given(
+            value=st.one_of(
+                st.text(alphabet="01", max_size=12),
+                st.text(alphabet="012", max_size=4),
+            ),
+            modulus=st.integers(1, 2**34),
+            base=st.integers(0, 2**34),
+            exponent=st.integers(0, 2**34),
+            held=st.integers(0, 2**20),
+            helper=st.sampled_from(["residue", "mod_pow"]),
+            slack=st.one_of(st.none(), st.integers(-3, 3)),
+        )
+        @example("", 11, 3, 9, 5, "residue", None)  # one store
+        @example("0110", 11, 3, 0, 5, "mod_pow", None)  # exponent 0: no loop
+        @example("0110", 1, 3, 9, 5, "residue", None)
+        @example("0110", 1, 3, 9, 5, "mod_pow", None)
+        @example("0111", 2, 3, 9, 5, "residue", None)
+        @example("0111", 2, 3, 9, 5, "mod_pow", None)
+        @example("0110", 11, 3, 9, 5, "mod_pow", -1)  # a store is denied
+        @DIFFERENTIAL_SETTINGS
+        def check(value, modulus, base, exponent, held, helper, slack):
+            def call(mem):
+                if helper == "residue":
+                    return _residue_of_string(value, modulus, mem)
+                return _mod_pow_charged(base, exponent, modulus, mem)
+
+            def run(sink, max_bits=None):
+                tracker = ResourceTracker(ResourceBudget(max_internal_bits=max_bits))
+                tracker.attach_sink(sink)
+                mem = InternalMemory(tracker)
+                mem["held"] = held
+                result, error = _outcome(call, mem)
+                registers = {name: mem[name] for name in mem}
+                return result, error, tracker.report(), registers
+
+            # budgets around the peak of an unbudgeted run; ``held`` fits
+            peak = run(RingBufferSink())[2].peak_internal_bits
+            held_bits = held.bit_length() or 1
+            max_bits = None if slack is None else max(held_bits, peak + slack)
+            tally, ring = _RecordingTally(), RingBufferSink()
+            assert run(tally, max_bits) == run(ring, max_bits)
+            _assert_tally_matches_ring(tally, ring)
+            whole.add(tally.loops > 0)
+
+        check()
+        assert whole == {True, False}
+
+    @given(
+        first=bit_words,
+        second=bit_words,
+        seed=st.integers(min_value=0, max_value=2**32),
+        slack=st.one_of(st.none(), st.integers(-12, 12)),
+    )
+    @example([], [], 0, None)
+    @example(["0", "1"], ["1", "0"], 0, None)
+    @DIFFERENTIAL_SETTINGS
+    def test_machine_with_a_tally_matches_the_ring(self, first, second, seed, slack):
+        inst = Instance(
+            tuple(first[: len(second)]), tuple(second[: len(first)])
+        )
+        peak = multiset_equality_fingerprint(
+            inst, random.Random(seed), budget=ResourceBudget(), sink=RingBufferSink()
+        ).report.peak_internal_bits
+        max_bits = None if slack is None else max(0, peak + slack)
+        budget = ResourceBudget(max_scans=2, max_internal_bits=max_bits, max_tapes=1)
+
+        def run(sink):
+            try:
+                return multiset_equality_fingerprint(
+                    inst, random.Random(seed), budget=budget, sink=sink
+                ), None
+            except Exception as exc:  # noqa: BLE001 - compared below
+                return None, (type(exc), exc.args)
+
+        tally, ring = _RecordingTally(), RingBufferSink()
+        assert run(tally) == run(ring)
+        _assert_tally_matches_ring(tally, ring)
 
 
 class TestMonteCarloArguments:

@@ -3,6 +3,7 @@
 import io
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +32,7 @@ from repro.observability import (
     TallySink,
     replay_jsonl,
 )
+from repro.observability import audit as audit_module
 from repro.observability.audit import (
     CONTRACTS,
     ContractSpec,
@@ -435,6 +437,34 @@ class TestContractAudit:
         ) == (1, 0, 0)
         assert check.event_stream_consistent is True
         assert check.ok
+
+    def test_per_event_delivery_writes_the_same_fingerprint_cells(
+        self, monkeypatch
+    ):
+        """A counter with no ``emit_loop`` is not a tally, so every helper
+        loop stores and emits one event at a time; the fingerprint cells
+        must still be the ones checked in."""
+
+        class Counter:
+            def __init__(self):
+                self.events = self.denied = 0
+                self.last = None
+
+            def emit(self, event):
+                self.events += 1
+                self.denied += event.kind == KIND_DENIED
+                self.last = event
+
+        monkeypatch.setattr(audit_module, "TallySink", Counter)
+        spec = next(spec for spec in CONTRACTS if spec.name == "fingerprint")
+        (outcome,) = run_contract_audit(contracts=[spec]).contracts
+        artifact = Path(__file__).resolve().parent.parent / "AUDIT_contracts.json"
+        (expected,) = [
+            contract
+            for contract in json.loads(artifact.read_text())["contracts"]
+            if contract["name"] == "fingerprint"
+        ]
+        assert outcome.to_json_dict() == expected
 
     def test_summary_renders_a_contract_without_a_scan_claim(self):
         def tapes_only(m, n, rng, sink):

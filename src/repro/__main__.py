@@ -1,8 +1,9 @@
 """``python -m repro``: re-verify the paper; ``audit``/``trace``: observability.
 
 With no arguments, runs the theorem registry at small scale and prints a
-one-line verdict per numbered result — a thirty-second smoke test of the
-whole reproduction.  Exit status is nonzero if any check fails.
+one-line verdict per numbered result — a smoke test of the whole
+reproduction that runs in well under a second.  Exit status is nonzero
+if any check fails.
 
 ``python -m repro audit [--quick] [--output PATH] [-v] [--cache DIR]``
 runs the contract-audit harness instead: every upper-bound algorithm is
@@ -20,13 +21,13 @@ writes the same bytes; ``--ledger PATH`` journals the sweep.
 
 ``python -m repro report {summarize,compare,history,strip}`` works the
 observability artifacts: ``summarize`` rolls one or more sweep ledgers
-(written by ``audit --ledger`` or ``bench_to_json.py --ledger``) into a
-deterministic per-sweep digest, ``compare`` renders a noise-aware
-per-engine/per-workload verdict of one bench payload against a baseline
-(exit 1 on regression, 2 on an unusable baseline), ``history`` appends
-timestamp-free payload summaries to ``BENCH_history.jsonl``, and
-``strip`` projects a ledger down to the deterministic lines the CI
-determinism gate diffs.
+(written by ``audit --ledger``) into a deterministic per-sweep digest,
+``compare`` judges ``benchmarks/e2e/run.py --output`` payloads of a
+change against payloads of its parent, pair by pair, under the bounds
+``BENCHMARK.json`` in the working directory sets (exit 1 on a
+regression, 2 on unusable input), ``history`` appends timestamp-free
+payload summaries to ``BENCH_e2e.jsonl``, and ``strip`` projects a
+ledger down to the deterministic lines the CI determinism gate diffs.
 
 ``python -m repro cache {stats,gc,verify} --dir DIR`` administers a
 result store: ``stats`` prints disk-derived entry counts, ``gc`` drops
@@ -200,6 +201,9 @@ def _cmd_report(args) -> int:
 
     from .cache.fingerprint import canonical_json
 
+    def read(path):
+        return _json.loads(Path(path).read_text(encoding="utf-8"))
+
     if args.report_command == "summarize":
         from .observability.report import render_summary, summarize_ledgers
 
@@ -214,24 +218,32 @@ def _cmd_report(args) -> int:
     if args.report_command == "compare":
         from .observability.report import compare_bench, render_comparison
 
-        run = _json.loads(Path(args.run).read_text(encoding="utf-8"))
-        baseline = _json.loads(
-            Path(args.baseline).read_text(encoding="utf-8")
-        )
-        comparison = compare_bench(run, baseline, tolerance=args.tolerance)
+        try:
+            spec = Path("BENCHMARK.json")
+            if not spec.is_file():
+                raise ValueError(
+                    "no BENCHMARK.json in the working directory to read "
+                    "the end-to-end metrics and their bounds from"
+                )
+            comparison = compare_bench(
+                [read(path) for path in args.runs],
+                [read(path) for path in args.baseline],
+                read(spec).get("end_to_end"),
+            )
+        except (OSError, ValueError) as exc:
+            print(f"repro report compare: {exc}", file=sys.stderr)
+            return 2
         if args.output:
             Path(args.output).write_text(canonical_json(comparison) + "\n")
         if args.json:
             print(canonical_json(comparison))
         else:
             print(
-                f"repro {__version__} — bench comparison: {args.run} vs "
-                f"baseline {args.baseline} (tolerance {args.tolerance})"
+                f"repro {__version__} — e2e comparison: "
+                f"{' '.join(args.runs)} vs baseline {' '.join(args.baseline)}"
             )
             for line in render_comparison(comparison):
                 print(line)
-        if comparison["baseline_invalid"]:
-            return 2
         return 1 if comparison["regressed"] else 0
 
     if args.report_command == "history":
@@ -239,12 +251,13 @@ def _cmd_report(args) -> int:
 
         appended = 0
         for payload_path in args.payloads:
-            payload = _json.loads(
-                Path(payload_path).read_text(encoding="utf-8")
-            )
-            record = history_record(
-                payload, source=os.path.basename(payload_path)
-            )
+            try:
+                record = history_record(
+                    read(payload_path), source=os.path.basename(payload_path)
+                )
+            except (OSError, ValueError) as exc:
+                print(f"repro report history: {exc}", file=sys.stderr)
+                return 2
             if append_history(args.file, record):
                 appended += 1
                 print(f"appended {payload_path} -> {args.file}")
@@ -266,7 +279,7 @@ def _cmd_report(args) -> int:
     return 0
 
 
-#: Machine trace targets: library factory + the bench_engine word builder.
+#: Machine trace targets: library factory + a word builder of length n.
 #: The final flag marks randomized machines, which are traced through
 #: ``acceptance_probability``'s branch exploration instead of a single run.
 def _machine_targets():
@@ -485,7 +498,7 @@ def main(argv=None) -> int:
     )
     report = sub.add_parser(
         "report",
-        help="summarize sweep ledgers, compare bench runs, keep history",
+        help="summarize sweep ledgers, judge e2e benchmark pairs, keep history",
     )
     report_sub = report.add_subparsers(dest="report_command")
     summarize = report_sub.add_parser(
@@ -501,19 +514,19 @@ def main(argv=None) -> int:
     )
     compare = report_sub.add_parser(
         "compare",
-        help="noise-aware bench comparison (exit 1 on regression, "
-        "2 on an unusable baseline)",
-    )
-    compare.add_argument("run", help="bench JSON payload for this run")
-    compare.add_argument(
-        "--baseline", required=True, help="bench JSON payload to compare to"
+        help="judge benchmarks/e2e/run.py --output payloads in pairs "
+        "against BENCHMARK.json's bounds (exit 1 on a regression, "
+        "2 on unusable input)",
     )
     compare.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.8,
-        help="fraction of the baseline a measurement may drop to before "
-        "it counts as a regression (default 0.8)",
+        "runs", nargs="+", help="payloads of the change; run i pairs with "
+        "baseline i"
+    )
+    compare.add_argument(
+        "--baseline",
+        nargs="+",
+        required=True,
+        help="payloads of the parent, as many as runs",
     )
     compare.add_argument(
         "--json",
@@ -527,15 +540,15 @@ def main(argv=None) -> int:
     )
     history = report_sub.add_parser(
         "history",
-        help="append bench payload summaries to an append-only trajectory",
+        help="append e2e payload summaries to an append-only trajectory",
     )
     history.add_argument(
-        "payloads", nargs="+", help="bench JSON payloads to record"
+        "payloads", nargs="+", help="benchmarks/e2e/run.py --output payloads"
     )
     history.add_argument(
         "--file",
-        default="BENCH_history.jsonl",
-        help="the history file (default: BENCH_history.jsonl); appends "
+        default="BENCH_e2e.jsonl",
+        help="the history file (default: BENCH_e2e.jsonl); appends "
         "are idempotent — an identical record is never duplicated",
     )
     strip = report_sub.add_parser(
@@ -644,10 +657,6 @@ def main(argv=None) -> int:
             parser.error(
                 "report needs a subcommand: summarize, compare, history, strip"
             )
-        if args.report_command == "compare" and not (
-            0.0 < args.tolerance <= 1.0
-        ):
-            parser.error("--tolerance must be in (0, 1]")
         return _cmd_report(args)
     if args.command == "cache":
         if args.dir is None:

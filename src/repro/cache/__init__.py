@@ -1,11 +1,11 @@
 """Content-addressed result cache with provenance stamps.
 
-Every audit check, bench verification cell and Monte Carlo trial block
-in this repo is a pure function of (machine fingerprint, input, engine
-tier, budget, code version) — the determinism the Grohe–Hernich–
-Schweikardt framework demands of its ST(r, s, t) computations.  This
-package makes that purity *servable*: repeat traffic hits an on-disk
-store instead of the engines.
+Every audit check and Monte Carlo trial block in this repo is a pure
+function of (machine fingerprint, input, engine tier, budget, code
+version) — the determinism the Grohe–Hernich–Schweikardt framework
+demands of its ST(r, s, t) computations.  This package makes that
+purity *servable*: repeat traffic hits an on-disk store instead of the
+engines.
 
 Three layers:
 
@@ -19,8 +19,7 @@ Three layers:
   recomputing entries from their stamps and diffing byte-for-byte.
 
 Front doors routed through it: ``python -m repro audit --cache DIR``
-(per-check memoization), ``scripts/bench_to_json.py --cache DIR``
-(correctness-verification cells only — never timings), and
+(per-check memoization) and
 :func:`repro.algorithms.fingerprint.monte_carlo_fingerprint_trials`
 (whole trial blocks).  Cache-on and cache-off outputs are byte-identical
 by construction, gated in CI and ``tests/test_cache.py``.

@@ -14,10 +14,8 @@ Kinds registered here out of the box:
 * ``fingerprint-mc`` — (m, n, kind, k, seed, base, count) rebuild a
   Monte Carlo trial block lane-for-lane.
 
-The benchmark verification kind (``bench-verify``) registers itself
-when ``bench_engine`` is importable (its word builders live in
-``benchmarks/``, outside the package); elsewhere it is reported as
-unverifiable rather than failing the sweep.
+An entry of any other kind is reported as unverifiable rather than
+failing the sweep.
 """
 
 from __future__ import annotations
@@ -71,13 +69,6 @@ def _ensure_default_recomputers() -> None:
         register_recompute("audit-cell", _recompute_audit_cell)
     if "fingerprint-mc" not in _RECOMPUTERS:
         register_recompute("fingerprint-mc", _recompute_fingerprint_mc)
-    if "bench-verify" not in _RECOMPUTERS:
-        try:
-            import bench_engine  # noqa: F401  (benchmarks/ on sys.path?)
-        except ImportError:
-            pass
-        else:
-            register_recompute("bench-verify", _recompute_bench_verify)
 
 
 # -- per-kind recomputers ---------------------------------------------------
@@ -110,14 +101,6 @@ def _recompute_fingerprint_mc(components: Dict[str, Any]) -> Any:
         rngs,
     )
     return {"accepted": accepted}
-
-
-def _recompute_bench_verify(components: Dict[str, Any]) -> Any:
-    import bench_engine
-
-    return bench_engine.verify_cell(
-        components["name"], components["n"], cache_dir=None
-    )
 
 
 # -- the verify sweep -------------------------------------------------------

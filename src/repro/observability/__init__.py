@@ -37,9 +37,10 @@ Layered bottom-up:
   every wall-clock field isolated in a marked ``wall`` section, so
   stripped ledgers of identical serial runs are byte-identical;
 * :mod:`~repro.observability.report` — rollups and regression verdicts
-  over those records, behind ``python -m repro report``: deterministic
-  ledger summaries, the noise-aware per-engine/per-workload bench
-  comparator, and the append-only ``BENCH_history.jsonl`` trajectory.
+  behind ``python -m repro report``: deterministic ledger summaries, the
+  pairs comparer that judges ``benchmarks/e2e`` runs of a change against
+  its parent under ``BENCHMARK.json``'s bounds, and the append-only
+  ``BENCH_e2e.jsonl`` trajectory.
 """
 
 from .events import (

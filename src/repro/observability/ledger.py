@@ -5,8 +5,8 @@ tracker, spans trace one engine call, a ``BatchResult`` summarizes one
 batch and then dies with the process.  The ledger is the durable record
 *across* runs: a :class:`LedgerWriter` appends one canonical-JSON line
 (:func:`~repro.cache.fingerprint.canonical_json` — sorted keys, compact
-separators) per sweep event, so a ``repro audit``, a bench or a Monte
-Carlo sweep leaves behind a journal of exactly what ran, what it cost,
+separators) per sweep event, so a ``repro audit`` or a Monte Carlo
+sweep leaves behind a journal of exactly what ran, what it cost,
 and what served it.
 
 Record kinds (all schema-versioned via :data:`LEDGER_SCHEMA`):
@@ -108,7 +108,7 @@ LEDGER_KINDS: Tuple[str, ...] = (
 WALL_ONLY_KINDS = frozenset({KIND_STALL})
 
 #: Buckets of the stall detector's latency histogram: sweeps mix
-#: sub-millisecond bench cells with multi-second full-sweep audit cells.
+#: sub-millisecond tasks with multi-second full-sweep audit cells.
 LATENCY_BUCKETS: Tuple[float, ...] = (
     0.001,
     0.005,
@@ -126,9 +126,10 @@ LATENCY_BUCKETS: Tuple[float, ...] = (
 class LedgerWriter:
     """Appends canonical-JSON sweep records to a JSONL ledger.
 
-    ``target`` is a path (opened with ``mode``, default ``"w"`` — one
-    ledger per run, so reconciliation against the run's artifacts holds)
-    or an already-open text stream; stream-ownership semantics mirror
+    ``target`` is a path (opened with ``"w"`` — one ledger per run, so
+    reconciliation against the run's artifacts holds, and no record is
+    ever glued onto a torn last line of an earlier run) or an
+    already-open text stream; stream-ownership semantics mirror
     :class:`~repro.observability.sinks.JsonlFileSink` (close flushes
     always, closes only a handle this writer opened).  Records are
     flushed line-by-line: the ledger is a journal, and a crashed sweep
@@ -150,7 +151,6 @@ class LedgerWriter:
         stall_factor: float = 4.0,
         stall_quantile: float = 0.95,
         min_stall_samples: int = 8,
-        mode: str = "w",
     ) -> None:
         if heartbeat_every < 1:
             raise ValueError(
@@ -167,7 +167,7 @@ class LedgerWriter:
                 f"min_stall_samples must be >= 1, got {min_stall_samples}"
             )
         if isinstance(target, (str, Path)):
-            self._stream: IO[str] = open(target, mode, encoding="utf-8")
+            self._stream: IO[str] = open(target, "w", encoding="utf-8")
             self._owns_stream = True
         else:
             self._stream = target

@@ -1,4 +1,4 @@
-"""Rollups and regression verdicts: the aggregation layer over ledgers.
+"""Rollups and regression verdicts: the aggregation layer over run records.
 
 Three consumers of durable run records, all behind ``python -m repro
 report``:
@@ -10,28 +10,25 @@ report``:
   order-insensitive and every table is sorted, so parallel sweeps whose
   outcome records landed in completion order still summarize to the same
   bytes.
-* :func:`compare_bench` — the noise-aware perf-regression detector:
-  generalizes the bench's single top-N gate into per-engine/per-workload
-  verdicts.  Each (engine, workload) cell is compared at the largest
-  input size present in *both* payloads (a quick smoke run never gets
-  judged against a full-sweep baseline's biggest n), against a tolerance
-  band ``measured >= tolerance × baseline``; a baseline without a usable
-  ``top_n_speedup`` propagates ``baseline_invalid`` instead of vacuously
-  passing.  Verdicts are machine-readable: ``ok`` / ``regressed`` /
-  ``new`` (no baseline cell) / ``missing`` (baseline cell gone) /
-  ``incomparable`` (no shared n).
+* :func:`compare_bench` — the verdict on a change, from
+  ``benchmarks/e2e/run.py --output`` payloads taken in alternating
+  pairs: per workload and end-to-end metric of ``BENCHMARK.json``, each
+  side's median and quartiles, pairs won, and one of ``regressed`` /
+  ``unresolved`` / ``gain`` / ``ok`` under the metric's bound; a larger
+  failure share is ``regressed`` too.
 * :func:`history_record` / :func:`append_history` — one timestamp-free
-  snapshot per bench payload appended to ``BENCH_history.jsonl``, so the
-  performance trajectory across PRs is a diffable artifact.  Appends are
-  idempotent: a record whose canonical line is already present is
+  line per e2e payload appended to ``BENCH_e2e.jsonl``, so the
+  performance trajectory across changes is a diffable artifact.  Appends
+  are idempotent: a record whose canonical line is already present is
   skipped.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Sequence, Set, Tuple, Union
 
 from ..cache.fingerprint import canonical_json
 from .ledger import (
@@ -48,7 +45,6 @@ from .ledger import (
 __all__ = [
     "SUMMARY_SCHEMA",
     "HISTORY_SCHEMA",
-    "ROW_METRICS",
     "summarize_ledgers",
     "render_summary",
     "compare_bench",
@@ -58,7 +54,7 @@ __all__ = [
 ]
 
 SUMMARY_SCHEMA = 1
-HISTORY_SCHEMA = 1
+HISTORY_SCHEMA = 2
 
 #: Latency quantiles reported per sweep label (nearest-rank over the
 #: ledger's exact per-task seconds, not histogram buckets).
@@ -264,370 +260,309 @@ def render_summary(summary: Dict[str, Any]) -> List[str]:
     return lines
 
 
-# -- bench regression detection --------------------------------------------
-
-#: Per-engine speedup metric each engine's rows carry (the reference
-#: engine is the denominator and has no ratio of its own).
-ROW_METRICS: Dict[str, str] = {
-    "streaming": "speedup_vs_reference",
-}
+# -- end-to-end comparison -------------------------------------------------
 
 
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _metric_cells(
-    rows: Iterable[Dict[str, Any]]
-) -> Dict[Tuple[str, str], Dict[int, float]]:
-    """``(engine, workload) -> {n: speedup}`` for every comparable row."""
-    cells: Dict[Tuple[str, str], Dict[int, float]] = {}
-    for row in rows:
-        metric = ROW_METRICS.get(row.get("engine"))
-        if metric is None or not _is_number(row.get(metric)):
-            continue
-        key = (row["engine"], str(row.get("machine", "?")))
-        cells.setdefault(key, {})[int(row.get("n", 0))] = float(row[metric])
-    return cells
-
-
-def _parallel_env(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """The host facts a wall-clock speedup is a function of."""
-    return {
-        "cpu_count": payload.get("cpu_count"),
-        "process_cpu_count": payload.get(
-            "process_cpu_count", payload.get("cpu_count")
-        ),
-        "jobs": payload.get("jobs"),
-        "topology": payload.get("topology"),
-    }
-
-
-def _compare_parallel(
-    run: Dict[str, Any],
-    baseline: Dict[str, Any],
-    *,
-    tolerance: float,
-) -> Dict[str, Any]:
-    """Verdicts for two ``parallel`` bench payloads (wall-clock sweeps).
-
-    A parallel speedup is a property of the host's core count, not of
-    the code, so cells measured on hosts with different core counts are
-    ``incomparable`` — never ``regressed``.  The recorded
-    ``environment`` block says exactly which facts disagreed.
-    """
-    run_sweeps = run.get("sweeps") or {}
-    base_sweeps = baseline.get("sweeps") or {}
-    base_speeds = [
-        s.get("speedup")
-        for s in base_sweeps.values()
-        if _is_number(s.get("speedup"))
-    ]
-    baseline_invalid = not base_speeds
-    run_env = _parallel_env(run)
-    base_env = _parallel_env(baseline)
-    comparable = (
-        not baseline_invalid
-        and run_env["cpu_count"] == base_env["cpu_count"]
-        and run_env["process_cpu_count"] == base_env["process_cpu_count"]
-    )
-    rows: List[Dict[str, Any]] = []
-    for label in sorted(set(run_sweeps) | set(base_sweeps)):
-        row: Dict[str, Any] = {
-            "engine": "parallel",
-            "workload": label,
-            "metric": "speedup",
-            "n": "-",
-        }
-        base_speed = (base_sweeps.get(label) or {}).get("speedup")
-        run_speed = (run_sweeps.get(label) or {}).get("speedup")
-        if not _is_number(base_speed):
-            row.update(
-                baseline=None,
-                measured=run_speed if _is_number(run_speed) else None,
-                floor=None,
-                verdict="new",
-            )
-        elif not _is_number(run_speed):
-            row.update(
-                baseline=base_speed, measured=None, floor=None,
-                verdict="missing",
-            )
-        elif not comparable:
-            row.update(
-                baseline=base_speed, measured=run_speed, floor=None,
-                verdict="incomparable",
-            )
-        else:
-            floor = round(tolerance * base_speed, 4)
-            row.update(
-                n="-",
-                baseline=base_speed,
-                measured=run_speed,
-                floor=floor,
-                ratio=(
-                    round(run_speed / base_speed, 4) if base_speed else None
-                ),
-                verdict="regressed" if run_speed < floor else "ok",
-            )
-        rows.append(row)
-    run_speeds = [
-        s.get("speedup")
-        for s in run_sweeps.values()
-        if _is_number(s.get("speedup"))
-    ]
-    top: Dict[str, Any] = {
-        "metric": "min_sweep_speedup",
-        "baseline": None if baseline_invalid else round(min(base_speeds), 4),
-        "measured": round(min(run_speeds), 4) if run_speeds else None,
-        "floor": None,
-    }
-    if baseline_invalid:
-        top["verdict"] = "baseline-invalid"
-    elif not run_speeds:
-        top["verdict"] = "missing"
-    elif not comparable:
-        top["verdict"] = "incomparable"
-    else:
-        top["floor"] = round(tolerance * top["baseline"], 4)
-        top["verdict"] = (
-            "regressed" if top["measured"] < top["floor"] else "ok"
+def _workloads(payload: Any, label: str) -> Dict[str, Any]:
+    """The per-workload block of a ``benchmarks/e2e/run.py --output`` payload."""
+    workloads = payload.get("workloads") if isinstance(payload, dict) else None
+    if not isinstance(workloads, dict):
+        raise ValueError(
+            f"{label} is not a benchmarks/e2e/run.py --output payload "
+            "(no workloads)"
         )
-    regressions = [
-        f"{row['engine']}/{row['workload']}: {row['metric']} "
-        f"{row['measured']} < floor {row['floor']} "
-        f"(baseline {row['baseline']}, tolerance {tolerance})"
-        for row in rows
-        if row["verdict"] == "regressed"
-    ]
+    return workloads
+
+
+def _names(payloads: Sequence[Any], side: str) -> Set[str]:
+    """Every workload some payload of one side ran."""
     return {
-        "schema": SUMMARY_SCHEMA,
-        "tolerance": tolerance,
-        "baseline_invalid": baseline_invalid,
-        "environment": {
-            "run": run_env,
-            "baseline": base_env,
-            "comparable": comparable,
-        },
-        "top": top,
-        "rows": rows,
-        "regressed": any(row["verdict"] == "regressed" for row in rows),
-        "regressions": regressions,
+        name
+        for index, payload in enumerate(payloads, 1)
+        for name in _workloads(payload, f"{side} payload {index}")
+    }
+
+
+def _metric_values(
+    payloads: Sequence[Any], side: str, workload: str, metric: str
+) -> List[float]:
+    """One value of ``workload``'s ``metric`` per payload, in order."""
+    values = []
+    for index, payload in enumerate(payloads, 1):
+        label = f"{side} payload {index}"
+        entry = _workloads(payload, label).get(workload)
+        try:
+            value = entry["metrics"][metric]["value"]
+        except (KeyError, TypeError):
+            raise ValueError(
+                f"{label} has no end-to-end metric {workload}.{metric} "
+                "(a traced run has none)"
+            ) from None
+        # a NaN or infinite value compares false both ways, and a negative
+        # median turns the bound around: either would pass vacuously
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or not math.isfinite(value)
+            or value < 0
+        ):
+            raise ValueError(
+                f"{label}: {workload}.{metric} is not a finite number >= 0: "
+                f"{value!r}"
+            )
+        values.append(float(value))
+    return values
+
+
+def _quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
+    """``(q1, median, q3)``; a single value is all three of its quartiles."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def _failures(
+    payloads: Sequence[Any], side: str, workload: str
+) -> Dict[str, int]:
+    """Pooled oracle tallies of ``workload`` over one side's payloads."""
+    failed = attempted = 0
+    for index, payload in enumerate(payloads, 1):
+        entry = _workloads(payload, f"{side} payload {index}")[workload]
+        try:
+            failed += int(entry["failed"])
+            attempted += int(entry["attempted"])
+        except (KeyError, TypeError, ValueError):
+            raise ValueError(
+                f"{side} payload {index}: {workload} has no failed/attempted "
+                "tallies"
+            ) from None
+    return {"failed": failed, "attempted": attempted}
+
+
+def _judge(
+    run: Sequence[float], baseline: Sequence[float], bound: float, sign: float
+) -> Dict[str, Any]:
+    """Apply the pairs rule to one workload × metric.
+
+    ``sign`` is 1 when lower is better and -1 when higher is better, so
+    ``sign × (a − b) > 0`` reads "a is worse than b".  The rules, in
+    order: ``regressed`` when the run's median is worse than the
+    baseline's by more than ``bound`` × the baseline's median;
+    ``unresolved`` when the baseline's interquartile range is wider than
+    that, unless every run is better than every baseline run; ``gain``
+    with at least 10 pairs, at least 9 in 10 of them won (ties count for
+    neither side) and the medians apart by more than the baseline's
+    interquartile range; otherwise ``ok``.
+    """
+    base_q1, base_median, base_q3 = _quartiles(baseline)
+    run_q1, run_median, run_q3 = _quartiles(run)
+    spread = base_q3 - base_q1
+    pairs = len(run)
+    won = sum(sign * (b - r) > 0 for r, b in zip(run, baseline))
+    lost = sum(sign * (r - b) > 0 for r, b in zip(run, baseline))
+    every_run_better = max(sign * r for r in run) < min(
+        sign * b for b in baseline
+    )
+    if sign * (run_median - base_median) > bound * base_median:
+        verdict = "regressed"
+    elif spread > bound * base_median and not every_run_better:
+        verdict = "unresolved"
+    elif (
+        pairs >= 10
+        and 10 * won >= 9 * pairs
+        and sign * (base_median - run_median) > spread
+    ):
+        verdict = "gain"
+    else:
+        verdict = "ok"
+    return {
+        "run": {"q1": run_q1, "median": run_median, "q3": run_q3},
+        "baseline": {"q1": base_q1, "median": base_median, "q3": base_q3},
+        "change": (
+            (run_median - base_median) / base_median if base_median else None
+        ),
+        "baseline_iqr": spread / base_median if base_median else None,
+        "pairs": pairs,
+        "won": won,
+        "lost": lost,
+        "verdict": verdict,
     }
 
 
 def compare_bench(
-    run: Dict[str, Any],
-    baseline: Dict[str, Any],
-    *,
-    tolerance: float = 0.8,
+    runs: Sequence[Any],
+    baselines: Sequence[Any],
+    end_to_end: Sequence[Dict[str, Any]],
 ) -> Dict[str, Any]:
-    """Noise-aware verdicts for a bench payload against a baseline.
+    """Judge ``benchmarks/e2e/run.py --output`` payloads against a baseline.
 
-    Returns a machine-readable dict: the overall ``top`` gate (the
-    quantity every historical baseline records), one row per
-    (engine, workload) cell with its own verdict, the ``regressed``
-    rollup, and human-readable ``regressions`` strings naming exactly
-    what fell below the floor and by how much.  ``baseline_invalid``
-    (missing/non-numeric/non-positive ``top_n_speedup``) is propagated
-    explicitly — it can never read as a pass.
+    ``runs[i]`` and ``baselines[i]`` make pair i (run them alternately,
+    so each pair saw the same host).  ``end_to_end`` is
+    ``BENCHMARK.json``'s list of end-to-end metrics, each with its
+    ``name``, ``unit``, ``better`` direction and ``bound``.  Every
+    workload both sides ran gets one row per metric (see :func:`_judge`
+    for the rule) and a failure row: a larger pooled
+    ``failed``/``attempted`` share in the runs is ``regressed``.
+    Workloads on one side only are listed, not judged.
 
-    ``parallel`` bench payloads (wall-clock serial-vs-parallel sweeps)
-    are compared cell-by-cell on their sweep speedups instead, with an
-    ``environment`` block recording both hosts' core counts; cells from
-    hosts with different core counts come back ``incomparable``, never
-    ``regressed`` — a wall-clock ratio measured on a different machine
-    is not a regression signal.
+    Raises :class:`ValueError` on unusable input: unequal payload
+    counts, a payload that lacks a compared workload's end-to-end metric
+    (a traced run has none), a compared value that is not a finite
+    number >= 0, no workload in common, or a metric whose direction or
+    bound cannot be read.
     """
-    if not 0.0 < tolerance <= 1.0:
-        raise ValueError(f"tolerance must be in (0, 1], got {tolerance}")
-    if (
-        run.get("benchmark") == "parallel"
-        or baseline.get("benchmark") == "parallel"
-    ):
-        return _compare_parallel(run, baseline, tolerance=tolerance)
-    base_top = (baseline.get("summary") or {}).get("top_n_speedup")
-    baseline_invalid = not _is_number(base_top) or base_top <= 0
-    measured_top = (run.get("summary") or {}).get("top_n_speedup")
-    top: Dict[str, Any] = {
-        "metric": "top_n_speedup",
-        "baseline": None if baseline_invalid else base_top,
-        "measured": measured_top if _is_number(measured_top) else None,
-        "floor": (
-            None if baseline_invalid else round(tolerance * base_top, 4)
-        ),
-    }
-    overall_regressed = (
-        not baseline_invalid
-        and _is_number(measured_top)
-        and measured_top < tolerance * base_top
-    )
-    if baseline_invalid:
-        top["verdict"] = "baseline-invalid"
-    elif not _is_number(measured_top):
-        top["verdict"] = "missing"
-    else:
-        top["verdict"] = "regressed" if overall_regressed else "ok"
-
-    base_cells = _metric_cells(baseline.get("rows", ()))
-    run_cells = _metric_cells(run.get("rows", ()))
+    if len(runs) != len(baselines) or not runs:
+        raise ValueError(
+            f"{len(runs)} run payloads against {len(baselines)} baseline "
+            "payloads: run i pairs with baseline i"
+        )
+    if not end_to_end:
+        raise ValueError("no end-to-end metrics to judge")
+    for metric in end_to_end:
+        bound = metric.get("bound")
+        if (
+            not isinstance(metric.get("name"), str)
+            or metric.get("better") not in ("lower", "higher")
+            or isinstance(bound, bool)
+            or not isinstance(bound, (int, float))
+            or bound < 0
+        ):
+            raise ValueError(
+                f"end-to-end metric {metric!r} needs a name, better "
+                "'lower' or 'higher', and a bound >= 0"
+            )
+    run_names = _names(runs, "run")
+    base_names = _names(baselines, "baseline")
+    common = sorted(run_names & base_names)
+    if not common:
+        raise ValueError("the runs and the baselines share no workload")
     rows: List[Dict[str, Any]] = []
-    for key in sorted(set(base_cells) | set(run_cells)):
-        engine, workload = key
-        row: Dict[str, Any] = {
-            "engine": engine,
-            "workload": workload,
-            "metric": ROW_METRICS[engine],
-        }
-        base_ns = base_cells.get(key, {})
-        run_ns = run_cells.get(key, {})
-        common = sorted(set(base_ns) & set(run_ns))
-        if not base_ns:
-            n = max(run_ns)
-            row.update(
-                n=n, baseline=None, measured=run_ns[n], floor=None,
-                verdict="new",
+    failures: List[Dict[str, Any]] = []
+    for workload in common:
+        for metric in end_to_end:
+            name = metric["name"]
+            row = _judge(
+                _metric_values(runs, "run", workload, name),
+                _metric_values(baselines, "baseline", workload, name),
+                float(metric["bound"]),
+                1.0 if metric["better"] == "lower" else -1.0,
             )
-        elif not run_ns:
-            n = max(base_ns)
-            row.update(
-                n=n, baseline=base_ns[n], measured=None, floor=None,
-                verdict="missing",
+            rows.append(
+                dict(
+                    row,
+                    workload=workload,
+                    metric=name,
+                    unit=metric.get("unit", ""),
+                    better=metric["better"],
+                    bound=metric["bound"],
+                )
             )
-        elif not common:
-            row.update(
-                n=None,
-                baseline=base_ns[max(base_ns)],
-                measured=run_ns[max(run_ns)],
-                floor=None,
-                verdict="incomparable",
-            )
-        else:
-            # the largest n both payloads measured: the least noisy,
-            # most comparable cell (a quick smoke run is never judged
-            # against a full sweep's biggest size)
-            n = common[-1]
-            floor = round(tolerance * base_ns[n], 4)
-            measured = run_ns[n]
-            row.update(
-                n=n,
-                baseline=base_ns[n],
-                measured=measured,
-                floor=floor,
-                ratio=(
-                    round(measured / base_ns[n], 4) if base_ns[n] else None
-                ),
-                verdict="regressed" if measured < floor else "ok",
-            )
-        rows.append(row)
-
-    regressions = [
-        f"{row['engine']}/{row['workload']}: {row['metric']} "
-        f"{row['measured']} < floor {row['floor']} "
-        f"(baseline {row['baseline']} at n={row['n']}, "
-        f"tolerance {tolerance})"
-        for row in rows
-        if row["verdict"] == "regressed"
-    ]
-    if overall_regressed:
-        regressions.append(
-            f"overall: top_n_speedup {measured_top} < floor "
-            f"{top['floor']} (baseline {base_top}, tolerance {tolerance})"
+        run_tally = _failures(runs, "run", workload)
+        base_tally = _failures(baselines, "baseline", workload)
+        # the pooled shares, compared as exact cross-products
+        worse = (
+            run_tally["failed"] * base_tally["attempted"]
+            > base_tally["failed"] * run_tally["attempted"]
+        )
+        failures.append(
+            {
+                "workload": workload,
+                "run": run_tally,
+                "baseline": base_tally,
+                "verdict": "regressed" if worse else "ok",
+            }
         )
     return {
         "schema": SUMMARY_SCHEMA,
-        "tolerance": tolerance,
-        "baseline_invalid": baseline_invalid,
-        "top": top,
+        "pairs": len(runs),
         "rows": rows,
-        "regressed": overall_regressed or any(
-            row["verdict"] == "regressed" for row in rows
+        "failures": failures,
+        "only_run": sorted(run_names - base_names),
+        "only_baseline": sorted(base_names - run_names),
+        "regressed": any(
+            item["verdict"] == "regressed" for item in rows + failures
         ),
-        "regressions": regressions,
     }
 
 
 def render_comparison(comparison: Dict[str, Any]) -> List[str]:
-    """Human-readable verdict lines, worst news first."""
-    flags = {
-        "ok": "ok ",
-        "regressed": "REG",
-        "new": "new",
-        "missing": "gone",
-        "incomparable": "?n ",
-        "baseline-invalid": "?? ",
-    }
-    lines = []
-    top = comparison["top"]
-    env = comparison.get("environment")
-    if env is not None and not env["comparable"] and not comparison[
-        "baseline_invalid"
-    ]:
+    """Human-readable lines: per workload, one per metric and its failures."""
+
+    def side(stats: Dict[str, float]) -> str:
+        return f"{stats['median']:.4g} [{stats['q1']:.4g}, {stats['q3']:.4g}]"
+
+    def share(value: Any, spec: str) -> str:
+        return "n/a" if value is None else format(value, spec)
+
+    lines = [
+        f"  {comparison['pairs']} pair(s); each side's median [q1, q3]; "
+        "bound and baseline IQR as shares of the baseline median"
+    ]
+    for item in comparison["failures"]:
+        for row in comparison["rows"]:
+            if row["workload"] != item["workload"]:
+                continue
+            lines.append(
+                f"  {row['workload']:<15} {row['metric']:<12} "
+                f"baseline {side(row['baseline'])}  run {side(row['run'])} "
+                f"{row['unit']}  change {share(row['change'], '+.1%')}  "
+                f"bound {row['bound']:.0%}  "
+                f"baseline IQR {share(row['baseline_iqr'], '.1%')}  "
+                f"won {row['won']}/{row['pairs']} lost {row['lost']}  "
+                f"{row['verdict']}"
+            )
         lines.append(
-            "  note: wall-clock sweeps measured on different hosts "
-            f"(run: {env['run']['cpu_count']} cores, baseline: "
-            f"{env['baseline']['cpu_count']} cores) — speedup cells are "
-            "incomparable, not regressions"
+            f"  {item['workload']:<15} {'failures':<12} baseline "
+            f"{item['baseline']['failed']}/{item['baseline']['attempted']}  "
+            f"run {item['run']['failed']}/{item['run']['attempted']}  "
+            f"{item['verdict']}"
         )
-    if comparison["baseline_invalid"]:
-        lines.append(
-            "  [?? ] baseline invalid: no positive top_n_speedup — "
-            "no floor can be anchored (this is NOT a pass)"
-        )
-    else:
-        lines.append(
-            f"  [{flags[top['verdict']]:<4}] overall top_n_speedup: "
-            f"measured {top['measured']} vs baseline {top['baseline']} "
-            f"(floor {top['floor']})"
-        )
+    for key, where in (("only_run", "runs"), ("only_baseline", "baselines")):
+        for workload in comparison[key]:
+            lines.append(f"  {workload:<15} only in the {where}: not judged")
+    tally: Dict[str, int] = {}
     for row in comparison["rows"]:
-        flag = flags.get(row["verdict"], "?")
-        cell = f"{row['engine']}/{row['workload']}"
-        if row["verdict"] in ("ok", "regressed"):
-            lines.append(
-                f"  [{flag:<4}] {cell:<22} n={row['n']:<6} "
-                f"{row['metric']}: measured {row['measured']} vs "
-                f"baseline {row['baseline']} (floor {row['floor']})"
-            )
-        else:
-            lines.append(
-                f"  [{flag:<4}] {cell:<22} {row['metric']}: "
-                f"{row['verdict']} (baseline {row['baseline']}, "
-                f"measured {row['measured']})"
-            )
-    verdict = "REGRESSION" if comparison["regressed"] else (
-        "baseline-invalid" if comparison["baseline_invalid"] else "ok"
-    )
-    lines.append(f"  verdict: {verdict}")
+        tally[row["verdict"]] = tally.get(row["verdict"], 0) + 1
+    counts = ", ".join(f"{tally[v]} {v}" for v in sorted(tally))
+    verdict = "REGRESSION" if comparison["regressed"] else "no regression"
+    lines.append(f"  verdict: {verdict} ({counts})")
     return lines
 
 
-# -- bench history ---------------------------------------------------------
+# -- the benchmark history -------------------------------------------------
 
 
-def history_record(
-    payload: Dict[str, Any], *, source: str
-) -> Dict[str, Any]:
-    """One timestamp-free trajectory point from a bench payload.
+def history_record(payload: Any, *, source: str) -> Dict[str, Any]:
+    """One timestamp-free trajectory point from an e2e payload.
 
-    Carries the payload's summary (the engine bench) or its wall-clock
-    sweeps block (the parallel bench) — never the raw per-cell rows, so
-    the history file stays one compact line per run.
+    Keeps the run's settings and, per workload, the oracle tallies, the
+    inputs digest and every metric's value.  The diagnostics and the
+    raw ``wall`` section are dropped, so the line stays compact and the
+    same payload always yields the same line.
     """
-    record: Dict[str, Any] = {
+    workloads = _workloads(payload, source)
+    return {
         "schema": HISTORY_SCHEMA,
         "source": source,
-        "benchmark": payload.get("benchmark", "unknown"),
-        "python": payload.get("python"),
-        "summary": payload.get("summary"),
+        **{
+            key: payload.get(key)
+            for key in ("seed", "trace", "smoke", "seconds", "rounds",
+                        "calibration")
+        },
+        "workloads": {
+            name: {
+                "attempted": entry.get("attempted"),
+                "failed": entry.get("failed"),
+                "inputs_digest": entry.get("inputs_digest"),
+                "metrics": {
+                    metric: value.get("value")
+                    for metric, value in (entry.get("metrics") or {}).items()
+                },
+            }
+            for name, entry in workloads.items()
+        },
     }
-    if record["summary"] is None and "sweeps" in payload:
-        record["summary"] = {
-            "cpu_count": payload.get("cpu_count"),
-            "jobs": payload.get("jobs"),
-            "sweeps": payload["sweeps"],
-        }
-    return record
 
 
 def append_history(
@@ -637,17 +572,17 @@ def append_history(
 
     Returns ``True`` when appended, ``False`` when an identical line is
     already present (re-running the same seeding command is a no-op).
+    A last line without its newline is ended first, so the record
+    always starts a line of its own.
     """
     line = canonical_json(record)
     target = Path(path)
-    if target.exists():
-        existing = target.read_text(encoding="utf-8").splitlines()
-        if line in (l.strip() for l in existing):
-            return False
-        with open(target, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-        return True
+    existing = target.read_text(encoding="utf-8") if target.exists() else ""
+    if line in (l.strip() for l in existing.splitlines()):
+        return False
     target.parent.mkdir(parents=True, exist_ok=True)
-    with open(target, "w", encoding="utf-8") as handle:
+    with open(target, "a", encoding="utf-8") as handle:
+        if existing and not existing.endswith("\n"):
+            handle.write("\n")
         handle.write(line + "\n")
     return True

@@ -1,11 +1,11 @@
 """The batch task model: what a sweep cell is, and what running one yields.
 
 Every embarrassingly-parallel workload in the repo — contract-audit
-sweeps, Monte Carlo fingerprint trials, skeleton censuses, benchmark
-cells — reduces to the same shape: an ordered list of independent tasks,
-each a picklable callable plus arguments, whose results must come back
-**in task order** and **bit-identical** no matter how many workers ran
-them.  This module defines that shape:
+sweeps, Monte Carlo fingerprint trials, skeleton censuses, randomized-
+machine checks — reduces to the same shape: an ordered list of
+independent tasks, each a picklable callable plus arguments, whose
+results must come back **in task order** and **bit-identical** no
+matter how many workers ran them.  This module defines that shape:
 
 * :class:`BatchTask` — one unit of work.  ``seeded=True`` tasks receive a
   task-index-derived ``random.Random`` as an ``rng`` keyword argument

@@ -12,6 +12,7 @@ The two load-bearing guarantees tested here:
 """
 
 import json
+import math
 import os
 import pickle
 
@@ -609,51 +610,64 @@ class TestVerifyEntries:
         assert report["ok"] == report["checked"] == 1
 
 
-# -- the bench --compare guard ----------------------------------------------
-
-
 class TestCompareGuard:
-    @staticmethod
-    def _compare(gate, baseline_summary, rows=()):
-        import sys
-        from pathlib import Path
+    """The e2e comparer never passes a baseline it cannot judge."""
 
-        scripts = str(Path(__file__).resolve().parent.parent / "scripts")
-        sys.path.insert(0, scripts)
-        try:
-            from bench_to_json import compare_against_baseline
-        finally:
-            sys.path.remove(scripts)
-        return compare_against_baseline(
-            gate, list(rows), {"summary": baseline_summary, "rows": []}, 0.8
-        )
+    SPEC = [{"name": "iter_s_p50", "unit": "s", "better": "lower",
+             "bound": 0.2}]
+
+    @staticmethod
+    def _payload(value, workload="audit"):
+        return {"workloads": {workload: {
+            "attempted": 10,
+            "failed": 0,
+            "metrics": {"iter_s_p50": {"value": value, "unit": "s"}},
+        }}}
+
+    def _compare(self, run, baseline):
+        from repro.observability.report import compare_bench
+
+        return compare_bench([run], [baseline], self.SPEC)
 
     def test_zero_baseline_cannot_vacuously_pass(self):
-        verdict = self._compare(0.01, {"top_n_speedup": 0})
-        assert verdict["baseline_invalid"]
-        assert verdict["top"]["floor"] is None
-        assert not verdict["regressed"]
+        # a zero median leaves no room under a relative bound
+        verdict = self._compare(self._payload(0.01), self._payload(0))
+        (row,) = verdict["rows"]
+        assert row["verdict"] == "regressed" and verdict["regressed"]
+        assert row["change"] is None and row["baseline_iqr"] is None
+        assert not self._compare(self._payload(0), self._payload(0))[
+            "regressed"
+        ]
 
     def test_negative_and_missing_and_nonnumeric_baselines(self):
-        for summary in ({"top_n_speedup": -3.0}, {}, {"top_n_speedup": "5"},
-                        {"top_n_speedup": True}):
-            verdict = self._compare(4.0, summary)
-            assert verdict["baseline_invalid"], summary
-            assert verdict["top"]["baseline"] is None
+        good = self._payload(1.0)
+        for value in (-3.0, "5", True, None, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite number >= 0"):
+                self._compare(good, self._payload(value))
+            # the run side is held to the same rule
+            with pytest.raises(ValueError, match="finite number >= 0"):
+                self._compare(self._payload(value), good)
+        missing = {"workloads": {"audit": {"attempted": 10, "failed": 0,
+                                           "metrics": {}}}}
+        with pytest.raises(ValueError, match="no end-to-end metric"):
+            self._compare(good, missing)
 
     def test_valid_baseline_still_gates(self):
-        regressed = self._compare(3.0, {"top_n_speedup": 5.0})
-        assert not regressed["baseline_invalid"]
-        assert regressed["top"]["floor"] == 4.0
+        regressed = self._compare(self._payload(1.3), self._payload(1.0))
         assert regressed["regressed"]
-        fine = self._compare(4.5, {"top_n_speedup": 5.0})
+        assert regressed["rows"][0]["verdict"] == "regressed"
+        fine = self._compare(self._payload(1.1), self._payload(1.0))
         assert not fine["regressed"]
+        assert fine["rows"][0]["verdict"] == "ok"
 
     def test_new_engines_are_informational(self):
-        row = {"engine": "streaming", "machine": "copy", "n": 64,
-               "speedup_vs_reference": 1.0}
-        verdict = self._compare(5.0, {"top_n_speedup": 5.0}, rows=[row])
-        assert [r["verdict"] for r in verdict["rows"]] == ["new"]
+        # a workload the baseline never ran is listed, not judged
+        run = self._payload(1.0)
+        run["workloads"].update(self._payload(9.0, "xpath")["workloads"])
+        verdict = self._compare(run, self._payload(1.0))
+        assert [row["workload"] for row in verdict["rows"]] == ["audit"]
+        assert verdict["only_run"] == ["xpath"]
+        assert verdict["only_baseline"] == []
         assert not verdict["regressed"]
 
 

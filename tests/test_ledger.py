@@ -8,6 +8,7 @@ compare / history rollups and their ``python -m repro report`` CLI.
 
 import io
 import json
+import math
 
 import pytest
 
@@ -540,129 +541,273 @@ class TestSummarize:
         assert any("served from: cache=1" in line for line in rendered)
 
 
-# -- bench comparison ------------------------------------------------------
+# -- the e2e comparison ----------------------------------------------------
+
+#: End-to-end metrics shaped like BENCHMARK.json's; the bounds make every
+#: bound × median below exact in binary floating point.
+E2E_METRICS = [
+    {"name": "iter_s_p50", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.125},
+]
 
 
-def _payload(top, cells):
-    """cells: {(engine, workload, n): speedup} -> a bench-shaped payload."""
-    rows = [
-        {"engine": engine, "machine": workload, "n": n,
-         "speedup_vs_reference": value}
-        for (engine, workload, n), value in cells.items()
-    ]
-    return {"summary": {"top_n_speedup": top}, "rows": rows}
+def _e2e(workloads, *, failed=0, attempted=100):
+    """A ``benchmarks/e2e/run.py --output`` payload.
+
+    ``workloads`` maps a workload to ``{metric: value}``.
+    """
+    return {
+        "seed": 0, "trace": 0, "smoke": False, "seconds": 24.0, "rounds": 4,
+        "calibration": {"CAL_REF_S": 0.015, "CAL_EXPONENT": 1.25},
+        "workloads": {
+            name: {
+                "correct": failed == 0,
+                "attempted": attempted,
+                "failed": failed,
+                "fail_ratio": failed / attempted,
+                "run_failures": [],
+                "metrics": {
+                    metric: {"value": value, "unit": "s"}
+                    for metric, value in values.items()
+                },
+                "diagnostics": {"setup_s_rounds": [0.4, 0.41]},
+                "inputs_digest": "d1g3st",
+                "wall": [{"round": 0, "batches": [{"raw_s": [0.52]}]}],
+            }
+            for name, values in workloads.items()
+        },
+    }
+
+
+def _judged(run, baseline, *, bound=0.25, better="lower"):
+    """The one row of a comparison of one metric, value lists as pairs."""
+    spec = [{"name": "m", "unit": "s", "better": better, "bound": bound}]
+    comparison = compare_bench(
+        [_e2e({"audit": {"m": value}}) for value in run],
+        [_e2e({"audit": {"m": value}}) for value in baseline],
+        spec,
+    )
+    (row,) = comparison["rows"]
+    return row
+
+
+#: Ten parent runs: median 104.5, quartiles 102.25 / 106.75, IQR 4.5.
+PARENT = [100.0, 101.0, 102.0, 103.0, 104.0, 105.0, 106.0, 107.0, 108.0, 109.0]
 
 
 class TestCompareBench:
     def test_ok_and_regressed_rows(self):
-        baseline = _payload(10.0, {
-            ("streaming", "equality", 64): 8.0,
-            ("streaming", "equality", 1024): 10.0,
-            ("streaming", "copy", 1024): 4.0,
-        })
-        run = _payload(9.5, {
-            ("streaming", "equality", 64): 2.0,  # small n: not compared
-            ("streaming", "equality", 1024): 9.5,
-            ("streaming", "copy", 1024): 2.0,  # regressed
-        })
-        verdict = compare_bench(run, baseline, tolerance=0.8)
-        assert not verdict["baseline_invalid"]
-        assert verdict["top"]["verdict"] == "ok"
-        by_cell = {
-            (r["engine"], r["workload"]): r for r in verdict["rows"]
-        }
-        streaming = by_cell[("streaming", "equality")]
-        assert streaming["n"] == 1024 and streaming["verdict"] == "ok"
-        copy = by_cell[("streaming", "copy")]
-        assert copy["verdict"] == "regressed"
-        assert copy["floor"] == 3.2
+        metrics = {"iter_s_p50": 0.25, "peak_rss_mb": 40.0}
+        workloads = {"audit": metrics, "xpath_protocol": metrics}
+        same = compare_bench([_e2e(workloads)], [_e2e(workloads)], E2E_METRICS)
+        assert [row["verdict"] for row in same["rows"]] == ["ok"] * 4
+        assert not same["regressed"]
+
+        # at the bound exactly is ok; one ulp past it is regressed
+        assert _judged([5.0], [4.0])["verdict"] == "ok"
+        past = math.nextafter(5.0, math.inf)
+        assert _judged([past], [4.0])["verdict"] == "regressed"
+        assert _judged([3.0], [4.0], better="higher")["verdict"] == "ok"
+        below = math.nextafter(3.0, -math.inf)
+        assert _judged([below], [4.0], better="higher")["verdict"] == (
+            "regressed"
+        )
+        # a zero baseline median leaves no room: any worsening regresses
+        zero = _judged([0.5], [0.0])
+        assert zero["verdict"] == "regressed" and zero["change"] is None
+        assert _judged([0.0], [0.0])["verdict"] == "ok"
+
+        slower = dict(workloads, audit={"iter_s_p50": 0.4, "peak_rss_mb": 40.0})
+        verdict = compare_bench(
+            [_e2e(slower)], [_e2e(workloads)], E2E_METRICS
+        )
+        by_row = {(r["workload"], r["metric"]): r for r in verdict["rows"]}
+        row = by_row[("audit", "iter_s_p50")]
+        assert row["verdict"] == "regressed"
+        assert row["run"]["median"] == 0.4 and row["baseline"]["median"] == 0.25
+        assert row["change"] == pytest.approx(0.6)
+        assert by_row[("xpath_protocol", "iter_s_p50")]["verdict"] == "ok"
         assert verdict["regressed"]
-        assert any("streaming/copy" in line for line in verdict["regressions"])
         rendered = render_comparison(verdict)
-        assert rendered[-1] == "  verdict: REGRESSION"
+        assert any(
+            "audit" in line and "iter_s_p50" in line and "regressed" in line
+            and "+60.0%" in line and "bound 25%" in line
+            for line in rendered
+        )
+        assert rendered[-1].startswith("  verdict: REGRESSION")
+
+    def test_gain_needs_nine_of_ten_pairs_and_a_gap_wider_than_the_iqr(self):
+        row = _judged([90.0] * 9 + [120.0], PARENT)
+        assert (row["won"], row["lost"], row["verdict"]) == (9, 1, "gain")
+        assert row["baseline"] == {"q1": 102.25, "median": 104.5, "q3": 106.75}
+        assert _judged([90.0] * 8 + [120.0] * 2, PARENT)["verdict"] == "ok"
+        # ties count for neither side: a tie is no win and no loss
+        tied = _judged([90.0] * 9 + [109.0], PARENT)
+        assert (tied["won"], tied["lost"], tied["verdict"]) == (9, 0, "gain")
+        tied = _judged([90.0] * 8 + [108.0, 109.0], PARENT)
+        assert (tied["won"], tied["lost"], tied["verdict"]) == (8, 0, "ok")
+        # the medians must be further apart than the parent's IQR (4.5)
+        at_iqr = [value - 4.5 for value in PARENT[:9]] + [120.0]
+        row = _judged(at_iqr, PARENT)
+        assert row["run"]["median"] == 100.0 and row["won"] == 9
+        assert row["verdict"] == "ok"
+        past_iqr = [value - 4.75 for value in PARENT[:9]] + [120.0]
+        assert _judged(past_iqr, PARENT)["verdict"] == "gain"
+        # and there must be at least ten pairs
+        assert _judged([90.0] * 9, PARENT[:9])["verdict"] == "ok"
+        # higher is better: the same rule, mirrored
+        mirrored = _judged([120.0] * 9 + [90.0], PARENT, better="higher")
+        assert mirrored["verdict"] == "gain"
+
+    def test_unresolved_when_the_parent_iqr_exceeds_the_bound(self):
+        wide = [60.0, 70.0, 80.0, 90.0, 100.0, 110.0, 120.0, 130.0, 140.0,
+                150.0]  # median 105, IQR 45 > 0.25 × 105
+        row = _judged([105.0] * 10, wide)
+        assert row["verdict"] == "unresolved"
+        assert row["baseline_iqr"] == pytest.approx(45.0 / 105.0)
+        # unless every run beats every parent run; then the usual rules
+        assert _judged([50.0] * 10, wide)["verdict"] == "gain"
+        few = [60.0, 80.0, 100.0, 120.0, 140.0]  # median 100, IQR 40
+        assert _judged([59.0] * 5, few)["verdict"] == "ok"
+        assert _judged([61.0] + [59.0] * 4, few)["verdict"] == "unresolved"
+        # an IQR exactly at the bound is not wider than it
+        assert _judged([80.0] * 5, [60.0, 70.0, 80.0, 90.0, 100.0])[
+            "verdict"
+        ] == "ok"
+        # a regression is a regression, however wide the parent's spread
+        assert _judged([140.0] * 10, wide)["verdict"] == "regressed"
+
+    def test_a_larger_failure_share_is_regressed(self):
+        metrics = {"audit": {"iter_s_p50": 0.25, "peak_rss_mb": 40.0}}
+
+        def failures(run, baseline):
+            comparison = compare_bench(
+                [_e2e(metrics, failed=f, attempted=a) for f, a in run],
+                [_e2e(metrics, failed=f, attempted=a) for f, a in baseline],
+                E2E_METRICS,
+            )
+            (item,) = comparison["failures"]
+            assert comparison["regressed"] == (item["verdict"] == "regressed")
+            return item
+
+        assert failures([(2, 100)], [(1, 100)])["verdict"] == "regressed"
+        assert failures([(1, 200)], [(1, 100)])["verdict"] == "ok"
+        assert failures([(0, 100)], [(0, 100)])["verdict"] == "ok"
+        # pooled over the pairs: 3/200 against 2/200
+        pooled = failures([(0, 100), (3, 100)], [(1, 100), (1, 100)])
+        assert pooled["run"] == {"failed": 3, "attempted": 200}
+        assert pooled["verdict"] == "regressed"
 
     def test_new_missing_and_incomparable_cells(self):
-        baseline = _payload(5.0, {
-            ("streaming", "parity", 64): 5.0,
-            ("streaming", "copy", 64): 3.0,
-        })
-        run = _payload(5.0, {
-            ("streaming", "parity", 256): 5.0,  # no shared n
-            ("streaming", "majority", 64): 2.0,  # no baseline cell
-        })
-        verdict = compare_bench(run, baseline)
-        by_cell = {
-            (r["engine"], r["workload"]): r["verdict"]
-            for r in verdict["rows"]
-        }
-        assert by_cell[("streaming", "parity")] == "incomparable"
-        assert by_cell[("streaming", "majority")] == "new"
-        assert by_cell[("streaming", "copy")] == "missing"
-        assert not verdict["regressed"]
-
-    def test_invalid_baseline_never_passes(self):
-        run = _payload(9.0, {})
-        for top in (0, -1.0, None, "5", True):
-            verdict = compare_bench(run, {"summary": {"top_n_speedup": top}})
-            assert verdict["baseline_invalid"]
-            assert verdict["top"]["verdict"] == "baseline-invalid"
-            assert not verdict["regressed"]
-            assert render_comparison(verdict)[-1] == (
-                "  verdict: baseline-invalid"
+        metrics = {"iter_s_p50": 0.25, "peak_rss_mb": 40.0}
+        run = _e2e({"audit": metrics, "xpath_protocol": metrics})
+        baseline = _e2e({"audit": metrics, "fingerprint_mc": metrics})
+        comparison = compare_bench([run], [baseline], E2E_METRICS)
+        assert {row["workload"] for row in comparison["rows"]} == {"audit"}
+        assert comparison["only_run"] == ["xpath_protocol"]
+        assert comparison["only_baseline"] == ["fingerprint_mc"]
+        assert not comparison["regressed"]
+        rendered = "\n".join(render_comparison(comparison))
+        assert "xpath_protocol" in rendered and "fingerprint_mc" in rendered
+        assert rendered.count("not judged") == 2
+        # no workload in common: nothing can be judged
+        with pytest.raises(ValueError, match="share no workload"):
+            compare_bench(
+                [_e2e({"audit": metrics})],
+                [_e2e({"audit_warm": metrics})],
+                E2E_METRICS,
             )
 
-    def test_tolerance_validation(self):
-        with pytest.raises(ValueError):
-            compare_bench(_payload(1.0, {}), _payload(1.0, {}), tolerance=0.0)
-        with pytest.raises(ValueError):
-            compare_bench(_payload(1.0, {}), _payload(1.0, {}), tolerance=1.5)
+    def test_invalid_baseline_never_passes(self):
+        metrics = {"iter_s_p50": 0.25, "peak_rss_mb": 40.0}
+        good = _e2e({"audit": metrics})
+        traced = _e2e({"audit": {"extmem.self_frac": 0.6}})
+        partial = _e2e({"fingerprint_mc": metrics})
+        for baselines in (
+            [traced],  # a traced run has no end-to-end metric
+            [_e2e({"audit": {"iter_s_p50": "fast", "peak_rss_mb": 40.0}})],
+            {"summary": {"top_n_speedup": 5.0}, "rows": []},  # not e2e
+        ):
+            if isinstance(baselines, dict):
+                baselines = [baselines]
+            with pytest.raises(ValueError):
+                compare_bench([good], baselines, E2E_METRICS)
+        with pytest.raises(ValueError, match="traced"):
+            compare_bench([good], [traced], E2E_METRICS)
+        # a workload one payload of a side lacks
+        with pytest.raises(ValueError, match="baseline payload 2"):
+            compare_bench([good, good], [good, partial], E2E_METRICS)
+        with pytest.raises(ValueError, match="pairs"):
+            compare_bench([good, good], [good], E2E_METRICS)
+        with pytest.raises(ValueError, match="pairs"):
+            compare_bench([], [], E2E_METRICS)
+
+    def test_metric_spec_validation(self):
+        good = _e2e({"audit": {"m": 1.0}})
+        for spec in (
+            [],
+            [{"name": "m", "better": "sideways", "bound": 0.1}],
+            [{"name": "m", "better": "lower", "bound": -0.1}],
+            [{"name": "m", "better": "lower", "bound": True}],
+            [{"better": "lower", "bound": 0.1}],
+        ):
+            with pytest.raises(ValueError):
+                compare_bench([good], [good], spec)
 
 
 class TestCompareParallelPayloads:
-    """Wall-clock speedups only gate against the same silicon."""
-
-    def _payload(self, cpu, audit=1.8, engine=1.5):
-        return {
-            "benchmark": "parallel",
-            "cpu_count": cpu,
-            "process_cpu_count": cpu,
-            "jobs": 4,
-            "topology": {"executor": "parallel", "jobs": 4, "shards": None},
-            "sweeps": {
-                "audit": {"speedup": audit},
-                "engine": {"speedup": engine},
-            },
-        }
+    """Several payloads a side, run i paired with baseline i."""
 
     def test_same_host_regression_detected(self):
-        out = compare_bench(
-            self._payload(4, audit=0.9), self._payload(4), tolerance=0.8
-        )
-        assert out["environment"]["comparable"]
-        verdicts = {r["workload"]: r["verdict"] for r in out["rows"]}
-        assert verdicts == {"audit": "regressed", "engine": "ok"}
-        assert out["regressed"]
+        # ten alternating pairs; audit is 30% slower in every one of them
+        parent = [0.25 + 0.001 * i for i in range(10)]
 
-    def test_different_core_count_is_incomparable_not_regressed(self):
+        def payload(audit_s, other_s):
+            return _e2e({
+                "audit": {"iter_s_p50": audit_s, "peak_rss_mb": 40.0},
+                "fingerprint_mc": {"iter_s_p50": other_s, "peak_rss_mb": 40.0},
+            })
+
         out = compare_bench(
-            self._payload(1, audit=0.2, engine=0.2),
-            self._payload(8),
-            tolerance=0.8,
+            [payload(1.3 * t, t) for t in parent],
+            [payload(t, t) for t in parent],
+            E2E_METRICS,
         )
-        assert not out["environment"]["comparable"]
-        assert all(r["verdict"] == "incomparable" for r in out["rows"])
-        assert not out["regressed"]
-        assert out["top"]["verdict"] == "incomparable"
-        text = "\n".join(render_comparison(out))
-        assert "different hosts" in text
+        assert out["pairs"] == 10
+        verdicts = {(r["workload"], r["metric"]): r["verdict"]
+                    for r in out["rows"]}
+        assert verdicts == {
+            ("audit", "iter_s_p50"): "regressed",
+            ("audit", "peak_rss_mb"): "ok",
+            ("fingerprint_mc", "iter_s_p50"): "ok",
+            ("fingerprint_mc", "peak_rss_mb"): "ok",
+        }
+        (slow,) = [r for r in out["rows"] if r["verdict"] == "regressed"]
+        assert (slow["won"], slow["lost"]) == (0, 10)
+        assert slow["change"] == pytest.approx(0.3)
+        assert out["regressed"]
+        assert render_comparison(out)[-1] == (
+            "  verdict: REGRESSION (3 ok, 1 regressed)"
+        )
 
     def test_baseline_without_sweeps_is_invalid(self):
-        out = compare_bench(
-            self._payload(4), {"benchmark": "parallel", "cpu_count": 4}
-        )
-        assert out["baseline_invalid"]
-        assert out["top"]["verdict"] == "baseline-invalid"
-        assert not out["regressed"]
+        good = _e2e({"audit": {"iter_s_p50": 0.25, "peak_rss_mb": 40.0}})
+        parallel = {"benchmark": "parallel", "cpu_count": 4,
+                    "sweeps": {"audit": {"speedup": 1.8}}}
+        for baseline in (
+            parallel,  # a retired parallel-sweep record
+            {"benchmark": "parallel", "cpu_count": 4},
+            dict(good, workloads=[]),
+            "[]",
+        ):
+            with pytest.raises(ValueError, match="no workloads"):
+                compare_bench([good], [baseline], E2E_METRICS)
+        # an empty workloads block leaves nothing in common
+        with pytest.raises(ValueError, match="share no workload"):
+            compare_bench([good], [dict(good, workloads={})], E2E_METRICS)
+        # every payload of a side is checked, not just the first
+        with pytest.raises(ValueError, match="baseline payload 2"):
+            compare_bench([good, good], [good, parallel], E2E_METRICS)
 
 
 # -- history ---------------------------------------------------------------
@@ -670,13 +815,19 @@ class TestCompareParallelPayloads:
 
 class TestHistory:
     def test_record_is_timestamp_free_and_append_idempotent(self, tmp_path):
-        payload = _payload(7.5, {("streaming", "equality", 64): 7.5})
-        payload["benchmark"] = "engine"
-        payload["python"] = "3.12.0"
-        record = history_record(payload, source="BENCH_engine.json")
-        assert record["benchmark"] == "engine"
-        assert record["summary"]["top_n_speedup"] == 7.5
-        assert "time" not in json.dumps(record).lower()
+        payload = _e2e({"audit": {"iter_s_p50": 0.25, "peak_rss_mb": 40.0}})
+        record = history_record(payload, source="e2e-seed0.json")
+        assert record["seed"] == 0 and record["rounds"] == 4
+        assert record["workloads"]["audit"] == {
+            "attempted": 100,
+            "failed": 0,
+            "inputs_digest": "d1g3st",
+            "metrics": {"iter_s_p50": 0.25, "peak_rss_mb": 40.0},
+        }
+        # no wall-clock section, no diagnostics: the same payload always
+        # gives the same line
+        assert "wall" not in json.dumps(record)
+        assert "diagnostics" not in json.dumps(record)
         path = tmp_path / "history.jsonl"
         assert append_history(path, record) is True
         assert append_history(path, record) is False  # idempotent
@@ -684,15 +835,27 @@ class TestHistory:
         assert append_history(path, other) is True
         assert len(path.read_text().splitlines()) == 2
 
-    def test_parallel_payload_summarizes_sweeps(self):
-        payload = {
-            "benchmark": "parallel", "python": "3.12.0",
-            "cpu_count": 8, "jobs": 2,
-            "sweeps": {"audit": {"speedup": 1.7}},
+    def test_append_starts_its_own_line_after_a_last_line_without_newline(
+        self, tmp_path
+    ):
+        path = tmp_path / "history.jsonl"
+        path.write_text('{"a":1}')
+        assert append_history(path, {"b": 2}) is True
+        assert path.read_text() == '{"a":1}\n{"b":2}\n'
+        assert append_history(path, {"b": 2}) is False
+
+    def test_traced_payload_keeps_its_per_layer_metrics(self):
+        traced = dict(
+            _e2e({"audit": {"extmem.self_frac": 0.6, "trace.overhead_x": 2.0}}),
+            trace=1, seed=7,
+        )
+        record = history_record(traced, source="e2e-trace-seed7.json")
+        assert record["trace"] == 1 and record["seed"] == 7
+        assert record["workloads"]["audit"]["metrics"] == {
+            "extmem.self_frac": 0.6, "trace.overhead_x": 2.0,
         }
-        record = history_record(payload, source="BENCH_parallel.json")
-        assert record["summary"]["cpu_count"] == 8
-        assert record["summary"]["sweeps"]["audit"]["speedup"] == 1.7
+        with pytest.raises(ValueError):
+            history_record({"summary": {}}, source="BENCH.json")
 
 
 # -- the report CLI --------------------------------------------------------
@@ -719,57 +882,70 @@ class TestReportCli:
         summary = json.loads(capsys.readouterr().out)
         assert summary["sweeps"]["cli"]["completed"] == 1
 
-    def test_compare_exit_codes(self, tmp_path, capsys):
+    def test_compare_exit_codes(self, tmp_path, capsys, monkeypatch):
         from repro.__main__ import main
 
-        baseline = self._write(
-            tmp_path, "baseline.json",
-            _payload(10.0, {("streaming", "equality", 64): 10.0}),
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "BENCHMARK.json").write_text(
+            json.dumps({"end_to_end": E2E_METRICS})
         )
-        good = self._write(
-            tmp_path, "good.json",
-            _payload(9.5, {("streaming", "equality", 64): 9.5}),
-        )
+        metrics = {"iter_s_p50": 0.25, "peak_rss_mb": 40.0}
+        baseline = self._write(tmp_path, "parent.json", _e2e({"audit": metrics}))
+        good = self._write(tmp_path, "good.json", _e2e({"audit": metrics}))
         degraded = self._write(
             tmp_path, "bad.json",
-            _payload(3.0, {("streaming", "equality", 64): 3.0}),
+            _e2e({"audit": dict(metrics, peak_rss_mb=50.0)}),
         )
-        invalid = self._write(tmp_path, "invalid.json", {"summary": {}})
+        traced = self._write(
+            tmp_path, "traced.json", _e2e({"audit": {"extmem.self_frac": 0.6}})
+        )
+        other = self._write(
+            tmp_path, "other.json", _e2e({"audit_warm": metrics})
+        )
 
         assert main(["report", "compare", good, "--baseline", baseline]) == 0
-        capsys.readouterr()
+        out = capsys.readouterr().out
+        assert "verdict: no regression (2 ok)" in out
         out_path = tmp_path / "comparison.json"
         assert main([
             "report", "compare", degraded, "--baseline", baseline,
             "--output", str(out_path),
         ]) == 1
         out = capsys.readouterr().out
-        # the verdict names the regressed engine/workload
-        assert "streaming/equality" in out and "REG" in out
+        assert "peak_rss_mb" in out and "REGRESSION" in out
         detail = json.loads(out_path.read_text())
-        assert detail["regressed"] and detail["rows"][0]["verdict"] == (
-            "regressed"
-        )
-        assert main(
-            ["report", "compare", good, "--baseline", invalid]
-        ) == 2
-        capsys.readouterr()
+        assert detail["regressed"]
+        assert [row["verdict"] for row in detail["rows"]] == [
+            "ok", "regressed"
+        ]
+        # exit 2 on unusable input, each case
+        for argv in (
+            [good, good, "--baseline", baseline],  # unequal counts
+            [good, "--baseline", traced],  # no end-to-end metric
+            [good, "--baseline", other],  # no workload in common
+            [good, "--baseline", str(tmp_path / "absent.json")],
+        ):
+            assert main(["report", "compare", *argv]) == 2
+            assert "repro report compare:" in capsys.readouterr().err
+        (tmp_path / "BENCHMARK.json").unlink()
+        assert main(["report", "compare", good, "--baseline", baseline]) == 2
+        assert "BENCHMARK.json" in capsys.readouterr().err
 
-    def test_history_appends_idempotently(self, tmp_path, capsys):
+    def test_history_appends_idempotently(self, tmp_path, capsys, monkeypatch):
         from repro.__main__ import main
 
+        monkeypatch.chdir(tmp_path)
         payload = self._write(
-            tmp_path, "bench.json",
-            dict(_payload(5.0, {}), benchmark="engine", python="3.12.0"),
+            tmp_path, "e2e.json",
+            _e2e({"audit": {"iter_s_p50": 0.25, "peak_rss_mb": 40.0}}),
         )
-        history = tmp_path / "history.jsonl"
-        assert main(
-            ["report", "history", payload, "--file", str(history)]
-        ) == 0
-        assert main(
-            ["report", "history", payload, "--file", str(history)]
-        ) == 0
+        assert main(["report", "history", payload]) == 0
+        assert main(["report", "history", payload]) == 0
         capsys.readouterr()
+        history = tmp_path / "BENCH_e2e.jsonl"
+        assert len(history.read_text().splitlines()) == 1
+        engine = self._write(tmp_path, "engine.json", {"summary": {}})
+        assert main(["report", "history", engine]) == 2
         assert len(history.read_text().splitlines()) == 1
 
     def test_strip_writes_deterministic_lines(self, tmp_path, capsys):

@@ -16,14 +16,28 @@ Chen–Yap achieve two tapes and O(1) *cells*; we use three tapes and O(1)
 *records* — record-level internal memory, as discussed in DESIGN.md.  For
 the SHORT problem variants (records of O(log m) bits) this is the paper's
 ST(O(log N), O(log N), 3) bound on the nose.
+
+The machine is still the per-record merge above: it holds two candidate
+records and compares them one pair at a time.  Only the runtime moves a
+whole phase per call — seeding, each round's deal and merge, and the
+final strip are the run operations of :mod:`repro.extmem.record_tape`,
+which charge every turn the per-record phase charges, in the same order.
+Definition 1 charges a head only when it turns, so the scans, bits and
+tapes are the per-record machine's exactly; the algorithm code never
+holds a run.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, List, Optional, Tuple
 
-from ..errors import ReproError
 from ..extmem import RecordTape, ResourceTracker
+from ..extmem.record_tape import (
+    deal_runs,
+    merge_runs,
+    seed_runs,
+    strip_separators,
+)
 
 
 class _RunSeparator:
@@ -43,69 +57,6 @@ class _RunSeparator:
 RUN_SEP = _RunSeparator()
 
 
-def _default_key(record: Any) -> Any:
-    return record
-
-
-def _distribute(
-    source: RecordTape, left: RecordTape, right: RecordTape
-) -> int:
-    """Copy runs from ``source`` alternately to ``left``/``right``.
-
-    Returns the number of runs seen.  One forward scan of each tape.
-    """
-    targets = (left, right)
-    run_index = 0
-    in_run = False
-    for record in source.scan():
-        if record is RUN_SEP:
-            if in_run:
-                targets[run_index % 2].step_write(RUN_SEP)
-                run_index += 1
-                in_run = False
-            continue
-        in_run = True
-        targets[run_index % 2].step_write(record)
-    if in_run:  # unterminated final run
-        targets[run_index % 2].step_write(RUN_SEP)
-        run_index += 1
-    return run_index
-
-
-def _merge_round(
-    left: RecordTape,
-    right: RecordTape,
-    target: RecordTape,
-    key: Callable[[Any], Any],
-) -> None:
-    """Merge runs pairwise from ``left``/``right`` onto ``target``.
-
-    One forward scan of each tape; internal state is one candidate record
-    per source tape.
-    """
-    a = left.step_read()
-    b = right.step_read()
-    while a is not None or b is not None:
-        # merge one run-pair (either side may already be exhausted)
-        a_live = a is not None and a is not RUN_SEP
-        b_live = b is not None and b is not RUN_SEP
-        while a_live or b_live:
-            take_left = a_live and (not b_live or key(a) <= key(b))
-            if take_left:
-                target.step_write(a)
-                a = left.step_read()
-                a_live = a is not None and a is not RUN_SEP
-            else:
-                target.step_write(b)
-                b = right.step_read()
-                b_live = b is not None and b is not RUN_SEP
-        target.step_write(RUN_SEP)
-        if a is RUN_SEP:
-            a = left.step_read()
-        if b is RUN_SEP:
-            b = right.step_read()
-
-
 def tape_merge_sort(
     input_tape: RecordTape,
     tracker: ResourceTracker,
@@ -119,17 +70,12 @@ def tape_merge_sort(
     its end).  The caller can bound the whole computation by attaching a
     :class:`ResourceBudget` to ``tracker``.
     """
-    key = key or _default_key
     work_a = RecordTape(tracker=tracker, name="sort-a")
     work_left = RecordTape(tracker=tracker, name="sort-b")
     work_right = RecordTape(tracker=tracker, name="sort-c")
 
     # Round 0: every record becomes a singleton run on tape A.
-    for record in input_tape.scan():
-        if record is RUN_SEP:
-            raise ReproError("input tape already contains run separators")
-        work_a.step_write(record)
-        work_a.step_write(RUN_SEP)
+    seed_runs(input_tape, work_a, RUN_SEP)
 
     while True:
         work_a.rewind()
@@ -137,21 +83,19 @@ def tape_merge_sort(
         work_left.wipe()
         work_right.rewind()
         work_right.wipe()
-        runs = _distribute(work_a, work_left, work_right)
+        runs = deal_runs(work_a, work_left, work_right, RUN_SEP)
         if runs <= 1:
             break
         work_a.rewind()
         work_a.wipe()
         work_left.rewind()
         work_right.rewind()
-        _merge_round(work_left, work_right, work_a, key)
+        merge_runs(work_left, work_right, work_a, RUN_SEP, key)
 
     # strip separators into the output tape (one scan)
     output = RecordTape(tracker=tracker, name="sorted")
     work_left.rewind()
-    for record in work_left.scan():
-        if record is not RUN_SEP:
-            output.step_write(record)
+    strip_separators(work_left, output, RUN_SEP)
     return output
 
 

@@ -257,10 +257,10 @@ def _check_corollary9(rng, result_id, statement):
 )
 def _check_corollary10(rng, result_id, statement):
     from ..algorithms import sort_instance_strings
-    from ..problems import CHECK_SORT, encode_instance, random_word
+    from ..problems import CHECK_SORT, encode_instance, random_words
 
     # the reduction direction that the corollary uses: sorting ⇒ checksort
-    words = [random_word(6, rng) for _ in range(12)]
+    words = random_words(12, 6, rng)
     sorted_words, _ = sort_instance_strings(words)
     inst = encode_instance(words, sorted_words)
     ok = CHECK_SORT(inst)

@@ -11,11 +11,17 @@ scan, so every O(·) claim about scans/reversals transfers verbatim.
 Random access is deliberately absent: the only primitives are read, write,
 single-cell moves, and end-seeking operations charged exactly as a walk of
 single-cell moves would be, so an algorithm *cannot* cheat the cost model.
+The run operations at the end of the module move a merge sort's runs from
+tape to tape a whole phase at a time, charged as the per-record phase is,
+and hand no record to the caller.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, List, Optional
+from functools import partial
+from itertools import accumulate, chain, zip_longest
+from operator import is_not
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import ReproError
 from .tracker import ResourceTracker
@@ -203,9 +209,29 @@ class RecordTape:
             self._head -= 1
 
     def write_all(self, records: Iterable[Any]) -> None:
-        """Append every record in order (single forward scan)."""
-        for record in records:
-            self.step_write(record)
+        """Write every record in order from the head, moving right.
+
+        One slice assignment does what a ``step_write`` per record does,
+        with its checks: the first record is written before the turn (if
+        any) is charged, and a ``None`` in the list raises once the
+        records before it are written.  When every record is true there
+        is no ``None``; otherwise it is looked for as ``list.index`` looks,
+        identity first, then ``==``.
+        """
+        records = list(records)
+        blank = _first_blank(records)
+        if blank:
+            cells = self._cells
+            head = self._head
+            if head > len(cells):
+                raise ReproError("head beyond end+1")
+            if self._direction != 1:
+                cells[head:head + 1] = records[:1]
+                self._turn(1)
+            cells[head:head + blank] = records[:blank]
+            self._head = head + blank
+        if blank < len(records):
+            raise ReproError("None is the blank sentinel; cannot write it")
 
     def wipe(self) -> None:
         """Erase all records.  Requires the head to be at cell 0.
@@ -238,3 +264,279 @@ def fresh_tapes(
     return [
         RecordTape(tracker=tracker, name=f"{prefix}{i + 1}") for i in range(count)
     ]
+
+
+# -- run operations -----------------------------------------------------------
+#
+# A tape merge sort keeps sorted runs on its tapes, each closed by a
+# separator record the caller passes in (``sep``).  Each function below
+# is one whole phase of such a sort, tape to tape: it moves every run of
+# a round in one call and hands no record to its caller.  Definition 1
+# charges a head only when it turns, so a phase costs the same whether
+# its records move one at a time or together.  Each function charges the
+# turns of the per-record phase its docstring shows, in the same order
+# and before any head moves, and leaves every cell, head and direction
+# where that phase leaves them, also when a charge is denied or a record
+# is refused partway.  A turn can only come at the first record a tape
+# reads or writes, so each function puts the source heads where the
+# phase has them at each target's first write, and writes through
+# ``write_all``; after those writes every head faces right and the rest
+# is bulk work.  Records are told from the blank (``None``) and from
+# ``sep`` as ``list.index`` tells them: identity first, then ``==``.
+
+
+def _index(records: List[Any], item: Any, start: int, stop: int) -> int:
+    """Index of the first ``item`` in ``records[start:stop]``, else ``stop``."""
+    try:
+        return records.index(item, start, stop)
+    except ValueError:
+        return stop
+
+
+def _first_blank(records: List[Any]) -> int:
+    """Index of the first ``None`` in ``records``, else their length."""
+    if all(records):  # None is false, so none is there to look for
+        return len(records)
+    return _index(records, None, 0, len(records))
+
+
+def _distinct(*tapes: RecordTape) -> None:
+    if len({id(tape) for tape in tapes}) < len(tapes):
+        raise ReproError("run operations move records between distinct tapes")
+
+
+def _ahead(tape: RecordTape) -> Tuple[List[Any], int]:
+    """The records from the head on, and the offset of the first blank
+    among them (their length if there is none)."""
+    records = tape._cells[tape._head:]
+    return records, _first_blank(records)
+
+
+def _scanned(tape: RecordTape) -> Tuple[List[Any], int]:
+    """What ``_ahead`` returns, after the turn ``scan`` would charge at
+    its first record."""
+    records, blank = _ahead(tape)
+    if records and tape._direction != 1:
+        tape._turn(1)
+    return records, blank
+
+
+def _refuse_blank(records: List[Any], at: int) -> None:
+    if at < len(records):
+        raise ReproError("None is the blank sentinel; cannot write it")
+
+
+def _skip(records: List[Any], sep: Any, at: int) -> int:
+    """The first index from ``at`` on that holds a record, not ``sep``."""
+    while records[at] is sep:
+        at += 1
+    return at
+
+
+def seed_runs(source: RecordTape, target: RecordTape, sep: Any) -> None:
+    """Write each record from ``source``'s head on as a one-record run.
+
+    The per-record phase::
+
+        for record in source.scan():
+            if record is sep:
+                raise ReproError("input tape already contains run separators")
+            target.step_write(record)
+            target.step_write(sep)
+
+    so a ``None`` cell raises as ``step_write`` does.
+    """
+    _distinct(source, target)
+    head = source._head
+    records, blank = _scanned(source)
+    if not records:
+        return
+    stop = _index(records, sep, 0, blank)
+    runs = [sep] * (2 * stop)
+    runs[::2] = records[:stop]
+    source._head = head + 1  # the first record is read, then written
+    target.write_all(runs)
+    source._head = head + min(stop + 1, len(records))
+    if stop < blank:
+        raise ReproError("input tape already contains run separators")
+    _refuse_blank(records, stop)
+
+
+def deal_runs(
+    source: RecordTape, left: RecordTape, right: RecordTape, sep: Any
+) -> int:
+    """Deal the runs from ``source``'s head on alternately onto ``left``
+    and ``right``; returns the number of runs dealt.
+
+    The per-record phase drops empty runs and closes an unclosed last
+    one::
+
+        targets, runs, in_run = (left, right), 0, False
+        for record in source.scan():
+            if record is sep:
+                if in_run:
+                    targets[runs % 2].step_write(sep)
+                    runs, in_run = runs + 1, False
+                continue
+            in_run = True
+            targets[runs % 2].step_write(record)
+        if in_run:
+            targets[runs % 2].step_write(sep)
+            runs += 1
+
+    so a ``None`` cell raises as ``step_write`` does, once the part of
+    its run before it is written.
+    """
+    _distinct(source, left, right)
+    head = source._head
+    records, blank = _scanned(source)
+    runs = []  # each closed by its separator, unless a blank cuts it
+    start = 0
+    try:
+        while True:
+            end = records.index(sep, start, blank) + 1
+            if end - start > 1:
+                runs.append(records[start:end])
+            start = end
+    except ValueError:
+        if start < blank:
+            last = records[start:blank]
+            if blank == len(records):  # the end of the tape closes it
+                last.append(sep)
+            runs.append(last)  # else the blank cuts it short
+    at = 0
+    for target, run in zip((left, right), runs):  # a first write may turn
+        at = _skip(records, sep, at)
+        source._head = head + at + 1
+        target.write_all(run)
+        at += len(run)
+    left.write_all(list(chain.from_iterable(runs[2::2])))
+    right.write_all(list(chain.from_iterable(runs[3::2])))
+    source._head = head + min(blank + 1, len(records))
+    _refuse_blank(records, blank)
+    return len(runs)
+
+
+def merge_runs(
+    left: RecordTape,
+    right: RecordTape,
+    target: RecordTape,
+    sep: Any,
+    key: Optional[Callable[[Any], Any]] = None,
+) -> None:
+    """Merge the runs from ``left``'s and ``right``'s heads on, pair by
+    pair, onto ``target`` under ``key`` (``None``: the records' order).
+
+    The per-record phase reads each source up to its first blank (a
+    ``None`` cell or the end), pairs the runs in order, an empty run or
+    a missing one with any other, and closes each merged pair::
+
+        a, b = left.step_read(), right.step_read()
+        while a is not None or b is not None:
+            a_live = a is not None and a is not sep
+            b_live = b is not None and b is not sep
+            while a_live or b_live:
+                if a_live and (not b_live or key(a) <= key(b)):
+                    target.step_write(a)
+                    a = left.step_read()
+                    a_live = a is not None and a is not sep
+                else:
+                    target.step_write(b)
+                    b = right.step_read()
+                    b_live = b is not None and b is not sep
+            target.step_write(sep)
+            if a is sep:
+                a = left.step_read()
+            if b is sep:
+                b = right.step_read()
+
+    Every ``key`` call and comparison is made before the first charge,
+    so a ``key`` that raises leaves the tapes as they were.
+    """
+    _distinct(left, right, target)
+    a_runs, a_blank = _runs(left, sep)
+    b_runs, b_blank = _runs(right, sep)
+    merged: List[Any] = []
+    for a, b in zip_longest(a_runs, b_runs, fillvalue=[]):
+        merged += _merge(a, b, key)
+        merged.append(sep)
+    a_head, b_head = left._head, right._head
+    if left._direction != 1:
+        left._turn(1)
+    left._head = a_head + 1
+    if right._direction != 1:
+        right._turn(1)
+    right._head = b_head + 1
+    target.write_all(merged)
+    left._head = a_head + a_blank + 1
+    right._head = b_head + b_blank + 1
+
+
+def _runs(tape: RecordTape, sep: Any) -> Tuple[List[List[Any]], int]:
+    """The runs a merge reads from ``tape``'s head on, and the offset of
+    the blank that ends them."""
+    records, blank = _ahead(tape)
+    runs = []
+    start = 0
+    try:
+        while True:
+            end = records.index(sep, start, blank)
+            runs.append(records[start:end])
+            start = end + 1
+    except ValueError:
+        if start < blank:  # an unclosed last run
+            runs.append(records[start:blank])
+    return runs, blank
+
+
+def _merge(
+    a: List[Any], b: List[Any], key: Optional[Callable[[Any], Any]]
+) -> List[Any]:
+    """``a`` and ``b`` merged as the per-record loop merges them."""
+    both = a + b
+    if not a or not b:
+        return both
+    a_keys = a if key is None else list(map(key, a))
+    b_keys = b if key is None else list(map(key, b))
+    if (len(a) < 2 or a_keys == sorted(a_keys)) and (
+        len(b) < 2 or b_keys == sorted(b_keys)
+    ):
+        # sorted runs, as a merge sort keeps them: a stable sort of the
+        # two merges them, ties keeping a first
+        both.sort(key=key)
+        return both
+    return _merge_blocks(a_keys, b_keys, both)
+
+
+def _merge_blocks(
+    a_keys: List[Any], b_keys: List[Any], both: List[Any]
+) -> List[Any]:
+    """How the per-record loop merges runs that are not sorted: it takes
+    a record and the smaller ones after it as one block, so it sorts
+    ``both`` stably by each record's running maximum key within its own
+    run, the first run first on ties."""
+    keys = [*accumulate(a_keys, max), *accumulate(b_keys, max)]
+    return [both[i] for i in sorted(range(len(both)), key=keys.__getitem__)]
+
+
+def strip_separators(source: RecordTape, target: RecordTape, sep: Any) -> None:
+    """Copy the records from ``source``'s head on to ``target``, leaving
+    out the separators.
+
+    The per-record phase::
+
+        for record in source.scan():
+            if record is not sep:
+                target.step_write(record)
+
+    so a ``None`` cell raises as ``step_write`` does.
+    """
+    _distinct(source, target)
+    head = source._head
+    records, blank = _scanned(source)
+    kept = list(filter(partial(is_not, sep), records[:blank]))
+    if kept:
+        source._head = head + _skip(records, sep, 0) + 1
+        target.write_all(kept)
+    source._head = head + min(blank + 1, len(records))
+    _refuse_blank(records, blank)

@@ -24,7 +24,7 @@ from typing import List, Tuple
 from .._util import to_binary
 from ..errors import ReproError
 from ..problems.encoding import Instance
-from ..problems.instances import random_word
+from ..problems.instances import random_words
 
 
 def xor_collision_instance(n: int) -> Instance:
@@ -77,7 +77,7 @@ def padded_collision_instance(n: int, m: int, rng: random.Random) -> Instance:
     if m < 2:
         raise ReproError("need m >= 2 to embed the collision")
     core = xor_sum_collision_instance(n)
-    filler = [random_word(n, rng) for _ in range(m - 2)]
+    filler = random_words(m - 2, n, rng)
     return Instance(
         core.first + tuple(filler),
         core.second + tuple(filler),

@@ -267,12 +267,12 @@ def _run_mergesort(m, n, rng, sink):
         mergesort_scan_budget,
         sort_instance_strings,
     )
-    from ..problems import random_word
+    from ..problems import random_words
 
     tracker = ResourceTracker()
     tracker.attach_sink(sink)
     ordered, tracker = sort_instance_strings(
-        [random_word(n, rng) for _ in range(m)], tracker=tracker
+        random_words(m, n, rng), tracker=tracker
     )
     assert ordered == sorted(ordered)
     # tapes: input + three work tapes + the sorted output
@@ -313,10 +313,10 @@ def _run_onepass(m, n, rng, sink):
 def _run_lasvegas(m, n, rng, sink):
     from ..algorithms.lasvegas import LasVegasSorter
     from ..algorithms.mergesort_tape import mergesort_scan_budget
-    from ..problems import random_word
+    from ..problems import random_words
 
     sorter = LasVegasSorter(failure_probability=0.0)
-    result = sorter.sort([random_word(n, rng) for _ in range(m)], rng, sink=sink)
+    result = sorter.sort(random_words(m, n, rng), rng, sink=sink)
     assert result.answered
     claimed = ResourceBudget(
         max_scans=mergesort_scan_budget(m), max_internal_bits=0, max_tapes=5

@@ -42,6 +42,7 @@ from .definitions import (
 from .instances import (
     IntervalFamily,
     random_word,
+    random_words,
     random_equal_instance,
     random_unequal_instance,
     near_miss_instance,
@@ -69,6 +70,7 @@ __all__ = [
     "ALL_PROBLEMS",
     "IntervalFamily",
     "random_word",
+    "random_words",
     "random_equal_instance",
     "random_unequal_instance",
     "near_miss_instance",

@@ -49,12 +49,24 @@ def random_word(n: int, rng: random.Random) -> str:
     return b"".join(chunks).decode("ascii")
 
 
+def random_words(m: int, n: int, rng: random.Random) -> List[str]:
+    """``m`` uniform words in {0,1}^n, drawn from ``rng`` in one bulk draw.
+
+    The result is the list ``[random_word(n, rng) for _ in range(m)]``
+    would return, and ``rng`` is left in the same state: ``random_word``
+    stops on the Mersenne Twister word that supplies its last bit, so m
+    draws of n bits in a row are one draw of m·n bits, cut every n.
+    """
+    bits = random_word(m * n, rng)
+    return [bits[i * n:(i + 1) * n] for i in range(m)]
+
+
 def random_equal_instance(
     m: int, n: int, rng: random.Random, *, shuffle: bool = True
 ) -> Instance:
     """A yes-instance of (MULTI)SET-EQUALITY: second half a permutation of
     the first (identical multiset; ``shuffle=False`` keeps the order)."""
-    first = [random_word(n, rng) for _ in range(m)]
+    first = random_words(m, n, rng)
     second = list(first)
     if shuffle:
         rng.shuffle(second)
@@ -71,8 +83,8 @@ def random_unequal_instance(
     from collections import Counter
 
     for _ in range(max_attempts):
-        first = [random_word(n, rng) for _ in range(m)]
-        second = [random_word(n, rng) for _ in range(m)]
+        first = random_words(m, n, rng)
+        second = random_words(m, n, rng)
         if Counter(first) != Counter(second):
             return Instance(tuple(first), tuple(second))
     raise EncodingError(
@@ -109,7 +121,7 @@ def random_checksort_instance(
     m: int, n: int, rng: random.Random, *, yes: bool
 ) -> Instance:
     """A CHECK-SORT instance: second half sorted (yes) or perturbed (no)."""
-    first = [random_word(n, rng) for _ in range(m)]
+    first = random_words(m, n, rng)
     second = sorted(first)
     if not yes:
         if m < 2:

@@ -20,7 +20,13 @@ from repro.extmem import (
     SymbolTape,
 )
 from repro.extmem.memory import bit_cost
-from repro.extmem.record_tape import fresh_tapes
+from repro.extmem.record_tape import (
+    deal_runs,
+    fresh_tapes,
+    merge_runs,
+    seed_runs,
+    strip_separators,
+)
 from tests.settings_profiles import STANDARD_SETTINGS
 
 #: A random charge script: tapes, reversals, allocations, full frees.
@@ -511,6 +517,23 @@ class TestRecordTape:
         t.write_all(["x", "y"])
         assert t.snapshot() == ["x", "y"]
         assert t.at_end
+
+    @pytest.mark.parametrize(
+        "op, tapes",
+        [
+            (seed_runs, (0, 0)),
+            (deal_runs, (0, 1, 0)),
+            (merge_runs, (0, 0, 1)),
+            (strip_separators, (1, 1)),
+        ],
+    )
+    def test_run_operations_need_distinct_tapes(self, op, tapes):
+        tr = ResourceTracker()
+        pool = [RecordTape(["a", "|"], tracker=tr), RecordTape(tracker=tr)]
+        with pytest.raises(ReproError, match="distinct tapes"):
+            op(*(pool[i] for i in tapes), "|")
+        assert [t.snapshot() for t in pool] == [["a", "|"], []]
+        assert tr.reversals == 0
 
     def test_shared_tracker_over_multiple_tapes(self):
         tr = ResourceTracker()

@@ -25,6 +25,7 @@ from repro.problems import (
     random_equal_instance,
     random_unequal_instance,
     random_word,
+    random_words,
     short_variant,
     sort_strings,
 )
@@ -215,14 +216,21 @@ class TestGenerators:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 31, 32, 33, 64, 257])
     def test_random_word_is_the_choice_loop(self, n):
-        # pins the bulk draw to CPython's choice/getrandbits: a change in
-        # either makes this fail rather than silently move every instance
+        # pins the bulk draws to CPython's choice/getrandbits: a change in
+        # either makes this fail rather than silently move every instance.
+        # random_words(m, n) must be m random_word(n) draws in a row; m
+        # runs inside, so the ids stay one per n
         for seed in range(300):
             bulk, loop = random.Random(seed), random.Random(seed)
             assert random_word(n, bulk) == "".join(
                 loop.choice("01") for _ in range(n)
             )
             assert bulk.getstate() == loop.getstate()
+            for m in (0, 1, 7, 128):
+                assert random_words(m, n, bulk) == [
+                    random_word(n, loop) for _ in range(m)
+                ]
+                assert bulk.getstate() == loop.getstate()
 
 
 class TestIntervalFamily:

@@ -36,19 +36,19 @@ sample of entries from their provenance stamps and diffs the canonical
 bytes against what is stored.
 
 ``python -m repro trace <algorithm|machine> [--n N] [--chrome out.json]
-[--jsonl out.jsonl] [--metrics] [--trials T [--jobs J]]`` runs one target under an
-:class:`~repro.observability.trace.EngineProbe` and prints the span
-timeline plus the per-phase profile.  The event buffer keeps the last
-65,536 events; when a run emits more, the profile is not printed and the
-output says how many events were dropped.  ``--chrome`` writes Chrome
-trace-event JSON (open in Perfetto or chrome://tracing), ``--jsonl``
-writes a single file holding both the kept resource events and the span
-records, ``--metrics`` prints the metrics-registry snapshot.  Targets are
-the audit contract names (``fingerprint``, ``onepass``, ...) and the
-machine-library machines (``equality``, ``coin-flip``, ...); randomized
-machines are traced through ``acceptance_probability``'s branch
-exploration instead of a single run, and ``--trials`` adds a Monte Carlo
-estimate next to the exact DP (randomized machines only).
+[--jsonl out.jsonl] [--trials T [--jobs J]]`` runs one target under an
+:class:`~repro.observability.trace.EngineProbe` and prints its span
+timeline: one line per phase with its reversals (in total and per tape),
+steps, internal bits and denials, folded from the whole event stream
+however long the run.  ``--chrome`` writes Chrome trace-event JSON (open
+in Perfetto or chrome://tracing); ``--jsonl`` streams every resource
+event into one file as the run emits it and appends the span records at
+the end.  Targets are the audit contract names (``fingerprint``,
+``onepass``, ...) and the machine-library machines (``equality``,
+``coin-flip``, ...); randomized machines are traced through
+``acceptance_probability``'s branch exploration instead of a single run,
+with the size of its configuration DAG printed, and ``--trials`` adds a
+Monte Carlo estimate next to the exact DP (randomized machines only).
 """
 
 from __future__ import annotations
@@ -321,7 +321,6 @@ def _cmd_trace(
     n: int,
     chrome: "str | None",
     jsonl: "str | None",
-    metrics: bool,
     seed: int,
     trials: int = 0,
     jobs: int = 1,
@@ -329,10 +328,8 @@ def _cmd_trace(
     import random
 
     from .observability.audit import CONTRACTS
-    from .observability.metrics import MetricsRegistry
-    from .observability.profile import RunProfile
-    from .observability.sinks import JsonlFileSink, RingBufferSink
-    from .observability.trace import EngineProbe, Tracer
+    from .observability.sinks import JsonlFileSink
+    from .observability.trace import EngineProbe
 
     contracts = {spec.name: spec for spec in CONTRACTS}
     machines = _machine_targets()
@@ -344,10 +341,9 @@ def _cmd_trace(
         print("  machines:   " + ", ".join(sorted(machines)), file=sys.stderr)
         return 2
 
-    registry = MetricsRegistry()
-    ring = RingBufferSink(1 << 16)
-    ring.bind_metrics(registry)
-    probe = EngineProbe(tracer=Tracer(), registry=registry, sink=ring)
+    # the JSONL file takes every event as the run emits it, and the spans
+    # when the probe closes
+    probe = EngineProbe(sink=JsonlFileSink(jsonl) if jsonl else None)
 
     print(f"repro {__version__} — tracing {target!r} (n={n})\n")
     if target in contracts:
@@ -374,6 +370,10 @@ def _cmd_trace(
             print(
                 f"{machine.name}: acceptance probability on |w|={len(word)} "
                 f"is {p}"
+            )
+            print(
+                "configuration DAG: "
+                + " ".join(f"{k}={v}" for k, v in probe.dag_stats.items())
             )
             if trials > 0:
                 from .machines.randomized import estimate_acceptance_probability
@@ -404,42 +404,12 @@ def _cmd_trace(
     for line in probe.tracer.render_timeline():
         print("  " + line)
 
-    events = ring.events()
-    emitted = ring.dropped + len(events)
-    if ring.dropped:
-        # a profile over a suffix of the stream would book every charge
-        # before the first kept event to the wrong phase (or to none)
-        print(
-            f"\nper-phase profile: not shown; the event buffer dropped the "
-            f"first {ring.dropped} of {emitted} events and kept {len(events)}"
-        )
-    elif events:
-        profile = RunProfile.from_events(events)
-        print("\nper-phase profile (from the resource-event stream):")
-        for line in profile.summary_lines():
-            print("  " + line)
-
-    if metrics:
-        print("\nmetrics registry:")
-        for line in registry.summary_lines():
-            print("  " + line)
-
     if chrome:
         probe.tracer.write_chrome_trace(chrome)
         print(f"\nChrome trace -> {chrome}  (open in Perfetto / chrome://tracing)")
+    probe.close()
     if jsonl:
-        # one file, both layers: resource events first, span records after
-        with JsonlFileSink(jsonl) as file_sink:
-            for event in events:
-                file_sink.emit(event)
-            for span in probe.tracer.spans():
-                file_sink.emit(span)
-        held = (
-            f"the last {len(events)} of {emitted} events"
-            if ring.dropped
-            else "events"
-        )
-        print(f"combined JSONL ({held} + spans) -> {jsonl}")
+        print(f"combined JSONL (events + spans) -> {jsonl}")
     return 0
 
 
@@ -613,12 +583,8 @@ def main(argv=None) -> int:
     trace.add_argument(
         "--jsonl",
         metavar="PATH",
-        help="write one JSONL file holding both resource events and spans",
-    )
-    trace.add_argument(
-        "--metrics",
-        action="store_true",
-        help="print the metrics-registry snapshot after the run",
+        help="write one JSONL file holding every resource event, then the "
+        "spans",
     )
     trace.add_argument(
         "--seed", type=int, default=0, help="seed for randomized algorithms"
@@ -688,7 +654,6 @@ def main(argv=None) -> int:
             args.n,
             args.chrome,
             args.jsonl,
-            args.metrics,
             args.seed,
             args.trials,
             args.jobs,

@@ -37,10 +37,17 @@ class RecordTape:
         tracker: Optional[ResourceTracker] = None,
         name: str = "tape",
     ):
+        cells: List[Any] = list(records)
+        # a None cell would read as the blank past the end: refused, as
+        # every write refuses it, before the tape is charged for
+        if _first_blank(cells) < len(cells):
+            raise ReproError(
+                "None is the blank sentinel; a tape cannot hold it"
+            )
         self.tracker = tracker or ResourceTracker()
         self.tape_id = self.tracker.register_tape(name)
         self.name = name
-        self._cells: List[Any] = list(records)
+        self._cells = cells
         self._head = 0
         self._direction = +1
 

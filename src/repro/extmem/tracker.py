@@ -177,8 +177,9 @@ class ResourceTracker:
     def mark_phase(self, name: str) -> None:
         """Emit a phase boundary (no-op without a sink; never charges).
 
-        :class:`~repro.observability.profile.RunProfile` groups the events
-        between consecutive marks into per-phase scan/space timelines.
+        An :class:`~repro.observability.trace.EngineProbe` attached as the
+        sink folds the events between consecutive marks into one phase
+        span each (what ``repro trace`` prints).
         """
         if self._sink is not None:
             self._emit(KIND_PHASE, label=name)

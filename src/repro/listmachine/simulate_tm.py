@@ -113,25 +113,10 @@ def block_trace(
     word: str,
     *,
     step_limit: int = 100_000,
-    probe=None,
 ) -> BlockTrace:
-    """Replay a deterministic run and extract the induced block trace.
-
-    ``probe`` (an :class:`~repro.observability.trace.EngineProbe`) spans
-    both halves of the simulation: the traced TM replay (a ``run:<name>``
-    span from the engine) and the block-event extraction (a
-    ``blocks:scan`` span carrying event/turn/cross/snapshot counts — the
-    quantities Lemma 30(a) bounds).
-    """
+    """Replay a deterministic run and extract the induced block trace."""
     # the block analysis needs the full configuration history: trace mode
-    run = run_deterministic(
-        machine, word, step_limit=step_limit, trace=True, probe=probe
-    )
-    scan_span = (
-        probe.tracer.begin("blocks:scan", "blocks", tm_steps=len(run.configurations) - 1)
-        if probe is not None
-        else None
-    )
+    run = run_deterministic(machine, word, step_limit=step_limit, trace=True)
     t = machine.external_tapes
     partitions = [BlockPartition() for _ in range(t)]
     for cut in _input_blocks(machine, word):
@@ -222,30 +207,13 @@ def block_trace(
                 partitions[j].split_at(pos + 1)  # cut just behind (right of) it
                 snap(j, pos + 1, hi)
 
-    trace = BlockTrace(
+    return BlockTrace(
         run=run,
         events=tuple(events),
         final_partitions=tuple(tuple(p.cuts) for p in partitions),
         blocks_after_reversal=tuple(blocks_after),
         snapshot_events=tuple(snapshot_events),
     )
-    if scan_span is not None:
-        probe.tracer.end(
-            scan_span,
-            events=len(events),
-            turns=sum(1 for e in events if e.kind == "turn"),
-            crosses=sum(1 for e in events if e.kind == "cross"),
-            snapshots=len(snapshot_events),
-            total_blocks=trace.total_blocks(),
-        )
-        if probe.registry is not None:
-            counter = probe.registry.counter(
-                "block_events_total",
-                "list-machine step boundaries extracted from TM runs, by kind",
-            )
-            for event in events:
-                counter.inc(kind=event.kind)
-    return trace
 
 
 def verify_block_reconstruction(

@@ -127,7 +127,7 @@ def run_deterministic(
     """Execute a deterministic machine to its final configuration.
 
     ``probe`` (an :class:`~repro.observability.trace.EngineProbe`) gets the
-    same run-span/step callbacks as the streaming engine, so differential
+    same run-span callbacks as the streaming engine, so differential
     tests can compare the two engines *under observation* too.
     """
     if not machine.is_deterministic:
@@ -146,8 +146,6 @@ def run_deterministic(
                 f"reading {configs[-1].read_tuple()}"
             )
         configs.append(apply_transition(configs[-1], options[0]))
-        if probe is not None:
-            probe.on_step(configs[-1].state, len(configs) - 1)
     run = Run(tuple(configs), engine.statistics(configs))
     if probe is not None:
         probe.on_run_end(run.statistics)

@@ -290,8 +290,8 @@ def _run_streaming(
     Works directly on the :class:`StepState` buffers through local
     bindings; the read tuple is maintained incrementally — only cells a
     step writes or a head moves onto are touched.  ``probe`` (an
-    :class:`~repro.observability.trace.EngineProbe`) is hoisted out of the
-    loop: with no probe the per-step cost is one extra ``is None`` test.
+    :class:`~repro.observability.trace.EngineProbe`) sees the run start
+    and end, never a step, so it costs the loop nothing.
     ``tracker`` (a :class:`~repro.extmem.tracker.ResourceTracker`)
     registers the external tapes and is charged per reversal, internal
     growth and step, in stream order.
@@ -306,7 +306,6 @@ def _run_streaming(
     reads = list(st.read_tuple())
     final_states = machine.final_states
     guard = _step_guard_limit(choices, step_limit)
-    on_step = probe.on_step if probe is not None else None
     if probe is not None:
         probe.on_run_start(machine, word)
     steps = 0
@@ -366,8 +365,6 @@ def _run_streaming(
         steps += 1
         if tracker is not None:
             tracker.charge_step()
-        if on_step is not None:
-            on_step(state, steps)
     st.state = state
     st.steps = steps
     result = FastRun(st.snapshot(), st.statistics())
@@ -414,8 +411,6 @@ def _run_traced(
         else:
             state.apply(options[choices[step] % len(options)])
         configs.append(state.snapshot())
-        if probe is not None:
-            probe.on_step(state.state, state.steps)
     run = Run(tuple(configs), state.statistics())
     if probe is not None:
         probe.on_run_end(run.statistics)
@@ -437,7 +432,7 @@ def run_deterministic(
     with ``trace=True`` the full history is kept and a reference-style
     :class:`~repro.machines.execute.Run` is returned instead.  ``probe``
     (an :class:`~repro.observability.trace.EngineProbe`, default ``None``)
-    observes the run as a span plus per-step callbacks; ``tracker`` (a
+    observes the run as one span; ``tracker`` (a
     :class:`~repro.extmem.tracker.ResourceTracker`) registers the
     external tapes and enforces any attached budget live.
     """
@@ -485,12 +480,10 @@ def acceptance_probability(
     object, shrinking the memo's working set.
 
     With a ``probe`` attached, every frame the DP opens becomes a span
-    (``branch:<state>``) nested along the exploration path, the frame
-    depths feed the probe's ``branch_depth`` histogram, and the final
-    configuration-DAG size — interned configurations, memo hits, frames
-    opened — lands in the probe's registry (``dag_*`` counters), so
-    ``repro trace --metrics`` reports the DAG size, not just the depth
-    shape.
+    (``branch:<state>``, carrying its depth) nested along the exploration
+    path, and the final configuration-DAG size — interned and memoized
+    configurations, memo hits, frames opened — is added to the probe's
+    ``dag_stats``, which ``repro trace`` prints for a randomized machine.
     """
     index = machine.transition_index()
     final_states = machine.final_states

@@ -11,8 +11,9 @@ oracle, no recursion-depth ceiling) — no sampling noise.
 Both checkers accept ``jobs=``: the per-word DPs are independent, so the
 word sample fans out over worker processes through
 :mod:`repro.parallel`, one unprobed ``acceptance_probability`` task per
-word.  To see one DP's configuration-DAG size (interned configs, memo
-hits, frames), trace it: ``repro trace coin-flip --metrics``.
+word.  To see one DP's configuration-DAG size (interned and memoized
+configurations, memo hits, frames), trace it: ``repro trace coin-flip``
+prints it on one line.
 
 :func:`estimate_acceptance_probability` is the Monte Carlo twin of the
 exact DP: it samples whole runs under uniformly random choice sequences

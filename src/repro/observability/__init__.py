@@ -1,4 +1,4 @@
-"""Observability for the (r, s, t) runtime: events, sinks, profiles, audits.
+"""Observability for the (r, s, t) runtime: events, sinks, spans, audits.
 
 Layered bottom-up:
 
@@ -11,19 +11,15 @@ Layered bottom-up:
   :class:`RingBufferSink`, :class:`JsonlFileSink`.  With no sink attached
   (the default everywhere) the tracker pays one ``is None`` test per
   charge and allocates nothing;
-* :mod:`~repro.observability.profile` — :class:`RunProfile` turns an event
-  stream into per-phase scan/space timelines (``repro trace`` prints it);
-* :mod:`~repro.observability.metrics` — :class:`Counter` / :class:`Gauge` /
-  :class:`Histogram` instruments with label sets, handed out by a
-  :class:`MetricsRegistry` whose snapshot is deterministic JSON; an
-  :class:`EngineProbe` owns one, and ``repro trace --metrics`` prints it;
 * :mod:`~repro.observability.trace` — :class:`Span` records with monotone
   ids and parent links, a :class:`Tracer` exporting Chrome trace-event
   JSON (Perfetto-loadable) and text timelines, and the
-  :class:`EngineProbe` hook the execution engines, the block tracer and
-  the streaming query evaluators accept (``probe=None`` everywhere by
-  default — the hot paths pay at most one ``is None`` test).  Probes
-  watch one in-process run; batch sweeps do not take them;
+  :class:`EngineProbe` behind ``repro trace``: an event sink that folds
+  the live stream into one span per phase (reversals in total and per
+  tape, steps, internal bits, denials), and the ``probe=`` hook of the
+  engines' run functions and ``acceptance_probability`` (``probe=None``
+  by default — no per-step cost).  Probes watch one in-process run;
+  batch sweeps do not take them;
 * :mod:`~repro.observability.audit` — the contract-audit harness behind
   ``python -m repro audit``: sweeps the paper's algorithms across decades
   of N and checks every measured envelope against its claimed one, and
@@ -53,14 +49,6 @@ from .events import (
     KIND_TAPE,
     ResourceEvent,
 )
-from .metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from .profile import SETUP_PHASE, PhaseProfile, RunProfile
 from .sinks import (
     EventSink,
     JsonlFileSink,
@@ -68,14 +56,13 @@ from .sinks import (
     TallySink,
     replay_jsonl,
 )
-from .trace import EngineProbe, Span, Tracer
+from .trace import SETUP_PHASE, EngineProbe, Span, Tracer
 
 #: Names resolved lazily via __getattr__, mapped to their submodule.
 #: The audit module imports repro.algorithms / repro.queries (which
 #: import repro.extmem — eager loading here would cycle through the
 #: tracker's events import); the ledger and report modules import
-#: repro.cache (whose store imports this package's metrics — eager
-#: loading would re-enter a partially initialized package).
+#: repro.cache, which the package does not need to load up front.
 _LAZY_EXPORTS = {
     "AuditRun": "audit",
     "CONTRACTS": "audit",
@@ -114,14 +101,7 @@ __all__ = [
     "RingBufferSink",
     "JsonlFileSink",
     "replay_jsonl",
-    "RunProfile",
-    "PhaseProfile",
     "SETUP_PHASE",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "DEFAULT_BUCKETS",
     "Span",
     "Tracer",
     "EngineProbe",

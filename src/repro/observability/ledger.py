@@ -17,11 +17,11 @@ Record kinds (all schema-versioned via :data:`LEDGER_SCHEMA`):
   index, ok, attempts (retries = attempts - 1), the structured error if
   any, and an optional ``detail`` dict (the audit stamps
   contract/cell/source attribution here);
-* ``heartbeat`` — progress every ``heartbeat_every`` completed tasks:
-  completed/total plus throughput and ETA;
-* ``stall`` — a task whose latency exceeded ``stall_factor`` × the
-  sweep's running ``stall_quantile`` latency (from a bucketed
-  :class:`~repro.observability.metrics.Histogram`);
+* ``heartbeat`` — progress every :data:`HEARTBEAT_EVERY` completed
+  tasks: completed/total plus throughput and ETA;
+* ``stall`` — a task whose latency exceeded :data:`STALL_FACTOR` × the
+  sweep's running :data:`STALL_QUANTILE` latency, rounded up to the
+  :data:`LATENCY_BUCKETS` grid;
 * ``worker-restart`` — a process-pool rebuild after a crash (quarantine
   attribution rides in the eventual ``task-outcome``'s error);
 * ``cache`` — one :class:`~repro.cache.ResultStore` hit/miss/write/
@@ -54,13 +54,14 @@ one pointer comparison per outcome and allocates nothing.
 from __future__ import annotations
 
 import json
+import math
 import time
+from bisect import bisect_left, insort
 from pathlib import Path
 from typing import IO, Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .._version import __version__
 from ..cache.fingerprint import canonical_json
-from .metrics import Histogram
 
 __all__ = [
     "LEDGER_SCHEMA",
@@ -107,8 +108,21 @@ LEDGER_KINDS: Tuple[str, ...] = (
 #: where ordinary records merely lose their ``wall`` section.
 WALL_ONLY_KINDS = frozenset({KIND_STALL})
 
-#: Buckets of the stall detector's latency histogram: sweeps mix
-#: sub-millisecond tasks with multi-second full-sweep audit cells.
+#: A ``heartbeat`` record follows every this many completed tasks, while
+#: work remains.
+HEARTBEAT_EVERY = 16
+
+#: A task slower than ``STALL_FACTOR`` times the ``STALL_QUANTILE``
+#: latency of its sweep's earlier tasks (once there are at least
+#: ``MIN_STALL_SAMPLES`` of them) gets a ``stall`` record.
+STALL_FACTOR = 4.0
+STALL_QUANTILE = 0.95
+MIN_STALL_SAMPLES = 8
+
+#: The grid the stall detector rounds its quantile up to: sweeps mix
+#: sub-millisecond tasks with multi-second full-sweep audit cells.  An
+#: exact quantile of warm cache hits would sit below ordinary jitter, so
+#: stall records would come and go between identical runs.
 LATENCY_BUCKETS: Tuple[float, ...] = (
     0.001,
     0.005,
@@ -134,55 +148,19 @@ class LedgerWriter:
     always, closes only a handle this writer opened).  Records are
     flushed line-by-line: the ledger is a journal, and a crashed sweep
     must leave every completed outcome on disk.
-
-    ``heartbeat_every`` controls progress cadence (a ``heartbeat``
-    record after every N completed tasks, while work remains);
-    ``stall_factor`` / ``stall_quantile`` control stall detection: a
-    task slower than ``stall_factor × quantile(stall_quantile)`` of the
-    sweep's prior latencies (at least ``min_stall_samples`` of them)
-    gets a ``stall`` record.
     """
 
-    def __init__(
-        self,
-        target: Union[str, Path, IO[str]],
-        *,
-        heartbeat_every: int = 16,
-        stall_factor: float = 4.0,
-        stall_quantile: float = 0.95,
-        min_stall_samples: int = 8,
-    ) -> None:
-        if heartbeat_every < 1:
-            raise ValueError(
-                f"heartbeat_every must be >= 1, got {heartbeat_every}"
-            )
-        if stall_factor <= 0:
-            raise ValueError(f"stall_factor must be > 0, got {stall_factor}")
-        if not 0.0 < stall_quantile <= 1.0:
-            raise ValueError(
-                f"stall_quantile must be in (0, 1], got {stall_quantile}"
-            )
-        if min_stall_samples < 1:
-            raise ValueError(
-                f"min_stall_samples must be >= 1, got {min_stall_samples}"
-            )
+    def __init__(self, target: Union[str, Path, IO[str]]) -> None:
         if isinstance(target, (str, Path)):
             self._stream: IO[str] = open(target, "w", encoding="utf-8")
             self._owns_stream = True
         else:
             self._stream = target
             self._owns_stream = False
-        self.heartbeat_every = heartbeat_every
-        self.stall_factor = stall_factor
-        self.stall_quantile = stall_quantile
-        self.min_stall_samples = min_stall_samples
         self.records_written = 0
         self._sweeps: Dict[str, Dict[str, Any]] = {}
-        self._latency = Histogram(
-            "ledger_task_seconds",
-            "per-task latency feeding the stall detector",
-            buckets=LATENCY_BUCKETS,
-        )
+        # per label: the latencies of its tasks so far, sorted
+        self._latencies: Dict[str, List[float]] = {}
 
     # -- raw line ----------------------------------------------------------
 
@@ -261,36 +239,38 @@ class LedgerWriter:
         self.record(record)
         # stall check against the latency distribution *before* this
         # sample — an outlier must not be allowed to raise its own bar
-        if self._latency.count(label=label) >= self.min_stall_samples:
-            quantile = self._latency.quantile(
-                self.stall_quantile, label=label
-            )
-            if quantile is not None and quantile > 0:
-                threshold = self.stall_factor * quantile
-                if seconds > threshold:
-                    self.record(
-                        {
-                            "schema": LEDGER_SCHEMA,
-                            "kind": KIND_STALL,
-                            "label": label,
-                            "index": index,
-                            "wall": {
-                                "seconds": round(seconds, 6),
-                                "quantile": self.stall_quantile,
-                                "quantile_seconds": quantile,
-                                "threshold_seconds": round(threshold, 6),
-                                "factor": self.stall_factor,
-                            },
-                        }
-                    )
-        self._latency.observe(seconds, label=label)
+        latencies = self._latencies.setdefault(label, [])
+        if len(latencies) >= MIN_STALL_SAMPLES:
+            # the nearest-rank sample, rounded up to the bucket grid (the
+            # largest bucket caps it)
+            rank = math.ceil(STALL_QUANTILE * len(latencies))
+            bucket = bisect_left(LATENCY_BUCKETS, latencies[rank - 1])
+            quantile = LATENCY_BUCKETS[min(bucket, len(LATENCY_BUCKETS) - 1)]
+            threshold = STALL_FACTOR * quantile
+            if seconds > threshold:
+                self.record(
+                    {
+                        "schema": LEDGER_SCHEMA,
+                        "kind": KIND_STALL,
+                        "label": label,
+                        "index": index,
+                        "wall": {
+                            "seconds": round(seconds, 6),
+                            "quantile": STALL_QUANTILE,
+                            "quantile_seconds": quantile,
+                            "threshold_seconds": round(threshold, 6),
+                            "factor": STALL_FACTOR,
+                        },
+                    }
+                )
+        insort(latencies, seconds)
         if ok:
             state["ok"] += 1
         else:
             state["failed"] += 1
         done = state["ok"] + state["failed"]
         total = state["total"]
-        if done % self.heartbeat_every == 0 and (total is None or done < total):
+        if done % HEARTBEAT_EVERY == 0 and (total is None or done < total):
             elapsed = time.perf_counter() - state["started"]
             rate = done / elapsed if elapsed > 0 else None
             eta = (

@@ -11,10 +11,11 @@ common cases:
   may then hand it its stores as one count and the loop's last event
   (see ``InternalMemory.has_headroom``).
 * :class:`RingBufferSink` — keeps the last ``capacity`` events in memory
-  (bounded memory on arbitrarily long runs); ``repro trace`` folds its
-  contents into a :class:`~repro.observability.profile.RunProfile`.
+  (bounded memory on arbitrarily long runs); the tests' every-event
+  reference sink.
 * :class:`JsonlFileSink` — appends one JSON object per line; the durable
-  form ``repro trace --jsonl`` writes and :func:`replay_jsonl` reads back.
+  form ``repro trace --jsonl`` streams the whole run into (events as they
+  happen, then the probe's spans) and :func:`replay_jsonl` reads back.
 
 With **no** sink attached the tracker skips event construction entirely —
 the hot path pays one ``is None`` test per charge.  With a sink attached,
@@ -109,35 +110,11 @@ class RingBufferSink(EventSink):
         """The retained events, oldest first."""
         return list(self._buffer)
 
-    def bind_metrics(self, registry, name: str = "ring_buffer") -> None:
-        """Surface this sink's state in a metrics registry snapshot.
-
-        Registers callback gauges (``<name>_dropped``, ``<name>_buffered``)
-        on ``registry`` (a
-        :class:`~repro.observability.metrics.MetricsRegistry`), read at
-        snapshot time — overflow is no longer silent: the drop count shows
-        up in every ``registry.snapshot()`` / ``repro trace --metrics``.
-        """
-        registry.track(
-            f"{name}_dropped",
-            lambda: self.dropped,
-            "events evicted from the ring buffer (0 = complete stream)",
-        )
-        registry.track(
-            f"{name}_buffered",
-            lambda: len(self._buffer),
-            "events currently retained in the ring buffer",
-        )
-
     def __len__(self) -> int:
         return len(self._buffer)
 
     def __iter__(self) -> Iterator[ResourceEvent]:
         return iter(self._buffer)
-
-    def clear(self) -> None:
-        self._buffer.clear()
-        self.dropped = 0
 
 
 class JsonlFileSink(EventSink):

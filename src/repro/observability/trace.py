@@ -1,10 +1,10 @@
 """Lightweight spans over engine runs, with Chrome-trace and text exporters.
 
-The tracker's event stream is flat; the questions the experiments ask are
+The tracker's event stream is flat; the questions a traced run asks are
 hierarchical — *which phase* of the Theorem 8(a) machine spent the
-reversal, *which operator* of the Theorem 11(a) evaluator triggered the
-merge sort, *how deep* did ``acceptance_probability``'s branch exploration
-go.  This module adds the hierarchy:
+reversal, and on which tape, and *how deep* did
+``acceptance_probability``'s branch exploration go.  This module adds the
+hierarchy:
 
 * :class:`Span` — a named interval with a monotone id, a parent link, a
   category, and free-form ``args`` (step/reversal/space deltas land here);
@@ -12,18 +12,18 @@ go.  This module adds the hierarchy:
   so nesting falls out of call order; exports to **Chrome trace-event
   JSON** (loadable in Perfetto / ``chrome://tracing``) and to an aligned
   text timeline;
-* :class:`EngineProbe` — the one object threaded through the execution
-  engines, the list-machine block tracer and the streaming query
-  evaluators.  It doubles as an event *sink*: attach it to a
+* :class:`EngineProbe` — the one object ``repro trace`` threads through a
+  run.  It is an event *sink*: attach it to a
   :class:`~repro.extmem.tracker.ResourceTracker` (or pass it as the
   ``sink=`` of an algorithm) and every ``mark_phase`` boundary becomes a
-  span whose ``args`` carry the phase's exact reversal/step/space deltas —
-  byte-for-byte the numbers :class:`~repro.observability.profile.RunProfile`
-  aggregates, because both are derived from the same event totals.
+  span whose ``args`` carry the phase's exact reversals (in total and per
+  tape), steps, internal bits and denials, folded from the live stream.
+  It is also the ``probe=`` hook of both engines' run functions and of
+  ``acceptance_probability``.
 
 Probes default to ``None`` everywhere they are accepted, and the engines
-hoist the ``probe is None`` test out of their hot loops, so with nothing
-attached a step costs one extra ``is None`` test and nothing else.
+test ``probe is None`` outside their step loops, so with nothing attached
+a run pays a few ``is None`` tests and nothing per step.
 """
 
 from __future__ import annotations
@@ -34,17 +34,17 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
 
-from .events import KIND_DENIED, KIND_PHASE, ResourceEvent
-from .profile import SETUP_PHASE
+from .events import KIND_DENIED, KIND_PHASE, KIND_REVERSAL, ResourceEvent
 
-__all__ = ["Span", "Tracer", "EngineProbe"]
+__all__ = ["Span", "Tracer", "EngineProbe", "SETUP_PHASE"]
+
+#: Name of the phase span covering activity before the first ``mark_phase``.
+SETUP_PHASE = "(setup)"
 
 #: Category names used by the built-in instrumentation.
 CATEGORY_ENGINE = "engine"
 CATEGORY_PHASE = "phase"
 CATEGORY_BRANCH = "branch"
-CATEGORY_QUERY = "query"
-CATEGORY_BLOCKS = "blocks"
 
 
 @dataclass
@@ -162,9 +162,6 @@ class Tracer:
         """Retained spans in creation order (open spans included)."""
         return list(self._spans)
 
-    def find(self, name: str) -> List[Span]:
-        return [s for s in self._spans if s.name == name]
-
     def __len__(self) -> int:
         return len(self._spans)
 
@@ -234,9 +231,19 @@ class Tracer:
         width = max(len(label) for label, _, _ in rows)
         lines = []
         for label, when, span in rows:
-            args = " ".join(
-                f"{k}={v}" for k, v in span.args.items() if not isinstance(v, dict)
-            )
+            # scalar args as key=value, then each count table (a phase's
+            # reversals per tape) as [key:count, ...]
+            scalars = [
+                f"{k}={v}"
+                for k, v in span.args.items()
+                if not isinstance(v, dict)
+            ]
+            tables = [
+                "[" + ", ".join(f"{k}:{c}" for k, c in v.items()) + "]"
+                for v in span.args.values()
+                if isinstance(v, dict) and v
+            ]
+            args = " ".join(scalars + tables)
             lines.append(
                 f"{label:<{width}}  {when}  {span.category}"
                 + (f"  {args}" if args else "")
@@ -252,88 +259,43 @@ class EngineProbe:
     *As an event sink* (attach with ``tracker.attach_sink(probe)`` or pass
     as an algorithm's ``sink=``): forwards every
     :class:`~repro.observability.events.ResourceEvent` to the wrapped
-    ``sink`` (so one JSONL file captures tracker events *and* spans), and
-    turns ``mark_phase`` boundaries into phase spans whose args hold the
-    exact per-phase reversal/step/space-peak numbers.
+    ``sink`` as it arrives, and turns ``mark_phase`` boundaries into phase
+    spans whose args hold the phase's exact reversals, reversals per tape
+    (keyed by tape name, else ``tape-<id>``), steps, entry/exit/peak
+    internal bits and denials.  :meth:`close` then appends the spans to
+    the same sink, so one
+    :class:`~repro.observability.sinks.JsonlFileSink` holds the whole run.
 
     *As an engine hook* (pass as ``probe=`` to the run functions): opens a
-    ``run:<machine>`` span per execution, counts steps, and — for
-    ``acceptance_probability`` — opens a span per probabilistic branch and
-    feeds a histogram of branch depths.
-
-    ``registry`` (a :class:`~repro.observability.metrics.MetricsRegistry`)
-    is optional; when present the probe maintains ``events_total``,
-    ``denied_total``, ``engine_steps_total``, ``engine_runs_total`` and
-    ``branch_depth`` instruments.
+    ``run:<machine>`` span per execution, and — for
+    ``acceptance_probability`` — a span per probabilistic branch, and adds
+    the configuration DAG's size to :attr:`dag_stats`.
     """
 
-    def __init__(
-        self,
-        tracer: Optional[Tracer] = None,
-        registry=None,
-        sink=None,
-    ):
-        self.tracer = tracer if tracer is not None else Tracer()
-        self.registry = registry
+    def __init__(self, sink=None):
+        self.tracer = Tracer()
         self.sink = sink
-        self.steps_observed = 0
+        #: Configuration-DAG sizes, summed over every
+        #: ``acceptance_probability`` run this probe watched.
+        self.dag_stats: Dict[str, int] = dict.fromkeys(
+            ("interned", "memoized", "memo_hits", "frames"), 0
+        )
         self._run_spans: List[Span] = []
         self._phase_span: Optional[Span] = None
-        # totals at the current phase boundary: (scans, bits, steps, denied)
+        # totals at the current phase boundary: (scans, bits, steps)
         self._phase_open = (1, 0, 0)
         self._phase_peak_bits = 0
         self._phase_denied = 0
+        self._phase_tapes: Dict[str, int] = {}
         self._last_event: Optional[ResourceEvent] = None
-        if registry is not None:
-            self._events_total = registry.counter(
-                "events_total", "tracker events seen by the probe, by kind"
-            )
-            self._denied_total = registry.counter(
-                "denied_total", "budget denials observed"
-            )
-            self._steps_total = registry.counter(
-                "engine_steps_total", "machine steps executed under the probe"
-            )
-            self._runs_total = registry.counter(
-                "engine_runs_total", "engine runs observed, by machine"
-            )
-            self._branch_depth = registry.histogram(
-                "branch_depth",
-                "depth of each probabilistic branch frame opened",
-            )
-            self._dag_interned = registry.counter(
-                "dag_configs_interned_total",
-                "distinct configurations interned per acceptance DP",
-            )
-            self._dag_memoized = registry.counter(
-                "dag_configs_memoized_total",
-                "configurations with a memoized probability per acceptance DP",
-            )
-            self._dag_memo_hits = registry.counter(
-                "dag_memo_hits_total",
-                "memo lookups that hit (branches sharing a configuration)",
-            )
-            self._dag_frames = registry.counter(
-                "dag_frames_total", "DP frames opened per acceptance DP"
-            )
-            registry.track(
-                "spans_dropped",
-                lambda: self.tracer.dropped,
-                "spans not retained because the tracer hit capacity",
-            )
-        else:
-            self._events_total = None
 
     # -- event-sink interface ---------------------------------------------
 
     def emit(self, event: ResourceEvent) -> None:
         if self.sink is not None:
             self.sink.emit(event)
-        if self._events_total is not None:
-            self._events_total.inc(kind=event.kind)
-            if event.kind == KIND_DENIED:
-                self._denied_total.inc(resource=event.label or "?")
-        if event.kind == KIND_PHASE:
+        kind = event.kind
+        if kind == KIND_PHASE:
             self._roll_phase(event.label or "?", event)
         else:
             if self._phase_span is None:
@@ -342,32 +304,27 @@ class EngineProbe:
                 self._open_phase(SETUP_PHASE, (1, 0, 0), 0)
             if event.current_internal_bits > self._phase_peak_bits:
                 self._phase_peak_bits = event.current_internal_bits
-            if event.kind == KIND_DENIED:
+            if kind == KIND_REVERSAL:
+                tape = event.tape_name or f"tape-{event.tape_id}"
+                self._phase_tapes[tape] = self._phase_tapes.get(tape, 0) + 1
+            elif kind == KIND_DENIED:
                 self._phase_denied += 1
         self._last_event = event
 
-    def export_spans(self) -> int:
-        """Append every retained span to the shared sink, one record each.
+    def close(self) -> None:
+        """Sink-protocol close: finish the spans, append every retained one
+        to the shared sink after its events, then close the wrapped sink.
 
         Span records carry ``kind: "span"`` so a single JSONL file holds
         both layers; :func:`~repro.observability.sinks.replay_jsonl` skips
-        them when replaying the resource-event layer.  Returns the number
-        of spans written.
+        them when replaying the resource-event layer.
         """
-        if self.sink is None:
-            return 0
-        spans = self.tracer.spans()
-        for span in spans:
-            self.sink.emit(span)
-        return len(spans)
-
-    def close(self) -> None:
-        """Sink-protocol close: finish spans, export them into the shared
-        sink (both layers in one capture), then close the wrapped sink."""
         self.finish()
-        self.export_spans()
-        if self.sink is not None and hasattr(self.sink, "close"):
-            self.sink.close()
+        if self.sink is not None:
+            for span in self.tracer.spans():
+                self.sink.emit(span)
+            if hasattr(self.sink, "close"):
+                self.sink.close()
 
     def __enter__(self) -> "EngineProbe":
         return self
@@ -387,6 +344,7 @@ class EngineProbe:
         self._phase_open = totals
         self._phase_peak_bits = entry_bits
         self._phase_denied = 0
+        self._phase_tapes = {}
 
     def _close_phase(self, totals) -> None:
         if self._phase_span is None:
@@ -396,6 +354,7 @@ class EngineProbe:
         self.tracer.end(
             self._phase_span,
             reversals=scans1 - scans0,
+            reversals_per_tape=dict(sorted(self._phase_tapes.items())),
             steps=steps1 - steps0,
             entry_internal_bits=bits0,
             exit_internal_bits=bits1,
@@ -424,13 +383,6 @@ class EngineProbe:
             f"run:{machine.name}", CATEGORY_ENGINE, input_length=len(word)
         )
         self._run_spans.append(span)
-        if self.registry is not None:
-            self._runs_total.inc(machine=machine.name)
-
-    def on_step(self, state: str, steps: int) -> None:
-        self.steps_observed += 1
-        if self.registry is not None:
-            self._steps_total.inc()
 
     def on_run_end(self, statistics) -> None:
         if not self._run_spans:
@@ -446,8 +398,6 @@ class EngineProbe:
     # -- branch hooks (acceptance_probability) -----------------------------
 
     def on_branch_enter(self, depth: int, options: int, state: str) -> Span:
-        if self.registry is not None:
-            self._branch_depth.observe(depth)
         return self.tracer.begin(
             f"branch:{state}", CATEGORY_BRANCH, depth=depth, options=options
         )
@@ -458,14 +408,11 @@ class EngineProbe:
     def on_dag_stats(
         self, *, interned: int, memoized: int, memo_hits: int, frames: int
     ) -> None:
-        """Configuration-DAG size at the end of one ``acceptance_probability``.
-
-        Counters (not gauges) so a sweep of many DPs under one probe
-        reports *aggregate* DAG statistics; per-run numbers are the
-        per-call increments.
-        """
-        if self.registry is not None:
-            self._dag_interned.inc(interned)
-            self._dag_memoized.inc(memoized)
-            self._dag_memo_hits.inc(memo_hits)
-            self._dag_frames.inc(frames)
+        """Add one ``acceptance_probability`` run's configuration-DAG size
+        (interned and memoized configurations, memo hits, frames opened)
+        to :attr:`dag_stats`."""
+        stats = self.dag_stats
+        stats["interned"] += interned
+        stats["memoized"] += memoized
+        stats["memo_hits"] += memo_hits
+        stats["frames"] += frames

@@ -55,50 +55,21 @@ def streaming_scan_budget(expr: Expr, total_size: int) -> int:
 
 
 class StreamingEvaluator:
-    """Evaluates algebra expressions over tapes with full cost accounting.
-
-    ``probe`` (an :class:`~repro.observability.trace.EngineProbe`, default
-    ``None``) adds a span per operator node and per merge sort, each
-    carrying the exact ``tracker.scans`` delta the stage cost; the
-    top-level :meth:`evaluate` span records the Theorem 11(a)
-    ``streaming_scan_budget`` next to the measured total.
-    """
+    """Evaluates algebra expressions over tapes with full cost accounting."""
 
     def __init__(
-        self,
-        db: Database,
-        *,
-        budget: Optional[ResourceBudget] = None,
-        probe=None,
+        self, db: Database, *, budget: Optional[ResourceBudget] = None
     ):
         self.db = db
         self.tracker = ResourceTracker(budget)
-        self.probe = probe
 
     # -- tape helpers -------------------------------------------------------
 
     def _fresh(self, name: str) -> RecordTape:
         return RecordTape(tracker=self.tracker, name=name)
 
-    def _span(self, name: str, **args):
-        """Open a query-category span (None when no probe is attached)."""
-        if self.probe is None:
-            return None
-        span = self.probe.tracer.begin(name, "query", **args)
-        span.args["_scans_before"] = self.tracker.scans
-        return span
-
-    def _end_span(self, span, **args) -> None:
-        if span is None:
-            return
-        scans_before = span.args.pop("_scans_before")
-        self.probe.tracer.end(
-            span, scans=self.tracker.scans - scans_before, **args
-        )
-
     def _sorted_dedup(self, tape: RecordTape) -> RecordTape:
         """Sort a tape of tuples and drop duplicates (set semantics)."""
-        span = self._span("sort+dedup")
         tape.rewind()
         out = tape_merge_sort(tape, self.tracker)
         dedup = self._fresh("dedup")
@@ -108,7 +79,6 @@ class StreamingEvaluator:
             if row != previous:
                 dedup.step_write(row)
             previous = row
-        self._end_span(span)
         return dedup
 
     def _count(self, tape: RecordTape) -> int:
@@ -121,19 +91,6 @@ class StreamingEvaluator:
     # -- operators ----------------------------------------------------------
 
     def _eval(self, expr: Expr) -> Tuple[RecordTape, Schema]:
-        """Evaluate one node, spanned per operator when a probe is attached."""
-        if self.probe is None:
-            return self._eval_node(expr)
-        span = self._span(f"op:{type(expr).__name__}")
-        try:
-            result = self._eval_node(expr)
-        except BaseException:
-            self._end_span(span, failed=True)
-            raise
-        self._end_span(span)
-        return result
-
-    def _eval_node(self, expr: Expr) -> Tuple[RecordTape, Schema]:
         schema = expr.schema(self.db)
 
         if isinstance(expr, RelationRef):
@@ -275,17 +232,10 @@ class StreamingEvaluator:
 
     def evaluate(self, expr: Expr) -> Relation:
         """Evaluate and materialize the result (sorted, deduplicated)."""
-        span = self._span(
-            "query",
-            operators=operator_count(expr),
-            scan_budget=streaming_scan_budget(expr, self.db.total_size()),
-        )
         tape, schema = self._eval(expr)
         final = self._sorted_dedup(tape)
         final.rewind()
-        result = Relation(schema, frozenset(final.scan()))
-        self._end_span(span)
-        return result
+        return Relation(schema, frozenset(final.scan()))
 
     def report(self) -> ResourceReport:
         return self.tracker.report()

@@ -18,9 +18,8 @@ document shape, and their resource reports exhibit the Θ(log N) scan law.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from ...algorithms.mergesort_tape import tape_merge_sort
 from ...errors import XMLError
@@ -134,94 +133,49 @@ class StreamingAnswer:
     report: ResourceReport
 
 
-@contextmanager
-def _scan_span(probe, tracker: ResourceTracker, name: str, **args) -> Iterator:
-    """Span one scan stage, attributing the scans it cost on close.
-
-    With ``probe=None`` (the default everywhere) this is a no-op context;
-    with an :class:`~repro.observability.trace.EngineProbe` attached the
-    stage becomes a ``query``-category span whose ``scans`` arg is the
-    exact ``tracker.scans`` delta across the stage.
-    """
-    if probe is None:
-        yield None
-        return
-    span = probe.tracer.begin(name, "query", **args)
-    scans_before = tracker.scans
-    try:
-        yield span
-    finally:
-        probe.tracer.end(span, scans=tracker.scans - scans_before)
-
-
 def figure1_filter_streaming(
-    token_tape: RecordTape, tracker: ResourceTracker, probe=None
+    token_tape: RecordTape, tracker: ResourceTracker
 ) -> StreamingAnswer:
     """Decide Figure 1's filter (∃ set1 item with string ∉ set2) on tapes.
 
     X ⊄ Y ⇔ X − Y ≠ ∅, computed as: extract, sort+dedup both sides, one
-    anti-join scan.  O(log N) reversals total.  ``probe`` wraps each scan
-    stage in a span, with the ``xml_streaming_scan_budget`` recorded on
-    the enclosing query span for budget-vs-measured comparison.
+    anti-join scan.  O(log N) reversals total.
     """
-    with _scan_span(
-        probe,
-        tracker,
-        "xml:figure1",
-        scan_budget=xml_streaming_scan_budget(len(token_tape)),
-        tokens=len(token_tape),
-    ):
-        with _scan_span(probe, tracker, "xml:extract"):
-            set1, set2 = _extract_sets(token_tape, tracker)
-        with _scan_span(probe, tracker, "xml:sort:set1"):
-            xs = _sorted_unique(set1, tracker)
-        with _scan_span(probe, tracker, "xml:sort:set2"):
-            ys = _sorted_unique(set2, tracker)
-        with _scan_span(probe, tracker, "xml:merge"):
-            xs.rewind()
-            ys.rewind()
+    set1, set2 = _extract_sets(token_tape, tracker)
+    xs = _sorted_unique(set1, tracker)
+    ys = _sorted_unique(set2, tracker)
+    xs.rewind()
+    ys.rewind()
+    y = ys.step_read()
+    matched = False
+    for x in xs.scan():
+        while y is not None and y < x:
             y = ys.step_read()
-            matched = False
-            for x in xs.scan():
-                while y is not None and y < x:
-                    y = ys.step_read()
-                if y is None or y != x:
-                    matched = True  # an element of X missing from Y
-                    break
+        if y is None or y != x:
+            matched = True  # an element of X missing from Y
+            break
     return StreamingAnswer(answer=matched, report=tracker.report())
 
 
 def theorem12_query_streaming(
-    token_tape: RecordTape, tracker: ResourceTracker, probe=None
+    token_tape: RecordTape, tracker: ResourceTracker
 ) -> StreamingAnswer:
     """Decide the Theorem 12 XQuery (X = Y as sets) on the token stream.
 
     Equality of the deduplicated sorted value streams; answer True mirrors
-    Q returning <result><true/></result>.  ``probe`` spans each scan stage
-    exactly as in :func:`figure1_filter_streaming`.
+    Q returning <result><true/></result>.
     """
-    with _scan_span(
-        probe,
-        tracker,
-        "xml:theorem12",
-        scan_budget=xml_streaming_scan_budget(len(token_tape)),
-        tokens=len(token_tape),
-    ):
-        with _scan_span(probe, tracker, "xml:extract"):
-            set1, set2 = _extract_sets(token_tape, tracker)
-        with _scan_span(probe, tracker, "xml:sort:set1"):
-            xs = _sorted_unique(set1, tracker)
-        with _scan_span(probe, tracker, "xml:sort:set2"):
-            ys = _sorted_unique(set2, tracker)
-        with _scan_span(probe, tracker, "xml:merge"):
-            xs.rewind()
-            ys.rewind()
-            equal = True
-            while True:
-                x, y = xs.step_read(), ys.step_read()
-                if x is None and y is None:
-                    break
-                if x != y:
-                    equal = False
-                    break
+    set1, set2 = _extract_sets(token_tape, tracker)
+    xs = _sorted_unique(set1, tracker)
+    ys = _sorted_unique(set2, tracker)
+    xs.rewind()
+    ys.rewind()
+    equal = True
+    while True:
+        x, y = xs.step_read(), ys.step_read()
+        if x is None and y is None:
+            break
+        if x != y:
+            equal = False
+            break
     return StreamingAnswer(answer=equal, report=tracker.report())

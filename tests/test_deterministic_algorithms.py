@@ -184,11 +184,16 @@ def _observed_sort(sort, records, key, max_scans, at, facing_left):
     """Everything one sort leaves to see: its output tape (or the type of
     the error it raised), the input head and direction, the report and
     every event.  The input head starts at ``at``, facing left if asked
-    (one charged turn), before ``max_scans`` is enforced."""
+    (one charged turn), before ``max_scans`` is enforced.  A blank
+    (``None``) record never reaches the sort: the input tape refuses it,
+    with no event, and that refusal is the outcome."""
     tracker = ResourceTracker()
     sink = RingBufferSink()
     tracker.attach_sink(sink)
-    tape = RecordTape(records, tracker=tracker, name="input")
+    try:
+        tape = RecordTape(records, tracker=tracker, name="input")
+    except ReproError:
+        return ReproError, None, None, tracker.report(), sink.events()
     for _ in range(at + facing_left):
         tape.move(+1)
     if facing_left:

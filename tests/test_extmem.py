@@ -490,6 +490,20 @@ class TestRecordTape:
         with pytest.raises(ReproError):
             t.write(None)
 
+    @pytest.mark.parametrize(
+        "records", [["b", None, "a"], [None], ["", 0, (), None]]
+    )
+    def test_a_tape_cannot_hold_a_blank_cell(self, records):
+        # a None cell would read as the blank: a merge would take it for
+        # the end of its run and drop the records after it
+        tr = ResourceTracker(ResourceBudget(max_tapes=2))
+        RecordTape(["x"], tracker=tr)
+        with pytest.raises(ReproError, match="blank sentinel"):
+            RecordTape(records, tracker=tr, name="bad")
+        assert tr.tapes_used == 1
+        assert RecordTape(["", 0, ()], tracker=tr).snapshot() == ["", 0, ()]
+        assert tr.tapes_used == 2
+
     def test_rewind_cost(self):
         tr = ResourceTracker()
         t = RecordTape(["a", "b", "c"], tracker=tr)

@@ -124,6 +124,15 @@ class Model:
         self.emit("tape", tape_id=self.count, delta=1, label=name)
         return self.count
 
+    def add_tape(self, records, name):
+        """A tape holding ``records``: one with a blank cell is refused
+        before it is registered."""
+        if any(record is None for record in records):
+            raise ReproError("blank cell")
+        tid = self.register(name)
+        self.tapes.append([list(records), 0, +1, tid, name])
+        return tid
+
     def charge_reversal(self, tid):
         limit = self.budget.max_scans
         if limit is not None and 2 + sum(self.reversals.values()) > limit:
@@ -349,12 +358,11 @@ class ExtmemMachine(RuleBasedStateMachine):
         tape, error = _outcome(
             lambda: RecordTape(records, tracker=self.tracker, name=name)
         )
-        tid, model_error = _outcome(self.model.register, name)
+        tid, model_error = _outcome(self.model.add_tape, records, name)
         assert error == model_error
         if tape is not None:
             assert tape.tape_id == tid
             self.tapes.append(tape)
-            self.model.tapes.append([list(records), 0, +1, tid, name])
 
     @precondition(lambda self: self.tapes)
     @rule(index=st.integers(0, MAX_TAPES - 1))

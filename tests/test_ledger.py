@@ -98,12 +98,12 @@ class TestLedgerWriter:
 
     def test_strip_drops_wall_sections_and_stall_records(self):
         stream = io.StringIO()
-        ledger = LedgerWriter(stream, min_stall_samples=2, stall_factor=2.0)
-        ledger.sweep_start("s", tasks=4)
-        for index in range(3):
+        ledger = LedgerWriter(stream)
+        ledger.sweep_start("s", tasks=9)
+        for index in range(8):
             ledger.record_outcome("s", index=index, ok=True, seconds=0.01)
-        # a sample far beyond 2 x the running p95 must emit a stall
-        ledger.record_outcome("s", index=3, ok=True, seconds=30.0)
+        # a sample far beyond 4 x the running p95 must emit a stall
+        ledger.record_outcome("s", index=8, ok=True, seconds=30.0)
         ledger.sweep_end("s")
         kinds = [r["kind"] for r in _records(stream)]
         assert KIND_STALL in kinds
@@ -115,21 +115,67 @@ class TestLedgerWriter:
         assert all(p["kind"] != KIND_STALL for p in projected)
         assert all("wall" not in p for p in projected)
         # the deterministic payload survives intact
-        assert sum(p["kind"] == KIND_TASK_OUTCOME for p in projected) == 4
+        assert sum(p["kind"] == KIND_TASK_OUTCOME for p in projected) == 9
 
     def test_stall_threshold_uses_distribution_before_the_sample(self):
         # the first slow sample cannot raise its own bar: with 8 fast
         # samples on file, sample 9 is judged against *their* quantile
         stream = io.StringIO()
-        ledger = LedgerWriter(stream, min_stall_samples=8)
+        ledger = LedgerWriter(stream)
         for index in range(8):
             ledger.record_outcome("s", index=index, ok=True, seconds=0.002)
         ledger.record_outcome("s", index=8, ok=True, seconds=5.0)
-        assert any(r["kind"] == KIND_STALL for r in _records(stream))
+        (stall,) = [r for r in _records(stream) if r["kind"] == KIND_STALL]
+        # p95 of eight 2 ms samples, rounded up to the 5 ms bucket
+        assert stall["wall"] == {
+            "seconds": 5.0,
+            "quantile": 0.95,
+            "quantile_seconds": 0.005,
+            "threshold_seconds": 0.02,
+            "factor": 4.0,
+        }
+
+    def test_too_few_samples_never_stall(self):
+        # seven samples on file are below the minimum: no bar to judge by
+        stream = io.StringIO()
+        ledger = LedgerWriter(stream)
+        for index in range(7):
+            ledger.record_outcome("s", index=index, ok=True, seconds=0.002)
+        ledger.record_outcome("s", index=7, ok=True, seconds=5.0)
+        assert not any(r["kind"] == KIND_STALL for r in _records(stream))
+
+    def test_stall_quantile_is_bucketed_nearest_rank(self):
+        # twenty samples on file: nineteen of 0.2 s, then one of 3 s.  The
+        # p95 is the 19th smallest (0.2 s, not the 3 s), rounded up to the
+        # 0.5 s bucket, so the bar is 2 s: a 1.9 s task is no stall
+        # although it is more than 4 x the unrounded 0.2 s, and 2.1 s is
+        stream = io.StringIO()
+        ledger = LedgerWriter(stream)
+        for label, probe in (("a", 1.9), ("b", 2.1)):
+            for index in range(19):
+                ledger.record_outcome(label, index=index, ok=True, seconds=0.2)
+            ledger.record_outcome(label, index=19, ok=True, seconds=3.0)
+            ledger.record_outcome(label, index=20, ok=True, seconds=probe)
+        stalls = [
+            (r["label"], r["index"], r["wall"]["quantile_seconds"])
+            for r in _records(stream)
+            if r["kind"] == KIND_STALL
+        ]
+        assert stalls == [("a", 19, 0.5), ("b", 19, 0.5), ("b", 20, 0.5)]
+
+    def test_quantile_beyond_the_largest_bucket_is_capped(self):
+        stream = io.StringIO()
+        ledger = LedgerWriter(stream)
+        for index in range(8):
+            ledger.record_outcome("s", index=index, ok=True, seconds=100.0)
+        ledger.record_outcome("s", index=8, ok=True, seconds=241.0)
+        (stall,) = [r for r in _records(stream) if r["kind"] == KIND_STALL]
+        assert stall["wall"]["quantile_seconds"] == 60.0
+        assert stall["wall"]["threshold_seconds"] == 240.0
 
     def test_heartbeat_cadence(self):
         stream = io.StringIO()
-        ledger = LedgerWriter(stream, heartbeat_every=16)
+        ledger = LedgerWriter(stream)
         ledger.sweep_start("hb", tasks=40)
         for index in range(40):
             ledger.record_outcome("hb", index=index, ok=True)
@@ -165,39 +211,6 @@ class TestLedgerWriter:
         ]
         assert skipped == 0
 
-    def test_parameter_validation(self):
-        for kwargs in (
-            {"heartbeat_every": 0},
-            {"stall_factor": 0.0},
-            {"stall_quantile": 0.0},
-            {"stall_quantile": 1.5},
-            {"min_stall_samples": 0},
-        ):
-            with pytest.raises(ValueError):
-                LedgerWriter(io.StringIO(), **kwargs)
-
-
-class TestHistogramQuantile:
-    def test_nearest_rank_over_buckets(self):
-        from repro.observability.metrics import Histogram
-
-        h = Histogram("t", buckets=(1.0, 2.0, 5.0))
-        for value in (0.5, 0.5, 1.5, 4.0):
-            h.observe(value)
-        assert h.quantile(0.5) == 1.0  # rank 2 of 4 lands in the <=1 bucket
-        assert h.quantile(1.0) == 5.0
-
-    def test_empty_and_invalid_and_overflow(self):
-        from repro.observability.metrics import Histogram
-
-        h = Histogram("t", buckets=(1.0,))
-        assert h.quantile(0.5) is None
-        with pytest.raises(ValueError):
-            h.quantile(0.0)
-        with pytest.raises(ValueError):
-            h.quantile(1.5)
-        h.observe(100.0)  # lands in +Inf; report the largest finite bound
-        assert h.quantile(1.0) == 1.0
 
 
 # -- readers ---------------------------------------------------------------
@@ -492,7 +505,7 @@ class TestCensusCache:
 class TestSummarize:
     def _ledger_lines(self):
         stream = io.StringIO()
-        ledger = LedgerWriter(stream, heartbeat_every=2)
+        ledger = LedgerWriter(stream)
         ledger.sweep_start("s", tasks=4, jobs=2)
         ledger.record_outcome(
             "s", index=0, ok=True, seconds=0.1, detail={"source": "cache"}

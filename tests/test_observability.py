@@ -1,4 +1,4 @@
-"""Tests for repro.observability: events, sinks, profiles, contract audit."""
+"""Tests for repro.observability: events, sinks, spans, contract audit."""
 
 import io
 import json
@@ -25,10 +25,11 @@ from repro.observability import (
     KIND_REVERSAL,
     KIND_STEP,
     KIND_TAPE,
+    SETUP_PHASE,
+    EngineProbe,
     JsonlFileSink,
     ResourceEvent,
     RingBufferSink,
-    RunProfile,
     TallySink,
     replay_jsonl,
 )
@@ -204,6 +205,86 @@ def _every_kind_run(sink):
     return tracker
 
 
+# -- the event-stream fold, the reference for the probe's phase spans --------
+#
+# This is RunProfile.from_events as it was before the probe's phase spans
+# became the one phase derivation: it slices a complete event stream at
+# its phase marks and counts each slice's events, where the probe works
+# from the running totals every event carries.  Both must give the same
+# numbers.
+
+#: What the fold gives for each phase, besides its name: the phase
+#: span's args.
+PHASE_ARGS = (
+    "reversals",
+    "reversals_per_tape",
+    "steps",
+    "entry_internal_bits",
+    "exit_internal_bits",
+    "peak_internal_bits",
+    "denied",
+)
+
+
+def reference_run_profile(events):
+    """Per phase, in order: a dict of its ``name`` and :data:`PHASE_ARGS`."""
+    phases = []
+    current = None
+    last = None
+    for event in events:
+        if current is None or event.kind == KIND_PHASE:
+            bits = last.current_internal_bits if last is not None else 0
+            current = dict(
+                name=event.label if event.kind == KIND_PHASE else SETUP_PHASE,
+                reversals=0,
+                reversals_per_tape={},
+                steps=0,
+                entry_internal_bits=bits,
+                exit_internal_bits=bits,
+                peak_internal_bits=bits,
+                denied=0,
+            )
+            phases.append(current)
+            if event.kind == KIND_PHASE:
+                last = event
+                continue
+        current["exit_internal_bits"] = event.current_internal_bits
+        if event.current_internal_bits > current["peak_internal_bits"]:
+            current["peak_internal_bits"] = event.current_internal_bits
+        if event.kind == KIND_REVERSAL:
+            current["reversals"] += 1
+            tape = event.tape_name or f"tape-{event.tape_id}"
+            per_tape = current["reversals_per_tape"]
+            per_tape[tape] = per_tape.get(tape, 0) + 1
+        elif event.kind == KIND_STEP:
+            current["steps"] += event.delta
+        elif event.kind == KIND_DENIED:
+            current["denied"] += 1
+        last = event
+    return phases
+
+
+def phase_spans(probe):
+    """The probe's phase spans, shaped as :func:`reference_run_profile`."""
+    return [
+        dict(name=span.name, **{key: span.args[key] for key in PHASE_ARGS})
+        for span in probe.tracer.spans()
+        if span.category == "phase"
+    ]
+
+
+def _probed(run):
+    """Run ``run(sink)`` under an ``EngineProbe`` that forwards every
+    event to a ring buffer; returns the finished probe, the complete
+    event stream and what ``run`` returned."""
+    ring = RingBufferSink()
+    probe = EngineProbe(sink=ring)
+    result = run(probe)
+    probe.finish()
+    assert ring.dropped == 0
+    return probe, ring.events(), result
+
+
 class TestResourceEventContract:
     """``ResourceEvent`` is an immutable ``NamedTuple``; the stream it
     carries is unchanged from when it was a frozen dataclass."""
@@ -248,52 +329,40 @@ class TestResourceEventContract:
         assert all(type(e) is ResourceEvent for e in replayed)
 
     def test_run_profile_unchanged_on_a_fixed_stream(self):
-        # the values RunProfile.from_events gave on this stream while
-        # ResourceEvent was a frozen dataclass
-        sink = RingBufferSink()
-        _every_kind_run(sink)
-        profile = RunProfile.from_events(sink.events())
-        assert [
-            (p.name, p.start_seq, p.end_seq, p.reversals, p.reversals_per_tape,
-             p.tapes_registered, p.steps, p.denied, p.entry_internal_bits,
-             p.exit_internal_bits, p.peak_internal_bits)
-            for p in profile.phases
-        ] == [
-            ("(setup)", 1, 1, 0, {}, 1, 0, 0, 0, 0, 0),
-            ("load", 2, 4, 1, {"a": 1}, 0, 0, 0, 0, 3, 3),
-            ("work", 5, 12, 1, {"a": 1}, 1, 4, 3, 3, 0, 3),
+        # the per-phase values RunProfile.from_events gave on this stream
+        # while ResourceEvent was a frozen dataclass: the reference fold
+        # still gives them, and so do the probe's phase spans
+        probe, events, _ = _probed(_every_kind_run)
+        expected = [
+            ("(setup)", 0, {}, 0, 0, 0, 0, 0),
+            ("load", 1, {"a": 1}, 0, 0, 3, 3, 0),
+            ("work", 1, {"a": 1}, 4, 3, 0, 3, 3),
         ]
-        assert profile.scan_timeline == ((4, 2), (7, 3))
-        assert profile.space_timeline == ((3, 3), (12, 0))
-        assert (
-            profile.final_scans,
-            profile.final_peak_internal_bits,
-            profile.final_tapes_used,
-            profile.final_steps,
-            profile.denied_total,
-        ) == (3, 3, 2, 4, 3)
+        for phases in (reference_run_profile(events), phase_spans(probe)):
+            assert [
+                (p["name"],) + tuple(p[key] for key in PHASE_ARGS)
+                for p in phases
+            ] == expected
 
 
 class TestRunProfile:
-    def test_phases_slice_the_run(self):
-        sink = RingBufferSink()
-        _tracked_run(sink)
-        profile = RunProfile.from_events(sink.events())
-        assert profile.phase_names() == ["(setup)", "forward", "backward"]
-        assert profile.phase("forward").reversals == 0
-        assert profile.phase("backward").reversals == 1
-        assert profile.phase("backward").reversals_per_tape == {"input": 1}
-        assert profile.phase("backward").steps == 3
-        assert profile.final_scans == 2
+    """The probe's phase spans against the reference fold of the same
+    complete event stream."""
 
-    def test_space_timeline_and_internal_delta(self):
-        sink = RingBufferSink()
-        _tracked_run(sink)
-        profile = RunProfile.from_events(sink.events())
-        backward = profile.phase("backward")
-        assert backward.peak_internal_bits == 5
-        assert backward.internal_delta == 0  # alloc then full free
-        assert (profile.space_timeline[-2][1], profile.space_timeline[-1][1]) == (5, 0)
+    def test_phases_slice_the_run(self):
+        probe, events, tracker = _probed(_tracked_run)
+        phases = phase_spans(probe)
+        assert phases == reference_run_profile(events)
+        assert [p["name"] for p in phases] == ["(setup)", "forward", "backward"]
+        _, forward, backward = phases
+        assert forward["reversals"] == 0
+        assert backward["reversals"] == 1
+        assert backward["reversals_per_tape"] == {"input": 1}
+        assert backward["steps"] == 3
+        # five bits stored, then freed: the peak stays, the exit is back at 0
+        assert backward["peak_internal_bits"] == 5
+        assert backward["entry_internal_bits"] == backward["exit_internal_bits"] == 0
+        assert 1 + sum(p["reversals"] for p in phases) == tracker.scans
 
     def test_fingerprint_phases_match_the_paper_structure(self):
         from repro.algorithms.fingerprint import multiset_equality_fingerprint
@@ -301,33 +370,64 @@ class TestRunProfile:
 
         words = ("0110", "1010", "0001")
         inst = Instance(words, tuple(reversed(words)))
-        sink = RingBufferSink()
-        result = multiset_equality_fingerprint(
-            inst, random.Random(0), sink=sink
+        probe, events, result = _probed(
+            lambda sink: multiset_equality_fingerprint(
+                inst, random.Random(0), sink=sink
+            )
         )
         assert result.accepted
-        profile = RunProfile.from_events(sink.events())
-        assert profile.phase_names() == ["(setup)", "scan1", "params", "scan2"]
+        phases = phase_spans(probe)
+        assert phases == reference_run_profile(events)
+        assert [p["name"] for p in phases] == [
+            "(setup)", "scan1", "params", "scan2",
+        ]
         # all the run's reversal happens in scan2 (the single backward walk)
-        assert profile.phase("scan1").reversals == 0
-        assert profile.phase("scan2").reversals == 1
-        assert profile.final_scans == result.report.scans == 2
+        by_name = {p["name"]: p for p in phases}
+        assert by_name["scan1"]["reversals"] == 0
+        assert by_name["scan2"]["reversals_per_tape"] == {"input": 1}
+        assert 1 + sum(p["reversals"] for p in phases) == result.report.scans == 2
         assert (
-            profile.final_peak_internal_bits == result.report.peak_internal_bits
+            max(p["peak_internal_bits"] for p in phases)
+            == result.report.peak_internal_bits
         )
-        assert profile.denied_total == 0
+        assert sum(p["denied"] for p in phases) == 0
 
-    def test_summary_lines_render(self):
-        sink = RingBufferSink()
-        _tracked_run(sink)
-        lines = RunProfile.from_events(sink.events()).summary_lines()
-        assert any("backward" in line for line in lines)
+    def test_mergesort_counts_reversals_on_every_tape(self):
+        from repro.algorithms.mergesort_tape import sort_instance_strings
+        from repro.problems import random_words
+
+        words = random_words(16, 6, random.Random(3))
+
+        def run(sink):
+            tracker = ResourceTracker()
+            tracker.attach_sink(sink)
+            ordered, tracker = sort_instance_strings(words, tracker=tracker)
+            assert ordered == sorted(words)
+            return tracker
+
+        probe, events, tracker = _probed(run)
+        (phase,) = phase_spans(probe)
+        assert [phase] == reference_run_profile(events)
+        per_tape = phase["reversals_per_tape"]
+        assert set(per_tape) == {"sort-a", "sort-b", "sort-c", "sorted"}
+        assert list(per_tape) == sorted(per_tape)
+        assert sum(per_tape.values()) == phase["reversals"] == tracker.reversals
+
+    def test_a_tape_without_a_name_is_keyed_by_its_id(self):
+        def run(sink):
+            tracker = ResourceTracker()
+            tracker.attach_sink(sink)
+            tape = tracker.register_tape()
+            tracker.charge_reversal(tape)
+
+        probe, events, _ = _probed(run)
+        assert phase_spans(probe) == reference_run_profile(events)
+        assert phase_spans(probe)[0]["reversals_per_tape"] == {"tape-1": 1}
 
     def test_empty_stream(self):
-        profile = RunProfile.from_events([])
-        assert profile.phases == ()
-        assert profile.final_scans == 1
-        assert profile.denied_total == 0
+        probe, events, _ = _probed(lambda sink: None)
+        assert events == [] == reference_run_profile(events)
+        assert probe.tracer.spans() == []
 
 
 def _audit_one_cell(runner):
@@ -497,7 +597,7 @@ class TestCliAudit:
 
 class TestMemoryEventConsistency:
     def test_memory_and_tracker_agree_under_observation(self):
-        sink = RingBufferSink()
+        sink = TallySink()
         tracker = ResourceTracker(ResourceBudget(max_internal_bits=16))
         tracker.attach_sink(sink)
         mem = InternalMemory(tracker)
@@ -506,81 +606,8 @@ class TestMemoryEventConsistency:
             mem["b"] = 2**15  # 16 more bits: denied
         mem["c"] = 7  # 3 bits: still fits
         assert mem.used_bits == tracker.current_internal_bits == 11
-        profile = RunProfile.from_events(sink.events())
-        assert profile.denied_total == 1
-        assert profile.final_peak_internal_bits == tracker.peak_internal_bits
-
-
-class TestMetrics:
-    def test_counter_labels_and_total(self):
-        from repro.observability import MetricsRegistry
-
-        reg = MetricsRegistry()
-        c = reg.counter("requests", "test counter")
-        c.inc(kind="a")
-        c.inc(2, kind="b")
-        c.inc(kind="a")
-        assert c.value(kind="a") == 2
-        assert c.value(kind="b") == 2
-        assert c.total == 4
-        with pytest.raises(ValueError):
-            c.inc(-1)
-
-    def test_gauge_set_inc_dec(self):
-        from repro.observability import MetricsRegistry
-
-        reg = MetricsRegistry()
-        g = reg.gauge("depth", "test gauge")
-        g.set(5)
-        g.inc(2)
-        g.dec(3)
-        assert g.value() == 4
-
-    def test_histogram_buckets_are_cumulative_with_inf(self):
-        from repro.observability import Histogram
-
-        h = Histogram("sizes", "test histogram", buckets=(1.0, 4.0))
-        for v in (0, 1, 3, 100):
-            h.observe(v)
-        assert h.count() == 4
-        assert h.sum() == 104
-        (sample,) = h.snapshot()["samples"]
-        # cumulative: <=1 holds {0,1}, <=4 adds {3}, +Inf holds everything
-        assert sample["buckets"] == {"1": 2, "4": 3, "+Inf": 4}
-
-    def test_registry_get_or_create_and_kind_mismatch(self):
-        from repro.observability import MetricsRegistry
-
-        reg = MetricsRegistry()
-        c1 = reg.counter("x", "first")
-        assert reg.counter("x") is c1
-        with pytest.raises(ValueError):
-            reg.gauge("x")
-
-    def test_callback_gauge_reads_at_snapshot_time(self):
-        from repro.observability import MetricsRegistry
-
-        reg = MetricsRegistry()
-        state = {"n": 1}
-        reg.track("live", lambda: state["n"], "callback gauge")
-        assert reg.snapshot()["live"]["samples"][0]["value"] == 1
-        state["n"] = 7
-        assert reg.snapshot()["live"]["samples"][0]["value"] == 7
-        with pytest.raises(ValueError):
-            reg.track("live", lambda: 0)  # name already taken
-
-    def test_snapshot_is_deterministic_json(self):
-        from repro.observability import MetricsRegistry
-
-        reg = MetricsRegistry()
-        reg.counter("zeta", "z").inc()
-        reg.counter("alpha", "a").inc(kind="x")
-        one = json.dumps(reg.to_json_dict())
-        two = json.dumps(reg.to_json_dict())
-        assert one == two
-        names = list(reg.snapshot())
-        assert names == sorted(names)
-        assert any("alpha" in line for line in reg.summary_lines())
+        assert sink.denied == 1
+        assert sink.last.peak_internal_bits == tracker.peak_internal_bits
 
 
 class TestTracer:
@@ -618,6 +645,16 @@ class TestTracer:
         assert tracer.dropped == 3
         assert any("3 spans dropped" in l for l in tracer.render_timeline())
 
+    def test_timeline_prints_count_tables_last(self):
+        from repro.observability import Tracer
+
+        tracer = Tracer()
+        tracer.end(tracer.begin("p"), per={"a": 2, "b": 1}, n=3)
+        tracer.end(tracer.begin("q"), per={}, n=0)
+        p_line, q_line = tracer.render_timeline()
+        assert p_line.endswith("  n=3 [a:2, b:1]")
+        assert q_line.endswith("  n=0")
+
     def test_chrome_trace_export_shape(self):
         from repro.observability import Tracer
 
@@ -648,52 +685,38 @@ class TestTracer:
 
 class TestEngineProbe:
     def test_fingerprint_spans_cover_every_phase_exactly(self, tmp_path):
-        """The PR's acceptance criterion: a probed Theorem 8(a) run yields
-        Chrome-trace JSON whose spans cover every ``mark_phase`` phase, with
-        per-phase reversal totals equal to the RunProfile aggregates."""
+        """A probed Theorem 8(a) run yields Chrome-trace JSON with one
+        finished span per ``mark_phase`` phase, each carrying the phase's
+        numbers, reversals per tape included."""
         from repro.algorithms.fingerprint import multiset_equality_fingerprint
-        from repro.observability import EngineProbe, MetricsRegistry, Tracer
         from repro.problems.encoding import Instance
 
         words = ("0110", "1010", "0001")
         inst = Instance(words, tuple(reversed(words)))
-        ring = RingBufferSink()
-        probe = EngineProbe(
-            tracer=Tracer(), registry=MetricsRegistry(), sink=ring
-        )
-        result = multiset_equality_fingerprint(
-            inst, random.Random(0), sink=probe
+        probe, events, result = _probed(
+            lambda sink: multiset_equality_fingerprint(
+                inst, random.Random(0), sink=sink
+            )
         )
         assert result.accepted
-        probe.finish()
-
-        profile = RunProfile.from_events(ring.events())
-        phase_spans = {
-            s.name: s for s in probe.tracer.spans() if s.category == "phase"
-        }
-        assert list(phase_spans) == profile.phase_names()
-        for phase in profile.phases:
-            span = phase_spans[phase.name]
-            assert span.finished
-            assert span.args["reversals"] == phase.reversals
-            assert span.args["steps"] == phase.steps
-            assert span.args["peak_internal_bits"] == phase.peak_internal_bits
-            assert span.args["entry_internal_bits"] == phase.entry_internal_bits
-            assert span.args["exit_internal_bits"] == phase.exit_internal_bits
-            assert span.args["denied"] == phase.denied
+        spans = [s for s in probe.tracer.spans() if s.category == "phase"]
+        assert all(span.finished for span in spans)
 
         path = tmp_path / "fingerprint-trace.json"
         probe.tracer.write_chrome_trace(str(path))
         doc = json.loads(path.read_text())
-        chrome_names = {
-            e["name"] for e in doc["traceEvents"] if e["ph"] == "X"
+        chrome = {
+            e["name"]: {key: e["args"][key] for key in PHASE_ARGS}
+            for e in doc["traceEvents"]
+            if e["ph"] == "X"
         }
-        assert set(profile.phase_names()) <= chrome_names
+        assert chrome == {
+            phase.pop("name"): phase for phase in reference_run_profile(events)
+        }
 
     def test_probe_observes_both_engines_identically(self):
         from repro.machines import equality_machine
         from repro.machines import execute, fast_engine
-        from repro.observability import EngineProbe
 
         machine = equality_machine()
         word = "0101#0101"
@@ -704,29 +727,30 @@ class TestEngineProbe:
             probe.finish()
             probes.append((probe, result))
         (p_ref, r_ref), (p_fast, r_fast) = probes
-        assert p_ref.steps_observed == p_fast.steps_observed
-        assert p_ref.steps_observed == r_ref.statistics.length - 1
-        ref_run = p_ref.tracer.find(f"run:{machine.name}")[0]
-        fast_run = p_fast.tracer.find(f"run:{machine.name}")[0]
+        (ref_run,) = p_ref.tracer.spans()
+        (fast_run,) = p_fast.tracer.spans()
+        assert ref_run.name == fast_run.name == f"run:{machine.name}"
         assert ref_run.args == fast_run.args
         assert ref_run.args["steps"] == r_fast.statistics.length - 1
+        assert r_ref.statistics == r_fast.statistics
 
-    def test_branch_spans_and_depth_histogram(self):
+    def test_branch_spans_carry_their_depth(self):
         from fractions import Fraction
 
-        from repro.machines import coin_flip_machine
+        from repro.machines import guess_bit_machine
         from repro.machines.fast_engine import acceptance_probability
-        from repro.observability import EngineProbe, MetricsRegistry
 
-        registry = MetricsRegistry()
-        probe = EngineProbe(registry=registry)
-        p = acceptance_probability(coin_flip_machine(), "01", probe=probe)
+        probe = EngineProbe()
+        p = acceptance_probability(guess_bit_machine(), "0110", probe=probe)
         assert p == Fraction(1, 2)
-        branch_spans = [
-            s for s in probe.tracer.spans() if s.category == "branch"
-        ]
-        assert branch_spans and all(s.finished for s in branch_spans)
-        assert registry.histogram("branch_depth").count() == len(branch_spans)
+        spans = probe.tracer.spans()
+        assert spans and all(s.category == "branch" for s in spans)
+        assert all(s.finished for s in spans)
+        depth = {s.span_id: s.args["depth"] for s in spans}
+        for span in spans:
+            expected = 0 if span.parent_id is None else depth[span.parent_id] + 1
+            assert span.args["depth"] == expected
+        assert probe.dag_stats["frames"] == len(spans)
 
     def test_close_exports_both_layers_into_one_jsonl(self, tmp_path):
         from repro.observability import EngineProbe
@@ -852,27 +876,6 @@ class TestSinkCloseSemantics:
         assert denied.delta == 9 and denied.current_internal_bits == 4
 
 
-class TestRingBufferMetrics:
-    """Satellite: the ring's ``dropped`` count reaches registry snapshots."""
-
-    def test_dropped_count_surfaces_in_snapshot(self):
-        from repro.observability import MetricsRegistry
-
-        registry = MetricsRegistry()
-        sink = RingBufferSink(capacity=3)
-        sink.bind_metrics(registry)
-        tracker = ResourceTracker()
-        tracker.attach_sink(sink)
-        for _ in range(8):
-            tracker.charge_step()
-        snap = registry.snapshot()
-        assert snap["ring_buffer_dropped"]["samples"][0]["value"] == 5
-        assert snap["ring_buffer_buffered"]["samples"][0]["value"] == 3
-        sink.clear()
-        snap = registry.snapshot()
-        assert snap["ring_buffer_dropped"]["samples"][0]["value"] == 0
-
-
 class TestCliTrace:
     def test_trace_algorithm_writes_all_artifacts(self, tmp_path, capsys):
         from repro.__main__ import main
@@ -889,12 +892,12 @@ class TestCliTrace:
                 str(chrome),
                 "--jsonl",
                 str(jsonl),
-                "--metrics",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "span timeline" in out and "metrics registry" in out
+        assert "span timeline" in out
+        assert "scan2" in out and "[input:1]" in out
         doc = json.loads(chrome.read_text())
         names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}
         assert {"scan1", "params", "scan2"} <= names
@@ -903,32 +906,45 @@ class TestCliTrace:
         assert "span" in kinds  # both layers in one file
         assert list(replay_jsonl(lines))  # event layer still replays
 
-    def test_trace_prints_no_profile_from_a_partial_stream(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        """A profile over the suffix a full ring buffer kept books the
-        dropped charges to the wrong phase (with 64 slots, fingerprint at
-        n=4 reads ``peak 121`` against a measured 123), so none is shown."""
-        from repro.__main__ import main
-        from repro.observability import sinks
+    def test_trace_longer_than_the_old_event_buffer(self, tmp_path, capsys):
+        """fingerprint at n = 585 is the smallest trace that emits more
+        than 65,536 events, what the ring buffer it once read kept: every
+        phase still prints, exact, and the JSONL file holds them all."""
+        import re
 
-        monkeypatch.setattr(
-            sinks, "RingBufferSink", lambda capacity: RingBufferSink(64)
-        )
+        from repro.__main__ import main
+        from repro.observability.audit import CONTRACTS
+
         jsonl = tmp_path / "trace.jsonl"
-        assert main(["trace", "fingerprint", "--n", "4",
-                     "--jsonl", str(jsonl)]) == 0
+        argv = ["trace", "fingerprint", "--n", "585", "--jsonl", str(jsonl)]
+        assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "peak_internal_bits=123" in out
-        assert "per-phase profile (from the resource-event stream)" not in out
-        assert (
-            "per-phase profile: not shown; the event buffer dropped the "
-            "first 378 of 442 events and kept 64"
-        ) in out
-        assert "combined JSONL (the last 64 of 442 events + spans)" in out
-        kinds = [json.loads(line)["kind"] for line in
-                 jsonl.read_text().splitlines()]
-        assert len(kinds) - kinds.count("span") == 64
+        measured = dict(
+            re.findall(r"(\w+)=(\d+)", out.split("measured: ")[1].splitlines()[0])
+        )
+        phases = {
+            line.split()[0]: dict(re.findall(r"(\w+)=(\d+)", line))
+            for line in out.splitlines()
+            if "  phase  " in line
+        }
+        assert list(phases) == ["(setup)", "scan1", "params", "scan2"]
+        assert sum(int(p["reversals"]) for p in phases.values()) == int(
+            measured["reversals"]
+        )
+        assert max(int(p["peak_internal_bits"]) for p in phases.values()) == int(
+            measured["peak_internal_bits"]
+        )
+
+        tally = TallySink()
+        spec = next(spec for spec in CONTRACTS if spec.name == "fingerprint")
+        spec.run(585, 12, random.Random("trace:fingerprint:585:0"), tally)
+        assert tally.events > 1 << 16
+        lines = jsonl.read_text().splitlines()
+        assert len(list(replay_jsonl(lines))) == tally.events
+        # the events as the run emitted them, then the spans
+        assert len(lines) == tally.events + len(phases)
+        spans = [json.loads(line) for line in lines[tally.events:]]
+        assert [span["kind"] for span in spans] == ["span"] * len(phases)
 
     def test_trace_machine_target(self, capsys):
         from repro.__main__ import main
@@ -941,7 +957,9 @@ class TestCliTrace:
         from repro.__main__ import main
 
         assert main(["trace", "coin-flip", "--n", "2"]) == 0
-        assert "acceptance probability" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "acceptance probability" in out
+        assert "configuration DAG: interned=3 memoized=3 memo_hits=0 frames=1" in out
 
     def test_trace_unknown_target_fails(self, capsys):
         from repro.__main__ import main
@@ -953,12 +971,12 @@ class TestCliTrace:
         from repro.__main__ import main
 
         argv = ["trace", "coin-flip", "--n", "2", "--trials", "64"]
-        assert main(argv + ["--jobs", "2", "--metrics"]) == 0
+        assert main(argv + ["--jobs", "2"]) == 0
         out = capsys.readouterr().out
         assert "Monte Carlo estimate over 64 trials (2 jobs): " in out
         assert "(exact: 0.5000)" in out
-        # the probe watched the exact DP; the sweep reports nowhere else
-        assert "dag_configs_interned_total" in out
+        # the probe watched the exact DP only, not the sweep's trials
+        assert "configuration DAG: interned=3 memoized=3 memo_hits=0 frames=1" in out
         assert "mc-acceptance" not in out
 
     @pytest.mark.parametrize(

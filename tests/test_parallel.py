@@ -334,16 +334,19 @@ class TestObservability:
         assert end["worker_restarts"] == result.worker_restarts
         assert end["failed"] == len(result.errors) == 1
 
-    def test_dag_stats_reach_the_registry(self):
-        from repro.observability.metrics import MetricsRegistry
-        from repro.observability.trace import EngineProbe, Tracer
+    def test_dag_stats_reach_the_probe(self):
+        from repro.observability.trace import EngineProbe
         from repro.machines.fast_engine import acceptance_probability
 
-        registry = MetricsRegistry()
-        probe = EngineProbe(tracer=Tracer(), registry=registry)
+        probe = EngineProbe()
         acceptance_probability(coin_flip_machine(), "01", probe=probe)
-        assert registry.counter("dag_configs_interned_total").value() > 0
-        assert registry.counter("dag_frames_total").value() > 0
+        assert probe.dag_stats == {
+            "interned": 3, "memoized": 3, "memo_hits": 0, "frames": 1,
+        }
+        # a second DP under the same probe adds to the sums
+        acceptance_probability(coin_flip_machine(), "01", probe=probe)
+        assert probe.dag_stats["interned"] == 6
+        assert probe.dag_stats["frames"] == 2
 
 
 class TestRoutedCallSites:

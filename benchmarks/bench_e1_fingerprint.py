@@ -68,6 +68,14 @@ def test_e1_fingerprint(benchmark, rng):
         assert accepted / trials <= 0.5
     # O(log N) space: the 8× larger instance uses < 2× the bits
     assert rows[2][4] <= 2 * rows[0][4]
+    # the table EXPERIMENTS.md records, exactly, at the fixture's seed:
+    # every peak is a charge, so a change to what a scan charges shows
+    assert [(bits, false_pos) for _, _, _, _, bits, _, _, false_pos in rows] == [
+        (162, "0/60"),
+        (209, "0/60"),
+        (261, "0/60"),
+        (292, "0/60"),
+    ]
 
     # the timed unit: one full fingerprint run at the largest size
     inst = random_equal_instance(128, 64, rng)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple
 
 from .._util import bits_needed, ceil_log2
 from ..errors import EncodingError
@@ -100,16 +100,78 @@ def fingerprint_space_budget(input_size: int) -> int:
 # formulation makes it, so charges and events are unchanged
 # (``tests/test_fingerprint.py`` pins both against that formulation).
 #
-# Deferred loops: when ``mem.has_headroom`` says no store of a helper's
-# loop needs to be seen on its own (no sink, or a tally that only counts
-# them, and no possible denial), the loop runs on locals, tracks the peak
-# of its registers' total, and ``mem.commit_peak`` leaves the registers,
-# the current total and the peak exactly where the per-store loop below
-# it would.  With a tally attached it also takes the loop's store count
-# and its last store's delta, for the tally's event count and last event;
-# both are worked out in closed form, and only while a sink is attached,
-# so the loop itself, and a sink-free run, do no extra work.  The
-# per-store loop stays the definition.
+# Deferred loops: when ``mem.has_headroom`` says no store of a loop needs
+# to be seen on its own (no sink, or a tally that only counts them, and
+# no possible denial), the loop runs on locals, finds the peak of its
+# registers' total, and ``mem.commit_peak`` leaves the registers, the
+# current total and the peak exactly where the per-store loop would.
+# With a tally attached it also takes the loop's store count and its last
+# store's delta, for the tally's event count and last event; both are
+# worked out in closed form, and only while a sink is attached, so a
+# sink-free run does no extra work.  ``_residue_peak`` and ``_power_peak``
+# find each value and its peak in closed form; the helpers' deferred
+# branches and scan 2's deferred loop call them.  The per-store loops
+# stay the definition.
+
+
+def _residue_peak(value: str, modulus: int) -> Tuple[int, int]:
+    """``(1·value) mod modulus`` and the widest charge of ``acc`` on the
+    way, as the per-store loop of :func:`_residue_of_string` finds them.
+
+    A prefix ``1·value[:j]`` with ``j ≤ bitlen(modulus) − 2`` is below
+    ``2^(bitlen(modulus) − 1) ≤ modulus``, so the loop never reduces it:
+    one ``int`` is that register, and its bit length is the peak so far.
+    From there the loop steps one bit at a time until the peak reaches
+    the charge of ``modulus − 1``, which no residue can pass.
+    """
+    top = (modulus - 1).bit_length() or 1
+    j = min(len(value), max(0, modulus.bit_length() - 2))
+    acc = int("1" + value[:j], 2)
+    peak = j + 1
+    if peak < top:
+        above = 1 << peak  # the least value wider than the peak
+        for ch in value[j:]:
+            acc = (acc + acc + (ch == "1")) % modulus
+            if acc >= above:
+                peak = acc.bit_length()
+                if peak == top:
+                    break
+                above = 1 << peak
+    return int("1" + value, 2) % modulus, peak
+
+
+def _power_peak(base: int, exponent: int, modulus: int) -> Tuple[int, int]:
+    """``base^exponent mod modulus`` and the widest total charge of
+    ``pw_base``, ``pw_exp`` and ``pw_result`` on the way, as the per-store
+    loop of :func:`_mod_pow_charged` finds them.
+
+    After any store of a step the total is at most twice the charge of
+    ``modulus − 1`` plus the charge of the exponent the step started
+    from, and the exponent only shrinks.  So once the peak reaches that
+    bound no later store can pass it, and ``pow`` finishes the value.
+    """
+    widest = 2 * ((modulus - 1).bit_length() or 1)
+    base %= modulus
+    result = 1 % modulus
+    base_bits = base.bit_length() or 1
+    result_bits = 1
+    exp_bits = exponent.bit_length() or 1
+    peak = base_bits + exp_bits + result_bits
+    while exponent > 0:
+        if peak >= widest + exp_bits:
+            return result * pow(base, exponent, modulus) % modulus, peak
+        if exponent % 2 == 1:
+            result = result * base % modulus
+            result_bits = result.bit_length() or 1
+            if base_bits + exp_bits + result_bits > peak:
+                peak = base_bits + exp_bits + result_bits
+        base = base * base % modulus
+        base_bits = base.bit_length() or 1
+        if base_bits + exp_bits + result_bits > peak:
+            peak = base_bits + exp_bits + result_bits
+        exponent //= 2  # the exponent only shrinks: no new peak
+        exp_bits -= 1
+    return result, peak
 
 
 def _residue_of_string(value: str, modulus: int, mem: InternalMemory) -> int:
@@ -121,13 +183,7 @@ def _residue_of_string(value: str, modulus: int, mem: InternalMemory) -> int:
         and type(value) is str
         and not value.strip("01")
     ):
-        acc = 1 % modulus
-        peak = 1  # the charge of 1 % modulus
-        for ch in value:
-            acc = (acc * 2 + (ch == "1")) % modulus
-            bits = acc.bit_length()
-            if bits > peak:
-                peak = bits
+        acc, peak = _residue_peak(value, modulus)
         stores = delta = 0
         if mem.tracker.sink is not None:
             # the prefix bit's store and one per bit; the last adds the
@@ -163,25 +219,13 @@ def _mod_pow_charged(base: int, exponent: int, modulus: int, mem: InternalMemory
             if exponent > 0:
                 stores += 2 * exp_bits + bin(exponent).count("1")
                 delta = 0
-        base %= modulus
-        result = 1 % modulus
-        base_bits = base.bit_length() or 1
-        result_bits = 1
-        peak = base_bits + exp_bits + result_bits
-        while exponent > 0:
-            if exponent % 2 == 1:
-                result = result * base % modulus
-                result_bits = result.bit_length() or 1
-                if base_bits + exp_bits + result_bits > peak:
-                    peak = base_bits + exp_bits + result_bits
-            base = base * base % modulus
-            base_bits = base.bit_length() or 1
-            if base_bits + exp_bits + result_bits > peak:
-                peak = base_bits + exp_bits + result_bits
-            exponent //= 2  # the exponent only shrinks: no new peak
-            exp_bits = exponent.bit_length() or 1
+        result, peak = _power_peak(base, exponent, modulus)
+        # each exponent bit squares ``pw_base`` once and halves ``pw_exp``
+        # (a loop that does not run leaves both as the set-up stored them)
+        if exponent > 0:
+            base, exponent = pow(base, 1 << exp_bits, modulus), 0
         mem.commit_peak(
-            {"pw_base": base, "pw_exp": exponent, "pw_result": result},
+            {"pw_base": base % modulus, "pw_exp": exponent, "pw_result": result},
             peak,
             stores,
             delta,
@@ -264,25 +308,80 @@ def multiset_equality_fingerprint(
     mem["x"] = x = rng.randint(1, p2 - 1)
 
     # ---- Scan 2 (backward): accumulate Σ x^{e'_i} then Σ x^{e_i} ----------
-    # After scan 1 the head sits just past the last record; walking left is
-    # the single head reversal of the whole computation.
     tracker.mark_phase("scan2")
+    # Decided before the scan stores anything, over its seven registers at
+    # their widest: residues below p1, sums and powers below p2, idx ≤ 2m.
+    width1 = (p1 - 1).bit_length()
+    width2 = (p2 - 1).bit_length()
+    deferred = mem.has_headroom(
+        {
+            "sum_first": width2,
+            "sum_second": width2,
+            "idx": (2 * m).bit_length(),
+            "acc": width1,
+            "pw_base": width2,
+            "pw_exp": width1,
+            "pw_result": width2,
+        }
+    )
     mem["sum_first"] = sum_first = 0
     mem["sum_second"] = sum_second = 0
     mem["idx"] = idx = 0  # number of records consumed from the right
-    tape.move(-1)  # onto the last record (reversal #1)
-    while True:
-        value = tape.read()
-        e = _residue_of_string(value, p1, mem)
-        term = _mod_pow_charged(x, e, p2, mem)
-        if idx < m:  # the last m records are the primed half
-            mem["sum_second"] = sum_second = (sum_second + term) % p2
-        else:
-            mem["sum_first"] = sum_first = (sum_first + term) % p2
-        mem["idx"] = idx = idx + 1
-        if tape.at_start:
-            break
-        tape.move(-1)
+    # After scan 1 the head sits just past the last record; walking left is
+    # the single head reversal of the whole computation, charged before
+    # the first record is read.
+    records = tape.scan_backward()
+    if deferred:
+        # The whole scan on locals, committed once.  The tape holds only
+        # 0-1 strings (``Instance`` validates every value before the
+        # machine sees it), so no record needs the helpers' check.  Per
+        # record the registers' total peaks while ``acc`` or the power's
+        # three registers are held, or after the ``idx`` store, which
+        # comes after the sum store and charges at least as much.
+        held = peak = 3  # the three zero registers
+        stores = 0
+        tally = tracker.sink is not None
+        for value in records:
+            e, record_peak = _residue_peak(value, p1)
+            term, power_peak = _power_peak(x, e, p2)
+            if power_peak > record_peak:
+                record_peak = power_peak
+            if held + record_peak > peak:
+                peak = held + record_peak
+            if idx < m:  # the last m records are the primed half
+                sum_second = (sum_second + term) % p2
+            else:
+                sum_first = (sum_first + term) % p2
+            idx += 1
+            held = (
+                (sum_first.bit_length() or 1)
+                + (sum_second.bit_length() or 1)
+                + idx.bit_length()
+            )
+            if held > peak:
+                peak = held
+            if tally:
+                # per record the helpers' stores and frees (as they count
+                # them), the sum store and the ``idx`` store
+                stores += 10 + len(value)
+                if e > 0:
+                    stores += 2 * e.bit_length() + bin(e).count("1")
+        mem.commit_peak(
+            {"sum_first": sum_first, "sum_second": sum_second, "idx": idx},
+            peak,
+            stores,
+            # the last event is the last ``idx`` store, 2m − 1 → 2m
+            (2 * m).bit_length() - (2 * m - 1).bit_length(),
+        )
+    else:
+        for value in records:
+            e = _residue_of_string(value, p1, mem)
+            term = _mod_pow_charged(x, e, p2, mem)
+            if idx < m:  # the last m records are the primed half
+                mem["sum_second"] = sum_second = (sum_second + term) % p2
+            else:
+                mem["sum_first"] = sum_first = (sum_first + term) % p2
+            mem["idx"] = idx = idx + 1
 
     result = FingerprintResult(
         accepted=sum_first == sum_second,

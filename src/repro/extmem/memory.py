@@ -164,10 +164,13 @@ class InternalMemory:
         the charge its last store added (its new value's charge minus the
         one it replaced).  Only a tally reads those two, so a caller may
         pass 0 for both while no sink is attached and skip working them
-        out.  The registers and their charges are stored, the
-        current total grows by those charges, and the tracker's peak is
-        raised to the total at the loop's peak: the state the loop's
-        ``store`` calls would have left.  With a tally attached, the
+        out.  A register the loop stored after :meth:`has_headroom` let it
+        run is held when the loop commits: its old charge comes out of the
+        base the loop's totals are counted from.
+        The registers and their charges are stored, the current total is
+        that base plus those charges, and the tracker's peak is raised to
+        the base plus the loop's peak: the state the loop's ``store``
+        calls would have left.  With a tally attached, the
         tracker's sequence number advances by ``stores`` and the tally's
         ``emit_loop`` receives the count and the ``internal`` event the
         last store would have built: its delta, the totals after the loop
@@ -175,13 +178,15 @@ class InternalMemory:
         denied, so none of its events is a denial.
         """
         tracker = self.tracker
-        base = tracker._current_internal_bits
-        total = base
+        charges = self._charges
+        base = total = tracker._current_internal_bits
         for name, value in values.items():
             cost = bit_cost(value)
+            held = charges.get(name, 0)
+            base -= held
+            total += cost - held
             self._registers[name] = value
-            self._charges[name] = cost
-            total += cost
+            charges[name] = cost
         tracker._current_internal_bits = total
         if base + peak_bits > tracker._peak_internal_bits:
             tracker._peak_internal_bits = base + peak_bits

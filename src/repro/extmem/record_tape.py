@@ -207,7 +207,7 @@ class RecordTape:
         cells = self._cells
         while True:
             head = self._head
-            if head < len(cells) and cells[head] is not None:
+            if head < len(cells):
                 yield cells[head]
             if self._head == 0:
                 break
@@ -288,8 +288,10 @@ def fresh_tapes(
 # reads or writes, so each function puts the source heads where the
 # phase has them at each target's first write, and writes through
 # ``write_all``; after those writes every head faces right and the rest
-# is bulk work.  Records are told from the blank (``None``) and from
-# ``sep`` as ``list.index`` tells them: identity first, then ``==``.
+# is bulk work.  No tape holds a ``None`` (the constructor and every
+# write refuse one), so a phase reads its sources to their ends.
+# Records are told from ``sep`` as ``list.index`` tells them: identity
+# first, then ``==``.
 
 
 def _index(records: List[Any], item: Any, start: int, stop: int) -> int:
@@ -312,25 +314,13 @@ def _distinct(*tapes: RecordTape) -> None:
         raise ReproError("run operations move records between distinct tapes")
 
 
-def _ahead(tape: RecordTape) -> Tuple[List[Any], int]:
-    """The records from the head on, and the offset of the first blank
-    among them (their length if there is none)."""
+def _scanned(tape: RecordTape) -> List[Any]:
+    """The records from the head on, after the turn ``scan`` would charge
+    at the first of them."""
     records = tape._cells[tape._head:]
-    return records, _first_blank(records)
-
-
-def _scanned(tape: RecordTape) -> Tuple[List[Any], int]:
-    """What ``_ahead`` returns, after the turn ``scan`` would charge at
-    its first record."""
-    records, blank = _ahead(tape)
     if records and tape._direction != 1:
         tape._turn(1)
-    return records, blank
-
-
-def _refuse_blank(records: List[Any], at: int) -> None:
-    if at < len(records):
-        raise ReproError("None is the blank sentinel; cannot write it")
+    return records
 
 
 def _skip(records: List[Any], sep: Any, at: int) -> int:
@@ -350,23 +340,20 @@ def seed_runs(source: RecordTape, target: RecordTape, sep: Any) -> None:
                 raise ReproError("input tape already contains run separators")
             target.step_write(record)
             target.step_write(sep)
-
-    so a ``None`` cell raises as ``step_write`` does.
     """
     _distinct(source, target)
     head = source._head
-    records, blank = _scanned(source)
+    records = _scanned(source)
     if not records:
         return
-    stop = _index(records, sep, 0, blank)
+    stop = _index(records, sep, 0, len(records))
     runs = [sep] * (2 * stop)
     runs[::2] = records[:stop]
     source._head = head + 1  # the first record is read, then written
     target.write_all(runs)
     source._head = head + min(stop + 1, len(records))
-    if stop < blank:
+    if stop < len(records):
         raise ReproError("input tape already contains run separators")
-    _refuse_blank(records, stop)
 
 
 def deal_runs(
@@ -390,27 +377,21 @@ def deal_runs(
         if in_run:
             targets[runs % 2].step_write(sep)
             runs += 1
-
-    so a ``None`` cell raises as ``step_write`` does, once the part of
-    its run before it is written.
     """
     _distinct(source, left, right)
     head = source._head
-    records, blank = _scanned(source)
-    runs = []  # each closed by its separator, unless a blank cuts it
+    records = _scanned(source)
+    runs = []  # each closed by its separator
     start = 0
     try:
         while True:
-            end = records.index(sep, start, blank) + 1
+            end = records.index(sep, start) + 1
             if end - start > 1:
                 runs.append(records[start:end])
             start = end
     except ValueError:
-        if start < blank:
-            last = records[start:blank]
-            if blank == len(records):  # the end of the tape closes it
-                last.append(sep)
-            runs.append(last)  # else the blank cuts it short
+        if start < len(records):  # the end of the tape closes the last run
+            runs.append(records[start:] + [sep])
     at = 0
     for target, run in zip((left, right), runs):  # a first write may turn
         at = _skip(records, sep, at)
@@ -419,8 +400,7 @@ def deal_runs(
         at += len(run)
     left.write_all(list(chain.from_iterable(runs[2::2])))
     right.write_all(list(chain.from_iterable(runs[3::2])))
-    source._head = head + min(blank + 1, len(records))
-    _refuse_blank(records, blank)
+    source._head = head + len(records)
     return len(runs)
 
 
@@ -434,9 +414,9 @@ def merge_runs(
     """Merge the runs from ``left``'s and ``right``'s heads on, pair by
     pair, onto ``target`` under ``key`` (``None``: the records' order).
 
-    The per-record phase reads each source up to its first blank (a
-    ``None`` cell or the end), pairs the runs in order, an empty run or
-    a missing one with any other, and closes each merged pair::
+    The per-record phase reads each source to its end (where
+    ``step_read`` reads ``None``), pairs the runs in order, an empty run
+    or a missing one with any other, and closes each merged pair::
 
         a, b = left.step_read(), right.step_read()
         while a is not None or b is not None:
@@ -461,8 +441,8 @@ def merge_runs(
     so a ``key`` that raises leaves the tapes as they were.
     """
     _distinct(left, right, target)
-    a_runs, a_blank = _runs(left, sep)
-    b_runs, b_blank = _runs(right, sep)
+    a_runs, a_read = _runs(left, sep)
+    b_runs, b_read = _runs(right, sep)
     merged: List[Any] = []
     for a, b in zip_longest(a_runs, b_runs, fillvalue=[]):
         merged += _merge(a, b, key)
@@ -475,25 +455,25 @@ def merge_runs(
         right._turn(1)
     right._head = b_head + 1
     target.write_all(merged)
-    left._head = a_head + a_blank + 1
-    right._head = b_head + b_blank + 1
+    left._head = a_head + a_read + 1
+    right._head = b_head + b_read + 1
 
 
 def _runs(tape: RecordTape, sep: Any) -> Tuple[List[List[Any]], int]:
-    """The runs a merge reads from ``tape``'s head on, and the offset of
-    the blank that ends them."""
-    records, blank = _ahead(tape)
+    """The runs a merge reads from ``tape``'s head on, and the number of
+    records it reads."""
+    records = tape._cells[tape._head:]
     runs = []
     start = 0
     try:
         while True:
-            end = records.index(sep, start, blank)
+            end = records.index(sep, start)
             runs.append(records[start:end])
             start = end + 1
     except ValueError:
-        if start < blank:  # an unclosed last run
-            runs.append(records[start:blank])
-    return runs, blank
+        if start < len(records):  # an unclosed last run
+            runs.append(records[start:])
+    return runs, len(records)
 
 
 def _merge(
@@ -535,15 +515,12 @@ def strip_separators(source: RecordTape, target: RecordTape, sep: Any) -> None:
         for record in source.scan():
             if record is not sep:
                 target.step_write(record)
-
-    so a ``None`` cell raises as ``step_write`` does.
     """
     _distinct(source, target)
     head = source._head
-    records, blank = _scanned(source)
-    kept = list(filter(partial(is_not, sep), records[:blank]))
+    records = _scanned(source)
+    kept = list(filter(partial(is_not, sep), records))
     if kept:
         source._head = head + _skip(records, sep, 0) + 1
         target.write_all(kept)
-    source._head = head + min(blank + 1, len(records))
-    _refuse_blank(records, blank)
+    source._head = head + len(records)

@@ -14,12 +14,15 @@ from repro.algorithms import (
 from repro.algorithms.fingerprint import (
     FingerprintParameters,
     _mod_pow_charged,
+    _power_peak,
     _residue_of_string,
+    _residue_peak,
     monte_carlo_fingerprint_trials,
 )
 from repro.errors import EncodingError
 from repro.extmem import InternalMemory, RecordTape, ResourceBudget, ResourceTracker
 from repro.numbertheory import is_prime, random_prime_at_most
+from repro.observability.audit import FULL_SWEEP
 from repro.observability.sinks import RingBufferSink, TallySink
 from repro.problems import (
     MULTISET_EQUALITY,
@@ -32,6 +35,38 @@ from repro.problems import (
 from tests.settings_profiles import DIFFERENTIAL_SETTINGS
 
 bit_words = st.lists(st.text(alphabet="01", min_size=1, max_size=10), max_size=8)
+
+#: Values longer than the moduli's bit lengths, so the closed forms both
+#: take their unreduced prefix and step past it.
+long_bits = st.text(alphabet="01", max_size=40)
+
+#: Moduli at the closed forms' edges (1, 2, 2^k and 2^k ± 1) and between.
+moduli = st.one_of(
+    st.integers(1, 2**34),
+    st.integers(0, 34)
+    .flatmap(lambda k: st.sampled_from([2**k - 1, 2**k, 2**k + 1]))
+    .filter(lambda modulus: modulus >= 1),
+)
+
+#: The registers of scan 2's one commit when it runs deferred.
+SCAN_COMMIT = ("sum_first", "sum_second", "idx")
+
+#: E1's four (m, n) shapes (``benchmarks/bench_e1_fingerprint.py``).
+E1_SHAPES = ((8, 16), (32, 16), (128, 16), (128, 64))
+
+
+@pytest.fixture
+def commits(monkeypatch):
+    """The registers of every ``InternalMemory.commit_peak``, in order."""
+    log = []
+    commit_peak = InternalMemory.commit_peak
+
+    def recording(mem, values, *args):
+        log.append(tuple(values))
+        commit_peak(mem, values, *args)
+
+    monkeypatch.setattr(InternalMemory, "commit_peak", recording)
+    return log
 
 
 class TestParameters:
@@ -287,6 +322,99 @@ def _fingerprint_reference(inst, rng, budget, sink):
     return result
 
 
+def _residue_steps(value, modulus):
+    """The residue loop on locals: its value, ``acc``'s widest charge, and
+    the number of bits read when that charge first reached the widest
+    residue's (``None`` if it never did)."""
+    top = (modulus - 1).bit_length() or 1
+    acc = 1 % modulus
+    peak = 1
+    reached = 0 if peak >= top else None
+    for read, ch in enumerate(value, 1):
+        acc = (acc * 2 + (1 if ch == "1" else 0)) % modulus
+        peak = max(peak, acc.bit_length() or 1)
+        if reached is None and peak >= top:
+            reached = read
+    return acc, peak, reached
+
+
+def _power_steps(base, exponent, modulus):
+    """Square-and-multiply on locals: the power, the widest total charge
+    of its three registers, and the first step at whose start that total
+    had reached twice the widest residue's charge plus the exponent's
+    (``None`` if no step started there)."""
+    width = (modulus - 1).bit_length() or 1
+
+    def charge(*values):
+        return sum(value.bit_length() or 1 for value in values)
+
+    base %= modulus
+    result = 1 % modulus
+    peak = charge(base, exponent, result)
+    step, settled = 0, None
+    while exponent > 0:
+        if settled is None and peak >= 2 * width + charge(exponent):
+            settled = step
+        if exponent % 2 == 1:
+            result = result * base % modulus
+            peak = max(peak, charge(base, exponent, result))
+        base = base * base % modulus
+        peak = max(peak, charge(base, exponent, result))
+        exponent //= 2
+        step += 1
+    return result, peak, settled
+
+
+class TestClosedForms:
+    """``_residue_peak`` and ``_power_peak`` against the loops they skip."""
+
+    @given(value=long_bits, modulus=moduli)
+    @DIFFERENTIAL_SETTINGS
+    def test_residue_matches_the_loop(self, value, modulus):
+        assert _residue_peak(value, modulus) == _residue_steps(value, modulus)[:2]
+
+    @given(
+        base=st.integers(0, 2**34), exponent=st.integers(0, 2**40), modulus=moduli
+    )
+    @DIFFERENTIAL_SETTINGS
+    def test_power_matches_the_loop(self, base, exponent, modulus):
+        assert _power_peak(base, exponent, modulus) == _power_steps(
+            base, exponent, modulus
+        )[:2]
+
+    @pytest.mark.parametrize(
+        "value, modulus, reached",
+        [
+            ("00101101", 11, 3),  # 11's widest residue, 4 bits, after 3 of 8
+            ("111", 11, None),  # 1, 3, 7, 4: never 4 bits, though 1·111 is
+            ("0110", 1, 0),  # every residue is 0, charged 1 bit
+            ("0110", 2, 0),
+            ("", 8, None),
+        ],
+    )
+    def test_residue_examples(self, value, modulus, reached):
+        assert _residue_steps(value, modulus)[2] == reached
+        assert _residue_peak(value, modulus) == _residue_steps(value, modulus)[:2]
+
+    @pytest.mark.parametrize(
+        "base, exponent, modulus, settled",
+        [
+            (3, 9, 2, 0),  # settled before the first step
+            (3, 5, 2**20 + 7, None),  # never settled
+            # the last step starts at a total of 8, one short of settled
+            # (2·4 + 1), and reaches 9
+            (4, 8, 11, None),
+            (3, 0, 11, None),  # no step
+            (3, 9, 1, 0),
+        ],
+    )
+    def test_power_examples(self, base, exponent, modulus, settled):
+        assert _power_steps(base, exponent, modulus)[2] == settled
+        assert _power_peak(base, exponent, modulus) == _power_steps(
+            base, exponent, modulus
+        )[:2]
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args), None
@@ -297,13 +425,10 @@ def _outcome(fn, *args):
 class TestAgainstRegisterReadingReference:
     @given(
         values=st.lists(
-            st.one_of(
-                st.text(alphabet="01", max_size=12),
-                st.text(alphabet="012", max_size=4),
-            ),
+            st.one_of(long_bits, st.text(alphabet="012", max_size=4)),
             max_size=4,
         ),
-        modulus=st.integers(1, 2**34),
+        modulus=moduli,
         base=st.integers(0, 2**34),
         exponent=st.integers(0, 2**34),
         max_bits=st.one_of(st.none(), st.integers(0, 200)),
@@ -376,11 +501,8 @@ class TestAgainstRegisterReadingReference:
         branches = set()
 
         @given(
-            value=st.one_of(
-                st.text(alphabet="01", max_size=12),
-                st.text(alphabet="012", max_size=4),
-            ),
-            modulus=st.integers(1, 2**34),
+            value=st.one_of(long_bits, st.text(alphabet="012", max_size=4)),
+            modulus=moduli,
             base=st.integers(0, 2**34),
             exponent=st.integers(0, 2**34),
             held=st.integers(0, 2**20),
@@ -391,6 +513,8 @@ class TestAgainstRegisterReadingReference:
         @example("0110", 11, 3, 9, 5, "mod_pow", 0)  # defers: just fits
         @example("0110", 11, 3, 9, 5, "mod_pow", -1)  # declines: budget
         @example("0120", 11, 3, 9, 5, "residue", None)  # declines: value
+        @example("111", 11, 4, 8, 5, "residue", None)  # peak 3, below 11's 4
+        @example("0110", 11, 4, 8, 5, "mod_pow", None)  # peak after the exit test
         @DIFFERENTIAL_SETTINGS
         def check(value, modulus, base, exponent, held, helper, slack):
             width = (modulus - 1).bit_length() or 1
@@ -457,36 +581,76 @@ class TestAgainstRegisterReadingReference:
 
 
 class TestSinkFreeRuns:
-    """Without a sink the helpers may defer their stores; with a ring
-    buffer they cannot, so the traced run is the per-store reference."""
+    """Without a sink scan 2 and the helpers may defer their stores; with
+    a ring buffer they cannot, so the traced run is the per-store
+    reference."""
 
-    @given(
-        first=bit_words,
-        second=bit_words,
-        seed=st.integers(min_value=0, max_value=2**32),
-        slack=st.one_of(st.none(), st.integers(-12, 12)),
-    )
-    @DIFFERENTIAL_SETTINGS
-    def test_untraced_run_matches_the_traced_run(self, first, second, seed, slack):
-        inst = Instance(
-            tuple(first[: len(second)]), tuple(second[: len(first)])
+    def test_untraced_run_matches_the_traced_run(self, commits):
+        """Budgets around the peak: scan 2 defers in some examples and
+        not in others, and the explicit examples make sure both happen."""
+        deferred = set()
+
+        @given(
+            first=bit_words,
+            second=bit_words,
+            seed=st.integers(min_value=0, max_value=2**32),
+            slack=st.one_of(st.none(), st.integers(-12, 12)),
         )
-        # tight budgets: around the peak of an unbudgeted traced run
-        peak = multiset_equality_fingerprint(
-            inst, random.Random(seed), budget=ResourceBudget(), sink=RingBufferSink()
-        ).report.peak_internal_bits
-        max_bits = None if slack is None else max(0, peak + slack)
-        budget = ResourceBudget(max_scans=2, max_internal_bits=max_bits, max_tapes=1)
+        @example(["0110", "1", "001"], ["1", "001", "0110"], 0, None)  # defers
+        @example(["0110", "1", "001"], ["1", "001", "0110"], 0, -1)  # denied
+        @DIFFERENTIAL_SETTINGS
+        def check(first, second, seed, slack):
+            inst = Instance(
+                tuple(first[: len(second)]), tuple(second[: len(first)])
+            )
+            # tight budgets: around the peak of an unbudgeted traced run
+            peak = multiset_equality_fingerprint(
+                inst,
+                random.Random(seed),
+                budget=ResourceBudget(),
+                sink=RingBufferSink(),
+            ).report.peak_internal_bits
+            max_bits = None if slack is None else max(0, peak + slack)
+            budget = ResourceBudget(
+                max_scans=2, max_internal_bits=max_bits, max_tapes=1
+            )
 
-        def run(sink):
-            try:
-                return multiset_equality_fingerprint(
-                    inst, random.Random(seed), budget=budget, sink=sink
-                ), None
-            except Exception as exc:  # noqa: BLE001 - compared below
-                return None, (type(exc), exc.args)
+            def run(sink):
+                try:
+                    return multiset_equality_fingerprint(
+                        inst, random.Random(seed), budget=budget, sink=sink
+                    ), None
+                except Exception as exc:  # noqa: BLE001 - compared below
+                    return None, (type(exc), exc.args)
 
-        assert run(None) == run(RingBufferSink())
+            commits.clear()
+            untraced = run(None)
+            deferred.add(SCAN_COMMIT in commits)
+            assert untraced == run(RingBufferSink())
+
+        check()
+        assert deferred == {True, False}
+
+    @pytest.mark.parametrize("m, n", [*FULL_SWEEP, *E1_SHAPES])
+    @pytest.mark.parametrize("sink", [None, TallySink])
+    def test_default_budget_defers_scan_two(self, commits, m, n, sink):
+        """At every audit cell and E1 shape, ``fingerprint_space_budget``
+        admits scan 2's seven registers at their widest, whatever p1 and
+        x are drawn, so the scan commits once and calls no helper."""
+        params = FingerprintParameters.for_shape(m, n)
+        width1 = params.k.bit_length()  # p1 ≤ k
+        width2 = (params.p2 - 1).bit_length()
+        # held: count, n_max, p1, p2 and x; scan 2: the sums, pw_base and
+        # pw_result below p2, acc and pw_exp below p1, and idx ≤ 2m
+        held = (2 * m).bit_length() + n.bit_length() + width1 + 2 * width2
+        widest = 4 * width2 + 2 * width1 + (2 * m).bit_length()
+        inst = random_equal_instance(m, n, random.Random(f"{m}:{n}"))
+        assert held + widest <= fingerprint_space_budget(inst.size)
+        result = multiset_equality_fingerprint(
+            inst, random.Random(m), sink=sink and sink()
+        )
+        assert result.accepted
+        assert commits == [SCAN_COMMIT]
 
 
 class _RecordingTally(TallySink):
@@ -529,11 +693,8 @@ class TestTallyRuns:
         whole = set()
 
         @given(
-            value=st.one_of(
-                st.text(alphabet="01", max_size=12),
-                st.text(alphabet="012", max_size=4),
-            ),
-            modulus=st.integers(1, 2**34),
+            value=st.one_of(long_bits, st.text(alphabet="012", max_size=4)),
+            modulus=moduli,
             base=st.integers(0, 2**34),
             exponent=st.integers(0, 2**34),
             held=st.integers(0, 2**20),
@@ -541,6 +702,7 @@ class TestTallyRuns:
             slack=st.one_of(st.none(), st.integers(-3, 3)),
         )
         @example("", 11, 3, 9, 5, "residue", None)  # one store
+        @example("0110", 11, 2, 9, 5, "mod_pow", None)  # pw_base ends 2^16 mod 11
         @example("0110", 11, 3, 0, 5, "mod_pow", None)  # exponent 0: no loop
         @example("0110", 1, 3, 9, 5, "residue", None)
         @example("0110", 1, 3, 9, 5, "mod_pow", None)
@@ -575,36 +737,54 @@ class TestTallyRuns:
         check()
         assert whole == {True, False}
 
-    @given(
-        first=bit_words,
-        second=bit_words,
-        seed=st.integers(min_value=0, max_value=2**32),
-        slack=st.one_of(st.none(), st.integers(-12, 12)),
-    )
-    @example([], [], 0, None)
-    @example(["0", "1"], ["1", "0"], 0, None)
-    @DIFFERENTIAL_SETTINGS
-    def test_machine_with_a_tally_matches_the_ring(self, first, second, seed, slack):
-        inst = Instance(
-            tuple(first[: len(second)]), tuple(second[: len(first)])
+    def test_machine_with_a_tally_matches_the_ring(self, commits):
+        """Scan 2 takes its loop whole in some examples and not in
+        others; the explicit examples make sure both happen."""
+        deferred = set()
+
+        @given(
+            first=bit_words,
+            second=bit_words,
+            seed=st.integers(min_value=0, max_value=2**32),
+            slack=st.one_of(st.none(), st.integers(-12, 12)),
         )
-        peak = multiset_equality_fingerprint(
-            inst, random.Random(seed), budget=ResourceBudget(), sink=RingBufferSink()
-        ).report.peak_internal_bits
-        max_bits = None if slack is None else max(0, peak + slack)
-        budget = ResourceBudget(max_scans=2, max_internal_bits=max_bits, max_tapes=1)
+        @example([], [], 0, None)
+        @example(["0", "1"], ["1", "0"], 0, None)
+        @example(["0110", "1", "001"], ["1", "001", "0110"], 0, None)  # defers
+        @example(["0110", "1", "001"], ["1", "001", "0110"], 0, -1)  # denied
+        @DIFFERENTIAL_SETTINGS
+        def check(first, second, seed, slack):
+            inst = Instance(
+                tuple(first[: len(second)]), tuple(second[: len(first)])
+            )
+            peak = multiset_equality_fingerprint(
+                inst,
+                random.Random(seed),
+                budget=ResourceBudget(),
+                sink=RingBufferSink(),
+            ).report.peak_internal_bits
+            max_bits = None if slack is None else max(0, peak + slack)
+            budget = ResourceBudget(
+                max_scans=2, max_internal_bits=max_bits, max_tapes=1
+            )
 
-        def run(sink):
-            try:
-                return multiset_equality_fingerprint(
-                    inst, random.Random(seed), budget=budget, sink=sink
-                ), None
-            except Exception as exc:  # noqa: BLE001 - compared below
-                return None, (type(exc), exc.args)
+            def run(sink):
+                try:
+                    return multiset_equality_fingerprint(
+                        inst, random.Random(seed), budget=budget, sink=sink
+                    ), None
+                except Exception as exc:  # noqa: BLE001 - compared below
+                    return None, (type(exc), exc.args)
 
-        tally, ring = _RecordingTally(), RingBufferSink()
-        assert run(tally) == run(ring)
-        _assert_tally_matches_ring(tally, ring)
+            tally, ring = _RecordingTally(), RingBufferSink()
+            commits.clear()
+            tallied = run(tally)
+            deferred.add(SCAN_COMMIT in commits)
+            assert tallied == run(ring)
+            _assert_tally_matches_ring(tally, ring)
+
+        check()
+        assert deferred == {True, False}
 
 
 class TestMonteCarloArguments:

@@ -204,6 +204,33 @@ class TestGenerators:
             )
             assert diff >= 1
 
+    @given(
+        m=st.integers(1, 6),
+        n=st.integers(1, 6),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_near_miss_flips_one_bit_of_the_equal_instance(self, m, n, seed):
+        """The equal instance the same rng would draw, with one bit of
+        one second-half value flipped, after exactly two more draws."""
+        rng = random.Random(seed)
+        clone = random.Random()
+        clone.setstate(rng.getstate())
+        inst = near_miss_instance(m, n, rng)
+        equal = random_equal_instance(m, n, clone)
+        assert inst.first == equal.first
+        changed = [
+            (v, w) for v, w in zip(equal.second, inst.second) if v != w
+        ]
+        assert len(changed) == 1
+        ((v, w),) = changed
+        assert len(v) == len(w)
+        assert sum(a != b for a, b in zip(v, w)) == 1
+        clone.randrange(m)
+        clone.randrange(n)
+        assert rng.getstate() == clone.getstate()
+        assert not MULTISET_EQUALITY(inst)
+
     def test_checksort_instances(self):
         rng = random.Random(3)
         for _ in range(10):

@@ -524,7 +524,7 @@ def main(argv=None) -> int:
     strip = report_sub.add_parser(
         "strip",
         help="project a ledger to its deterministic lines (wall-clock "
-        "sections and stall records dropped)",
+        "sections dropped)",
     )
     strip.add_argument("ledger", help="JSONL ledger file to strip")
     strip.add_argument(

@@ -13,13 +13,11 @@ from typing import Iterable, Iterator, List, Sequence, Tuple
 def normalize_seed(seed: object) -> str:
     """Canonical string form of a user-supplied seed.
 
-    The single choke point for every seed that feeds a derived stream or
-    a cache key: :func:`repro.parallel.derive_task_rng` /
-    :func:`~repro.parallel.derive_lane_rng` and
-    :func:`repro.cache.compose_key` all normalize through here, so the
-    int ``7`` and the string ``"7"`` — which have always produced the
-    same rng streams (the derivation f-strings coerce) — can never
-    produce *different* cache keys for identical trial blocks.
+    The single choke point for every seed that feeds a derived stream:
+    :func:`repro.parallel.derive_task_rng` and
+    :func:`repro.algorithms.fingerprint.derive_lane_rng` both normalize
+    through here, so the int ``7`` and the string ``"7"`` draw the same
+    streams.
     """
     return str(seed)
 

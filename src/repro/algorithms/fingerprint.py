@@ -24,16 +24,19 @@ one backward — the backward scan reads values in reverse order, which is
 fine because only multiset sums are accumulated) of a **single** external
 tape, and O(log N) internal bits, all enforced by a
 :class:`~repro.extmem.tracker.ResourceBudget`.
+
+:func:`monte_carlo_fingerprint_trials` runs the error-rate experiment
+(E1) as one in-process loop of independent trials, each drawing from a
+stream keyed on ``(seed, trial index)`` alone.
 """
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
-from .._util import bits_needed, ceil_log2
+from .._util import bits_needed, ceil_log2, normalize_seed
 from ..errors import EncodingError
 from ..extmem import (
     InternalMemory,
@@ -447,44 +450,15 @@ def fingerprint_trial_with_range(
 # -- Monte Carlo trial sweeps ----------------------------------------------
 
 
-def fingerprint_mc_lanes(
-    lanes: Sequence[int],
-    m: int,
-    n: int,
-    kind: str,
-    k: Optional[int],
-    rngs: Sequence[random.Random],
-) -> int:
-    """Map-task body: one independent trial per lane, returns acceptances.
+def derive_lane_rng(seed: object, lane: int) -> random.Random:
+    """The random stream of trial ``lane`` of a Monte Carlo sweep.
 
-    ``lanes`` are the trials' global indices in the sweep (the map task's
-    input list) and ``rngs`` their per-lane streams, injected by the
-    batch runtime from ``(batch seed, lane index)`` — so the acceptance
-    total is a pure function of (seed, trial count), independent of how
-    trials are grouped into tasks or spread over workers.
-
-    ``kind`` selects the instance population — ``"equal"`` (completeness:
-    every trial must accept) or ``"near-miss"`` (soundness: acceptances
-    are false positives).  ``k=None`` runs the full Theorem 8(a) tape
-    machine under its claimed budget; an explicit ``k`` runs the
-    E16-style ablation trial with that prime range.
+    A function of ``(seed, lane)`` alone, string-keyed so it is stable
+    across Python versions; the seed goes through
+    :func:`~repro._util.normalize_seed`, so ``7`` and ``"7"`` draw the
+    same trials.
     """
-    from ..problems import near_miss_instance, random_equal_instance
-
-    if kind == "equal":
-        make = random_equal_instance
-    elif kind == "near-miss":
-        make = near_miss_instance
-    else:
-        raise EncodingError(f"unknown trial kind {kind!r}")
-    accepted = 0
-    for _lane, rng in zip(lanes, rngs):
-        inst = make(m, n, rng)
-        if k is None:
-            accepted += multiset_equality_fingerprint(inst, rng).accepted
-        else:
-            accepted += fingerprint_trial_with_range(inst, rng, k)
-    return accepted
+    return random.Random(f"batch:{normalize_seed(seed)}:lane:{lane}")
 
 
 @dataclass(frozen=True)
@@ -497,40 +471,6 @@ class TrialSummary:
     trials: int
     accepted: int
 
-    @property
-    def acceptance_rate(self) -> float:
-        return self.accepted / self.trials
-
-
-#: Cache-entry kind for one Monte Carlo trial block (one map task).
-MC_BLOCK_KIND = "fingerprint-mc"
-
-
-def mc_block_key(
-    m: int, n: int, kind: str, k: Optional[int], seed: object, base: int, count: int
-):
-    """The content-addressed key of one trial block.
-
-    A block's acceptance total is a pure function of the instance shape,
-    the trial kind, the prime range, the normalized batch seed and the
-    global lane range ``[base, base + count)`` — exactly the components
-    composed here (code version rides in automatically).
-    """
-    from ..cache import compose_key
-
-    return compose_key(
-        MC_BLOCK_KIND, m=m, n=n, kind=kind, k=k, seed=seed, base=base,
-        count=count,
-    )
-
-
-def _accepted_of(payload, *, count: int) -> int:
-    """Decode a stored trial block: its acceptance total, or ``ValueError``."""
-    accepted = payload["accepted"]
-    if type(accepted) is not int or not 0 <= accepted <= count:
-        raise ValueError(f"trial block of {count} accepted {accepted!r}")
-    return accepted
-
 
 def monte_carlo_fingerprint_trials(
     m: int,
@@ -538,32 +478,15 @@ def monte_carlo_fingerprint_trials(
     trials: int,
     *,
     kind: str = "near-miss",
-    k: Optional[int] = None,
     seed: object = 0,
-    jobs: int = 1,
-    trials_per_task: int = 16,
-    cache=None,
-    ledger=None,
 ) -> TrialSummary:
-    """The Theorem 8(a) error-rate experiment as a deterministic batch.
+    """The Theorem 8(a) error-rate experiment: ``trials`` independent runs.
 
-    Each trial is one *lane* of a :meth:`~repro.parallel.BatchTask.map`
-    task: instances and primes are drawn from per-lane rngs derived from
-    ``(seed, global trial index)`` by :mod:`repro.parallel`, so the
-    trial count and acceptance total are bit-identical for any ``jobs``
-    *and* any ``trials_per_task`` — regrouping lanes into different task
-    boundaries cannot move a single draw.
-
-    ``cache`` (a :class:`~repro.cache.ResultStore`) memoizes whole trial
-    blocks keyed by ``(m, n, kind, k, seed, lane range)``: blocks already
-    stored skip dispatch entirely, only the misses run, and the summary
-    is bit-identical either way (the per-lane streams are anchored to
-    global lane indices, never to which blocks happened to recompute).
-    A stored block whose ``accepted`` is not an int in ``[0, count]`` is
-    quarantined and recomputed like any other invalid entry.
-    ``ledger`` (a :class:`~repro.observability.ledger.LedgerWriter`)
-    journals the dispatched blocks as ``fingerprint-trials`` sweep
-    records; cache hits surface through the store's own attached ledger.
+    Trial ``lane`` draws its instance, then its primes, from
+    :func:`derive_lane_rng` ``(seed, lane)``, and runs the full tape
+    machine under its claimed budget.  ``kind`` selects the instance
+    population — ``"equal"`` (completeness: every trial must accept) or
+    ``"near-miss"`` (soundness: acceptances are false positives).
     """
     if trials < 1:
         raise EncodingError(f"trials must be >= 1, got {trials}")
@@ -571,65 +494,14 @@ def monte_carlo_fingerprint_trials(
         raise EncodingError(f"unknown trial kind {kind!r}")
     if kind == "near-miss" and (m < 1 or n < 1):
         raise EncodingError("near-miss trials require m >= 1 and n >= 1")
-    if trials_per_task < 1:
-        raise EncodingError(
-            f"trials_per_task must be >= 1, got {trials_per_task}"
-        )
-    from ..parallel import BatchTask, run_batch
+    from ..problems import near_miss_instance, random_equal_instance
 
-    blocks = [
-        (start, min(start + trials_per_task, trials) - start)
-        for start in range(0, trials, trials_per_task)
-    ]
-    accepted_by_base: dict = {}
-    pending = []
-    for base, count in blocks:
-        if cache is not None:
-            accepted = cache.lookup(
-                mc_block_key(m, n, kind, k, seed, base, count),
-                functools.partial(_accepted_of, count=count),
-            )
-            if accepted is not None:
-                accepted_by_base[base] = accepted
-                continue
-        pending.append((base, count))
-    if pending:
-        tasks = [
-            BatchTask.map(
-                fingerprint_mc_lanes,
-                range(base, base + count),
-                m,
-                n,
-                kind,
-                k,
-                base_index=base,
-                seeded=True,
-            )
-            for base, count in pending
-        ]
-        counts = run_batch(
-            tasks,
-            jobs=jobs,
-            seed=seed,
-            chunk_size="auto",
-            label="fingerprint-trials",
-            ledger=ledger,
-        ).values()
-        for (base, count), accepted in zip(pending, counts):
-            if cache is not None:
-                cache.store(
-                    mc_block_key(m, n, kind, k, seed, base, count),
-                    {"accepted": accepted},
-                    engine="algorithm",
-                )
-            accepted_by_base[base] = accepted
-    return TrialSummary(
-        m=m,
-        n=n,
-        kind=kind,
-        trials=trials,
-        accepted=sum(accepted_by_base.values()),
-    )
+    make = random_equal_instance if kind == "equal" else near_miss_instance
+    accepted = 0
+    for lane in range(trials):
+        rng = derive_lane_rng(seed, lane)
+        accepted += multiset_equality_fingerprint(make(m, n, rng), rng).accepted
+    return TrialSummary(m=m, n=n, kind=kind, trials=trials, accepted=accepted)
 
 
 def fingerprint_parameters(instance: InstanceLike) -> FingerprintParameters:

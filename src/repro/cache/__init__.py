@@ -1,45 +1,29 @@
 """Content-addressed result cache with provenance stamps.
 
-Every audit check and Monte Carlo trial block in this repo is a pure
-function of (machine fingerprint, input, engine tier, budget, code
-version) — the determinism the Grohe–Hernich–Schweikardt framework
-demands of its ST(r, s, t) computations.  This package makes that
-purity *servable*: repeat traffic hits an on-disk store instead of the
-engines.
+Every contract-audit cell is a pure function of its contract, its
+(m, n) coordinates and the code version — the determinism the
+Grohe–Hernich–Schweikardt framework demands of its ST(r, s, t)
+computations.  This package makes that purity *servable*: a repeat
+audit hits an on-disk store instead of the engines.
 
 Three layers:
 
 * :mod:`~repro.cache.fingerprint` — canonical digests
-  (:func:`machine_fingerprint`, :func:`digest_of`) composed into one
-  sha256 :class:`CacheKey` per computation, code version folded in;
+  (:func:`canonical_json`, :func:`digest_of`) composed into one sha256
+  :class:`CacheKey` per computation, code version folded in;
 * :mod:`~repro.cache.store` — the sharded atomic :class:`ResultStore`
   (versioned schema, corrupt-entry quarantine, hit/miss/write/invalid
   counters, timestamp-free provenance stamp on every entry);
-* :mod:`~repro.cache.recompute` — ``repro cache verify``'s registry for
-  recomputing entries from their stamps and diffing byte-for-byte.
+* :mod:`~repro.cache.recompute` — ``repro cache verify``: recompute
+  audit entries from their stamps and diff byte-for-byte.
 
-Front doors routed through it: ``python -m repro audit --cache DIR``
-(per-check memoization) and
-:func:`repro.algorithms.fingerprint.monte_carlo_fingerprint_trials`
-(whole trial blocks).  Cache-on and cache-off outputs are byte-identical
-by construction, gated in CI and ``tests/test_cache.py``.
+The one front door is ``python -m repro audit --cache DIR`` (per-check
+memoization).  Cache-on and cache-off outputs are byte-identical by
+construction, gated in CI and ``tests/test_cache.py``.
 """
 
-from .fingerprint import (
-    CacheKey,
-    canonical_json,
-    code_fingerprint,
-    compose_key,
-    digest_of,
-    machine_fingerprint,
-    normalize_seed,
-)
-from .recompute import (
-    recompute_payload,
-    register_recompute,
-    supported_kinds,
-    verify_entries,
-)
+from .fingerprint import CacheKey, canonical_json, compose_key, digest_of
+from .recompute import recompute_payload, verify_entries
 from .store import SCHEMA_VERSION, ResultStore
 
 __all__ = [
@@ -47,13 +31,8 @@ __all__ = [
     "ResultStore",
     "SCHEMA_VERSION",
     "canonical_json",
-    "code_fingerprint",
     "compose_key",
     "digest_of",
-    "machine_fingerprint",
-    "normalize_seed",
     "recompute_payload",
-    "register_recompute",
-    "supported_kinds",
     "verify_entries",
 ]

@@ -1,26 +1,18 @@
-"""Canonical fingerprints and cache-key composition.
+"""Canonical digests and cache-key composition.
 
-Every cacheable computation in the repo is a pure function of a small
-set of inputs: the machine (or algorithm) being run, the input data, the
-resource budget, the engine tier and the code version.  This module
-turns each of those into a *canonical* digest — byte-stable across
-processes, Python versions and dict orderings — and composes them into
-one sha256 cache key.
+A cacheable computation is a pure function of a small set of named
+inputs plus the code version.  This module serialises those inputs
+*canonically* — byte-stable across processes, Python versions and dict
+orderings — and composes them into one sha256 cache key.
 
 Canonicalisation rules:
 
 * structured values are serialised with :func:`canonical_json` (sorted
   keys, compact separators, ASCII-only) before hashing, so logically
   equal payloads hash equal regardless of construction order;
-* a :class:`~repro.machines.tm.TuringMachine` is hashed by
-  :func:`machine_fingerprint` — states, alphabet and transitions in
-  sorted canonical order, *excluding* the display name — and the digest
-  is memoized on the instance (stripped by ``__getstate__`` like every
-  other derived cache);
-* seeds pass through :func:`~repro._util.normalize_seed`, the same
-  choke point :mod:`repro.parallel` derives rng streams from, so an
-  ``int`` seed and its string form can never produce different keys for
-  identical trial streams;
+* key components are JSON scalars, carried verbatim so they read back
+  from the provenance stamp as written (the audit's keys are a contract
+  name and two ints);
 * the current :data:`repro._version.__version__` is folded into every
   key as the ``code`` component — bumping the version invalidates the
   whole store without any bookkeeping (``repro cache gc`` reclaims the
@@ -34,16 +26,12 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
-from .._util import normalize_seed
 from .._version import __version__
 from ..errors import ReproError
 
 __all__ = [
     "canonical_json",
     "digest_of",
-    "machine_fingerprint",
-    "code_fingerprint",
-    "normalize_seed",
     "CacheKey",
     "compose_key",
 ]
@@ -66,79 +54,13 @@ def digest_of(obj: Any) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
-def machine_fingerprint(machine) -> str:
-    """Content digest of a Turing machine's *definition*.
-
-    States, alphabet and transitions are hashed in sorted canonical
-    order, so declaration order never changes the fingerprint; the
-    display ``name`` is deliberately excluded — two machines that differ
-    only in name compute identically and must share cache entries.
-    Memoized on the instance under ``_machine_fingerprint`` (covered by
-    the ``__getstate__`` underscore-strip, so it never rides a pickle).
-    """
-    cached = machine.__dict__.get("_machine_fingerprint")
-    if cached is None:
-        payload = {
-            "states": sorted(machine.states),
-            "alphabet": sorted(machine.alphabet),
-            "transitions": sorted(
-                [
-                    tr.state,
-                    list(tr.read),
-                    tr.new_state,
-                    list(tr.write),
-                    list(tr.moves),
-                ]
-                for tr in machine.transitions
-            ),
-            "initial_state": machine.initial_state,
-            "final_states": sorted(machine.final_states),
-            "accepting_states": sorted(machine.accepting_states),
-            "external_tapes": machine.external_tapes,
-            "internal_tapes": machine.internal_tapes,
-        }
-        cached = digest_of(payload)
-        object.__setattr__(machine, "_machine_fingerprint", cached)
-    return cached
-
-
-def code_fingerprint() -> str:
-    """The code-version component folded into every cache key."""
-    return __version__
-
-
-#: Component values that may ride in a key verbatim (JSON scalars).
+#: Component values a key may carry (JSON scalars).
 _SCALARS = (str, int, bool, type(None))
-
-
-def _component_value(value: Any) -> Any:
-    """Canonicalise one key component.
-
-    JSON scalars pass through untouched (they read back from the
-    provenance stamp as written); machines become their content
-    fingerprint; any other JSON-serialisable structure is collapsed to
-    its digest so keys stay small and provenance stays readable.
-    """
-    # late import only for the isinstance test — the cache layer must not
-    # drag the machine package in for scalar-only keys
-    if isinstance(value, _SCALARS):
-        return value
-    from ..machines.tm import TuringMachine
-
-    if isinstance(value, TuringMachine):
-        return machine_fingerprint(value)
-    try:
-        return digest_of(value)
-    except TypeError:
-        raise ReproError(
-            f"cache key component {value!r} is neither a JSON scalar, a "
-            "TuringMachine, nor JSON-serialisable"
-        )
 
 
 @dataclass(frozen=True)
 class CacheKey:
-    """One composed cache key: a kind plus canonicalised components.
+    """One composed cache key: a kind plus its components.
 
     ``components`` always includes the ``code`` version component, so a
     key's digest changes whenever the package version does — the entire
@@ -156,10 +78,9 @@ class CacheKey:
     def provenance(self, *, engine: Any = None) -> Dict[str, Any]:
         """The timestamp-free provenance stamp written with every entry.
 
-        Records exactly what produced the payload: the key components
-        (machine/input digests included), the package version, and the
-        engine tier — never a wall-clock read, so two stamps for the
-        same computation are byte-identical.
+        Records exactly what produced the payload: the key components,
+        the package version, and the engine tier — never a wall-clock
+        read, so two stamps for the same computation are byte-identical.
         """
         return {
             "kind": self.kind,
@@ -170,21 +91,20 @@ class CacheKey:
 
 
 def compose_key(kind: str, /, **components: Any) -> CacheKey:
-    """Compose a cache key from named components.
+    """Compose a cache key from named JSON-scalar components.
 
-    ``seed`` components are normalised through
-    :func:`~repro._util.normalize_seed`; a ``code`` component is added
-    automatically unless the caller overrides it.  Component order never
-    matters (sorted on composition); the entry kind is positional-only so
-    a component may itself be named ``kind`` (the Monte Carlo trial kind,
-    say) without colliding.
+    A ``code`` component is added automatically unless the caller
+    overrides it.  Component order never matters (sorted on
+    composition); the entry kind is positional-only so a component may
+    itself be named ``kind`` without colliding.
     """
     if not kind:
         raise ReproError("cache key kind must be non-empty")
-    canonical: Dict[str, Any] = {}
     for name, value in components.items():
-        if name == "seed":
-            value = normalize_seed(value)
-        canonical[name] = _component_value(value)
-    canonical.setdefault("code", code_fingerprint())
+        if not isinstance(value, _SCALARS):
+            raise ReproError(
+                f"cache key component {name}={value!r} is not a JSON scalar"
+            )
+    canonical: Dict[str, Any] = dict(components)
+    canonical.setdefault("code", __version__)
     return CacheKey(kind=kind, components=tuple(sorted(canonical.items())))

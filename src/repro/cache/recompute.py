@@ -3,104 +3,51 @@
 ``python -m repro cache verify`` spot-checks the store: it samples
 entries, reruns the computation each provenance stamp describes, and
 diffs the recomputed payload against the stored one *byte-for-byte*
-(both sides canonical-JSON-serialised).  That only works for kinds whose
-stamps carry enough to reconstruct the inputs — this module is the
-registry mapping an entry ``kind`` to its recompute function.
-
-Kinds registered here out of the box:
-
-* ``audit-cell`` — contract name + (m, n) rebuild the sweep cell
-  exactly (the cell rng is derived from those coordinates alone);
-* ``fingerprint-mc`` — (m, n, kind, k, seed, base, count) rebuild a
-  Monte Carlo trial block lane-for-lane.
-
-An entry of any other kind is reported as unverifiable rather than
-failing the sweep.
+(both sides canonical-JSON-serialised).  The audit is the only command
+that writes the store, so ``audit-cell`` is the one kind recomputed
+here: contract name + (m, n) rebuild the sweep cell exactly (the cell
+rng is derived from those coordinates alone).  An entry of any other
+kind is reported as unsupported rather than failing the sweep.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict
 
 from ..errors import ReproError
 from .fingerprint import canonical_json
 from .store import ResultStore
 
 __all__ = [
-    "register_recompute",
     "recompute_payload",
-    "supported_kinds",
     "verify_entries",
 ]
-
-_RECOMPUTERS: Dict[str, Callable[[Dict[str, Any]], Any]] = {}
-
-
-def register_recompute(
-    kind: str, fn: Callable[[Dict[str, Any]], Any]
-) -> None:
-    """Register ``fn(components) -> payload`` as the recomputer for ``kind``."""
-    _RECOMPUTERS[kind] = fn
-
-
-def supported_kinds() -> List[str]:
-    _ensure_default_recomputers()
-    return sorted(_RECOMPUTERS)
 
 
 def recompute_payload(provenance: Dict[str, Any]) -> Any:
     """Recompute the payload a provenance stamp describes.
 
-    Raises :class:`~repro.errors.ReproError` when the kind has no
-    registered recomputer (callers decide whether that is a skip or a
-    failure).
+    Raises :class:`~repro.errors.ReproError` for any kind but
+    ``audit-cell`` (callers decide whether that is a skip or a failure).
     """
-    _ensure_default_recomputers()
+    from ..observability.audit import (
+        AUDIT_CELL_KIND,
+        CONTRACTS,
+        check_to_payload,
+        run_audit_cell,
+    )
+
     kind = provenance.get("kind")
-    fn = _RECOMPUTERS.get(kind)
-    if fn is None:
-        raise ReproError(f"no recomputer registered for cache kind {kind!r}")
-    return fn(provenance.get("components", {}))
-
-
-def _ensure_default_recomputers() -> None:
-    if "audit-cell" not in _RECOMPUTERS:
-        register_recompute("audit-cell", _recompute_audit_cell)
-    if "fingerprint-mc" not in _RECOMPUTERS:
-        register_recompute("fingerprint-mc", _recompute_fingerprint_mc)
-
-
-# -- per-kind recomputers ---------------------------------------------------
-
-
-def _recompute_audit_cell(components: Dict[str, Any]) -> Any:
-    from ..observability.audit import CONTRACTS, check_to_payload, run_audit_cell
-
+    if kind != AUDIT_CELL_KIND:
+        raise ReproError(f"no recomputer for cache kind {kind!r}")
+    components = provenance.get("components", {})
     specs = {spec.name: spec for spec in CONTRACTS}
     name = components["contract"]
     if name not in specs:
         raise ReproError(f"unknown audit contract {name!r}")
     check = run_audit_cell(specs[name], components["m"], components["n"])
     return check_to_payload(check)
-
-
-def _recompute_fingerprint_mc(components: Dict[str, Any]) -> Any:
-    from ..algorithms.fingerprint import fingerprint_mc_lanes
-    from ..parallel import derive_lane_rng
-
-    base = components["base"]
-    lanes = list(range(base, base + components["count"]))
-    rngs = [derive_lane_rng(components["seed"], lane) for lane in lanes]
-    accepted = fingerprint_mc_lanes(
-        lanes,
-        components["m"],
-        components["n"],
-        components["kind"],
-        components["k"],
-        rngs,
-    )
-    return {"accepted": accepted}
 
 
 # -- the verify sweep -------------------------------------------------------
@@ -116,7 +63,6 @@ def verify_entries(
     The sample is drawn with a seeded rng over the sorted entry list, so
     the same store contents always verify the same entries.
     """
-    _ensure_default_recomputers()
     entries = list(store.entries())
     rng = random.Random(f"cache-verify:{seed}")
     if sample < len(entries):

@@ -52,7 +52,11 @@ class ResultStore:
     ``hits`` (entries served), ``misses`` (lookups that found no usable
     entry), ``writes`` (entries written) and ``invalid`` (corrupt or
     stale entries quarantined at lookup time) count this process's
-    traffic.
+    traffic.  ``ledger`` (a
+    :class:`~repro.observability.ledger.LedgerWriter`) gets one ``cache``
+    record per event, carrying the entry kind and the content-addressed
+    key digest — both deterministic, so cache lines survive the
+    determinism strip.
     """
 
     def __init__(self, root, *, ledger=None):
@@ -65,16 +69,6 @@ class ResultStore:
         self.misses = 0
         self.writes = 0
         self.invalid = 0
-
-    def attach_ledger(self, ledger) -> None:
-        """Journal every hit/miss/write/invalid to a sweep ledger.
-
-        ``ledger`` duck-types
-        :class:`~repro.observability.ledger.LedgerWriter`; events carry
-        the entry kind and the content-addressed key digest, both
-        deterministic, so cache lines survive the determinism strip.
-        """
-        self._ledger = ledger
 
     def _event(self, event: str, key: CacheKey) -> None:
         if self._ledger is not None:
@@ -207,17 +201,6 @@ class ResultStore:
                     pass
         self.writes += 1
         self._event("write", key)
-
-    def get_or_compute(
-        self, key: CacheKey, compute: Callable[[], Any], *, engine: Any = None
-    ) -> Any:
-        """Serve ``key`` from the store, or compute-and-store on a miss."""
-        payload = self.lookup(key)
-        if payload is not None:
-            return payload
-        payload = compute()
-        self.store(key, payload, engine=engine)
-        return payload
 
     # -- maintenance (stats / gc / verify support) --------------------------
 

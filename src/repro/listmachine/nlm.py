@@ -28,9 +28,9 @@ class _Bracket:
     """Angle-bracket singletons ⟨ and ⟩.
 
     Equality is identity, so pickling must resolve back to the module
-    singletons: without :meth:`__reduce__`, a skeleton shipped home from
-    a census worker would carry private bracket copies and never compare
-    equal to one computed in-process.
+    singletons: without :meth:`__reduce__`, an unpickled skeleton would
+    carry private bracket copies and never compare equal to one computed
+    in-process.
     """
 
     __slots__ = ("_label",)

@@ -27,8 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import MachineError
-from ..machines.execute import Run
-from ..machines.fast_engine import run_deterministic
+from ..machines.execute import Run, run_deterministic
 from ..machines.tm import TuringMachine
 
 
@@ -115,8 +114,9 @@ def block_trace(
     step_limit: int = 100_000,
 ) -> BlockTrace:
     """Replay a deterministic run and extract the induced block trace."""
-    # the block analysis needs the full configuration history: trace mode
-    run = run_deterministic(machine, word, step_limit=step_limit, trace=True)
+    # the block analysis needs the full configuration history, which the
+    # reference engine keeps
+    run = run_deterministic(machine, word, step_limit=step_limit)
     t = machine.external_tapes
     partitions = [BlockPartition() for _ in range(t)]
     for cut in _input_blocks(machine, word):

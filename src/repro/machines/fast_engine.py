@@ -14,9 +14,8 @@ high-water mark and the reversal count **incrementally per step**, so
 
 * :func:`run_deterministic` / :func:`run_with_choices` retain only the
   current state plus the running :class:`~repro.machines.execute.RunStatistics`
-  (pass ``trace=True`` to keep the full configuration history and get the
-  reference engine's :class:`~repro.machines.execute.Run` back — needed by
-  the Lemma 16 block-trace machinery and by renderers);
+  (a caller that needs the full configuration history — the Lemma 16
+  block trace, a renderer — runs the reference engine);
 * :func:`acceptance_probability` runs the exact-``Fraction`` DP over the
   configuration DAG with an **explicit stack** (no ``RecursionError`` on
   runs deeper than ``sys.getrecursionlimit()``) and interns configurations
@@ -33,12 +32,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import MachineError, StepBudgetExceeded
 from ..extmem.tape import BLANK
 from .config import Configuration, apply_transition, initial_configuration
-from .execute import DEFAULT_STEP_LIMIT, Run, RunStatistics
+from .execute import DEFAULT_STEP_LIMIT, RunStatistics
 from .tm import L, R, Transition, TuringMachine
 
 
@@ -46,9 +45,8 @@ from .tm import L, R, Transition, TuringMachine
 class FastRun:
     """A completed streaming run: final configuration plus statistics.
 
-    The configuration history is *not* retained — that is the point.  Use
-    ``trace=True`` on the run functions to get a full
-    :class:`~repro.machines.execute.Run` instead.
+    The configuration history is *not* retained — that is the point; the
+    reference engine's :class:`~repro.machines.execute.Run` keeps it.
     """
 
     final: Configuration
@@ -137,7 +135,7 @@ class StepState:
 
         All writes land before any head moves (the order the streaming
         loop uses too), so an attached tracker sees charges — and budget
-        denials — in the same stream order in both run modes.
+        denials — in the same stream order either way.
         """
         buffers = self.buffers
         positions = self.positions
@@ -212,10 +210,9 @@ def _raise_step_violation(
 ) -> None:
     """Diagnose and raise the stuck/choice-exhausted/step-limit condition.
 
-    The single source of truth for both run modes' control-flow errors
-    (streaming and traced use exactly this, so they cannot drift), in the
-    canonical priority order: choice exhaustion, then the step budget,
-    then stuckness.
+    The streaming loop's control-flow errors, in the reference engine's
+    priority order: choice exhaustion, then the step budget, then
+    stuckness.
     """
     if choices is not None and steps >= len(choices):
         raise MachineError(
@@ -285,7 +282,7 @@ def _run_streaming(
     probe=None,
     tracker=None,
 ) -> FastRun:
-    """The O(1)-per-step hot loop shared by both run modes (no trace).
+    """The O(1)-per-step hot loop behind both run functions.
 
     Works directly on the :class:`StepState` buffers through local
     bindings; the read tuple is maintained incrementally — only cells a
@@ -373,73 +370,24 @@ def _run_streaming(
     return result
 
 
-def _run_traced(
-    machine: TuringMachine,
-    word: str,
-    choices: Optional[Sequence[int]],
-    step_limit: int,
-    probe=None,
-    tracker=None,
-) -> Run:
-    """Trace mode: same stepping, but every configuration is snapshotted.
-
-    Control flow (choice exhaustion / step budget / stuckness) goes through
-    the same :func:`_raise_step_violation` guard as the streaming loop, so
-    the two modes raise identical errors under identical conditions.
-    """
-    index = machine.transition_index()
-    state = StepState(machine, word, tracker)
-    configs: List[Configuration] = [state.snapshot()]
-    guard = _step_guard_limit(choices, step_limit)
-    if probe is not None:
-        probe.on_run_start(machine, word)
-    while not state.is_final():
-        step = state.steps
-        options = index.get((state.state, state.read_tuple()), [])
-        if step >= guard or not options:
-            _raise_step_violation(
-                machine,
-                state.state,
-                state.read_tuple(),
-                choices,
-                step,
-                step_limit,
-                options,
-            )
-        if choices is None:
-            state.apply(options[0])
-        else:
-            state.apply(options[choices[step] % len(options)])
-        configs.append(state.snapshot())
-    run = Run(tuple(configs), state.statistics())
-    if probe is not None:
-        probe.on_run_end(run.statistics)
-    return run
-
-
 def run_deterministic(
     machine: TuringMachine,
     word: str,
     *,
     step_limit: int = DEFAULT_STEP_LIMIT,
-    trace: bool = False,
     probe=None,
     tracker=None,
-) -> Union[Run, FastRun]:
+) -> FastRun:
     """Execute a deterministic machine in streaming mode.
 
-    Returns a :class:`FastRun` (final configuration + statistics only);
-    with ``trace=True`` the full history is kept and a reference-style
-    :class:`~repro.machines.execute.Run` is returned instead.  ``probe``
-    (an :class:`~repro.observability.trace.EngineProbe`, default ``None``)
-    observes the run as one span; ``tracker`` (a
+    Returns a :class:`FastRun` (final configuration + statistics only).
+    ``probe`` (an :class:`~repro.observability.trace.EngineProbe`,
+    default ``None``) observes the run as one span; ``tracker`` (a
     :class:`~repro.extmem.tracker.ResourceTracker`) registers the
     external tapes and enforces any attached budget live.
     """
     if not machine.is_deterministic:
         raise MachineError(f"{machine.name} is not deterministic")
-    if trace:
-        return _run_traced(machine, word, None, step_limit, probe, tracker)
     return _run_streaming(machine, word, None, step_limit, probe, tracker)
 
 
@@ -449,17 +397,14 @@ def run_with_choices(
     choices: Sequence[int],
     *,
     step_limit: int = DEFAULT_STEP_LIMIT,
-    trace: bool = False,
     probe=None,
     tracker=None,
-) -> Union[Run, FastRun]:
+) -> FastRun:
     """ρ_T(w, c) in streaming mode (Definition 17 semantics).
 
     Step ``i`` takes successor number ``c_i mod |Next_T(γ_i)|``; the
     sequence must drive the run to a final state.
     """
-    if trace:
-        return _run_traced(machine, word, choices, step_limit, probe, tracker)
     return _run_streaming(machine, word, choices, step_limit, probe, tracker)
 
 

@@ -8,17 +8,17 @@ of :func:`repro.machines.fast_engine.acceptance_probability` (the
 streaming engine's iterative DP — same Fractions as the reference
 oracle, no recursion-depth ceiling) — no sampling noise.
 
-Both checkers accept ``jobs=``: the per-word DPs are independent, so the
-word sample fans out over worker processes through
-:mod:`repro.parallel`, one unprobed ``acceptance_probability`` task per
-word.  To see one DP's configuration-DAG size (interned and memoized
+Both checkers run one ``acceptance_probability`` per word, in process.
+To see one DP's configuration-DAG size (interned and memoized
 configurations, memo hits, frames), trace it: ``repro trace coin-flip``
 prints it on one line.
 
 :func:`estimate_acceptance_probability` is the Monte Carlo twin of the
 exact DP: it samples whole runs under uniformly random choice sequences
-(Definition 17 semantics) with the batch runtime's per-task seeding, so
-the estimate is bit-identical at any ``jobs``.
+(Definition 17 semantics) in blocks of :data:`TRIALS_PER_TASK`, one
+:mod:`repro.parallel` batch task per block with the runtime's per-task
+seeding, so the estimate is bit-identical at any ``jobs`` (``repro trace
+<machine> --trials T --jobs J`` fans it out).
 """
 
 from __future__ import annotations
@@ -34,6 +34,9 @@ from .tm import TuringMachine
 
 #: The checkers' default per-word step ceiling.
 DEFAULT_CHECK_STEP_LIMIT = 100_000
+
+#: Trials per batch task of :func:`estimate_acceptance_probability`.
+TRIALS_PER_TASK = 32
 
 #: Random choice values are drawn below this bound; it is divisible by
 #: every branching factor up to 16, so ``c mod |options|`` stays exactly
@@ -69,21 +72,12 @@ def _check_rtm_words(
     yes_violated,
     no_violated,
     step_limit: int,
-    jobs: int,
 ) -> RTMReport:
-    from ..parallel import BatchTask, run_batch
-
     words = [(word, "yes") for word in yes_words]
     words += [(word, "no") for word in no_words]
-    tasks = [
-        BatchTask.call(
-            acceptance_probability, machine, word, step_limit=step_limit
-        )
-        for word, _side in words
-    ]
-    values = run_batch(tasks, jobs=jobs, label="rtm-check").values()
     violations = []
-    for (word, side), p in zip(words, values):
+    for word, side in words:
+        p = acceptance_probability(machine, word, step_limit=step_limit)
         violated = yes_violated(p) if side == "yes" else no_violated(p)
         if violated:
             violations.append(RTMViolation(word, side, p))
@@ -96,13 +90,10 @@ def check_half_zero_rtm(
     no_words: Sequence[str],
     *,
     step_limit: int = DEFAULT_CHECK_STEP_LIMIT,
-    jobs: int = 1,
 ) -> RTMReport:
     """Exactly verify the (1/2, 0)-RTM contract on the given samples.
 
     Yes-words need Pr(accept) ≥ 1/2; no-words need Pr(accept) = 0.
-    ``jobs`` distributes the per-word DPs over worker processes; the
-    report is identical for any value.
     """
     return _check_rtm_words(
         machine,
@@ -111,7 +102,6 @@ def check_half_zero_rtm(
         lambda p: p < Fraction(1, 2),
         lambda p: p != 0,
         step_limit,
-        jobs,
     )
 
 
@@ -121,7 +111,6 @@ def check_co_half_zero_rtm(
     no_words: Sequence[str],
     *,
     step_limit: int = DEFAULT_CHECK_STEP_LIMIT,
-    jobs: int = 1,
 ) -> RTMReport:
     """The complementary contract (co-RST side): yes-words accepted with
     probability 1, no-words accepted with probability ≤ 1/2."""
@@ -132,7 +121,6 @@ def check_co_half_zero_rtm(
         lambda p: p != 1,
         lambda p: p > Fraction(1, 2),
         step_limit,
-        jobs,
     )
 
 
@@ -209,28 +197,23 @@ def estimate_acceptance_probability(
     *,
     seed: Any = 0,
     jobs: int = 1,
-    trials_per_task: int = 32,
     step_limit: int = DEFAULT_CHECK_STEP_LIMIT,
 ) -> MonteCarloAcceptance:
     """Sample Pr(T accepts w) over ``trials`` independent random runs.
 
-    The sample is partitioned into fixed-size blocks, one batch task per
-    block, each drawing from its own task-index-derived rng — so the
-    estimate depends only on ``(seed, trials, trials_per_task)``, never
-    on ``jobs`` or scheduling.  The exact-DP answer is the oracle this
+    The sample is partitioned into blocks of :data:`TRIALS_PER_TASK`, one
+    batch task per block, each drawing from its own task-index-derived
+    rng — so the estimate depends only on ``(seed, trials)``, never on
+    ``jobs`` or scheduling.  The exact-DP answer is the oracle this
     estimator is tested against.
     """
     if trials < 1:
         raise MachineError(f"trials must be >= 1, got {trials}")
-    if trials_per_task < 1:
-        raise MachineError(
-            f"trials_per_task must be >= 1, got {trials_per_task}"
-        )
     from ..parallel import BatchTask, run_batch
 
     blocks = [
-        min(trials_per_task, trials - start)
-        for start in range(0, trials, trials_per_task)
+        min(TRIALS_PER_TASK, trials - start)
+        for start in range(0, trials, TRIALS_PER_TASK)
     ]
     tasks = [
         BatchTask.call(

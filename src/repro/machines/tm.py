@@ -102,17 +102,16 @@ class TuringMachine:
     _CACHE_ATTRS = (
         "_transition_index",
         "_compiled_steps",
-        "_machine_fingerprint",
     )
 
     def __getstate__(self) -> Dict[str, object]:
         """Pickle the definition only, never the memoized caches.
 
-        ``transition_index()``, the streaming engine's ``_compiled_steps``
-        and the cache layer's ``_machine_fingerprint`` are stashed on the
-        instance ``__dict__``; shipping them to worker processes would
-        bloat every task payload with data the worker can rebuild in one
-        pass over the (small) transition table.  Every derived cache lives
+        ``transition_index()`` and the streaming engine's
+        ``_compiled_steps`` are stashed on the instance ``__dict__``;
+        shipping them to worker processes would bloat every task payload
+        with data the worker can rebuild in one pass over the (small)
+        transition table.  Every derived cache lives
         under an underscore name while the dataclass fields never do, so
         stripping by prefix covers future memo attributes automatically
         (regression-tested in ``tests/test_parallel.py``).  Workers

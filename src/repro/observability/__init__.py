@@ -29,7 +29,7 @@ Layered bottom-up:
 * :mod:`~repro.observability.ledger` — the durable layer above a single
   run, and the batch runtime's only observer: a :class:`LedgerWriter`
   journals sweeps as canonical-JSON lines (sweep start/end tallies, task
-  outcomes, worker restarts, heartbeats, stalls, cache events) with
+  outcomes, worker restarts, cache events) with
   every wall-clock field isolated in a marked ``wall`` section, so
   stripped ledgers of identical serial runs are byte-identical;
 * :mod:`~repro.observability.report` — rollups and regression verdicts

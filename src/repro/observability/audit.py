@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..extmem import ResourceBudget, ResourceReport, ResourceTracker
 from .sinks import EventSink, TallySink
@@ -475,13 +475,12 @@ def run_audit_cell(spec: ContractSpec, m: int, n: int) -> ContractCheck:
 def run_audit_cells(
     cells: Sequence[Tuple[int, int]], spec: ContractSpec
 ) -> List[ContractCheck]:
-    """Map-task body: one contract's whole (m, n) N-sweep in one task.
+    """Batch task body: one contract's whole (m, n) N-sweep in one task.
 
-    The per-spec sweep is the batch-shaped unit the audit hands down the
-    runtime (a :meth:`~repro.parallel.BatchTask.map` input list); each
-    cell still seeds its own rng from its coordinates alone, so the
+    The per-spec sweep is the unit the audit hands the batch runtime;
+    each cell still seeds its own rng from its coordinates alone, so the
     checks — and the JSON written from them — are byte-identical to
-    running the cells as individual tasks at any ``jobs``.
+    running the cells one by one, at any ``jobs``.
     """
     return [run_audit_cell(spec, m, n) for m, n in cells]
 
@@ -492,7 +491,6 @@ def run_contract_audit(
     contracts: Optional[Sequence[ContractSpec]] = None,
     sweep: Optional[Sequence[Tuple[int, int]]] = None,
     jobs: int = 1,
-    chunk_size: Union[int, str, None] = None,
     cache=None,
     ledger=None,
 ) -> AuditRun:
@@ -500,11 +498,10 @@ def run_contract_audit(
 
     Every contract runs over the same (m, n) cell list.  ``jobs`` fans
     the per-contract N-sweeps out over worker processes via
-    :mod:`repro.parallel` — one lane-batched map task per contract, so
-    each worker hands a whole sweep down in one call; every cell seeds
-    its own rng from its coordinates, so the result — and the JSON
-    artifact written from it — is byte-identical to the serial sweep for
-    any ``jobs``.
+    :mod:`repro.parallel` — one task per contract, so each worker runs
+    a whole sweep in one call; every cell seeds its own rng from its
+    coordinates, so the result — and the JSON artifact written from it
+    — is byte-identical to the serial sweep for any ``jobs``.
 
     ``cache`` (a :class:`~repro.cache.ResultStore`) memoizes per check:
     cells whose content-addressed key is already stored skip their
@@ -517,7 +514,7 @@ def run_contract_audit(
 
     ``ledger`` (a :class:`~repro.observability.ledger.LedgerWriter`)
     journals the run durably on two layers: the batch runtime writes one
-    ``task-outcome`` per dispatched map task (label ``audit``, one per
+    ``task-outcome`` per dispatched task (label ``audit``, one per
     contract), and this function writes a deterministic per-cell sweep
     (label ``audit-cells``) — one ``task-outcome`` per contract check,
     stamped ``{contract, m, n, source: cache|computed}`` — that
@@ -549,13 +546,12 @@ def run_contract_audit(
     dispatch = [spec for spec in specs if spec.name in missing]
     if dispatch:
         tasks = [
-            BatchTask.map(run_audit_cells, missing[spec.name], spec)
+            BatchTask.call(run_audit_cells, missing[spec.name], spec)
             for spec in dispatch
         ]
         sweeps = run_batch(
             tasks,
             jobs=jobs,
-            chunk_size=chunk_size,
             label="audit",
             ledger=ledger,
         ).values()

@@ -5,9 +5,8 @@ tracker, spans trace one engine call, a ``BatchResult`` summarizes one
 batch and then dies with the process.  The ledger is the durable record
 *across* runs: a :class:`LedgerWriter` appends one canonical-JSON line
 (:func:`~repro.cache.fingerprint.canonical_json` — sorted keys, compact
-separators) per sweep event, so a ``repro audit`` or a Monte Carlo
-sweep leaves behind a journal of exactly what ran, what it cost,
-and what served it.
+separators) per sweep event, so a ``repro audit --ledger`` leaves
+behind a journal of exactly what ran, what it cost, and what served it.
 
 Record kinds (all schema-versioned via :data:`LEDGER_SCHEMA`):
 
@@ -17,17 +16,17 @@ Record kinds (all schema-versioned via :data:`LEDGER_SCHEMA`):
   index, ok, attempts (retries = attempts - 1), the structured error if
   any, and an optional ``detail`` dict (the audit stamps
   contract/cell/source attribution here);
-* ``heartbeat`` — progress every :data:`HEARTBEAT_EVERY` completed
-  tasks: completed/total plus throughput and ETA;
-* ``stall`` — a task whose latency exceeded :data:`STALL_FACTOR` × the
-  sweep's running :data:`STALL_QUANTILE` latency, rounded up to the
-  :data:`LATENCY_BUCKETS` grid;
 * ``worker-restart`` — a process-pool rebuild after a crash (quarantine
   attribution rides in the eventual ``task-outcome``'s error);
 * ``cache`` — one :class:`~repro.cache.ResultStore` hit/miss/write/
   invalid event, with the entry kind and content-addressed key digest;
-* ``sweep-end`` — final tallies (tasks/completed/failed/restarts) and,
-  for the audit's ``audit-cells`` sweep, the store's counter snapshot.
+* ``sweep-end`` — final tallies (tasks/completed/failed/restarts), the
+  sweep's elapsed time and, for the audit's ``audit-cells`` sweep, the
+  store's counter snapshot.
+
+There are no liveness records: the sweeps that write ledgers finish in
+about half a second, so a heartbeat or stall detector would have
+nothing to report.
 
 The ledger is the batch runtime's only observer: every fact about a
 sweep's dispatch (tasks, jobs, completed, failed, worker restarts,
@@ -35,11 +34,11 @@ per-task seconds) is journaled here and nowhere else.
 
 Determinism discipline — the property the ``ledger-determinism`` CI gate
 pins: every wall-clock-derived value lives in a clearly marked ``wall``
-section of its record (or, for ``stall`` records, makes the *whole
-record* wall-dependent).  :func:`strip_nondeterministic` removes exactly
-those, after which two identical serial sweeps write byte-identical
-ledgers.  Everything outside ``wall`` is a pure function of the work:
-indices, counts, error structures, cache key digests, attempts.
+section of its record (a task's seconds, a sweep's elapsed time).
+:func:`strip_nondeterministic` removes exactly those, after which two
+identical serial sweeps write byte-identical ledgers.  Everything
+outside ``wall`` is a pure function of the work: indices, counts, error
+structures, cache key digests, attempts.
 
 Crash tolerance: records are flushed one whole line at a time, so a
 crash can leave at most one torn line, the last one, with no newline.
@@ -54,9 +53,7 @@ one pointer comparison per outcome and allocates nothing.
 from __future__ import annotations
 
 import json
-import math
 import time
-from bisect import bisect_left, insort
 from pathlib import Path
 from typing import IO, Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -66,11 +63,8 @@ from ..cache.fingerprint import canonical_json
 __all__ = [
     "LEDGER_SCHEMA",
     "LEDGER_KINDS",
-    "WALL_ONLY_KINDS",
     "KIND_SWEEP_START",
     "KIND_TASK_OUTCOME",
-    "KIND_HEARTBEAT",
-    "KIND_STALL",
     "KIND_WORKER_RESTART",
     "KIND_CACHE_EVENT",
     "KIND_SWEEP_END",
@@ -87,8 +81,6 @@ LEDGER_SCHEMA = 1
 
 KIND_SWEEP_START = "sweep-start"
 KIND_TASK_OUTCOME = "task-outcome"
-KIND_HEARTBEAT = "heartbeat"
-KIND_STALL = "stall"
 KIND_WORKER_RESTART = "worker-restart"
 KIND_CACHE_EVENT = "cache"
 KIND_SWEEP_END = "sweep-end"
@@ -96,46 +88,10 @@ KIND_SWEEP_END = "sweep-end"
 LEDGER_KINDS: Tuple[str, ...] = (
     KIND_SWEEP_START,
     KIND_TASK_OUTCOME,
-    KIND_HEARTBEAT,
-    KIND_STALL,
     KIND_WORKER_RESTART,
     KIND_CACHE_EVENT,
     KIND_SWEEP_END,
 )
-
-#: Kinds whose very *existence* depends on wall-clock accidents (a stall
-#: only happens when the host is slow); stripping drops them entirely,
-#: where ordinary records merely lose their ``wall`` section.
-WALL_ONLY_KINDS = frozenset({KIND_STALL})
-
-#: A ``heartbeat`` record follows every this many completed tasks, while
-#: work remains.
-HEARTBEAT_EVERY = 16
-
-#: A task slower than ``STALL_FACTOR`` times the ``STALL_QUANTILE``
-#: latency of its sweep's earlier tasks (once there are at least
-#: ``MIN_STALL_SAMPLES`` of them) gets a ``stall`` record.
-STALL_FACTOR = 4.0
-STALL_QUANTILE = 0.95
-MIN_STALL_SAMPLES = 8
-
-#: The grid the stall detector rounds its quantile up to: sweeps mix
-#: sub-millisecond tasks with multi-second full-sweep audit cells.  An
-#: exact quantile of warm cache hits would sit below ordinary jitter, so
-#: stall records would come and go between identical runs.
-LATENCY_BUCKETS: Tuple[float, ...] = (
-    0.001,
-    0.005,
-    0.01,
-    0.05,
-    0.1,
-    0.5,
-    1.0,
-    5.0,
-    10.0,
-    60.0,
-)
-
 
 class LedgerWriter:
     """Appends canonical-JSON sweep records to a JSONL ledger.
@@ -159,8 +115,6 @@ class LedgerWriter:
             self._owns_stream = False
         self.records_written = 0
         self._sweeps: Dict[str, Dict[str, Any]] = {}
-        # per label: the latencies of its tasks so far, sorted
-        self._latencies: Dict[str, List[float]] = {}
 
     # -- raw line ----------------------------------------------------------
 
@@ -216,12 +170,12 @@ class LedgerWriter:
         error: Optional[Dict[str, Any]] = None,
         detail: Optional[Dict[str, Any]] = None,
     ) -> None:
-        """One task's outcome, plus any heartbeat/stall it triggers.
+        """One task's outcome: one ``task-outcome`` record.
 
-        Everything except ``seconds`` (and the records derived from it)
-        is deterministic; ``detail`` is the caller's structured
-        attribution (the audit stamps ``{contract, m, n, source}`` so
-        ledger lines reconcile against ``AUDIT_contracts.json``).
+        Everything except ``seconds`` is deterministic; ``detail`` is the
+        caller's structured attribution (the audit stamps
+        ``{contract, m, n, source}`` so ledger lines reconcile against
+        ``AUDIT_contracts.json``).
         """
         state = self._state(label)
         record: Dict[str, Any] = {
@@ -237,65 +191,10 @@ class LedgerWriter:
         if detail is not None:
             record["detail"] = detail
         self.record(record)
-        # stall check against the latency distribution *before* this
-        # sample — an outlier must not be allowed to raise its own bar
-        latencies = self._latencies.setdefault(label, [])
-        if len(latencies) >= MIN_STALL_SAMPLES:
-            # the nearest-rank sample, rounded up to the bucket grid (the
-            # largest bucket caps it)
-            rank = math.ceil(STALL_QUANTILE * len(latencies))
-            bucket = bisect_left(LATENCY_BUCKETS, latencies[rank - 1])
-            quantile = LATENCY_BUCKETS[min(bucket, len(LATENCY_BUCKETS) - 1)]
-            threshold = STALL_FACTOR * quantile
-            if seconds > threshold:
-                self.record(
-                    {
-                        "schema": LEDGER_SCHEMA,
-                        "kind": KIND_STALL,
-                        "label": label,
-                        "index": index,
-                        "wall": {
-                            "seconds": round(seconds, 6),
-                            "quantile": STALL_QUANTILE,
-                            "quantile_seconds": quantile,
-                            "threshold_seconds": round(threshold, 6),
-                            "factor": STALL_FACTOR,
-                        },
-                    }
-                )
-        insort(latencies, seconds)
         if ok:
             state["ok"] += 1
         else:
             state["failed"] += 1
-        done = state["ok"] + state["failed"]
-        total = state["total"]
-        if done % HEARTBEAT_EVERY == 0 and (total is None or done < total):
-            elapsed = time.perf_counter() - state["started"]
-            rate = done / elapsed if elapsed > 0 else None
-            eta = (
-                (total - done) / rate
-                if total is not None and rate
-                else None
-            )
-            self.record(
-                {
-                    "schema": LEDGER_SCHEMA,
-                    "kind": KIND_HEARTBEAT,
-                    "label": label,
-                    "completed": done,
-                    "tasks": total,
-                    "wall": {
-                        "elapsed_seconds": round(elapsed, 6),
-                        "tasks_per_second": (
-                            round(rate, 3) if rate is not None else None
-                        ),
-                        "eta_seconds": (
-                            round(eta, 3) if eta is not None else None
-                        ),
-                    },
-                }
-            )
 
     def task_outcome(self, label: str, outcome, *, detail=None) -> None:
         """Adapter for a :class:`~repro.parallel.batch.TaskOutcome`."""
@@ -464,14 +363,9 @@ def load_ledger(
 # -- determinism strip -----------------------------------------------------
 
 
-def strip_record(record: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-    """The deterministic projection of one record.
-
-    Drops the marked ``wall`` section; returns ``None`` for kinds whose
-    existence is itself wall-dependent (:data:`WALL_ONLY_KINDS`).
-    """
-    if record.get("kind") in WALL_ONLY_KINDS:
-        return None
+def strip_record(record: Dict[str, Any]) -> Dict[str, Any]:
+    """The deterministic projection of one record: without its ``wall``
+    section."""
     return {k: v for k, v in record.items() if k != "wall"}
 
 
@@ -495,7 +389,5 @@ def strip_nondeterministic(
         if record is None:
             out.append(stripped_line)
             continue
-        projected = strip_record(record)
-        if projected is not None:
-            out.append(canonical_json(projected))
+        out.append(canonical_json(strip_record(record)))
     return out

@@ -6,7 +6,7 @@ report``:
 * :func:`summarize_ledgers` — deterministic rollups of one or more sweep
   ledgers: per-label task/retry/restart tallies, error and cache-source
   tables, and (under a marked ``wall`` section, mirroring the ledger's
-  own discipline) latency quantiles and stall counts.  Aggregation is
+  own discipline) latency quantiles.  Aggregation is
   order-insensitive and every table is sorted, so parallel sweeps whose
   outcome records landed in completion order still summarize to the same
   bytes.
@@ -33,8 +33,6 @@ from typing import Any, Dict, Iterable, List, Sequence, Set, Tuple, Union
 from ..cache.fingerprint import canonical_json
 from .ledger import (
     KIND_CACHE_EVENT,
-    KIND_HEARTBEAT,
-    KIND_STALL,
     KIND_SWEEP_END,
     KIND_SWEEP_START,
     KIND_TASK_OUTCOME,
@@ -75,8 +73,8 @@ def summarize_ledgers(
 ) -> Dict[str, Any]:
     """Deterministic rollup of one or more ledgers, JSON-ready.
 
-    Wall-derived numbers (latency quantiles, stall counts) live under
-    each sweep's ``wall`` key — strip those and two rollups of two
+    Wall-derived numbers (latency quantiles) live under each sweep's
+    ``wall`` key — strip those and two rollups of two
     identical runs are equal, the same contract the ledger itself keeps.
     """
     records: List[Dict[str, Any]] = []
@@ -98,12 +96,10 @@ def summarize_ledgers(
                 "failed": 0,
                 "retries": 0,
                 "worker_restarts": 0,
-                "heartbeats": 0,
                 "errors": {},
                 "sources": {},
                 "cache": None,
                 "_seconds": [],
-                "_stalls": 0,
             },
         )
 
@@ -133,10 +129,6 @@ def summarize_ledgers(
             seconds = record.get("wall", {}).get("seconds")
             if isinstance(seconds, (int, float)):
                 state["_seconds"].append(float(seconds))
-        elif kind == KIND_HEARTBEAT:
-            sweep(label)["heartbeats"] += 1
-        elif kind == KIND_STALL:
-            sweep(label)["_stalls"] += 1
         elif kind == KIND_WORKER_RESTART:
             state = sweep(label)
             state["worker_restarts"] = max(
@@ -162,7 +154,6 @@ def summarize_ledgers(
     for label in sorted(sweeps):
         state = sweeps[label]
         seconds = sorted(state.pop("_seconds"))
-        stalls = state.pop("_stalls")
         entry: Dict[str, Any] = {
             key: state[key]
             for key in (
@@ -171,7 +162,6 @@ def summarize_ledgers(
                 "failed",
                 "retries",
                 "worker_restarts",
-                "heartbeats",
             )
         }
         if state["errors"]:
@@ -191,7 +181,7 @@ def summarize_ledgers(
                 latency[f"p{int(q * 100)}"] = round(
                     _exact_quantile(seconds, q), 6
                 )
-        entry["wall"] = {"stalls": stalls, "latency_seconds": latency}
+        entry["wall"] = {"latency_seconds": latency}
         out_sweeps[label] = entry
 
     return {
@@ -220,8 +210,7 @@ def render_summary(summary: Dict[str, Any]) -> List[str]:
             f"  sweep {label}: {sweep['tasks']} tasks, "
             f"{sweep['completed']} ok, {sweep['failed']} failed, "
             f"{sweep['retries']} retries, "
-            f"{sweep['worker_restarts']} worker restarts, "
-            f"{sweep['heartbeats']} heartbeats"
+            f"{sweep['worker_restarts']} worker restarts"
         )
         if "errors" in sweep:
             errors = ", ".join(
@@ -239,8 +228,7 @@ def render_summary(summary: Dict[str, Any]) -> List[str]:
                 "    cache counters: "
                 + ", ".join(f"{k}={cache[k]}" for k in sorted(cache))
             )
-        wall = sweep.get("wall", {})
-        latency = wall.get("latency_seconds")
+        latency = sweep.get("wall", {}).get("latency_seconds")
         if latency is not None:
             quantiles = " ".join(
                 f"p{int(q * 100)}={latency[f'p{int(q * 100)}']}"
@@ -248,7 +236,7 @@ def render_summary(summary: Dict[str, Any]) -> List[str]:
             )
             lines.append(
                 f"    latency (wall): {quantiles} max={latency['max']} "
-                f"sum={latency['sum']}s; stalls={wall.get('stalls', 0)}"
+                f"sum={latency['sum']}s"
             )
     if summary["cache_events"]:
         lines.append("  cache events:")

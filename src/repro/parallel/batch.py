@@ -1,35 +1,28 @@
 """The batch task model: what a sweep cell is, and what running one yields.
 
-Every embarrassingly-parallel workload in the repo — contract-audit
-sweeps, Monte Carlo fingerprint trials, skeleton censuses, randomized-
-machine checks — reduces to the same shape: an ordered list of
-independent tasks, each a picklable callable plus arguments, whose
-results must come back **in task order** and **bit-identical** no
-matter how many workers ran them.  This module defines that shape:
+The two sweeps that commands fan out over worker processes — the
+contract audit and :func:`~repro.machines.randomized.estimate_acceptance_probability`
+— reduce to the same shape: an ordered list of independent tasks, each
+a picklable callable plus arguments, whose results must come back **in
+task order** and **bit-identical** no matter how many workers ran them.
+This module defines that shape:
 
 * :class:`BatchTask` — one unit of work.  ``seeded=True`` tasks receive a
   task-index-derived ``random.Random`` as an ``rng`` keyword argument
   (see :func:`derive_task_rng`), which is the entire determinism story:
   the stream a task sees depends only on ``(batch seed, task index)``,
-  never on which worker ran it or in what order.  The
-  :meth:`BatchTask.map` variant carries a whole *input list*: the worker
-  calls ``fn(inputs, *args)`` once and the callee handles every input (a
-  *lane*) in that call.  Seeded map tasks receive one rng *per input*
-  under a global lane numbering (see :func:`derive_lane_rng`), so the
-  stream a lane sees depends only on ``(batch seed, lane index)`` —
-  regrouping the same inputs into different task boundaries cannot
-  change any lane's stream;
+  never on which worker ran it or in what order;
 * :class:`TaskError` — a structured failure record.  Tracebacks ride
   along for debugging but are excluded from equality, so a failed batch
   compares equal across serial and parallel execution;
 * :class:`TaskOutcome` — one task's result slot (value or error), with
   non-comparing ``attempts``/``seconds`` bookkeeping;
-* :class:`BatchResult` — the ordered outcome tuple plus non-comparing
-  batch statistics (worker restarts, wall clock, jobs).
+* :class:`BatchResult` — the ordered outcome tuple plus the
+  non-comparing worker-restart count.
 
 The worker-side entry points (:func:`execute_one`, :func:`execute_chunk`)
-live here too, so the executors in :mod:`~repro.parallel.adapters` and
-the worker processes they spawn share one definition of "run a task".
+live here too, so :func:`~repro.parallel.adapters.run_batch` and the
+worker processes it spawns share one definition of "run a task".
 """
 
 from __future__ import annotations
@@ -43,13 +36,11 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from .._util import normalize_seed
 
 __all__ = [
-    "normalize_seed",
     "BatchTask",
     "TaskError",
     "TaskOutcome",
     "BatchResult",
     "derive_task_rng",
-    "derive_lane_rng",
     "execute_one",
     "execute_chunk",
     "ERROR_EXCEPTION",
@@ -57,10 +48,10 @@ __all__ = [
     "ERROR_DISPATCH",
 ]
 
-#: The task body raised a Python exception (contained in any executor).
+#: The task body raised a Python exception (contained at any ``jobs``).
 ERROR_EXCEPTION = "exception"
 #: The worker process died mid-task (SIGKILL, segfault, ``os._exit``);
-#: only the parallel executor can contain this.
+#: only the process pool can contain this.
 ERROR_WORKER_CRASH = "worker-crash"
 #: The task could not be shipped to or from a worker (e.g. unpicklable
 #: arguments or return value).
@@ -71,28 +62,12 @@ def derive_task_rng(seed: Any, index: int) -> random.Random:
     """The per-task random stream: a function of (batch seed, task index).
 
     String-keyed like the audit harness's per-cell seeding, so the stream
-    is stable across Python versions, worker counts, chunk sizes and
-    executors — the determinism contract of the whole runtime rests on
-    this one line.  The seed goes through
-    :func:`~repro._util.normalize_seed`, the same choke point cache-key
-    composition uses, so equal logical seeds (``7`` vs ``"7"``) yield
-    equal streams *and* equal cache keys.
+    is stable across Python versions, worker counts and chunk sizes — the
+    determinism contract of the whole runtime rests on this one line.
+    The seed goes through :func:`~repro._util.normalize_seed`, so equal
+    logical seeds (``7`` vs ``"7"``) yield equal streams.
     """
     return random.Random(f"batch:{normalize_seed(seed)}:{index}")
-
-
-def derive_lane_rng(seed: Any, index: int) -> random.Random:
-    """The per-lane random stream of a :meth:`BatchTask.map` task.
-
-    ``index`` is the lane's *global* position in the logical sweep
-    (``task.base_index + offset``), so the stream depends only on
-    ``(batch seed, lane index)`` — splitting the same inputs into more
-    or fewer map tasks leaves every lane's randomness untouched.  Keyed
-    in a distinct namespace from :func:`derive_task_rng` so a sweep that
-    mixes per-task and per-lane seeding never aliases streams; the seed
-    is normalized through the same choke point as cache keys.
-    """
-    return random.Random(f"batch:{normalize_seed(seed)}:lane:{index}")
 
 
 @dataclass(frozen=True)
@@ -102,23 +77,13 @@ class BatchTask:
     ``fn`` must be picklable (a module-level callable or
     ``functools.partial`` of one) for parallel execution; ``kwargs`` is
     stored as a sorted tuple of pairs so tasks stay immutable.  With
-    ``seeded=True`` the executor injects ``rng=derive_task_rng(seed, i)``.
-
-    A *map task* (built by :meth:`map`) additionally carries ``inputs``,
-    a tuple of lane inputs: the worker calls
-    ``fn(list(inputs), *args, **kwargs)`` so the callee handles the
-    whole list in one call.  With
-    ``seeded=True`` a map task gets ``rngs=[derive_lane_rng(seed,
-    base_index + j), ...]`` — one stream per lane under the sweep's
-    global lane numbering — instead of a single ``rng``.
+    ``seeded=True`` the runtime injects ``rng=derive_task_rng(seed, i)``.
     """
 
     fn: Callable[..., Any]
     args: Tuple[Any, ...] = ()
     kwargs: Tuple[Tuple[str, Any], ...] = ()
     seeded: bool = False
-    inputs: Optional[Tuple[Any, ...]] = None
-    base_index: int = 0
 
     @classmethod
     def call(cls, fn: Callable[..., Any], *args: Any, seeded: bool = False, **kwargs: Any) -> "BatchTask":
@@ -128,31 +93,6 @@ class BatchTask:
             args=tuple(args),
             kwargs=tuple(sorted(kwargs.items())),
             seeded=seeded,
-        )
-
-    @classmethod
-    def map(
-        cls,
-        fn: Callable[..., Any],
-        inputs: Sequence[Any],
-        *args: Any,
-        base_index: int = 0,
-        seeded: bool = False,
-        **kwargs: Any,
-    ) -> "BatchTask":
-        """Build a lane-batched task: ``fn(list(inputs), *args, **kwargs)``.
-
-        ``base_index`` is the global lane index of ``inputs[0]`` in the
-        logical sweep, anchoring per-lane rng derivation across task
-        boundaries.
-        """
-        return cls(
-            fn=fn,
-            args=tuple(args),
-            kwargs=tuple(sorted(kwargs.items())),
-            seeded=seeded,
-            inputs=tuple(inputs),
-            base_index=base_index,
         )
 
 
@@ -178,7 +118,7 @@ class TaskOutcome:
     ``attempts`` and ``seconds`` are bookkeeping, not results: they vary
     with crash retries and wall clock, so they do not participate in
     equality — ``TaskOutcome`` lists compare bit-identical across
-    executors whenever values and errors do.
+    ``jobs`` whenever values and errors do.
     """
 
     index: int
@@ -191,12 +131,10 @@ class TaskOutcome:
 
 @dataclass(frozen=True)
 class BatchResult:
-    """Ordered outcomes plus non-comparing batch statistics."""
+    """Ordered outcomes plus the non-comparing worker-restart count."""
 
     outcomes: Tuple[TaskOutcome, ...]
-    jobs: int = field(compare=False, default=1)
     worker_restarts: int = field(compare=False, default=0)
-    elapsed_seconds: float = field(compare=False, default=0.0)
 
     def __len__(self) -> int:
         return len(self.outcomes)
@@ -239,19 +177,10 @@ def execute_one(index: int, task: BatchTask, seed: Any) -> TaskOutcome:
     """Run one task, containing any Python exception as a structured error."""
     started = time.perf_counter()
     kwargs: Dict[str, Any] = dict(task.kwargs)
-    if task.inputs is not None:
-        if task.seeded:
-            kwargs["rngs"] = [
-                derive_lane_rng(seed, task.base_index + j)
-                for j in range(len(task.inputs))
-            ]
-        call_args = (list(task.inputs),) + task.args
-    else:
-        if task.seeded:
-            kwargs["rng"] = derive_task_rng(seed, index)
-        call_args = task.args
+    if task.seeded:
+        kwargs["rng"] = derive_task_rng(seed, index)
     try:
-        value = task.fn(*call_args, **kwargs)
+        value = task.fn(*task.args, **kwargs)
     except Exception as exc:
         return TaskOutcome(
             index=index,

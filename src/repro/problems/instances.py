@@ -102,15 +102,17 @@ def near_miss_instance(m: int, n: int, rng: random.Random) -> Instance:
     """
     if m == 0 or n == 0:
         raise EncodingError("near-miss requires m >= 1 and n >= 1")
-    inst = random_equal_instance(m, n, rng)
-    second = list(inst.second)
+    # the draws of random_equal_instance, without building its Instance
+    first = random_words(m, n, rng)
+    second = list(first)
+    rng.shuffle(second)
     j = rng.randrange(m)
     pos = rng.randrange(n)
     flipped = (
         second[j][:pos] + ("1" if second[j][pos] == "0" else "0") + second[j][pos + 1 :]
     )
     second[j] = flipped
-    return Instance(inst.first, tuple(second))
+    return Instance(tuple(first), tuple(second))
 
 
 def random_checksort_instance(

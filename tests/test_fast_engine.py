@@ -28,7 +28,6 @@ from repro.machines import (
 )
 from repro.machines import execute, fast_engine
 from repro.machines.config import apply_transition, initial_configuration
-from repro.machines.execute import Run
 from repro.machines.fast_engine import FastRun, StepState
 from repro.machines.library import (
     coin_flip_machine,
@@ -129,12 +128,6 @@ class TestRunModes:
         assert isinstance(run, FastRun)
         assert not hasattr(run, "configurations")
 
-    def test_trace_returns_reference_run(self):
-        machine = copy_machine()
-        traced = fast_engine.run_deterministic(machine, "0101", trace=True)
-        assert isinstance(traced, Run)
-        assert traced == execute.run_deterministic(machine, "0101")
-
     def test_package_alias_is_fast_engine(self):
         assert run_deterministic is fast_engine.run_deterministic
         assert run_with_choices is fast_engine.run_with_choices
@@ -190,7 +183,6 @@ class TestDifferentialProperties:
         assert fast.final == ref.final
         assert fast.statistics == ref.statistics
         assert fast.accepts(machine) == ref.accepts(machine)
-        assert fast_engine.run_deterministic(machine, word, trace=True) == ref
 
     @given(seed=st.integers(0, 2**16), word=st.text(alphabet="01", max_size=6))
     @QUICK_SETTINGS
@@ -212,10 +204,6 @@ class TestDifferentialProperties:
             fast = fast_engine.run_with_choices(machine, word, choices)
             assert fast.final == ref.final
             assert fast.statistics == ref.statistics
-            assert (
-                fast_engine.run_with_choices(machine, word, choices, trace=True)
-                == ref
-            )
 
 
 class TestDeepRuns:

@@ -788,29 +788,21 @@ class TestTallyRuns:
 
 
 class TestMonteCarloArguments:
-    """Bad trial arguments fail before any cache lookup or dispatch."""
-
-    class _NoLookups:
-        def lookup(self, key):
-            raise AssertionError("cache looked up before the arguments were checked")
+    """Bad trial arguments fail before any trial runs."""
 
     @pytest.fixture(autouse=True)
-    def no_dispatch(self, monkeypatch):
-        import repro.parallel
+    def no_trials(self, monkeypatch):
+        import repro.algorithms.fingerprint as fingerprint
 
-        def run_batch(*args, **kwargs):
-            raise AssertionError("batch dispatched before the arguments were checked")
+        def derive_lane_rng(*args, **kwargs):
+            raise AssertionError("trial run before the arguments were checked")
 
-        monkeypatch.setattr(repro.parallel, "run_batch", run_batch)
+        monkeypatch.setattr(fingerprint, "derive_lane_rng", derive_lane_rng)
 
     def test_unknown_kind(self):
         with pytest.raises(EncodingError, match="unknown trial kind 'bogus'"):
-            monte_carlo_fingerprint_trials(
-                4, 4, 4, kind="bogus", cache=self._NoLookups()
-            )
+            monte_carlo_fingerprint_trials(4, 4, 4, kind="bogus")
 
     def test_near_miss_needs_a_bit_to_flip(self):
         with pytest.raises(EncodingError, match="near-miss"):
-            monte_carlo_fingerprint_trials(
-                4, 0, 4, kind="near-miss", cache=self._NoLookups()
-            )
+            monte_carlo_fingerprint_trials(4, 0, 4, kind="near-miss")

@@ -1,9 +1,9 @@
 """The sweep ledger and the report layer over it.
 
-Covers the PR-8 observability surface: canonical-JSON ledger records
-with wall-clock isolation, heartbeat/stall emission, the determinism
-strip, run_batch / audit / ResultStore threading, the summarize /
-compare / history rollups and their ``python -m repro report`` CLI.
+Covers the ledger's surface: canonical-JSON ledger records with
+wall-clock isolation, the determinism strip, run_batch / audit /
+ResultStore threading, the summarize / compare / history rollups and
+their ``python -m repro report`` CLI.
 """
 
 import io
@@ -13,15 +13,13 @@ import math
 import pytest
 
 from repro.cache import ResultStore, compose_key
-from repro.errors import MachineError
 from repro.observability.ledger import (
     KIND_CACHE_EVENT,
-    KIND_HEARTBEAT,
-    KIND_STALL,
     KIND_SWEEP_END,
     KIND_SWEEP_START,
     KIND_TASK_OUTCOME,
     KIND_WORKER_RESTART,
+    LEDGER_KINDS,
     LEDGER_SCHEMA,
     LedgerWriter,
     iter_ledger,
@@ -96,95 +94,32 @@ class TestLedgerWriter:
         assert "elapsed_seconds" in end["wall"]
         assert ledger.records_written == 5
 
-    def test_strip_drops_wall_sections_and_stall_records(self):
+    def test_strip_drops_wall_sections(self):
         stream = io.StringIO()
         ledger = LedgerWriter(stream)
-        ledger.sweep_start("s", tasks=9)
-        for index in range(8):
-            ledger.record_outcome("s", index=index, ok=True, seconds=0.01)
-        # a sample far beyond 4 x the running p95 must emit a stall
-        ledger.record_outcome("s", index=8, ok=True, seconds=30.0)
+        ledger.sweep_start("s", tasks=40)
+        for index in range(40):
+            seconds = 30.0 if index == 8 else 0.01
+            ledger.record_outcome("s", index=index, ok=True, seconds=seconds)
         ledger.sweep_end("s")
-        kinds = [r["kind"] for r in _records(stream)]
-        assert KIND_STALL in kinds
-        stall = next(r for r in _records(stream) if r["kind"] == KIND_STALL)
-        assert stall["wall"]["threshold_seconds"] > 0
-        assert strip_record(stall) is None  # wholly wall-dependent
+        records = _records(stream)
+        # one record per outcome, however slow or however many
+        assert [r["kind"] for r in records] == (
+            [KIND_SWEEP_START] + [KIND_TASK_OUTCOME] * 40 + [KIND_SWEEP_END]
+        )
+        assert set(LEDGER_KINDS) == {
+            KIND_SWEEP_START, KIND_TASK_OUTCOME, KIND_WORKER_RESTART,
+            KIND_CACHE_EVENT, KIND_SWEEP_END,
+        }
+        slow = records[9]
+        assert strip_record(slow) == {
+            k: v for k, v in slow.items() if k != "wall"
+        }
         stripped = strip_nondeterministic(stream.getvalue().splitlines())
         projected = [json.loads(line) for line in stripped]
-        assert all(p["kind"] != KIND_STALL for p in projected)
         assert all("wall" not in p for p in projected)
         # the deterministic payload survives intact
-        assert sum(p["kind"] == KIND_TASK_OUTCOME for p in projected) == 9
-
-    def test_stall_threshold_uses_distribution_before_the_sample(self):
-        # the first slow sample cannot raise its own bar: with 8 fast
-        # samples on file, sample 9 is judged against *their* quantile
-        stream = io.StringIO()
-        ledger = LedgerWriter(stream)
-        for index in range(8):
-            ledger.record_outcome("s", index=index, ok=True, seconds=0.002)
-        ledger.record_outcome("s", index=8, ok=True, seconds=5.0)
-        (stall,) = [r for r in _records(stream) if r["kind"] == KIND_STALL]
-        # p95 of eight 2 ms samples, rounded up to the 5 ms bucket
-        assert stall["wall"] == {
-            "seconds": 5.0,
-            "quantile": 0.95,
-            "quantile_seconds": 0.005,
-            "threshold_seconds": 0.02,
-            "factor": 4.0,
-        }
-
-    def test_too_few_samples_never_stall(self):
-        # seven samples on file are below the minimum: no bar to judge by
-        stream = io.StringIO()
-        ledger = LedgerWriter(stream)
-        for index in range(7):
-            ledger.record_outcome("s", index=index, ok=True, seconds=0.002)
-        ledger.record_outcome("s", index=7, ok=True, seconds=5.0)
-        assert not any(r["kind"] == KIND_STALL for r in _records(stream))
-
-    def test_stall_quantile_is_bucketed_nearest_rank(self):
-        # twenty samples on file: nineteen of 0.2 s, then one of 3 s.  The
-        # p95 is the 19th smallest (0.2 s, not the 3 s), rounded up to the
-        # 0.5 s bucket, so the bar is 2 s: a 1.9 s task is no stall
-        # although it is more than 4 x the unrounded 0.2 s, and 2.1 s is
-        stream = io.StringIO()
-        ledger = LedgerWriter(stream)
-        for label, probe in (("a", 1.9), ("b", 2.1)):
-            for index in range(19):
-                ledger.record_outcome(label, index=index, ok=True, seconds=0.2)
-            ledger.record_outcome(label, index=19, ok=True, seconds=3.0)
-            ledger.record_outcome(label, index=20, ok=True, seconds=probe)
-        stalls = [
-            (r["label"], r["index"], r["wall"]["quantile_seconds"])
-            for r in _records(stream)
-            if r["kind"] == KIND_STALL
-        ]
-        assert stalls == [("a", 19, 0.5), ("b", 19, 0.5), ("b", 20, 0.5)]
-
-    def test_quantile_beyond_the_largest_bucket_is_capped(self):
-        stream = io.StringIO()
-        ledger = LedgerWriter(stream)
-        for index in range(8):
-            ledger.record_outcome("s", index=index, ok=True, seconds=100.0)
-        ledger.record_outcome("s", index=8, ok=True, seconds=241.0)
-        (stall,) = [r for r in _records(stream) if r["kind"] == KIND_STALL]
-        assert stall["wall"]["quantile_seconds"] == 60.0
-        assert stall["wall"]["threshold_seconds"] == 240.0
-
-    def test_heartbeat_cadence(self):
-        stream = io.StringIO()
-        ledger = LedgerWriter(stream)
-        ledger.sweep_start("hb", tasks=40)
-        for index in range(40):
-            ledger.record_outcome("hb", index=index, ok=True)
-        ledger.sweep_end("hb")
-        beats = [r for r in _records(stream) if r["kind"] == KIND_HEARTBEAT]
-        # at 16 and 32 completed; never at 40 (the sweep is over)
-        assert [b["completed"] for b in beats] == [16, 32]
-        assert all(b["tasks"] == 40 for b in beats)
-        assert all("elapsed_seconds" in b["wall"] for b in beats)
+        assert sum(p["kind"] == KIND_TASK_OUTCOME for p in projected) == 40
 
     def test_worker_restarts_accumulate(self):
         stream = io.StringIO()
@@ -409,8 +344,7 @@ class TestStoreLedgerEvents:
     def test_hit_miss_write_invalid_sequence(self, tmp_path):
         stream = io.StringIO()
         ledger = LedgerWriter(stream)
-        store = ResultStore(tmp_path / "store")
-        store.attach_ledger(ledger)
+        store = ResultStore(tmp_path / "store", ledger=ledger)
         key = compose_key("test-kind", x=1)
         assert store.lookup(key) is None
         store.store(key, {"v": 7})
@@ -429,74 +363,6 @@ class TestStoreLedgerEvents:
         ]
         digests = {r["key"] for r in _records(stream)}
         assert digests == {key.digest}
-
-
-# -- census caching (satellite: route the census through the store) --------
-
-
-class TestCensusCache:
-    def _machine(self):
-        import functools
-
-        from repro.listmachine.examples import tandem_compare_nlm
-
-        alphabet = frozenset({"00", "01", "10", "11"})
-        factory = functools.partial(tandem_compare_nlm, alphabet, 2)
-        return factory(), sorted(alphabet)
-
-    def test_cache_requires_an_identity_token(self, tmp_path):
-        from repro.lowerbounds.counting import enumerate_skeletons
-
-        nlm, alphabet = self._machine()
-        store = ResultStore(tmp_path)
-        with pytest.raises(MachineError, match="cache_key"):
-            enumerate_skeletons(nlm, alphabet, r=2, cache=store)
-
-    def test_hit_skips_enumeration_and_journals(self, tmp_path):
-        from repro.lowerbounds.counting import enumerate_skeletons
-
-        nlm, alphabet = self._machine()
-        stream = io.StringIO()
-        ledger = LedgerWriter(stream)
-        store = ResultStore(tmp_path, ledger=ledger)
-        cold = enumerate_skeletons(
-            nlm, alphabet, r=2, cache=store, cache_key="tandem-2"
-        )
-        warm = enumerate_skeletons(
-            nlm, alphabet, r=2, cache=store, cache_key="tandem-2"
-        )
-        assert warm == cold
-        assert store.hits == 1 and store.misses == 1 and store.writes == 1
-        events = [r["event"] for r in _records(stream)]
-        assert events == ["miss", "write", "hit"]
-        assert all(
-            r["entry_kind"] == "skeleton-census" for r in _records(stream)
-        )
-        # a different identity token is a different entry
-        other = enumerate_skeletons(
-            nlm, alphabet, r=2, cache=store, cache_key="other-family"
-        )
-        assert other == cold
-        assert store.misses == 2 and store.writes == 2
-
-    def test_damaged_entry_recomputes(self, tmp_path):
-        from repro.cache.fingerprint import canonical_json
-        from repro.lowerbounds.counting import enumerate_skeletons
-
-        nlm, alphabet = self._machine()
-        store = ResultStore(tmp_path)
-        cold = enumerate_skeletons(
-            nlm, alphabet, r=2, cache=store, cache_key="tandem-2"
-        )
-        ((path, entry),) = store.entries()
-        payload = entry["payload"]
-        payload["distinct_skeletonz"] = payload.pop("distinct_skeletons")
-        path.write_text(canonical_json(entry), encoding="utf-8")
-        again = enumerate_skeletons(
-            nlm, alphabet, r=2, cache=store, cache_key="tandem-2"
-        )
-        assert again == cold
-        assert store.invalid == 1 and store.writes == 2
 
 
 # -- summaries -------------------------------------------------------------
@@ -538,6 +404,11 @@ class TestSummarize:
         assert sweep["errors"] == {"task": 1}
         assert sweep["sources"] == {"cache": 1, "computed": 1}
         assert sweep["cache"]["hits"] == 1
+        assert set(sweep) == {
+            "tasks", "completed", "failed", "retries", "worker_restarts",
+            "errors", "sources", "cache", "wall",
+        }
+        assert set(sweep["wall"]) == {"latency_seconds"}
         latency = sweep["wall"]["latency_seconds"]
         assert latency["count"] == 4 and latency["max"] == 0.4
         assert latency["p50"] == 0.2

@@ -1,15 +1,15 @@
 """The parallel batch runtime: determinism, containment, observability.
 
 The load-bearing property is the oracle relation: for any task list,
-``ParallelExecutor(jobs=k)`` must produce outcomes *equal* to
-``SerialExecutor`` — same values, same structured errors, same order —
-for every k and every chunking.  Everything else (crash containment,
-pickling hygiene, the ledger) protects that property or observes it.
+``run_batch(tasks, jobs=k)`` must produce outcomes *equal* to
+``run_batch(tasks, jobs=1)`` — same values, same structured errors,
+same order — for every k, and so for every chunking the pool derives
+from k.  Everything else (crash containment, pickling hygiene, the
+ledger) protects that property or observes it.
 """
 
 import os
 import pickle
-import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,13 +22,11 @@ from repro.parallel import (
     ERROR_EXCEPTION,
     ERROR_WORKER_CRASH,
     BatchTask,
-    ExecutorAdapter,
-    ParallelExecutor,
-    SerialExecutor,
     auto_chunk_size,
     derive_task_rng,
     run_batch,
 )
+from repro.parallel.adapters import MAX_RETRIES
 
 
 # -- module-level task bodies (workers import these by qualified name) ----
@@ -80,10 +78,6 @@ def accepts_random_tm(seed, word):
 
 
 class TestAdapterProtocol:
-    def test_adapter_is_abstract(self):
-        with pytest.raises(TypeError):
-            ExecutorAdapter()
-
     def test_jobs_below_one_rejected(self):
         for bad in (0, -2):
             with pytest.raises(ReproError, match="jobs"):
@@ -95,54 +89,45 @@ class TestOracleRelation:
 
     def test_values_and_order(self):
         tasks = [BatchTask.call(square, x) for x in range(17)]
-        serial = SerialExecutor().run_batch(tasks)
+        serial = run_batch(tasks)
         for jobs in (2, 4):
-            par = ParallelExecutor(jobs).run_batch(tasks)
+            par = run_batch(tasks, jobs=jobs)
             assert par.outcomes == serial.outcomes
         assert serial.values() == [x * x for x in range(17)]
 
     def test_seeded_tasks_identical_across_chunkings(self):
-        tasks = [BatchTask.call(draw, 5, seeded=True) for _ in range(9)]
-        baseline = SerialExecutor().run_batch(tasks, seed=42)
-        for jobs, chunk in ((2, 1), (2, 4), (4, 2), (3, None)):
-            par = ParallelExecutor(jobs).run_batch(
-                tasks, seed=42, chunk_size=chunk
-            )
+        # 40 tasks cut into chunks of 5, 4 and 3 at jobs 2, 3 and 4: the
+        # chunking moves with jobs, the outcomes may not
+        tasks = [BatchTask.call(draw, 5, seeded=True) for _ in range(40)]
+        baseline = run_batch(tasks, seed=42)
+        sizes = {}
+        for jobs in (2, 3, 4):
+            sizes[jobs] = auto_chunk_size(len(tasks), jobs)
+            par = run_batch(tasks, jobs=jobs, seed=42)
             assert par.outcomes == baseline.outcomes
+        assert sizes == {2: 5, 3: 4, 4: 3}
         # the streams really are per-task: task 0 and task 1 differ
         assert baseline.outcomes[0].value != baseline.outcomes[1].value
 
     def test_auto_chunk_size_is_deterministic(self):
-        # a pure function of (tasks, workers): repeated evaluation and a
-        # fresh executor's partition must produce the same chunking
+        # a pure function of (tasks, workers): repeated evaluation must
+        # produce the same chunking
         for count, workers in ((0, 1), (1, 1), (9, 2), (100, 4), (7, 16)):
             first = auto_chunk_size(count, workers)
             assert first == auto_chunk_size(count, workers)
             assert first >= 1
             # ~4 chunks per worker: ceil division, floored at one task
             assert first == max(1, -(-count // (workers * 4)))
-        indexed = [(i, BatchTask.call(square, i)) for i in range(10)]
-        parts = [
-            ParallelExecutor(2)._partition(indexed, "auto", 2)
-            for _ in range(2)
-        ]
-        assert parts[0] == parts[1]
-        assert parts[0] == ParallelExecutor(2)._partition(indexed, None, 2)
-        assert [len(chunk) for chunk in parts[0]] == [2, 2, 2, 2, 2]
+        with pytest.raises(ReproError, match="workers"):
+            auto_chunk_size(4, 0)
 
     def test_auto_chunking_matches_serial_oracle(self):
+        # 9 tasks over 2 workers: chunks of 2 with a ragged last one
         tasks = [BatchTask.call(draw, 5, seeded=True) for _ in range(9)]
-        baseline = SerialExecutor().run_batch(tasks, seed=42)
-        par = ParallelExecutor(2).run_batch(
-            tasks, seed=42, chunk_size="auto"
-        )
+        assert auto_chunk_size(len(tasks), 2) == 2
+        baseline = run_batch(tasks, seed=42)
+        par = run_batch(tasks, jobs=2, seed=42)
         assert par.outcomes == baseline.outcomes
-
-    def test_bad_chunk_size_rejected(self):
-        tasks = [BatchTask.call(square, 1)]
-        for bad in (0, -3, "adaptive", 2.5):
-            with pytest.raises(ReproError, match="chunk_size"):
-                ParallelExecutor(2).run_batch(tasks, chunk_size=bad)
 
     def test_seed_changes_streams(self):
         tasks = [BatchTask.call(draw, 5, seeded=True)]
@@ -160,8 +145,8 @@ class TestOracleRelation:
 
     def test_structured_errors_match_serial(self):
         tasks = [BatchTask.call(fail_on, x, 3) for x in range(6)]
-        serial = SerialExecutor().run_batch(tasks)
-        par = ParallelExecutor(2).run_batch(tasks)
+        serial = run_batch(tasks)
+        par = run_batch(tasks, jobs=2)
         assert par.outcomes == serial.outcomes
         (bad,) = serial.errors
         assert bad.index == 3
@@ -192,27 +177,27 @@ class TestOracleRelation:
     @QUICK_SETTINGS
     def test_random_machine_batches_match(self, cases, poison):
         """Random TM runs — with an error path mixed in — agree exactly
-        between the serial oracle and both parallel widths."""
+        between the serial oracle (jobs 1) and jobs 2 and 4."""
         tasks = [
             BatchTask.call(accepts_random_tm, seed, word)
             for seed, word in cases
         ]
         if poison:
             tasks.append(BatchTask.call(fail_on, 3, 3))
-        serial = SerialExecutor().run_batch(tasks)
+        serial = run_batch(tasks, jobs=1)
         for jobs in (2, 4):
-            par = ParallelExecutor(jobs).run_batch(tasks)
+            par = run_batch(tasks, jobs=jobs)
             assert par.outcomes == serial.outcomes
 
 
 class TestCrashContainment:
     def test_worker_crash_is_contained(self):
         tasks = [BatchTask.call(die_on, x, 4) for x in range(8)]
-        result = ParallelExecutor(2, max_retries=1).run_batch(tasks)
+        result = run_batch(tasks, jobs=2)
         crashed = result.outcomes[4]
         assert not crashed.ok
         assert crashed.error.kind == ERROR_WORKER_CRASH
-        assert crashed.attempts == 2  # initial + max_retries retries
+        assert crashed.attempts == 1 + MAX_RETRIES == 3
         # every innocent sibling completed, in order, first attempt
         for x, outcome in enumerate(result.outcomes):
             assert outcome.index == x
@@ -225,7 +210,7 @@ class TestCrashContainment:
             BatchTask.call(square, 2),
             BatchTask.call(lambda x: x, 1),  # lambdas do not pickle
         ]
-        result = ParallelExecutor(2).run_batch(tasks)
+        result = run_batch(tasks, jobs=2)
         assert result.outcomes[0].ok
         assert not result.outcomes[1].ok
 
@@ -233,7 +218,7 @@ class TestCrashContainment:
         # the serial oracle runs in-process; a crash there is a real
         # crash, so only the exception path is containable
         tasks = [BatchTask.call(fail_on, 1, 1)]
-        result = SerialExecutor().run_batch(tasks)
+        result = run_batch(tasks, jobs=1)
         assert result.outcomes[0].error.kind == ERROR_EXCEPTION
 
 
@@ -255,17 +240,13 @@ class TestMachinePickling:
     def test_no_underscore_attribute_survives_pickle(self):
         """The generic strip covers every derived cache, present and future.
 
-        Warm *all* known memo layers — including the cache layer's
-        machine fingerprint — then assert no underscore-prefixed
+        Warm *all* known memo layers, then assert no underscore-prefixed
         ``__dict__`` entry whatsoever rides the pickle.  A new memo attr
         added under an underscore name is covered automatically; one
         added under a bare name would trip the inverse check below.
         """
-        from repro.cache import machine_fingerprint
-
         machine = equality_machine()
         _accepts(machine, "01#01")
-        machine_fingerprint(machine)
         warmed = {k for k in machine.__dict__ if k.startswith("_")}
         # every documented cache attr is actually warmable — the doc
         # tuple cannot drift ahead of (or behind) reality silently
@@ -274,8 +255,6 @@ class TestMachinePickling:
         leaked = [k for k in clone.__dict__ if k.startswith("_")]
         assert leaked == []
         assert clone == machine
-        # the fingerprint memo rebuilds to the same digest after the trip
-        assert machine_fingerprint(clone) == machine_fingerprint(machine)
 
     def test_unpickled_machine_runs_bit_identically(self):
         # the clone rebuilds its step tables on its first run
@@ -296,8 +275,8 @@ class TestMachinePickling:
         words = ["0110#0110", "0#1", "zz", ""]
         _accepts(machine, words[0])  # warmed caches must not leak
         tasks = [BatchTask.call(run_signature, machine, w) for w in words]
-        serial = SerialExecutor().run_batch(tasks)
-        par = ParallelExecutor(2).run_batch(tasks)
+        serial = run_batch(tasks)
+        par = run_batch(tasks, jobs=2)
         assert par.outcomes == serial.outcomes
         # "zz" is outside the alphabet: its lane carries the error
         assert par.values()[2][0] == "MachineError"
@@ -323,8 +302,8 @@ class TestObservability:
 
         stream = io.StringIO()
         tasks = [BatchTask.call(die_on, x, 1) for x in range(3)]
-        result = ParallelExecutor(2, max_retries=0).run_batch(
-            tasks, label="crashy", ledger=LedgerWriter(stream)
+        result = run_batch(
+            tasks, jobs=2, label="crashy", ledger=LedgerWriter(stream)
         )
         records = [json.loads(line) for line in stream.getvalue().splitlines()]
         restarts = [r for r in records if r["kind"] == "worker-restart"]
@@ -362,33 +341,6 @@ class TestRoutedCallSites:
         par = json.dumps(run_contract_audit(quick=True, jobs=2).to_json_dict())
         assert par == serial
 
-    def test_census_parity_and_factory_requirement(self):
-        import functools
-
-        from repro.listmachine.examples import tandem_compare_nlm
-        from repro.lowerbounds.counting import enumerate_skeletons
-
-        alphabet = frozenset({"00", "01", "10", "11"})
-        factory = functools.partial(tandem_compare_nlm, alphabet, 2)
-        nlm = factory()
-        serial = enumerate_skeletons(nlm, sorted(alphabet), r=2)
-        par = enumerate_skeletons(
-            nlm, sorted(alphabet), r=2, jobs=2, machine_factory=factory
-        )
-        assert par == serial
-        with pytest.raises(MachineError, match="machine_factory"):
-            enumerate_skeletons(nlm, sorted(alphabet), r=2, jobs=2)
-
-    def test_census_decode_matches_product_order(self):
-        import itertools
-
-        from repro.lowerbounds.counting import decode_input
-
-        alphabet = ("a", "b", "c")
-        listed = list(itertools.product(alphabet, repeat=3))
-        decoded = [decode_input(alphabet, 3, i) for i in range(len(listed))]
-        assert decoded == listed
-
     def test_mc_acceptance_estimate_is_jobs_invariant(self):
         from repro.machines.randomized import estimate_acceptance_probability
 
@@ -400,48 +352,3 @@ class TestRoutedCallSites:
         assert par == serial
         # a fair coin over 96 trials should land loosely around 1/2
         assert 0.25 <= float(serial.estimate) <= 0.75
-
-    def test_fingerprint_trials_jobs_invariant(self):
-        from repro.algorithms.fingerprint import monte_carlo_fingerprint_trials
-
-        serial = monte_carlo_fingerprint_trials(
-            4, 8, 32, kind="near-miss", seed=3
-        )
-        par = monte_carlo_fingerprint_trials(
-            4, 8, 32, kind="near-miss", seed=3, jobs=2
-        )
-        assert par == serial
-        assert serial.trials == 32
-
-    def test_fingerprint_trials_regrouping_invariant(self):
-        """The lane contract: per-trial rngs come from the *global* lane
-        index, so regrouping lanes into different ``BatchTask.map`` task
-        boundaries cannot move a single draw.  ``k=3`` keeps the prime
-        range small enough that near-miss false positives are plentiful,
-        so a moved draw would actually change the acceptance count."""
-        from repro.algorithms.fingerprint import monte_carlo_fingerprint_trials
-
-        baseline = monte_carlo_fingerprint_trials(
-            4, 8, 32, kind="near-miss", seed=3, k=3
-        )
-        assert 0 < baseline.accepted < baseline.trials
-        for per_task in (1, 5, 7, 32, 100):
-            regrouped = monte_carlo_fingerprint_trials(
-                4, 8, 32, kind="near-miss", seed=3, k=3,
-                trials_per_task=per_task,
-            )
-            assert regrouped == baseline
-        par = monte_carlo_fingerprint_trials(
-            4, 8, 32, kind="near-miss", seed=3, k=3, jobs=2,
-            trials_per_task=7,
-        )
-        assert par == baseline
-
-    def test_rtm_check_jobs_invariant(self):
-        from repro.machines.randomized import check_half_zero_rtm
-
-        machine = coin_flip_machine()
-        serial = check_half_zero_rtm(machine, ["01", "0011"], [])
-        par = check_half_zero_rtm(machine, ["01", "0011"], [], jobs=2)
-        assert par == serial
-        assert serial.holds

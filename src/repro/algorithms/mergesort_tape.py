@@ -37,6 +37,7 @@ from ..extmem.record_tape import (
     merge_runs,
     seed_runs,
     strip_separators,
+    transduce,
 )
 
 
@@ -97,6 +98,28 @@ def tape_merge_sort(
     work_left.rewind()
     strip_separators(work_left, output, RUN_SEP)
     return output
+
+
+def _unique(records):
+    """Each record unequal to the one before it: on a sorted tape, one
+    copy of each (a transducer for ``transduce``)."""
+    previous = None
+    for record in records:
+        if record != previous:
+            yield 0, record
+        previous = record
+
+
+def sorted_unique(tape: RecordTape, tracker: ResourceTracker) -> RecordTape:
+    """Sort all of ``tape`` and keep one copy of each record, on a fresh
+    tape named ``dedup``: the set semantics of the streaming query
+    layers, one merge sort and one scan."""
+    tape.rewind()
+    ordered = tape_merge_sort(tape, tracker)
+    unique = RecordTape(tracker=tracker, name="dedup")
+    ordered.rewind()
+    transduce(ordered, (unique,), _unique)
+    return unique
 
 
 def mergesort_scan_budget(m: int, slack: int = 20) -> int:

@@ -11,9 +11,12 @@ scan, so every O(·) claim about scans/reversals transfers verbatim.
 Random access is deliberately absent: the only primitives are read, write,
 single-cell moves, and end-seeking operations charged exactly as a walk of
 single-cell moves would be, so an algorithm *cannot* cheat the cost model.
-The run operations at the end of the module move a merge sort's runs from
-tape to tape a whole phase at a time, charged as the per-record phase is,
-and hand no record to the caller.
+The run operations at the end of the module move records from tape to tape
+a whole scan at a time, charged as the per-record scan is: ``transduce``
+is any one-source scan that feeds each record, in order, through a
+generator the caller passes (the query layers' copies, filters and
+dedups), and the other four are a merge sort's phases, which hand no
+record to the caller.
 """
 
 from __future__ import annotations
@@ -21,7 +24,16 @@ from __future__ import annotations
 from functools import partial
 from itertools import accumulate, chain, zip_longest
 from operator import is_not
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..errors import ReproError
 from .tracker import ResourceTracker
@@ -275,18 +287,22 @@ def fresh_tapes(
 
 # -- run operations -----------------------------------------------------------
 #
-# A tape merge sort keeps sorted runs on its tapes, each closed by a
-# separator record the caller passes in (``sep``).  Each function below
-# is one whole phase of such a sort, tape to tape: it moves every run of
-# a round in one call and hands no record to its caller.  Definition 1
-# charges a head only when it turns, so a phase costs the same whether
+# Each function below is one whole scan, tape to tape.  Definition 1
+# charges a head only when it turns, so a scan costs the same whether
 # its records move one at a time or together.  Each function charges the
-# turns of the per-record phase its docstring shows, in the same order
+# turns of the per-record scan its docstring shows, in the same order
 # and before any head moves, and leaves every cell, head and direction
-# where that phase leaves them, also when a charge is denied or a record
-# is refused partway.  A turn can only come at the first record a tape
-# reads or writes, so each function puts the source heads where the
-# phase has them at each target's first write, and writes through
+# where that scan leaves them, also when a charge is denied or a record
+# is refused partway.
+#
+# ``transduce`` is any one-source scan whose records pass, in order,
+# through a generator the caller supplies.  The other four are the
+# phases of a tape merge sort, which keeps sorted runs on its tapes,
+# each closed by a separator record the caller passes in (``sep``): each
+# moves every run of a round in one call and hands no record to its
+# caller.  A turn can only come at the first record a tape reads or
+# writes, so each phase puts the source heads where the per-record phase
+# has them at each target's first write, and writes through
 # ``write_all``; after those writes every head faces right and the rest
 # is bulk work.  No tape holds a ``None`` (the constructor and every
 # write refuse one), so a phase reads its sources to their ends.
@@ -328,6 +344,54 @@ def _skip(records: List[Any], sep: Any, at: int) -> int:
     while records[at] is sep:
         at += 1
     return at
+
+
+def transduce(
+    source: RecordTape,
+    targets: Sequence[RecordTape],
+    transducer: Callable[[Iterator[Any]], Iterable[Tuple[int, Any]]],
+) -> None:
+    """Feed the records from ``source``'s head on through ``transducer``
+    and write each ``(i, record)`` it yields onto ``targets[i]``.
+
+    The per-record scan::
+
+        for i, record in transducer(source.scan()):
+            targets[i].step_write(record)
+
+    ``transducer`` is a generator function over an iterator of records:
+    it sees each record once, in order, and touches no tape.  When the
+    source and every target face right and no target's head is past one
+    beyond its end, nothing in that scan can be charged and a target can
+    refuse only a ``None``.  The records are then read off a list, and
+    each target's outputs are written with one ``write_all``: every
+    output yielded before the transducer finished, stopped reading,
+    raised, or yielded a ``None`` or a bad index, with the source head
+    one past the last record it read, as the scan leaves them.  Any
+    other tape state runs the scan as written, which charges its turns.
+    """
+    _distinct(source, *targets)
+    if source._direction != 1 or any(
+        target._direction != 1 or target._head > len(target._cells)
+        for target in targets
+    ):
+        for i, record in transducer(source.scan()):
+            targets[i].step_write(record)
+        return
+    head = source._head
+    records = source._cells[head:]
+    unread = iter(records)
+    outputs: List[List[Any]] = [[] for _ in targets]
+    try:
+        for i, record in transducer(unread):
+            written = outputs[i]  # a bad index raises before a None does
+            if record is None:
+                raise ReproError("None is the blank sentinel; cannot write it")
+            written.append(record)
+    finally:
+        source._head = head + len(records) - unread.__length_hint__()
+        for target, written in zip(targets, outputs):
+            target.write_all(written)
 
 
 def seed_runs(source: RecordTape, target: RecordTape, sep: Any) -> None:

@@ -38,7 +38,7 @@ from ..errors import MachineError, StepBudgetExceeded
 from ..extmem.tape import BLANK
 from .config import Configuration, apply_transition, initial_configuration
 from .execute import DEFAULT_STEP_LIMIT, RunStatistics
-from .tm import L, R, Transition, TuringMachine
+from .tm import L, R, TuringMachine
 
 
 @dataclass(frozen=True)
@@ -65,11 +65,10 @@ class StepState:
     position, last move direction (0 = no move yet), reversal count and
     the space high-water mark ``max(position + 1, written length)`` — the
     exact quantities the reference engine's post-hoc ``statistics()`` scan
-    recovers, updated in O(1) per step instead.
+    recovers, which the streaming loop updates in place in O(1) per step.
     """
 
     __slots__ = (
-        "machine",
         "state",
         "positions",
         "buffers",
@@ -77,14 +76,12 @@ class StepState:
         "reversals",
         "space",
         "steps",
-        "tracker",
         "tape_ids",
     )
 
     def __init__(self, machine: TuringMachine, word: str, tracker=None):
         start = initial_configuration(machine, word)  # validates the word
         tapes = machine.tape_count
-        self.machine = machine
         self.state = start.state
         self.positions: List[int] = [0] * tapes
         self.buffers: List[List[str]] = [list(t) for t in start.tapes]
@@ -94,7 +91,6 @@ class StepState:
             max(1, len(buf)) for buf in self.buffers
         ]  # the head's start cell counts as used
         self.steps = 0
-        self.tracker = tracker
         self.tape_ids: Optional[List[int]] = None
         if tracker is not None:
             self.tape_ids = [
@@ -103,9 +99,6 @@ class StepState:
             ]
 
     # -- queries -----------------------------------------------------------
-
-    def is_final(self) -> bool:
-        return self.state in self.machine.final_states
 
     def read_tuple(self) -> Tuple[str, ...]:
         return tuple(
@@ -127,66 +120,6 @@ class StepState:
             space_per_tape=tuple(self.space),
             length=self.steps + 1,
         )
-
-    # -- stepping ----------------------------------------------------------
-
-    def apply(self, tr: Transition) -> None:
-        """Advance one step under ``tr``, updating statistics in place.
-
-        All writes land before any head moves (the order the streaming
-        loop uses too), so an attached tracker sees charges — and budget
-        denials — in the same stream order either way.
-        """
-        buffers = self.buffers
-        positions = self.positions
-        tracker = self.tracker
-        ext = self.machine.external_tapes
-        for i in range(len(buffers)):
-            buf = buffers[i]
-            pos = positions[i]
-            symbol = tr.write[i]
-            if pos < len(buf):
-                buf[pos] = symbol
-            elif symbol != BLANK:
-                # extend the written prefix; blanks beyond stay implicit
-                while len(buf) < pos:
-                    buf.append(BLANK)
-                buf.append(symbol)
-                if pos + 1 > self.space[i]:
-                    if tracker is not None and i >= ext:
-                        tracker.charge_internal(pos + 1 - self.space[i])
-                    self.space[i] = pos + 1
-        for i in range(len(buffers)):
-            move = tr.moves[i]
-            pos = positions[i]
-            if move == R:
-                pos += 1
-                if self.directions[i] == -1:
-                    if tracker is not None and i < ext:
-                        tracker.charge_reversal(self.tape_ids[i])
-                    self.reversals[i] += 1
-                self.directions[i] = 1
-                positions[i] = pos
-                if pos + 1 > self.space[i]:
-                    if tracker is not None and i >= ext:
-                        tracker.charge_internal(pos + 1 - self.space[i])
-                    self.space[i] = pos + 1
-            elif move == L:
-                if pos == 0:
-                    raise MachineError(
-                        f"head {i + 1} fell off the left end in state "
-                        f"{self.state!r}"
-                    )
-                if self.directions[i] == 1:
-                    if tracker is not None and i < ext:
-                        tracker.charge_reversal(self.tape_ids[i])
-                    self.reversals[i] += 1
-                self.directions[i] = -1
-                positions[i] = pos - 1
-        self.state = tr.new_state
-        self.steps += 1
-        if tracker is not None:
-            tracker.charge_step()
 
 
 def _step_guard_limit(choices: Optional[Sequence[int]], step_limit: int) -> int:

@@ -93,6 +93,18 @@ LEDGER_KINDS: Tuple[str, ...] = (
     KIND_SWEEP_END,
 )
 
+
+def _sweep_state(total: Optional[int]) -> Dict[str, Any]:
+    """A sweep's running tallies, started now."""
+    return {
+        "total": total,
+        "ok": 0,
+        "failed": 0,
+        "restarts": 0,
+        "started": time.perf_counter(),
+    }
+
+
 class LedgerWriter:
     """Appends canonical-JSON sweep records to a JSONL ledger.
 
@@ -129,25 +141,12 @@ class LedgerWriter:
     def _state(self, label: str) -> Dict[str, Any]:
         state = self._sweeps.get(label)
         if state is None:
-            state = {
-                "total": None,
-                "ok": 0,
-                "failed": 0,
-                "restarts": 0,
-                "started": time.perf_counter(),
-            }
-            self._sweeps[label] = state
+            state = self._sweeps[label] = _sweep_state(None)
         return state
 
     def sweep_start(self, label: str, *, tasks: int, jobs: int = 1) -> None:
         """Open a sweep: reset the label's tallies and journal its shape."""
-        self._sweeps[label] = {
-            "total": tasks,
-            "ok": 0,
-            "failed": 0,
-            "restarts": 0,
-            "started": time.perf_counter(),
-        }
+        self._sweeps[label] = _sweep_state(tasks)
         self.record(
             {
                 "schema": LEDGER_SCHEMA,
@@ -254,8 +253,7 @@ class LedgerWriter:
         """
         state = self._sweeps.pop(label, None)
         if state is None:
-            state = {"total": None, "ok": 0, "failed": 0, "restarts": 0,
-                     "started": time.perf_counter()}
+            state = _sweep_state(None)
         record: Dict[str, Any] = {
             "schema": LEDGER_SCHEMA,
             "kind": KIND_SWEEP_END,

@@ -11,21 +11,32 @@ times in a single scan (an internal counter of O(log N) bits).
 Internal memory: O(1) records plus O(log N) bits of counters, matching the
 discussion in DESIGN.md (the paper's O(1) is cells of a constant alphabet;
 one record = O(record-length) such cells).
+
+Each one-source scan moves its records whole: a relation is written with
+one ``write_all``, and selection, projection, the copies behind union and
+the product, the product's row repetition and every dedup are one
+:func:`~repro.extmem.record_tape.transduce` call each, whose generator
+sees each row once, in order.  The scans that read two tapes in lockstep
+(the difference's anti-join and the product's zip) and the row count stay
+per-record.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from functools import partial
+from typing import Any, Iterator, Optional, Sequence, Tuple
 
 from ..._util import ceil_log2
 from ...errors import QueryEvaluationError
 from ...extmem import RecordTape, ResourceBudget, ResourceReport, ResourceTracker
-from ...algorithms.mergesort_tape import tape_merge_sort
+from ...extmem.record_tape import transduce
+from ...algorithms.mergesort_tape import sorted_unique
 from ...problems.definitions import InstanceLike, as_instance
 from .algebra import (
     Difference,
     Expr,
     NaturalJoin,
+    Predicate,
     Product,
     Projection,
     RelationRef,
@@ -54,6 +65,35 @@ def streaming_scan_budget(expr: Expr, total_size: int) -> int:
     return operator_count(expr) * (30 * (log_n + 2)) + 16
 
 
+# -- transducers: the per-row work of each one-source scan ----------------
+
+_Rows = Iterator[Any]
+_Routed = Iterator[Tuple[int, Any]]  # (target index, row), for ``transduce``
+
+
+def _copy(rows: _Rows) -> _Routed:
+    for row in rows:
+        yield 0, row
+
+
+def _select(predicate: Predicate, schema: Schema, rows: _Rows) -> _Routed:
+    for row in rows:
+        if predicate.holds(schema, row):
+            yield 0, row
+
+
+def _project(indices: Sequence[int], rows: _Rows) -> _Routed:
+    for row in rows:
+        yield 0, tuple(row[i] for i in indices)
+
+
+def _repeat(times: int, rows: _Rows) -> _Routed:
+    """Each row ``times`` times over (an O(log N)-bit counter)."""
+    for row in rows:
+        for _ in range(times):
+            yield 0, row
+
+
 class StreamingEvaluator:
     """Evaluates algebra expressions over tapes with full cost accounting."""
 
@@ -67,19 +107,6 @@ class StreamingEvaluator:
 
     def _fresh(self, name: str) -> RecordTape:
         return RecordTape(tracker=self.tracker, name=name)
-
-    def _sorted_dedup(self, tape: RecordTape) -> RecordTape:
-        """Sort a tape of tuples and drop duplicates (set semantics)."""
-        tape.rewind()
-        out = tape_merge_sort(tape, self.tracker)
-        dedup = self._fresh("dedup")
-        out.rewind()
-        previous = None
-        for row in out.scan():
-            if row != previous:
-                dedup.step_write(row)
-            previous = row
-        return dedup
 
     def _count(self, tape: RecordTape) -> int:
         tape.rewind()
@@ -104,9 +131,9 @@ class StreamingEvaluator:
             child, child_schema = self._eval(expr.child)
             out = self._fresh("select")
             child.rewind()
-            for row in child.scan():
-                if expr.predicate.holds(child_schema, row):
-                    out.step_write(row)
+            transduce(
+                child, (out,), partial(_select, expr.predicate, child_schema)
+            )
             return out, schema
 
         if isinstance(expr, Projection):
@@ -114,27 +141,24 @@ class StreamingEvaluator:
             idxs = [child_schema.index_of(a) for a in expr.attributes]
             mapped = self._fresh("project")
             child.rewind()
-            for row in child.scan():
-                mapped.step_write(tuple(row[i] for i in idxs))
-            return self._sorted_dedup(mapped), schema
+            transduce(child, (mapped,), partial(_project, idxs))
+            return sorted_unique(mapped, self.tracker), schema
 
         if isinstance(expr, Union):
             left, _ = self._eval(expr.left)
             right, _ = self._eval(expr.right)
             merged = self._fresh("union")
             left.rewind()
-            for row in left.scan():
-                merged.step_write(row)
+            transduce(left, (merged,), _copy)
             right.rewind()
-            for row in right.scan():
-                merged.step_write(row)
-            return self._sorted_dedup(merged), schema
+            transduce(right, (merged,), _copy)
+            return sorted_unique(merged, self.tracker), schema
 
         if isinstance(expr, Difference):
             left, _ = self._eval(expr.left)
             right, _ = self._eval(expr.right)
-            left_sorted = self._sorted_dedup(left)
-            right_sorted = self._sorted_dedup(right)
+            left_sorted = sorted_unique(left, self.tracker)
+            right_sorted = sorted_unique(right, self.tracker)
             out = self._fresh("difference")
             left_sorted.rewind()
             right_sorted.rewind()
@@ -162,8 +186,7 @@ class StreamingEvaluator:
         """Append all of ``source`` onto the end of ``target`` (2 scans)."""
         source.rewind()
         target.seek_end()
-        for row in source.scan():
-            target.step_write(row)
+        transduce(source, (target,), _copy)
 
     def _product(self, expr: Product) -> RecordTape:
         left, _ = self._eval(expr.left)
@@ -197,9 +220,7 @@ class StreamingEvaluator:
         # each left tuple repeated |right| times, in one scan with a counter
         expanded = self._fresh("prod-expanded")
         left.rewind()
-        for row in left.scan():
-            for _ in range(n_right):
-                expanded.step_write(row)
+        transduce(left, (expanded,), partial(_repeat, n_right))
 
         # zip the two equal-length streams
         expanded.rewind()
@@ -233,7 +254,7 @@ class StreamingEvaluator:
     def evaluate(self, expr: Expr) -> Relation:
         """Evaluate and materialize the result (sorted, deduplicated)."""
         tape, schema = self._eval(expr)
-        final = self._sorted_dedup(tape)
+        final = sorted_unique(tape, self.tracker)
         final.rewind()
         return Relation(schema, frozenset(final.scan()))
 

@@ -8,8 +8,15 @@ stream on tapes** with O(log N) reversals:
 
 1. one forward scan extracts the set1/set2 string values onto two tapes
    (a SAX-style state machine; constant internal state),
-2. tape merge sort on both value tapes (O(log N) reversals),
+2. tape merge sort on both value tapes (O(log N) reversals), each
+   followed by one dedup scan,
 3. one parallel merge scan answers the set-inclusion question.
+
+Each one-source scan moves its records whole: the token tape is written
+with one ``write_all``, and the extraction and the dedups are one
+:func:`~repro.extmem.record_tape.transduce` call each, whose generator
+sees each token or value once, in order.  The final merge scans read two
+tapes in lockstep and stop on data, so they stay per-record.
 
 These functions agree with the DOM-based evaluators
 (:mod:`repro.queries.xpath` / :mod:`repro.queries.xquery`) on the paper's
@@ -19,13 +26,21 @@ document shape, and their resource reports exhibit the Θ(log N) scan law.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
-from ...algorithms.mergesort_tape import tape_merge_sort
+from ...algorithms.mergesort_tape import sorted_unique
 from ...errors import XMLError
 from ...extmem import RecordTape, ResourceReport, ResourceTracker
+from ...extmem.record_tape import transduce
 from ...problems.definitions import InstanceLike, as_instance
 from .tokens import EndTag, StartTag, Text, Token
+
+# the tags around every value; tokens compare by value, so one of each
+# serves every item
+_ITEM = StartTag("item")
+_STRING = StartTag("string")
+_END_STRING = EndTag("string")
+_END_ITEM = EndTag("item")
 
 
 def instance_to_token_tape(
@@ -36,46 +51,42 @@ def instance_to_token_tape(
 
     This is the "can be produced by a constant number of sequential scans"
     step from Section 4 — each instance value expands to a constant number
-    of tokens, so the whole encoding is a single producing scan.
+    of tokens, so the whole encoding is a single producing scan, written
+    with one ``write_all``.
     """
     tracker = tracker or ResourceTracker()
     inst = as_instance(instance)
     tape = RecordTape(tracker=tracker, name="tokens")
-    tape.step_write(StartTag("instance"))
+    tokens = [StartTag("instance")]
     for name, values in (("set1", inst.first), ("set2", inst.second)):
-        tape.step_write(StartTag(name))
+        tokens.append(StartTag(name))
         for value in values:
-            tape.step_write(StartTag("item"))
-            tape.step_write(StartTag("string"))
             if value:
-                tape.step_write(Text(value))
-            tape.step_write(EndTag("string"))
-            tape.step_write(EndTag("item"))
-        tape.step_write(EndTag(name))
-    tape.step_write(EndTag("instance"))
+                tokens += (_ITEM, _STRING, Text(value), _END_STRING, _END_ITEM)
+            else:
+                tokens += (_ITEM, _STRING, _END_STRING, _END_ITEM)
+        tokens.append(EndTag(name))
+    tokens.append(EndTag("instance"))
+    tape.write_all(tokens)
     return tape, tracker
 
 
-def _extract_sets(
-    token_tape: RecordTape, tracker: ResourceTracker
-) -> Tuple[RecordTape, RecordTape]:
-    """One forward scan: route string values into set1/set2 tapes.
+def _values(tokens: Iterator[Token]) -> Iterator[Tuple[int, str]]:
+    """The extraction transducer: each string value, to 0 inside <set1>
+    and to 1 inside <set2>.
 
     A SAX-style automaton with constant state: which set we are inside,
     whether a <string> is open, and the pending text (one record).
     """
-    set1 = RecordTape(tracker=tracker, name="set1-values")
-    set2 = RecordTape(tracker=tracker, name="set2-values")
-    current = None  # None | set1 | set2
+    current = None  # None | 0 (set1) | 1 (set2)
     in_string = False
     pending = ""
-    token_tape.rewind()
-    for token in token_tape.scan():
+    for token in tokens:
         if isinstance(token, StartTag):
             if token.name == "set1":
-                current = set1
+                current = 0
             elif token.name == "set2":
-                current = set2
+                current = 1
             elif token.name == "string":
                 if current is None:
                     raise XMLError("<string> outside of set1/set2")
@@ -88,28 +99,25 @@ def _extract_sets(
             if token.name == "string":
                 if not in_string:
                     raise XMLError("unmatched </string>")
+                if current is None:
+                    raise XMLError("</string> outside of set1/set2")
                 # a "1" prefix keeps empty strings representable (None is
                 # the tape blank) without disturbing equality or order
-                current.step_write("1" + pending)
+                yield current, "1" + pending
                 in_string = False
             elif token.name in ("set1", "set2"):
                 current = None
+
+
+def _extract_sets(
+    token_tape: RecordTape, tracker: ResourceTracker
+) -> Tuple[RecordTape, RecordTape]:
+    """One forward scan: route string values into set1/set2 tapes."""
+    set1 = RecordTape(tracker=tracker, name="set1-values")
+    set2 = RecordTape(tracker=tracker, name="set2-values")
+    token_tape.rewind()
+    transduce(token_tape, (set1, set2), _values)
     return set1, set2
-
-
-def _sorted_unique(
-    tape: RecordTape, tracker: ResourceTracker
-) -> RecordTape:
-    tape.rewind()
-    ordered = tape_merge_sort(tape, tracker)
-    out = RecordTape(tracker=tracker, name="dedup")
-    ordered.rewind()
-    previous = None
-    for record in ordered.scan():
-        if record != previous:
-            out.step_write(record)
-        previous = record
-    return out
 
 
 def xml_streaming_scan_budget(total_size: int) -> int:
@@ -142,8 +150,8 @@ def figure1_filter_streaming(
     anti-join scan.  O(log N) reversals total.
     """
     set1, set2 = _extract_sets(token_tape, tracker)
-    xs = _sorted_unique(set1, tracker)
-    ys = _sorted_unique(set2, tracker)
+    xs = sorted_unique(set1, tracker)
+    ys = sorted_unique(set2, tracker)
     xs.rewind()
     ys.rewind()
     y = ys.step_read()
@@ -166,8 +174,8 @@ def theorem12_query_streaming(
     Q returning <result><true/></result>.
     """
     set1, set2 = _extract_sets(token_tape, tracker)
-    xs = _sorted_unique(set1, tracker)
-    ys = _sorted_unique(set2, tracker)
+    xs = sorted_unique(set1, tracker)
+    ys = sorted_unique(set2, tracker)
     xs.rewind()
     ys.rewind()
     equal = True

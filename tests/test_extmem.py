@@ -26,6 +26,7 @@ from repro.extmem.record_tape import (
     merge_runs,
     seed_runs,
     strip_separators,
+    transduce,
 )
 from tests.settings_profiles import STANDARD_SETTINGS
 
@@ -539,6 +540,8 @@ class TestRecordTape:
             (deal_runs, (0, 1, 0)),
             (merge_runs, (0, 0, 1)),
             (strip_separators, (1, 1)),
+            (lambda s, t, sep: transduce(s, (t,), iter), (0, 0)),
+            (lambda s, a, b, sep: transduce(s, (a, b), iter), (0, 1, 1)),
         ],
     )
     def test_run_operations_need_distinct_tapes(self, op, tapes):

@@ -8,13 +8,16 @@ a fresh :class:`TallySink`), one to three :class:`RecordTape` objects and
 an :class:`InternalMemory` through random programs of primitive
 operations.  One rule is a register loop, which commits through
 ``has_headroom``/``commit_peak`` whenever they allow it: with no sink or
-with the tally attached.  Four rules are the run operations of a tape
-merge sort (seed, deal, merge, strip), on distinct tapes whose records
-include separators.
+with the tally attached.  Five rules are the run operations: a
+one-source ``transduce`` through a transducer drawn from a small set
+(identity, a filter, the query layers' dedup, a two-target router, and
+ones that stop reading, raise, or yield ``None`` partway), and the four
+phases of a tape merge sort (seed, deal, merge, strip), on distinct
+tapes whose records include separators.
 Every operation also runs on :class:`Model`, a pure reference written in
 the one-cell-at-a-time style of the paper's tape model: derived operations
 (seeks, scans, bulk writes) are loops over single ``move`` steps, the run
-operations are the sort's per-record phases written with the model's
+operations are their per-record scans written with the model's
 ``step_read`` and ``step_write``, and every charge is check-then-commit.
 After each rule the test compares the full event stream, every head and
 direction, every tape's contents, the tracker's ``report()`` and the
@@ -28,10 +31,12 @@ The model is the oracle for the tapes' fast paths: however the runtime
 implements a seek, a scan or a run operation, it must charge and emit
 exactly what this per-cell walk does, in the same order.  A few explicit
 programs at the end drive the machine through turns denied partway
-through a bulk write or a run operation, which random programs reach
+through a bulk write or a run operation, and through transducers that
+stop partway on ``transduce``'s bulk path, which random programs reach
 only now and then.
 """
 
+from contextlib import nullcontext
 from itertools import islice
 
 import pytest
@@ -44,6 +49,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.algorithms.mergesort_tape import _unique
 from repro.errors import (
     ReproError,
     ReversalBudgetExceeded,
@@ -57,6 +63,7 @@ from repro.extmem.record_tape import (
     merge_runs,
     seed_runs,
     strip_separators,
+    transduce,
 )
 from repro.extmem.tracker import ResourceReport
 from repro.observability.sinks import RingBufferSink, TallySink
@@ -84,6 +91,65 @@ SCALARS = st.one_of(
 )
 VALUES = st.one_of(
     SCALARS, st.tuples(SCALARS, SCALARS), st.just(None), st.just(1.5)
+)
+
+
+# -- transducers for ``transduce``: each sees the records once, in order --
+
+
+def identity(records):
+    for record in records:
+        yield 0, record
+
+
+def odd_length(records):
+    """A filter."""
+    for record in records:
+        if len(str(record)) % 2:
+            yield 0, record
+
+
+def by_type(records):
+    """A two-target router: strings to target 1, the rest to target 0
+    (a bad index when there is one target)."""
+    for record in records:
+        yield (1 if isinstance(record, str) else 0), record
+
+
+def stop_after(k):
+    def transducer(records):
+        for record in islice(records, k):
+            yield 0, record
+
+    transducer.__name__ = f"stop_after({k})"
+    return transducer
+
+
+def raise_at(k):
+    def transducer(records):
+        for index, record in enumerate(records):
+            if index == k:
+                raise ValueError(f"record {k}")
+            yield 0, record
+
+    transducer.__name__ = f"raise_at({k})"
+    return transducer
+
+
+def none_at(k):
+    def transducer(records):
+        for index, record in enumerate(records):
+            yield 0, None if index == k else record
+
+    transducer.__name__ = f"none_at({k})"
+    return transducer
+
+
+TRANSDUCERS = st.one_of(
+    st.sampled_from([identity, odd_length, _unique, by_type]),
+    st.builds(stop_after, st.integers(0, 6)),
+    st.builds(raise_at, st.integers(0, 6)),
+    st.builds(none_at, st.integers(0, 6)),
 )
 
 
@@ -272,6 +338,10 @@ class Model:
             if record is not sep:
                 self.step_write(j, record)
 
+    def transduce(self, i, targets, transducer):
+        for t, record in transducer(self.scanned(i)):
+            self.step_write(targets[t], record)
+
     # -- internal memory ---------------------------------------------------
 
     def cost(self, value):
@@ -451,6 +521,21 @@ class ExtmemMachine(RuleBasedStateMachine):
             order, 2, strip_separators, self.model.strip_separators, SEP
         )
 
+    @precondition(lambda self: len(self.tapes) >= 2)
+    @rule(
+        order=st.permutations(range(MAX_TAPES)),
+        transducer=TRANSDUCERS,
+        fanout=st.integers(1, 2),
+    )
+    def transduce(self, order, transducer, fanout):
+        """One source and ``fanout`` targets (as many as there are)."""
+        self.on_tapes(
+            order,
+            1 + min(fanout, len(self.tapes) - 1),
+            lambda source, *targets: transduce(source, targets, transducer),
+            lambda i, *targets: self.model.transduce(i, targets, transducer),
+        )
+
     @rule(name=st.sampled_from(REGISTERS), value=VALUES)
     def store(self, name, value):
         self.same(self.memory.store, self.model.store, name, value)
@@ -601,6 +686,24 @@ DENIED_PARTWAY = {
          ("move", dict(index=1, direction=-1)),
          ("strip_separators", dict(order=[0, 1, 2]))],
     ),
+    # the scan as written: the source's turn is allowed, the target's,
+    # after its first write, denied
+    "transduce": (
+        dict(max_scans=4, records=[1, 2, 3]),
+        [("add_tape", dict(records=[])),
+         ("move", dict(index=0, direction=1)),
+         ("move", dict(index=0, direction=-1)),
+         ("move", dict(index=1, direction=-1)),
+         ("transduce", dict(order=[0, 1, 2], transducer=identity, fanout=1))],
+    ),
+    # the source faces right but the target does not, so this is the
+    # scan as written too: the source head stops one past record 1
+    "transduce_target": (
+        dict(max_scans=2, records=[1, 2, 3]),
+        [("add_tape", dict(records=[])),
+         ("move", dict(index=1, direction=-1)),
+         ("transduce", dict(order=[0, 1, 2], transducer=identity, fanout=1))],
+    ),
 }
 
 
@@ -613,3 +716,32 @@ def test_turn_denied_partway(name):
         getattr(machine, rule)(**args)
         machine.agrees_with_model()
     assert machine.sink.events()[-1].kind == "denied"
+
+
+#: ``transduce``'s bulk path (every tape faces right) stopped partway:
+#: (transducer, the target's records, the source head, the error raised).
+BULK_STOPS = {
+    "raise": (raise_at(2), [1, 2], 3, ValueError),
+    "early_stop": (stop_after(2), [1, 2], 2, None),
+    "none_output": (none_at(2), [1, 2], 3, ReproError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BULK_STOPS))
+def test_transduce_bulk_path_stops_partway(name):
+    transducer, written, head, error = BULK_STOPS[name]
+    machine = ExtmemMachine()
+    machine.setup(
+        max_scans=1, max_bits=None, max_tapes=None, records=[1, 2, 3, 4],
+        sink="ring",
+    )
+    machine.add_tape([9, 8])
+    machine.tapes[1].step_write(7)  # the scan overwrites the 8
+    machine.model.step_write(1, 7)
+    source, target = machine.tapes
+    with pytest.raises(error) if error else nullcontext():
+        transduce(source, (target,), transducer)
+    assert (source.head, target.snapshot()) == (head, [7, *written])
+    with pytest.raises(error) if error else nullcontext():
+        machine.model.transduce(0, (1,), transducer)
+    machine.agrees_with_model()

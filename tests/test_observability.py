@@ -810,18 +810,6 @@ class TestSharedStepGuard:
             messages.append(str(exc.value))
         assert messages[0] == messages[1]
 
-    def test_streaming_and_traced_agree_on_stuckness(self):
-        # the reference engine is the one that keeps the full trace
-        from repro.errors import MachineError
-        from repro.machines import execute, fast_engine
-
-        machine = self._stuck_machine()
-        with pytest.raises(MachineError) as streaming:
-            fast_engine.run_deterministic(machine, "00")
-        with pytest.raises(MachineError) as traced:
-            execute.run_deterministic(machine, "00")
-        assert str(streaming.value) == str(traced.value)
-
     def test_choice_exhaustion_diagnosed_before_stuckness(self):
         from repro.errors import MachineError
         from repro.machines import coin_flip_machine

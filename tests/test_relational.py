@@ -3,11 +3,14 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.errors import QueryEvaluationError
+from repro.extmem import ResourceBudget
+from repro.observability.sinks import TallySink
 from repro.problems import (
     SET_EQUALITY,
+    near_miss_instance,
     random_equal_instance,
     random_unequal_instance,
 )
@@ -32,6 +35,7 @@ from repro.queries.relational import (
 )
 from repro.queries.relational.algebra import operator_count
 from repro.queries.relational.streaming import streaming_scan_budget
+from tests.settings_profiles import STANDARD_SETTINGS
 
 
 def sample_db():
@@ -228,6 +232,43 @@ class TestStreamingEvaluator:
             assert ev.report().scans <= streaming_scan_budget(
                 query, db.total_size()
             )
+
+    @given(
+        m=st.integers(0, 33),
+        n=st.integers(0, 6),
+        kind=st.sampled_from(["near-miss", "no", "yes"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(m=1, n=0, kind="yes", seed=0)
+    @example(m=4, n=12, kind="yes", seed=0)  # the audit's smallest cell
+    @example(m=4, n=12, kind="no", seed=0)
+    @example(m=4, n=12, kind="near-miss", seed=0)
+    @STANDARD_SETTINGS
+    def test_claimed_budget_on_every_kind(self, m, n, kind, seed):
+        """Q′ within the audit's claimed envelope, enforced, and deciding
+        right, on yes-, no- and near-miss instances."""
+        assume(kind == "yes" or m * n >= 1)
+        make = {
+            "yes": random_equal_instance,
+            "no": random_unequal_instance,
+            "near-miss": near_miss_instance,
+        }[kind]
+        inst = make(m, n, random.Random(seed))
+        db = set_equality_database(inst)
+        query = symmetric_difference_query()
+        ev = StreamingEvaluator(
+            db,
+            budget=ResourceBudget(
+                max_scans=streaming_scan_budget(query, db.total_size()),
+                max_internal_bits=0,
+            ),
+        )
+        tally = TallySink()
+        ev.tracker.attach_sink(tally)
+        assert ev.evaluate(query).is_empty == (
+            set(inst.first) == set(inst.second)
+        )
+        assert tally.denied == 0
 
     def test_scan_growth_is_sublinear(self):
         rng = random.Random(3)

@@ -61,9 +61,12 @@ def check_sort_deterministic(
 def checksort_reversal_budget(m: int, slack: int = 40) -> int:
     """An explicit O(log N) scan budget the solver provably satisfies.
 
-    Each merge round costs a constant number of reversals (six rewinds at
-    two reversals each) and there are ⌈log2 m⌉ + 1 rounds; the constant 14
-    per round plus ``slack`` covers setup and the final comparison scan.
+    The sort charges exactly 12 reversals in each of its ⌈log2 m⌉ merge
+    rounds (six rewinds at two reversals each) and 4 more for m ≥ 1; the
+    rewind of the sorted tape adds 2, and the comparison scan reads the
+    second half forward with no turn.  So a run uses 7 + 12⌈log2 m⌉
+    scans for m ≥ 1 (1 for m = 0); the budget allows 14 per round over
+    ⌈log2 m⌉ + 1 rounds, plus ``slack``.
     """
     from .._util import ceil_log2
 

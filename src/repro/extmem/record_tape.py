@@ -9,21 +9,21 @@ the shared tracker.  One record-level scan corresponds to one symbol-level
 scan, so every O(·) claim about scans/reversals transfers verbatim.
 
 Random access is deliberately absent: the only primitives are read, write,
-single-cell moves, and end-seeking operations charged exactly as a walk of
-single-cell moves would be, so an algorithm *cannot* cheat the cost model.
-The run operations at the end of the module move records from tape to tape
-a whole scan at a time, charged as the per-record scan is: ``transduce``
-is any one-source scan that feeds each record, in order, through a
+single-cell moves, a turn in place, and end-seeking operations charged
+exactly as a walk of single-cell moves would be, so an algorithm *cannot*
+cheat the cost model.  ``transduce`` at the end of the module is any
+one-source scan, moved tape to tape a whole scan at a time and charged as
+the per-record scan is: it feeds each record, in order, through a
 generator the caller passes (the query layers' copies, filters and
-dedups), and the other four are a merge sort's phases, which hand no
-record to the caller.
+dedups).  ``sorted_ahead`` is the tape merge sort's gate: the records
+from a head on, stably sorted, when their keys are of one totally ordered
+builtin kind, which the sort reads with ``read_all`` and writes with one
+``write_all`` while it charges its rounds' turns with ``turn``.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from itertools import accumulate, chain, zip_longest
-from operator import is_not
+from itertools import chain
 from typing import (
     Any,
     Callable,
@@ -109,6 +109,10 @@ class RecordTape:
         denied charge leaves the direction unchanged."""
         self.tracker.charge_reversal(self.tape_id)
         self._direction = direction
+
+    def turn(self) -> None:
+        """Face the other way where the head stands: one reversal."""
+        self._turn(-self._direction)
 
     def move(self, direction: int) -> None:
         """Move one cell; flipping direction charges one reversal.
@@ -227,6 +231,18 @@ class RecordTape:
                 self._turn(-1)
             self._head -= 1
 
+    def read_all(self) -> List[Any]:
+        """Read every record from the head on, moving right, as a
+        ``scan()`` run to the end does: the turn (if any) is charged
+        before the head moves, and only when there is a record to read."""
+        cells = self._cells
+        records = cells[self._head:]
+        if records:
+            if self._direction != 1:
+                self._turn(1)
+            self._head = len(cells)
+        return records
+
     def write_all(self, records: Iterable[Any]) -> None:
         """Write every record in order from the head, moving right.
 
@@ -287,27 +303,15 @@ def fresh_tapes(
 
 # -- run operations -----------------------------------------------------------
 #
-# Each function below is one whole scan, tape to tape.  Definition 1
-# charges a head only when it turns, so a scan costs the same whether
-# its records move one at a time or together.  Each function charges the
-# turns of the per-record scan its docstring shows, in the same order
-# and before any head moves, and leaves every cell, head and direction
-# where that scan leaves them, also when a charge is denied or a record
-# is refused partway.
-#
-# ``transduce`` is any one-source scan whose records pass, in order,
-# through a generator the caller supplies.  The other four are the
-# phases of a tape merge sort, which keeps sorted runs on its tapes,
-# each closed by a separator record the caller passes in (``sep``): each
-# moves every run of a round in one call and hands no record to its
-# caller.  A turn can only come at the first record a tape reads or
-# writes, so each phase puts the source heads where the per-record phase
-# has them at each target's first write, and writes through
-# ``write_all``; after those writes every head faces right and the rest
-# is bulk work.  No tape holds a ``None`` (the constructor and every
-# write refuse one), so a phase reads its sources to their ends.
-# Records are told from ``sep`` as ``list.index`` tells them: identity
-# first, then ``==``.
+# ``transduce`` is one whole scan, tape to tape, whose records pass, in
+# order, through a generator the caller supplies.  Definition 1 charges
+# a head only when it turns, so a scan costs the same whether its
+# records move one at a time or together.  It charges the turns of the
+# per-record scan its docstring shows, in the same order and before any
+# head moves, and leaves every cell, head and direction where that scan
+# leaves them, also when a charge is denied or a record is refused
+# partway.  No tape holds a ``None`` (the constructor and every write
+# refuse one).
 
 
 def _index(records: List[Any], item: Any, start: int, stop: int) -> int:
@@ -328,22 +332,6 @@ def _first_blank(records: List[Any]) -> int:
 def _distinct(*tapes: RecordTape) -> None:
     if len({id(tape) for tape in tapes}) < len(tapes):
         raise ReproError("run operations move records between distinct tapes")
-
-
-def _scanned(tape: RecordTape) -> List[Any]:
-    """The records from the head on, after the turn ``scan`` would charge
-    at the first of them."""
-    records = tape._cells[tape._head:]
-    if records and tape._direction != 1:
-        tape._turn(1)
-    return records
-
-
-def _skip(records: List[Any], sep: Any, at: int) -> int:
-    """The first index from ``at`` on that holds a record, not ``sep``."""
-    while records[at] is sep:
-        at += 1
-    return at
 
 
 def transduce(
@@ -394,197 +382,37 @@ def transduce(
             target.write_all(written)
 
 
-def seed_runs(source: RecordTape, target: RecordTape, sep: Any) -> None:
-    """Write each record from ``source``'s head on as a one-record run.
+# -- the tape merge sort's gate ------------------------------------------------
 
-    The per-record phase::
 
-        for record in source.scan():
-            if record is sep:
-                raise ReproError("input tape already contains run separators")
-            target.step_write(record)
-            target.step_write(sep)
+def sorted_ahead(
+    tape: RecordTape, key: Optional[Callable[[Any], Any]] = None
+) -> Optional[List[Any]]:
+    """The records from ``tape``'s head on, stably sorted by ``key``
+    (``None``: the records themselves), if the keys are all exactly
+    ``str``, all exactly ``int``, or all tuples whose items are, across
+    every key, all exactly ``str`` or all exactly ``int``; else ``None``,
+    also when ``key`` raises.  Under such keys ``<``, ``<=`` and ``==``
+    agree on a total order, so the per-record merge sort (``key(a) <=
+    key(b)``, ties to the left) writes this stable sort.
+
+    Calls ``key`` once per record, moves no head and charges nothing.
     """
-    _distinct(source, target)
-    head = source._head
-    records = _scanned(source)
-    if not records:
-        return
-    stop = _index(records, sep, 0, len(records))
-    runs = [sep] * (2 * stop)
-    runs[::2] = records[:stop]
-    source._head = head + 1  # the first record is read, then written
-    target.write_all(runs)
-    source._head = head + min(stop + 1, len(records))
-    if stop < len(records):
-        raise ReproError("input tape already contains run separators")
-
-
-def deal_runs(
-    source: RecordTape, left: RecordTape, right: RecordTape, sep: Any
-) -> int:
-    """Deal the runs from ``source``'s head on alternately onto ``left``
-    and ``right``; returns the number of runs dealt.
-
-    The per-record phase drops empty runs and closes an unclosed last
-    one::
-
-        targets, runs, in_run = (left, right), 0, False
-        for record in source.scan():
-            if record is sep:
-                if in_run:
-                    targets[runs % 2].step_write(sep)
-                    runs, in_run = runs + 1, False
-                continue
-            in_run = True
-            targets[runs % 2].step_write(record)
-        if in_run:
-            targets[runs % 2].step_write(sep)
-            runs += 1
-    """
-    _distinct(source, left, right)
-    head = source._head
-    records = _scanned(source)
-    runs = []  # each closed by its separator
-    start = 0
-    try:
-        while True:
-            end = records.index(sep, start) + 1
-            if end - start > 1:
-                runs.append(records[start:end])
-            start = end
-    except ValueError:
-        if start < len(records):  # the end of the tape closes the last run
-            runs.append(records[start:] + [sep])
-    at = 0
-    for target, run in zip((left, right), runs):  # a first write may turn
-        at = _skip(records, sep, at)
-        source._head = head + at + 1
-        target.write_all(run)
-        at += len(run)
-    left.write_all(list(chain.from_iterable(runs[2::2])))
-    right.write_all(list(chain.from_iterable(runs[3::2])))
-    source._head = head + len(records)
-    return len(runs)
-
-
-def merge_runs(
-    left: RecordTape,
-    right: RecordTape,
-    target: RecordTape,
-    sep: Any,
-    key: Optional[Callable[[Any], Any]] = None,
-) -> None:
-    """Merge the runs from ``left``'s and ``right``'s heads on, pair by
-    pair, onto ``target`` under ``key`` (``None``: the records' order).
-
-    The per-record phase reads each source to its end (where
-    ``step_read`` reads ``None``), pairs the runs in order, an empty run
-    or a missing one with any other, and closes each merged pair::
-
-        a, b = left.step_read(), right.step_read()
-        while a is not None or b is not None:
-            a_live = a is not None and a is not sep
-            b_live = b is not None and b is not sep
-            while a_live or b_live:
-                if a_live and (not b_live or key(a) <= key(b)):
-                    target.step_write(a)
-                    a = left.step_read()
-                    a_live = a is not None and a is not sep
-                else:
-                    target.step_write(b)
-                    b = right.step_read()
-                    b_live = b is not None and b is not sep
-            target.step_write(sep)
-            if a is sep:
-                a = left.step_read()
-            if b is sep:
-                b = right.step_read()
-
-    Every ``key`` call and comparison is made before the first charge,
-    so a ``key`` that raises leaves the tapes as they were.
-    """
-    _distinct(left, right, target)
-    a_runs, a_read = _runs(left, sep)
-    b_runs, b_read = _runs(right, sep)
-    merged: List[Any] = []
-    for a, b in zip_longest(a_runs, b_runs, fillvalue=[]):
-        merged += _merge(a, b, key)
-        merged.append(sep)
-    a_head, b_head = left._head, right._head
-    if left._direction != 1:
-        left._turn(1)
-    left._head = a_head + 1
-    if right._direction != 1:
-        right._turn(1)
-    right._head = b_head + 1
-    target.write_all(merged)
-    left._head = a_head + a_read + 1
-    right._head = b_head + b_read + 1
-
-
-def _runs(tape: RecordTape, sep: Any) -> Tuple[List[List[Any]], int]:
-    """The runs a merge reads from ``tape``'s head on, and the number of
-    records it reads."""
     records = tape._cells[tape._head:]
-    runs = []
-    start = 0
+    if key is None:
+        return sorted(records) if _one_ordered_kind(records) else None
     try:
-        while True:
-            end = records.index(sep, start)
-            runs.append(records[start:end])
-            start = end + 1
-    except ValueError:
-        if start < len(records):  # an unclosed last run
-            runs.append(records[start:])
-    return runs, len(records)
+        keys = list(map(key, records))
+    except Exception:  # noqa: BLE001 - the per-record sort meets it again
+        return None
+    if _one_ordered_kind(keys):
+        return [records[i] for i in sorted(range(len(keys)), key=keys.__getitem__)]
+    return None
 
 
-def _merge(
-    a: List[Any], b: List[Any], key: Optional[Callable[[Any], Any]]
-) -> List[Any]:
-    """``a`` and ``b`` merged as the per-record loop merges them."""
-    both = a + b
-    if not a or not b:
-        return both
-    a_keys = a if key is None else list(map(key, a))
-    b_keys = b if key is None else list(map(key, b))
-    if (len(a) < 2 or a_keys == sorted(a_keys)) and (
-        len(b) < 2 or b_keys == sorted(b_keys)
-    ):
-        # sorted runs, as a merge sort keeps them: a stable sort of the
-        # two merges them, ties keeping a first
-        both.sort(key=key)
-        return both
-    return _merge_blocks(a_keys, b_keys, both)
-
-
-def _merge_blocks(
-    a_keys: List[Any], b_keys: List[Any], both: List[Any]
-) -> List[Any]:
-    """How the per-record loop merges runs that are not sorted: it takes
-    a record and the smaller ones after it as one block, so it sorts
-    ``both`` stably by each record's running maximum key within its own
-    run, the first run first on ties."""
-    keys = [*accumulate(a_keys, max), *accumulate(b_keys, max)]
-    return [both[i] for i in sorted(range(len(both)), key=keys.__getitem__)]
-
-
-def strip_separators(source: RecordTape, target: RecordTape, sep: Any) -> None:
-    """Copy the records from ``source``'s head on to ``target``, leaving
-    out the separators.
-
-    The per-record phase::
-
-        for record in source.scan():
-            if record is not sep:
-                target.step_write(record)
-    """
-    _distinct(source, target)
-    head = source._head
-    records = _scanned(source)
-    kept = list(filter(partial(is_not, sep), records))
-    if kept:
-        source._head = head + _skip(records, sep, 0) + 1
-        target.write_all(kept)
-    source._head = head + len(records)
+def _one_ordered_kind(keys: List[Any]) -> bool:
+    """Are ``keys`` all of one of the kinds :func:`sorted_ahead` admits?"""
+    kinds = set(map(type, keys))
+    if kinds == {tuple}:
+        kinds = set(map(type, chain.from_iterable(keys)))
+    return kinds <= {str} or kinds <= {int}

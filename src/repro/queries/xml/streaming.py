@@ -41,6 +41,11 @@ _ITEM = StartTag("item")
 _STRING = StartTag("string")
 _END_STRING = EndTag("string")
 _END_ITEM = EndTag("item")
+# and the tags around the sets, for the extraction's checks
+_INSTANCE = StartTag("instance")
+_END_INSTANCE = EndTag("instance")
+_SETS = (StartTag("set1"), StartTag("set2"))
+_END_SETS = (EndTag("set1"), EndTag("set2"))
 
 
 def instance_to_token_tape(
@@ -75,38 +80,76 @@ def _values(tokens: Iterator[Token]) -> Iterator[Tuple[int, str]]:
     """The extraction transducer: each string value, to 0 inside <set1>
     and to 1 inside <set2>.
 
-    A SAX-style automaton with constant state: which set we are inside,
-    whether a <string> is open, and the pending text (one record).
+    A SAX-style automaton over the paper's document and no other:
+    ``<instance>`` holding one ``<set1>`` and one ``<set2>`` (either
+    first), each holding items ``<item><string>text</string></item>``,
+    the text optional.  Any other token, a set missing or repeated, an
+    unclosed element or content after ``</instance>`` raises
+    :class:`XMLError`, as :func:`~repro.queries.xml.parse_tokens` or
+    :func:`~repro.queries.xml.document_to_instance` refuses it.  Its
+    state is constant: where it stands in that nesting (four levels at
+    most), which sets it has seen, and the pending value (one record).
     """
-    current = None  # None | 0 (set1) | 1 (set2)
-    in_string = False
-    pending = ""
+    _expect(next(tokens, None), _INSTANCE, "the <instance> root")
+    seen = [False, False]
     for token in tokens:
-        if isinstance(token, StartTag):
-            if token.name == "set1":
-                current = 0
-            elif token.name == "set2":
-                current = 1
-            elif token.name == "string":
-                if current is None:
-                    raise XMLError("<string> outside of set1/set2")
-                in_string = True
-                pending = ""
-        elif isinstance(token, Text):
-            if in_string:
-                pending += token.value
-        elif isinstance(token, EndTag):
-            if token.name == "string":
-                if not in_string:
-                    raise XMLError("unmatched </string>")
-                if current is None:
-                    raise XMLError("</string> outside of set1/set2")
-                # a "1" prefix keeps empty strings representable (None is
-                # the tape blank) without disturbing equality or order
-                yield current, "1" + pending
-                in_string = False
-            elif token.name in ("set1", "set2"):
-                current = None
+        if token == _END_INSTANCE:
+            break
+        if token not in _SETS:
+            raise XMLError(
+                f"expected <set1>, <set2> or </instance>, got {_shown(token)}"
+            )
+        current = _SETS.index(token)
+        if seen[current]:
+            raise XMLError(f"a second {_shown(token)} in <instance>")
+        seen[current] = True
+        end = _END_SETS[current]
+        # the tokens instance_to_token_tape writes are the module's own,
+        # so identity settles the common case before ``==`` is asked
+        for item in tokens:
+            if item is not _ITEM:
+                if item == end:
+                    break
+                _expect(item, _ITEM, f"<item> or {_shown(end)}")
+            tag = next(tokens, None)
+            if tag is not _STRING:
+                _expect(tag, _STRING, "<string>")
+            tag = next(tokens, None)
+            # a "1" prefix keeps empty strings representable (None is the
+            # tape blank) without disturbing equality or order
+            if type(tag) is Text:
+                value = "1" + tag.value
+                tag = next(tokens, None)
+            else:
+                value = "1"
+            if tag is not _END_STRING:
+                _expect(tag, _END_STRING, "</string>")
+            tag = next(tokens, None)
+            if tag is not _END_ITEM:
+                _expect(tag, _END_ITEM, "</item>")
+            yield current, value
+        else:
+            raise XMLError(f"unclosed element {_shown(token)}")
+    else:
+        raise XMLError("unclosed element <instance>")
+    if not all(seen):
+        raise XMLError("expected exactly one <set1> and one <set2>")
+    extra = next(tokens, None)
+    if extra is not None:
+        raise XMLError(f"content after </instance>: {_shown(extra)}")
+
+
+def _expect(token: Optional[Token], expected: Token, what: str) -> None:
+    if token != expected:
+        raise XMLError(f"expected {what}, got {_shown(token)}")
+
+
+def _shown(token: Optional[Token]) -> str:
+    if token is None:
+        return "the end of the stream"
+    if isinstance(token, Text):
+        return f"text {token.value!r}"
+    return f"<{'/' if isinstance(token, EndTag) else ''}{token.name}>"
 
 
 def _extract_sets(

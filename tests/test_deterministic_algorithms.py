@@ -4,9 +4,9 @@ import random
 from operator import itemgetter
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from repro._util import ceil_log2
+from repro._util import ceil_log2, is_power_of_two
 from repro.algorithms import (
     check_sort_deterministic,
     multiset_equality_deterministic,
@@ -15,20 +15,28 @@ from repro.algorithms import (
     tape_merge_sort,
 )
 from repro.algorithms.checksort import checksort_reversal_budget
-from repro.algorithms.mergesort_tape import RUN_SEP
-from repro.errors import ReproError
+from repro.algorithms.lasvegas import LasVegasSorter
+from repro.algorithms.mergesort_tape import (
+    RUN_SEP,
+    mergesort_scan_budget,
+    per_record_merge_sort,
+)
+from repro.errors import ReproError, ReversalBudgetExceeded, TapeBudgetExceeded
 from repro.extmem import RecordTape, ResourceBudget, ResourceTracker
-from repro.extmem.record_tape import merge_runs
-from repro.observability.sinks import RingBufferSink
+from repro.extmem.record_tape import sorted_ahead
+from repro.observability.sinks import RingBufferSink, TallySink
 from repro.problems import (
     CHECK_SORT,
     MULTISET_EQUALITY,
     SET_EQUALITY,
+    CheckPhiFamily,
     encode_instance,
     random_checksort_instance,
     random_equal_instance,
     random_unequal_instance,
+    random_words,
 )
+from tests.settings_profiles import STANDARD_SETTINGS
 
 bit_words = st.lists(st.text(alphabet="01", min_size=1, max_size=8), max_size=24)
 
@@ -98,95 +106,23 @@ class TestTapeMergeSort:
         assert out == [format(i, "08b") for i in range(100)]
 
 
-# -- the per-record tape merge sort, the reference for the run operations ----
+# -- every sort path against the per-record sort ------------------------------
 #
-# This is tape_merge_sort as it was before its phases became the run
-# operations of repro.extmem.record_tape: one step_read/step_write per
-# record.  The run operations must charge, emit and leave on the tapes
-# exactly what it does.
+# per_record_merge_sort is the tape merge sort as the machine runs it, one
+# step_read/step_write per record.  tape_merge_sort moves the records once
+# when every key is of one totally ordered builtin kind and runs that sort
+# otherwise; on either path it must leave, charge and emit exactly what
+# the per-record sort does.
 
 
-def _reference_distribute(source, left, right):
-    targets = (left, right)
-    run_index = 0
-    in_run = False
-    for record in source.scan():
-        if record is RUN_SEP:
-            if in_run:
-                targets[run_index % 2].step_write(RUN_SEP)
-                run_index += 1
-                in_run = False
-            continue
-        in_run = True
-        targets[run_index % 2].step_write(record)
-    if in_run:
-        targets[run_index % 2].step_write(RUN_SEP)
-        run_index += 1
-    return run_index
-
-
-def _reference_merge_round(left, right, target, key):
-    a = left.step_read()
-    b = right.step_read()
-    while a is not None or b is not None:
-        a_live = a is not None and a is not RUN_SEP
-        b_live = b is not None and b is not RUN_SEP
-        while a_live or b_live:
-            take_left = a_live and (not b_live or key(a) <= key(b))
-            if take_left:
-                target.step_write(a)
-                a = left.step_read()
-                a_live = a is not None and a is not RUN_SEP
-            else:
-                target.step_write(b)
-                b = right.step_read()
-                b_live = b is not None and b is not RUN_SEP
-        target.step_write(RUN_SEP)
-        if a is RUN_SEP:
-            a = left.step_read()
-        if b is RUN_SEP:
-            b = right.step_read()
-
-
-def reference_tape_merge_sort(input_tape, tracker, *, key=None):
-    key = key or (lambda record: record)
-    work_a = RecordTape(tracker=tracker, name="sort-a")
-    work_left = RecordTape(tracker=tracker, name="sort-b")
-    work_right = RecordTape(tracker=tracker, name="sort-c")
-    for record in input_tape.scan():
-        if record is RUN_SEP:
-            raise ReproError("input tape already contains run separators")
-        work_a.step_write(record)
-        work_a.step_write(RUN_SEP)
-    while True:
-        work_a.rewind()
-        work_left.rewind()
-        work_left.wipe()
-        work_right.rewind()
-        work_right.wipe()
-        runs = _reference_distribute(work_a, work_left, work_right)
-        if runs <= 1:
-            break
-        work_a.rewind()
-        work_a.wipe()
-        work_left.rewind()
-        work_right.rewind()
-        _reference_merge_round(work_left, work_right, work_a, key)
-    output = RecordTape(tracker=tracker, name="sorted")
-    work_left.rewind()
-    for record in work_left.scan():
-        if record is not RUN_SEP:
-            output.step_write(record)
-    return output
-
-
-def _observed_sort(sort, records, key, max_scans, at, facing_left):
+def _observed_sort(sort, records, key, max_scans, at, facing_left, max_tapes=None):
     """Everything one sort leaves to see: its output tape (or the type of
     the error it raised), the input head and direction, the report and
     every event.  The input head starts at ``at``, facing left if asked
-    (one charged turn), before ``max_scans`` is enforced.  A blank
-    (``None``) record never reaches the sort: the input tape refuses it,
-    with no event, and that refusal is the outcome."""
+    (one charged turn), before ``max_scans`` and ``max_tapes`` are
+    enforced.  A blank (``None``) record never reaches the sort: the
+    input tape refuses it, with no event, and that refusal is the
+    outcome."""
     tracker = ResourceTracker()
     sink = RingBufferSink()
     tracker.attach_sink(sink)
@@ -198,7 +134,7 @@ def _observed_sort(sort, records, key, max_scans, at, facing_left):
         tape.move(+1)
     if facing_left:
         tape.move(-1)
-    tracker.budget = ResourceBudget(max_scans=max_scans)
+    tracker.budget = ResourceBudget(max_scans=max_scans, max_tapes=max_tapes)
     try:
         out = sort(tape, tracker, key=key)
         outcome = (out.snapshot(), out.head, out.direction)
@@ -207,81 +143,174 @@ def _observed_sort(sort, records, key, max_scans, at, facing_left):
     return outcome, tape.head, tape.direction, tracker.report(), sink.events()
 
 
-#: Records with few distinct keys, so a sort under ``itemgetter(0)`` sees
-#: many ties between records it can tell apart by their tag.
-KEYED = st.tuples(st.integers(0, 3), st.integers(0, 99))
+def _same_as_per_record_sort(
+    records, key=None, max_scans=None, at=0, facing_left=False, max_tapes=None
+):
+    """Assert both sorts are observed alike; return the outcome."""
+    args = (records, key, max_scans, at, facing_left, max_tapes)
+    observed = _observed_sort(tape_merge_sort, *args)
+    assert observed == _observed_sort(per_record_merge_sort, *args)
+    return observed[0]
+
+
+class _Backwards(str):
+    """A ``str`` whose ``<=`` is reversed while its ``<`` is not."""
+
+    def __le__(self, other):
+        return str.__ge__(self, other)
+
+
+def _raises_on(k):
+    """A key on ``(position, value)`` records that raises on the k-th."""
+
+    def key(record):
+        if record[0] == k:
+            raise ValueError(f"record {k}")
+        return record[1]
+
+    return key
+
+
+NAN = float("nan")
+
+#: Records whose keys the gate refuses, each with its key.
+OUTSIDE_THE_GATE = st.one_of(
+    st.tuples(st.lists(st.floats(-2, 2) | st.just(NAN), max_size=12), st.none()),
+    st.tuples(
+        st.lists(st.frozensets(st.integers(0, 3), max_size=3), max_size=12),
+        st.none(),
+    ),
+    st.tuples(
+        st.lists(st.integers(0, 3) | st.text("ab", max_size=2), max_size=12),
+        st.none(),
+    ),
+    st.tuples(st.lists(st.booleans() | st.integers(0, 1), max_size=12), st.none()),
+    st.tuples(
+        st.lists(st.text("ab", max_size=2).map(_Backwards), max_size=12),
+        st.none(),
+    ),
+    st.tuples(
+        st.lists(st.integers(0, 3) | st.just(RUN_SEP), max_size=12),
+        st.sampled_from([None, str]),
+    ),
+    st.builds(
+        lambda values, k: (list(enumerate(values)), _raises_on(k)),
+        st.lists(st.integers(0, 3), max_size=12),
+        st.integers(0, 12),
+    ),
+)
+
+#: The key kinds the gate admits, each drawn with many ties.
+GATED_KINDS = {
+    "str": st.text("ab", max_size=2),
+    "str tuples": st.lists(st.text("ab", max_size=1), max_size=3).map(tuple),
+    "int": st.integers(-3, 3),
+    "int tuples": st.lists(st.integers(0, 2), max_size=3).map(tuple),
+}
+KEYS_OF_ONE_KIND = st.sampled_from(sorted(GATED_KINDS)).flatmap(
+    lambda kind: st.lists(GATED_KINDS[kind], max_size=24)
+)
 _TIED = [(1, 5), (0, 7), (1, 2), (0, 3), (1, 9), (0, 1)]
 
 
-class TestRunOperationsMatchPerRecordSort:
+class TestSortMatchesPerRecordSort:
     @given(
-        records=st.lists(KEYED, max_size=40),
-        key=st.sampled_from([itemgetter(0), None]),
-        max_scans=st.one_of(st.none(), st.integers(1, 100)),
-        at=st.integers(0, 45),
+        case=OUTSIDE_THE_GATE,
+        max_scans=st.one_of(st.none(), st.integers(1, 60)),
         facing_left=st.booleans(),
     )
-    @example(records=[], key=None, max_scans=None, at=0, facing_left=False)
-    @example(records=[(2, 0)], key=None, max_scans=None, at=0, facing_left=False)
-    @example(
-        records=sorted(_TIED), key=itemgetter(0), max_scans=None, at=0,
-        facing_left=False,
-    )
-    @example(
-        records=sorted(_TIED, reverse=True), key=itemgetter(0), max_scans=None,
-        at=0, facing_left=False,
-    )
-    @example(records=_TIED, key=itemgetter(0), max_scans=None, at=2, facing_left=True)
-    @example(records=_TIED, key=itemgetter(0), max_scans=9, at=0, facing_left=True)
+    @example(case=([3, RUN_SEP, 1], str), max_scans=None, facing_left=False)
+    @example(case=([(0, 2), (1, 1), (2, 0)], _raises_on(2)), max_scans=None,
+             facing_left=True)
     @settings(max_examples=100, deadline=None)
-    def test_same_tapes_report_and_events(
-        self, records, key, max_scans, at, facing_left
-    ):
-        """Stable, ties to the left: the reference keeps tied records in
-        input order, and so must the run operations."""
-        at = min(at, len(records))
-        args = (records, key, max_scans, at, facing_left)
-        assert _observed_sort(tape_merge_sort, *args) == _observed_sort(
-            reference_tape_merge_sort, *args
-        )
+    def test_keys_outside_the_gate(self, case, max_scans, facing_left):
+        """Floats (NaN), sets, mixed kinds, ``bool``, a ``str`` subclass,
+        a separator in the input and a raising key: the per-record sort."""
+        records, key = case
+        _same_as_per_record_sort(records, key, max_scans, 0, facing_left)
+
+    @pytest.mark.parametrize(
+        "records, expected",
+        [
+            # not total orders, where the merge's <= and sorted()'s < part
+            ([frozenset({2}), frozenset({1})], [frozenset({1}), frozenset({2})]),
+            ([NAN, 1.0, 0.5], [0.5, 1.0, NAN]),
+            ([_Backwards("a"), _Backwards("b")], ["b", "a"]),
+        ],
+        ids=["frozensets", "nan", "str_subclass"],
+    )
+    def test_a_partial_order_sorts_as_the_merge_compares(self, records, expected):
+        outcome = _same_as_per_record_sort(records)
+        assert outcome[0] == expected
 
     @given(
-        left=st.lists(st.lists(KEYED, max_size=5), max_size=4),
-        right=st.lists(st.lists(KEYED, max_size=5), max_size=4),
-        key=st.sampled_from([itemgetter(0), None]),
+        keys=KEYS_OF_ONE_KIND,
+        own_keys=st.booleans(),
+        max_scans=st.one_of(st.none(), st.integers(1, 80)),
+        at=st.integers(0, 26),
+        facing_left=st.booleans(),
     )
+    @example(keys=[], own_keys=True, max_scans=None, at=0, facing_left=False)
+    @example(keys=[("a", "b"), ("a",), (), ("a",)], own_keys=False,
+             max_scans=None, at=1, facing_left=True)
+    @example(keys=[2, 2, 1, 1, 0, 0], own_keys=False, max_scans=9, at=0,
+             facing_left=True)
     @settings(max_examples=100, deadline=None)
-    def test_merge_on_runs_a_sort_never_makes(self, left, right, key):
-        """Unsorted and empty runs: the per-record merge takes a record
-        and the smaller ones after it as one block, ties to the left."""
+    def test_keys_inside_the_gate(self, keys, own_keys, max_scans, at, facing_left):
+        """Stable, ties to the left: tied records keep their input order."""
+        if own_keys:
+            records, key = keys, None
+        else:
+            records, key = list(enumerate(keys)), itemgetter(1)
+        at = min(at, len(records))
+        assert sorted_ahead(RecordTape(records[at:]), key) is not None
+        outcome = _same_as_per_record_sort(records, key, max_scans, at, facing_left)
+        if max_scans is None:
+            assert outcome[0] == sorted(records[at:], key=key)
 
-        def observed(merge):
-            tracker = ResourceTracker()
-            sink = RingBufferSink()
-            tracker.attach_sink(sink)
-            tapes = [
-                RecordTape(
-                    [r for run in runs for r in (*run, RUN_SEP)], tracker=tracker
-                )
-                for runs in (left, right, [])
-            ]
-            merge(*tapes)
-            return [(t.snapshot(), t.head, t.direction) for t in tapes], sink.events()
+    def test_ties_keep_input_order(self):
+        outcome = _same_as_per_record_sort(_TIED, itemgetter(0))
+        assert outcome[0] == [
+            (0, 7), (0, 3), (0, 1), (1, 5), (1, 2), (1, 9)
+        ]
 
-        assert observed(
-            lambda a, b, out: merge_runs(a, b, out, RUN_SEP, key)
-        ) == observed(
-            lambda a, b, out: _reference_merge_round(a, b, out, key or (lambda r: r))
-        )
+    @pytest.mark.parametrize("facing_left", [False, True])
+    @pytest.mark.parametrize("m", range(10))
+    def test_every_budget(self, m, facing_left):
+        """Every scan budget up to one past what the sort uses, and a tape
+        budget refusing each of the sort's four registrations."""
+        records = [(i * 5 % 3, i) for i in range(m)]
+        key = itemgetter(0)
+        free = _same_as_per_record_sort(records, key, None, 0, facing_left)
+        used = _observed_sort(tape_merge_sort, records, key, None, 0, facing_left)[3]
+        for max_scans in range(1, used.scans + 2):
+            outcome = _same_as_per_record_sort(records, key, max_scans, 0, facing_left)
+            if m and max_scans < used.scans:  # m = 0 charges nothing
+                assert outcome is ReversalBudgetExceeded
+            else:
+                assert outcome == free
+        for max_tapes in range(1, 5):  # the input is the first tape
+            outcome = _same_as_per_record_sort(
+                records, key, None, 0, facing_left, max_tapes
+            )
+            assert outcome is TapeBudgetExceeded
+
+    @pytest.mark.parametrize("m", [*range(10), 16, 17, 33, 64])
+    def test_turns_are_four_plus_twelve_per_round(self, m):
+        tracker = ResourceTracker()
+        tape = RecordTape([format(i * 7 % m, "b") for i in range(m)], tracker=tracker)
+        tape_merge_sort(tape, tracker)
+        assert tracker.reversals == (4 + 12 * ceil_log2(m) if m else 0)
+        if m == 64:  # the per-tape split repro trace mergesort --n 64 prints
+            assert tracker.report().reversals_per_tape == {
+                1: 0, 2: 26, 3: 26, 4: 24, 5: 0
+            }
 
     @pytest.mark.parametrize(
         "records", [[(1, 0), None, (0, 1)], [(1, 0), (0, 1), RUN_SEP, (2, 2)]]
     )
     def test_blank_or_separator_in_input_raises_at_the_same_event(self, records):
-        args = (records, itemgetter(0), None, 0, False)
-        observed = _observed_sort(tape_merge_sort, *args)
-        assert observed[0] is ReproError
-        assert observed == _observed_sort(reference_tape_merge_sort, *args)
+        assert _same_as_per_record_sort(records, itemgetter(0)) is ReproError
 
 
 class TestCheckSort:
@@ -348,3 +377,94 @@ class TestEqualitySolvers:
             inst = random_equal_instance(m, 8, rng)
             result = multiset_equality_deterministic(inst)
             assert result.report.scans <= 2 * checksort_reversal_budget(m)
+
+
+def _checksort_instance(kind, m, n, rng):
+    """A CHECK-SORT instance of ``kind``, or ``None`` where (m, n) has none."""
+    if kind == "yes":
+        return random_checksort_instance(m, n, rng, yes=True)
+    if kind == "no":
+        if m >= 2 and n >= 1:
+            return random_checksort_instance(m, n, rng, yes=False)
+        return None
+    # CHECK-φ (Lemma 22): n >= 1 and m a power of two dividing 2^n, with
+    # room for a second value in each interval for a no-instance
+    room = 2 ** n // m if n and m and is_power_of_two(m) and m <= 2 ** n else 0
+    if kind == "check-phi yes" and room:
+        return CheckPhiFamily(m, n).random_yes(rng)
+    if kind == "check-phi no" and room >= 2:
+        return CheckPhiFamily(m, n).random_no(rng)
+    return None
+
+
+class TestClaimedBudgetOnEveryKind:
+    """The three sorting contracts within the audit's claimed envelope, on
+    every m in 0–33 and n in 0–6: enforced where the contract takes a
+    budget, with no denial and the decider's answer."""
+
+    @given(m=st.integers(0, 33), n=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+    @example(m=0, n=0, seed=0)
+    @example(m=1, n=0, seed=0)
+    @example(m=4, n=12, seed=0)  # the audit's smallest cell
+    @STANDARD_SETTINGS
+    def test_mergesort(self, m, n, seed):
+        words = random_words(m, n, random.Random(seed))
+        tracker = ResourceTracker(
+            ResourceBudget(
+                max_scans=mergesort_scan_budget(m), max_internal_bits=0, max_tapes=5
+            )
+        )
+        tally = TallySink()
+        tracker.attach_sink(tally)
+        ordered, _ = sort_instance_strings(words, tracker=tracker)
+        assert ordered == sorted(words)
+        assert tally.denied == 0
+
+    @given(
+        m=st.integers(0, 33),
+        n=st.integers(0, 6),
+        kind=st.sampled_from(["yes", "no", "check-phi yes", "check-phi no"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(m=0, n=0, kind="yes", seed=0)
+    @example(m=1, n=0, kind="yes", seed=0)
+    @example(m=1, n=0, kind="check-phi yes", seed=0)
+    @example(m=4, n=12, kind="yes", seed=0)
+    @example(m=4, n=12, kind="no", seed=0)
+    @example(m=4, n=12, kind="check-phi yes", seed=0)
+    @example(m=4, n=12, kind="check-phi no", seed=0)
+    @STANDARD_SETTINGS
+    def test_checksort(self, m, n, kind, seed):
+        inst = _checksort_instance(kind, m, n, random.Random(seed))
+        assume(inst is not None)
+        tally = TallySink()
+        result = check_sort_deterministic(
+            inst,
+            budget=ResourceBudget(
+                max_scans=checksort_reversal_budget(m),
+                max_internal_bits=0,
+                max_tapes=6,
+            ),
+            sink=tally,
+        )
+        assert result.accepted == CHECK_SORT(inst)
+        assert tally.denied == 0
+
+    @given(m=st.integers(0, 33), n=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+    @example(m=0, n=0, seed=0)
+    @example(m=1, n=0, seed=0)
+    @example(m=4, n=12, seed=0)
+    @STANDARD_SETTINGS
+    def test_lasvegas_sorter(self, m, n, seed):
+        """The sorter takes no budget: its report is held to the claim."""
+        rng = random.Random(seed)
+        words = random_words(m, n, rng)
+        tally = TallySink()
+        result = LasVegasSorter(failure_probability=0.0).sort(words, rng, sink=tally)
+        assert result.output == sorted(words)
+        assert result.report.within(
+            ResourceBudget(
+                max_scans=mergesort_scan_budget(m), max_internal_bits=0, max_tapes=5
+            )
+        )
+        assert tally.denied == 0

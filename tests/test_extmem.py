@@ -20,14 +20,7 @@ from repro.extmem import (
     SymbolTape,
 )
 from repro.extmem.memory import bit_cost
-from repro.extmem.record_tape import (
-    deal_runs,
-    fresh_tapes,
-    merge_runs,
-    seed_runs,
-    strip_separators,
-    transduce,
-)
+from repro.extmem.record_tape import fresh_tapes, transduce
 from tests.settings_profiles import STANDARD_SETTINGS
 
 #: A random charge script: tapes, reversals, allocations, full frees.
@@ -534,21 +527,13 @@ class TestRecordTape:
         assert t.at_end
 
     @pytest.mark.parametrize(
-        "op, tapes",
-        [
-            (seed_runs, (0, 0)),
-            (deal_runs, (0, 1, 0)),
-            (merge_runs, (0, 0, 1)),
-            (strip_separators, (1, 1)),
-            (lambda s, t, sep: transduce(s, (t,), iter), (0, 0)),
-            (lambda s, a, b, sep: transduce(s, (a, b), iter), (0, 1, 1)),
-        ],
+        "targets", [(0,), (1, 1)], ids=["source_as_target", "one_target_twice"]
     )
-    def test_run_operations_need_distinct_tapes(self, op, tapes):
+    def test_transduce_needs_distinct_tapes(self, targets):
         tr = ResourceTracker()
         pool = [RecordTape(["a", "|"], tracker=tr), RecordTape(tracker=tr)]
         with pytest.raises(ReproError, match="distinct tapes"):
-            op(*(pool[i] for i in tapes), "|")
+            transduce(pool[0], [pool[i] for i in targets], iter)
         assert [t.snapshot() for t in pool] == [["a", "|"], []]
         assert tr.reversals == 0
 

@@ -8,16 +8,16 @@ a fresh :class:`TallySink`), one to three :class:`RecordTape` objects and
 an :class:`InternalMemory` through random programs of primitive
 operations.  One rule is a register loop, which commits through
 ``has_headroom``/``commit_peak`` whenever they allow it: with no sink or
-with the tally attached.  Five rules are the run operations: a
-one-source ``transduce`` through a transducer drawn from a small set
-(identity, a filter, the query layers' dedup, a two-target router, and
-ones that stop reading, raise, or yield ``None`` partway), and the four
-phases of a tape merge sort (seed, deal, merge, strip), on distinct
-tapes whose records include separators.
+with the tally attached.  One rule is the run operation ``transduce``: a
+one-source scan through a transducer drawn from a small set (identity, a
+filter, the query layers' dedup, a two-target router, and ones that stop
+reading, raise, or yield ``None`` partway), on distinct tapes.  One rule
+turns a tape in place, and one reads a tape to its end with
+``read_all``.
 Every operation also runs on :class:`Model`, a pure reference written in
 the one-cell-at-a-time style of the paper's tape model: derived operations
-(seeks, scans, bulk writes) are loops over single ``move`` steps, the run
-operations are their per-record scans written with the model's
+(seeks, scans, bulk reads and writes) are loops over single ``move``
+steps, the run operation is its per-record scan written with the model's
 ``step_read`` and ``step_write``, and every charge is check-then-commit.
 After each rule the test compares the full event stream, every head and
 direction, every tape's contents, the tracker's ``report()`` and the
@@ -31,7 +31,7 @@ The model is the oracle for the tapes' fast paths: however the runtime
 implements a seek, a scan or a run operation, it must charge and emit
 exactly what this per-cell walk does, in the same order.  A few explicit
 programs at the end drive the machine through turns denied partway
-through a bulk write or a run operation, and through transducers that
+through a bulk write or a ``transduce``, and through transducers that
 stop partway on ``transduce``'s bulk path, which random programs reach
 only now and then.
 """
@@ -58,13 +58,7 @@ from repro.errors import (
 )
 from repro.extmem import InternalMemory, RecordTape, ResourceBudget, ResourceTracker
 from repro.extmem.memory import bit_cost
-from repro.extmem.record_tape import (
-    deal_runs,
-    merge_runs,
-    seed_runs,
-    strip_separators,
-    transduce,
-)
+from repro.extmem.record_tape import transduce
 from repro.extmem.tracker import ResourceReport
 from repro.observability.sinks import RingBufferSink, TallySink
 from tests.settings_profiles import STATE_MACHINE_SETTINGS
@@ -74,18 +68,7 @@ REGISTERS = ("a", "b", "c")
 LOOP_REGISTERS = ("x", "y")
 
 
-class _Separator:
-    def __repr__(self):
-        return "SEP"
-
-
-#: The run separator of the run operations' rules.
-SEP = _Separator()
-RECORDS = st.one_of(
-    st.integers(-50, 50), st.text(alphabet="xy", max_size=3), st.just(SEP)
-)
-#: Merge keys that order every record of ``RECORDS`` and tie many of them.
-KEYS = st.sampled_from([lambda r: len(str(r)), lambda r: 0, str])
+RECORDS = st.one_of(st.integers(-50, 50), st.text(alphabet="xy", max_size=3))
 SCALARS = st.one_of(
     st.integers(-(2**40), 2**40), st.booleans(), st.text(alphabet="ab", max_size=4)
 )
@@ -237,6 +220,11 @@ class Model:
             raise ReproError("bad write")
         cells[head:head + 1] = [record]
 
+    def turn(self, i):
+        tape = self.tapes[i]
+        self.charge_reversal(tape[3])
+        tape[2] = -tape[2]
+
     def step_read(self, i):
         record = self.read(i)
         self.move(i, +1)
@@ -284,59 +272,12 @@ class Model:
             raise ReproError("wipe needs head 0")
         self.tapes[i][0].clear()
 
-    # -- run operations: a tape merge sort's per-record phases -------------
+    # -- the run operation: its per-record scan ----------------------------
 
     def scanned(self, i):
         """The records ``scan`` yields, read one ``step_read`` at a time."""
         while self.tapes[i][1] < len(self.tapes[i][0]):
             yield self.step_read(i)
-
-    def seed_runs(self, i, j, sep):
-        for record in self.scanned(i):
-            if record is sep:
-                raise ReproError("separator in the input")
-            self.step_write(j, record)
-            self.step_write(j, sep)
-
-    def deal_runs(self, i, j, k, sep):
-        runs, in_run = 0, False
-        for record in self.scanned(i):
-            if record is sep:
-                if in_run:
-                    self.step_write((j, k)[runs % 2], sep)
-                    runs, in_run = runs + 1, False
-                continue
-            in_run = True
-            self.step_write((j, k)[runs % 2], record)
-        if in_run:
-            self.step_write((j, k)[runs % 2], sep)
-            runs += 1
-        return runs
-
-    def merge_runs(self, i, j, k, sep, key):
-        a, b = self.step_read(i), self.step_read(j)
-        while a is not None or b is not None:
-            a_live = a is not None and a is not sep
-            b_live = b is not None and b is not sep
-            while a_live or b_live:
-                if a_live and (not b_live or key(a) <= key(b)):
-                    self.step_write(k, a)
-                    a = self.step_read(i)
-                    a_live = a is not None and a is not sep
-                else:
-                    self.step_write(k, b)
-                    b = self.step_read(j)
-                    b_live = b is not None and b is not sep
-            self.step_write(k, sep)
-            if a is sep:
-                a = self.step_read(i)
-            if b is sep:
-                b = self.step_read(j)
-
-    def strip_separators(self, i, j, sep):
-        for record in self.scanned(i):
-            if record is not sep:
-                self.step_write(j, record)
 
     def transduce(self, i, targets, transducer):
         for t, record in transducer(self.scanned(i)):
@@ -463,6 +404,11 @@ class ExtmemMachine(RuleBasedStateMachine):
         self.on_tape(index, RecordTape.move, self.model.move, direction)
 
     @precondition(lambda self: self.tapes)
+    @rule(index=st.integers(0, MAX_TAPES - 1))
+    def turn(self, index):
+        self.on_tape(index, RecordTape.turn, self.model.turn)
+
+    @precondition(lambda self: self.tapes)
     @rule(
         index=st.integers(0, MAX_TAPES - 1),
         op=st.sampled_from(["seek_start", "seek_end", "rewind", "wipe"]),
@@ -475,6 +421,13 @@ class ExtmemMachine(RuleBasedStateMachine):
     def partial_scan(self, index, k):
         self.on_tape(
             index, lambda tape, k: list(islice(tape.scan(), k)), self.model.scan, k
+        )
+
+    @precondition(lambda self: self.tapes)
+    @rule(index=st.integers(0, MAX_TAPES - 1))
+    def read_all(self, index):
+        self.on_tape(
+            index, RecordTape.read_all, lambda i: list(self.model.scanned(i))
         )
 
     @precondition(lambda self: self.tapes)
@@ -498,28 +451,6 @@ class ExtmemMachine(RuleBasedStateMachine):
                 self.model.step_write(i, record)
 
         self.on_tape(index, RecordTape.write_all, model_write_all, records)
-
-    @precondition(lambda self: len(self.tapes) >= 2)
-    @rule(order=st.permutations(range(MAX_TAPES)))
-    def seed_runs(self, order):
-        self.on_tapes(order, 2, seed_runs, self.model.seed_runs, SEP)
-
-    @precondition(lambda self: len(self.tapes) >= 3)
-    @rule(order=st.permutations(range(MAX_TAPES)))
-    def deal_runs(self, order):
-        self.on_tapes(order, 3, deal_runs, self.model.deal_runs, SEP)
-
-    @precondition(lambda self: len(self.tapes) >= 3)
-    @rule(order=st.permutations(range(MAX_TAPES)), key=KEYS)
-    def merge_runs(self, order, key):
-        self.on_tapes(order, 3, merge_runs, self.model.merge_runs, SEP, key)
-
-    @precondition(lambda self: len(self.tapes) >= 2)
-    @rule(order=st.permutations(range(MAX_TAPES)))
-    def strip_separators(self, order):
-        self.on_tapes(
-            order, 2, strip_separators, self.model.strip_separators, SEP
-        )
 
     @precondition(lambda self: len(self.tapes) >= 2)
     @rule(
@@ -642,49 +573,13 @@ TestExtmemModel.settings = STATE_MACHINE_SETTINGS
 
 
 #: Programs the random ones reach only now and then: a turn denied
-#: partway through a bulk write or a run operation, after another tape
+#: partway through a bulk write or ``transduce``, after another tape
 #: has turned or been written.  Each is (setup arguments, rule steps).
 DENIED_PARTWAY = {
     "write_all": (
         dict(max_scans=2, records=[]),
         [("move", dict(index=0, direction=-1)),
          ("write_all", dict(index=0, records=[0, "x"]))],
-    ),
-    "seed_runs": (
-        dict(max_scans=4, records=[1, 2]),
-        [("add_tape", dict(records=[])),
-         ("move", dict(index=0, direction=1)),
-         ("move", dict(index=0, direction=-1)),
-         ("move", dict(index=1, direction=-1)),
-         ("seed_runs", dict(order=[0, 1, 2]))],
-    ),
-    "deal_runs": (
-        dict(max_scans=6, records=[1, SEP, 2, SEP]),
-        [("add_tape", dict(records=[])),
-         ("add_tape", dict(records=[])),
-         ("move", dict(index=0, direction=1)),
-         ("move", dict(index=0, direction=-1)),
-         ("move", dict(index=1, direction=-1)),
-         ("move", dict(index=2, direction=-1)),
-         ("deal_runs", dict(order=[0, 1, 2]))],
-    ),
-    "merge_runs": (
-        dict(max_scans=4, records=[1, SEP]),
-        [("add_tape", dict(records=[2, SEP])),
-         ("add_tape", dict(records=[])),
-         ("move", dict(index=0, direction=1)),
-         ("move", dict(index=0, direction=-1)),
-         ("move", dict(index=1, direction=1)),
-         ("move", dict(index=1, direction=-1)),
-         ("merge_runs", dict(order=[0, 1, 2], key=str))],
-    ),
-    "strip_separators": (
-        dict(max_scans=4, records=[SEP, 1, SEP]),
-        [("add_tape", dict(records=[])),
-         ("move", dict(index=0, direction=1)),
-         ("move", dict(index=0, direction=-1)),
-         ("move", dict(index=1, direction=-1)),
-         ("strip_separators", dict(order=[0, 1, 2]))],
     ),
     # the scan as written: the source's turn is allowed, the target's,
     # after its first write, denied

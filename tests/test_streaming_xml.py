@@ -16,7 +16,12 @@ from repro.problems import (
     random_equal_instance,
     random_unequal_instance,
 )
-from repro.queries.xml import instance_to_document, parse_tokens, tokenize
+from repro.queries.xml import (
+    document_to_instance,
+    instance_to_document,
+    parse_tokens,
+    tokenize,
+)
 from repro.queries.xml.streaming import (
     figure1_filter_streaming,
     instance_to_token_tape,
@@ -154,8 +159,74 @@ class TestMalformedTokenStreams:
             parse_tokens(list(tokenize(doc)))
         tracker = ResourceTracker()
         tape = RecordTape(tokenize(doc), tracker=tracker, name="tokens")
-        with pytest.raises(XMLError, match="outside of set1/set2"):
+        with pytest.raises(XMLError, match="expected </string>, got </set1>"):
             query(tape, tracker)
+
+    @pytest.mark.parametrize(
+        "query", [figure1_filter_streaming, theorem12_query_streaming]
+    )
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                "<instance><set1><item><string>1</string></item></set2>"
+                "<set2></set1></instance>",
+                "expected <item> or </set1>, got </set2>",
+            ),
+            (
+                "<instance><set1><item><string>1</string></item></set1>"
+                "<set2><item><string>1</string></item>",
+                "unclosed element <set2>",
+            ),
+            (
+                "<instance><set1></set1><set1></set1><set2></set2></instance>",
+                "a second <set1>",
+            ),
+            ("<doc><set1></set1><set2></set2></doc>", "the <instance> root"),
+            ("<instance><set1></set1></instance>", "exactly one <set1>"),
+            (
+                "<instance><set1></set1><set2></set2></instance><x/>",
+                "content after </instance>",
+            ),
+        ],
+        ids=[
+            "mismatched", "unclosed", "second_set1", "root", "missing_set2",
+            "after_root",
+        ],
+    )
+    def test_refused_as_the_dom_path_refuses(self, query, doc, message):
+        """Streams the DOM path rejects, in ``parse_tokens`` or in
+        ``document_to_instance``; the first four were answered before
+        the extraction checked its nesting."""
+        with pytest.raises(XMLError):
+            document_to_instance(parse_tokens(list(tokenize(doc))))
+        tracker = ResourceTracker()
+        tape = RecordTape(tokenize(doc), tracker=tracker, name="tokens")
+        with pytest.raises(XMLError, match=message):
+            query(tape, tracker)
+
+    @pytest.mark.parametrize(
+        "query", [figure1_filter_streaming, theorem12_query_streaming]
+    )
+    def test_deeper_nesting_refused(self, query):
+        """The DOM path reads this <string> as empty; the extraction keeps
+        to the paper's four levels and refuses it."""
+        doc = (
+            "<instance><set1><item><string><b/></string></item></set1>"
+            "<set2><item><string/></item></set2></instance>"
+        )
+        document_to_instance(parse_tokens(list(tokenize(doc))))
+        tape = RecordTape(tokenize(doc), name="tokens")
+        with pytest.raises(XMLError, match="expected </string>, got <b>"):
+            query(tape, tape.tracker)
+
+    def test_sets_in_either_order(self):
+        doc = (
+            "<instance><set2><item><string>0</string></item></set2>"
+            "<set1><item><string/></item></set1></instance>"
+        )
+        tape = RecordTape(tokenize(doc), name="tokens")
+        assert figure1_filter_streaming(tape, tape.tracker).answer is True
 
 
 class TestClaimedBudgetOnEveryKind:

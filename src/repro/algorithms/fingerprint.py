@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from itertools import accumulate
+from typing import Callable, Optional, Tuple
 
 from .._util import bits_needed, ceil_log2, normalize_seed
 from ..errors import EncodingError
@@ -113,8 +114,13 @@ def fingerprint_space_budget(input_size: int) -> int:
 # worked out in closed form, and only while a sink is attached, so a
 # sink-free run does no extra work.  ``_residue_peak`` and ``_power_peak``
 # find each value and its peak in closed form; the helpers' deferred
-# branches and scan 2's deferred loop call them.  The per-store loops
-# stay the definition.
+# branches call them.  Scan 2's deferred loop raises one x to many
+# exponents mod one p2, so ``_powers`` builds fixed-base windows (after
+# Brickell, Gordon, McCurley and Wilson) and peak tables once per run:
+# a power is a product of table entries and its peak a lookup, and
+# ``_records`` calls the two closed forms only for the records the tables
+# cannot settle.  Scan 1 commits its two registers once.  The per-store
+# loops stay the definition.
 
 
 def _residue_peak(value: str, modulus: int) -> Tuple[int, int]:
@@ -175,6 +181,94 @@ def _power_peak(base: int, exponent: int, modulus: int) -> Tuple[int, int]:
         exponent //= 2  # the exponent only shrinks: no new peak
         exp_bits -= 1
     return result, peak
+
+
+#: Bits per window of scan 2's fixed-base power tables.
+WINDOW = 6
+
+
+def _powers(base: int, modulus: int, width: int) -> Callable[[int], Tuple[int, int]]:
+    """``power(e)``, equal to ``_power_peak(base, e, modulus)`` for every
+    0 ≤ e < 2^width (width ≥ 1), from tables built once.
+
+    ``windows[i][d]`` is base^(d·2^(WINDOW·i)) mod modulus, so a power is
+    the product of one entry per window of the exponent's digits.  With
+    B_j the charge of base^(2^j) and R(d) that of base^d, step j of the
+    loop starts with the exponent charged bitlen(e) − j and stores the
+    result at R(e mod 2^(j+1)), beside B_j on a set bit, and then the
+    base at B_(j+1).  ``exact[e]`` is the peak for e < 2^WINDOW; for
+    larger e the set-up and the first WINDOW steps peak at bitlen(e) +
+    ``low[e mod 2^WINDOW]``.  No later step passes bitlen(e) − WINDOW +
+    twice the charge of ``modulus − 1``, so once ``low`` reaches that
+    bound the peak is settled; otherwise ``_power_peak`` finds it.
+    """
+    size = 1 << WINDOW
+    windows = []
+    step = base
+    for _ in range(-(-width // WINDOW)):  # ⌈width / WINDOW⌉ windows
+        row = [1 % modulus]
+        for _ in range(size - 1):
+            row.append(row[-1] * step % modulus)
+        windows.append(row)
+        step = row[-1] * step % modulus
+    first, rest = windows[0], windows[1:]
+    charges = [power.bit_length() or 1 for power in first]
+    squares = [charges[1 << j] for j in range(WINDOW)]
+    squares.append((first[-1] * base % modulus).bit_length() or 1)
+    # ``low`` over e mod 2^j after j steps, less bitlen(e)
+    low = [squares[0] + charges[0]]
+    exact = [low[0] + 1]
+    for j in range(WINDOW):
+        clear = squares[j + 1] - j
+        set_ = max(squares[j], squares[j + 1]) - j
+        low = [p if p > r + clear else r + clear for r, p in zip(charges, low)] + [
+            p if p > r + set_ else r + set_ for r, p in zip(charges[len(low):], low)
+        ]
+        exact += [j + 1 + peak for peak in low[len(low) // 2:]]
+    settled = 2 * ((modulus - 1).bit_length() or 1) - WINDOW
+    mask = size - 1
+
+    def power(e: int) -> Tuple[int, int]:
+        if e < size:
+            return first[e], exact[e]
+        peak = low[e & mask]
+        if peak < settled:
+            return _power_peak(base, e, modulus)
+        term = first[e & mask]
+        digits = e >> WINDOW
+        for row in rest:
+            term *= row[digits & mask]
+            digits >>= WINDOW
+        return term % modulus, e.bit_length() + peak
+
+    return power
+
+
+def _records(p1: int, x: int, p2: int) -> Callable[[str], Tuple[int, int, int]]:
+    """``record(value)``: e = (1·value) mod p1, x^e mod p2 and the widest
+    total of the registers either helper holds on the way.
+
+    A value of at most bitlen(p1) − 2 bits is never reduced, and ``acc``
+    peaks at e's charge, below the power's set-up total, which charges e
+    too.  A longer value's ``acc`` peaks at most at bitlen(p1 − 1), so
+    ``_residue_peak`` runs only when the power peaks below that.
+    """
+    short = p1.bit_length() - 2
+    top = (p1 - 1).bit_length() or 1
+    power = _powers(x, p2, top)
+
+    def record(value: str) -> Tuple[int, int, int]:
+        e = int("1" + value, 2)
+        if len(value) <= short:
+            term, peak = power(e)
+        else:
+            e %= p1
+            term, peak = power(e)
+            if peak < top:
+                peak = max(peak, _residue_peak(value, p1)[1])
+        return e, term, peak
+
+    return record
 
 
 def _residue_of_string(value: str, modulus: int, mem: InternalMemory) -> int:
@@ -283,12 +377,41 @@ def multiset_equality_fingerprint(
 
     # ---- Scan 1 (forward): determine m, n, N -----------------------------
     tracker.mark_phase("scan1")
+    # Decided before the zero stores, over the simulator's bounds on what
+    # the scan will learn: at most len(tape) records of at most N bits.
+    deferred = mem.has_headroom(
+        {"count": len(tape).bit_length(), "n_max": size.bit_length()}
+    )
     mem["count"] = count = 0
     mem["n_max"] = n_max = 0
-    for value in tape.scan():
-        mem["count"] = count = count + 1
-        if len(value) > n_max:
-            mem["n_max"] = n_max = len(value)
+    if deferred:
+        records = tape.read_all()
+        if records:
+            # both registers only grow, so their total peaks at the end
+            count = len(records)
+            n_max = max(map(len, records))
+            stores = delta = 0
+            if tracker.sink is not None:
+                # a ``count`` store per record and an ``n_max`` store per
+                # length raise; the last is the last record's raise, if
+                # it made one, else its ``count`` store
+                maxima = list(accumulate(map(len, records), max, initial=0))
+                stores = count + len(set(maxima)) - 1
+                if maxima[-2] < n_max:
+                    delta = n_max.bit_length() - (maxima[-2].bit_length() or 1)
+                else:
+                    delta = count.bit_length() - ((count - 1).bit_length() or 1)
+            mem.commit_peak(
+                {"count": count, "n_max": n_max},
+                count.bit_length() + (n_max.bit_length() or 1),
+                stores,
+                delta,
+            )
+    else:
+        for value in tape.scan():
+            mem["count"] = count = count + 1
+            if len(value) > n_max:
+                mem["n_max"] = n_max = len(value)
     if count % 2 != 0:
         raise EncodingError("odd number of values on the input tape")
     m = count // 2
@@ -344,11 +467,9 @@ def multiset_equality_fingerprint(
         held = peak = 3  # the three zero registers
         stores = 0
         tally = tracker.sink is not None
+        record = _records(p1, x, p2)
         for value in records:
-            e, record_peak = _residue_peak(value, p1)
-            term, power_peak = _power_peak(x, e, p2)
-            if power_peak > record_peak:
-                record_peak = power_peak
+            e, term, record_peak = record(value)
             if held + record_peak > peak:
                 peak = held + record_peak
             if idx < m:  # the last m records are the primed half

@@ -15,7 +15,7 @@ sequential scans (it is a per-token transformation of the stream).
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Tuple
 
 from ...errors import XMLError
 from ...problems.definitions import InstanceLike, as_instance
@@ -45,12 +45,25 @@ def instance_to_document(instance: InstanceLike) -> Document:
     return Document(root)
 
 
+def _children(parent: Element, *names: str) -> List[Element]:
+    """``parent``'s children, each an element named in ``names``: the
+    streaming extraction refuses text or any other element there too."""
+    for child in parent.children:
+        if not isinstance(child, Element):
+            raise XMLError(f"unexpected text in <{parent.name}>")
+        if child.name not in names:
+            raise XMLError(f"unexpected <{child.name}> in <{parent.name}>")
+    return parent.children
+
+
 def _decode_set(container: Element) -> Tuple[str, ...]:
     values = []
-    for item in container.child_elements("item"):
-        strings = item.child_elements("string")
+    for item in _children(container, "item"):
+        strings = _children(item, "string")
         if len(strings) != 1:
             raise XMLError("each <item> must contain exactly one <string>")
+        if any(isinstance(child, Element) for child in strings[0].children):
+            raise XMLError("a <string> holds text only")
         value = strings[0].string_value()
         if any(ch not in "01" for ch in value):
             raise XMLError(f"non-binary string content {value!r}")
@@ -59,10 +72,17 @@ def _decode_set(container: Element) -> Tuple[str, ...]:
 
 
 def document_to_instance(doc: Document) -> Instance:
-    """Decode the paper's document shape back into an instance."""
+    """Decode the paper's document shape back into an instance.
+
+    The shape the streaming extraction accepts and no other:
+    ``<instance>`` holding one ``<set1>`` and one ``<set2>`` (either
+    first), each holding only ``<item>`` elements, each holding one
+    ``<string>`` of text only.  The text must also be a 0-1 string.
+    """
     root = doc.root
     if root.name != "instance":
         raise XMLError(f"expected <instance> root, got <{root.name}>")
+    _children(root, "set1", "set2")
     set1 = root.child_elements("set1")
     set2 = root.child_elements("set2")
     if len(set1) != 1 or len(set2) != 1:

@@ -3,36 +3,41 @@
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from repro._util import is_power_of_two
 from repro.algorithms import (
     amplified_multiset_equality,
     fingerprint_parameters,
     fingerprint_space_budget,
     multiset_equality_fingerprint,
+    one_pass_multiset_test,
 )
 from repro.algorithms.fingerprint import (
     FingerprintParameters,
     _mod_pow_charged,
     _power_peak,
+    _powers,
+    _records,
     _residue_of_string,
     _residue_peak,
     monte_carlo_fingerprint_trials,
 )
 from repro.errors import EncodingError
 from repro.extmem import InternalMemory, RecordTape, ResourceBudget, ResourceTracker
-from repro.numbertheory import is_prime, random_prime_at_most
+from repro.numbertheory import bertrand_prime, is_prime, random_prime_at_most
 from repro.observability.audit import FULL_SWEEP
 from repro.observability.sinks import RingBufferSink, TallySink
 from repro.problems import (
     MULTISET_EQUALITY,
+    CheckPhiFamily,
     Instance,
     encode_instance,
     near_miss_instance,
     random_equal_instance,
     random_unequal_instance,
 )
-from tests.settings_profiles import DIFFERENTIAL_SETTINGS
+from tests.settings_profiles import DIFFERENTIAL_SETTINGS, STANDARD_SETTINGS
 
 bit_words = st.lists(st.text(alphabet="01", min_size=1, max_size=10), max_size=8)
 
@@ -48,7 +53,26 @@ moduli = st.one_of(
     .filter(lambda modulus: modulus >= 1),
 )
 
-#: The registers of scan 2's one commit when it runs deferred.
+#: Odd primes from 3 up to about 2^34.6, E1's widest p2, with the
+#: smallest ones drawn often.
+primes = st.one_of(
+    st.sampled_from([3, 5, 7, 11, 13]), st.integers(1, 2**32).map(bertrand_prime)
+)
+
+
+@st.composite
+def powers_of(draw):
+    """A prime modulus and a base 1, 2, modulus − 1 or drawn."""
+    modulus = draw(primes)
+    base = draw(
+        st.sampled_from([1, 2, modulus - 1]) | st.integers(1, modulus - 1)
+    )
+    return modulus, base
+
+
+#: The registers of scan 1's and scan 2's one commit when each runs
+#: deferred.
+SCAN1_COMMIT = ("count", "n_max")
 SCAN_COMMIT = ("sum_first", "sum_second", "idx")
 
 #: E1's four (m, n) shapes (``benchmarks/bench_e1_fingerprint.py``).
@@ -415,6 +439,48 @@ class TestClosedForms:
         )[:2]
 
 
+class TestPowerTables:
+    """Scan 2's per-run tables (``_powers``) and its records
+    (``_records``) against the loops they skip."""
+
+    @pytest.mark.parametrize("modulus", [3, 13, 4093])
+    def test_every_twelve_bit_exponent(self, modulus):
+        """Charges of at most 2, 4 and 12 bits; at 4093 the tail bound
+        leaves some exponents to ``_power_peak``."""
+        drawn = random.Random(modulus).randint(1, modulus - 1)
+        for base in sorted({1, 2, modulus - 1, drawn}):
+            power = _powers(base, modulus, 12)
+            for exponent in range(1 << 12):
+                assert power(exponent) == _power_steps(base, exponent, modulus)[
+                    :2
+                ], (base, exponent)
+
+    @given(case=powers_of(), exponent=st.integers(0, 2**40 - 1))
+    # digit 0, whose table entry (35) is below the tail bound (62): the
+    # steps after bit 6 peak at 99, above bitlen(e) + 35 = 75
+    @example(case=(bertrand_prime(2**32), 1234567891), exponent=2**39 + 64)
+    @example(case=(bertrand_prime(2**32), 2), exponent=2**40 - 1)
+    @DIFFERENTIAL_SETTINGS
+    def test_forty_bit_exponents(self, case, exponent):
+        modulus, base = case
+        assert _powers(base, modulus, 40)(exponent) == _power_steps(
+            base, exponent, modulus
+        )[:2]
+
+    @given(value=long_bits, p1=primes, case=powers_of())
+    # longer than bitlen(p1) − 2 bits, reduced to 1: with x = 1 the power
+    # peaks at 3 bits and ``acc`` at 9
+    @example(value="1111111011", p1=1021, case=(4093, 1))
+    @DIFFERENTIAL_SETTINGS
+    def test_records_match_the_helpers(self, value, p1, case):
+        p2, x = case
+        e, residue_peak, _ = _residue_steps(value, p1)
+        term, power_peak, _ = _power_steps(x, e, p2)
+        assert _records(p1, x, p2)(value) == (
+            e, term, max(residue_peak, power_peak)
+        )
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args), None
@@ -635,22 +701,27 @@ class TestSinkFreeRuns:
     @pytest.mark.parametrize("sink", [None, TallySink])
     def test_default_budget_defers_scan_two(self, commits, m, n, sink):
         """At every audit cell and E1 shape, ``fingerprint_space_budget``
-        admits scan 2's seven registers at their widest, whatever p1 and
-        x are drawn, so the scan commits once and calls no helper."""
+        admits both scans' registers at their widest, whatever p1 and x
+        are drawn, so each scan commits once and scan 2 calls no helper.
+
+        The name predates scan 1's commit; it pins both scans now."""
         params = FingerprintParameters.for_shape(m, n)
         width1 = params.k.bit_length()  # p1 ≤ k
         width2 = (params.p2 - 1).bit_length()
+        inst = random_equal_instance(m, n, random.Random(f"{m}:{n}"))
+        budget = fingerprint_space_budget(inst.size)
+        # scan 1, with nothing held: count ≤ 2m records, n_max ≤ N bits
+        assert (2 * m).bit_length() + inst.size.bit_length() <= budget
         # held: count, n_max, p1, p2 and x; scan 2: the sums, pw_base and
         # pw_result below p2, acc and pw_exp below p1, and idx ≤ 2m
         held = (2 * m).bit_length() + n.bit_length() + width1 + 2 * width2
         widest = 4 * width2 + 2 * width1 + (2 * m).bit_length()
-        inst = random_equal_instance(m, n, random.Random(f"{m}:{n}"))
-        assert held + widest <= fingerprint_space_budget(inst.size)
+        assert held + widest <= budget
         result = multiset_equality_fingerprint(
             inst, random.Random(m), sink=sink and sink()
         )
         assert result.accepted
-        assert commits == [SCAN_COMMIT]
+        assert commits == [SCAN1_COMMIT, SCAN_COMMIT]
 
 
 class _RecordingTally(TallySink):
@@ -785,6 +856,76 @@ class TestTallyRuns:
 
         check()
         assert deferred == {True, False}
+
+
+def _instance(kind, m, n, rng):
+    """An instance of ``kind``, or ``None`` where (m, n) has none."""
+    if kind == "yes":
+        return random_equal_instance(m, n, rng)
+    if m == 0 or n == 0:
+        return None
+    if kind == "no":
+        return random_unequal_instance(m, n, rng)
+    if kind == "near-miss":
+        return near_miss_instance(m, n, rng)
+    # CHECK-φ (Lemma 22): m a power of two dividing 2^n, with room for a
+    # second value in each interval for a no-instance
+    room = 2**n // m if is_power_of_two(m) and m <= 2**n else 0
+    if kind == "check-phi yes" and room:
+        return CheckPhiFamily(m, n).random_yes(rng)
+    if kind == "check-phi no" and room >= 2:
+        return CheckPhiFamily(m, n).random_no(rng)
+    return None
+
+
+class TestClaimedBudgetOnEveryKind:
+    """The fingerprint under its claimed co-RST(2, O(log N), 1) budget,
+    enforced, and the one-pass foil within (1, 0, 1), on every kind of
+    instance: neither rejects a yes-instance, and the fingerprint rejects
+    only a true no."""
+
+    @given(
+        m=st.integers(0, 33),
+        n=st.integers(0, 6),
+        kind=st.sampled_from(
+            ["yes", "no", "near-miss", "check-phi yes", "check-phi no"]
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(m=0, n=0, kind="yes", seed=0)
+    @example(m=1, n=0, kind="yes", seed=0)
+    @example(m=4, n=12, kind="yes", seed=0)  # the audit's smallest cell
+    @example(m=4, n=12, kind="no", seed=0)
+    @example(m=4, n=12, kind="near-miss", seed=0)
+    @example(m=4, n=12, kind="check-phi yes", seed=0)
+    @example(m=4, n=12, kind="check-phi no", seed=0)
+    @example(m=128, n=64, kind="near-miss", seed=0)  # E1's widest shape
+    @STANDARD_SETTINGS
+    def test_within_budget_and_decides(self, m, n, kind, seed):
+        inst = _instance(kind, m, n, random.Random(seed))
+        assume(inst is not None)
+        yes = MULTISET_EQUALITY(inst)
+        budget = ResourceBudget(
+            max_scans=2,
+            max_internal_bits=fingerprint_space_budget(inst.size),
+            max_tapes=1,
+        )
+        tally = TallySink()
+        tallied = multiset_equality_fingerprint(
+            inst, random.Random(seed), budget=budget, sink=tally
+        )
+        assert tally.denied == 0
+        assert tallied.accepted or not yes
+        # the ring buffer takes every store: the per-store path's run
+        assert tallied == multiset_equality_fingerprint(
+            inst, random.Random(seed), budget=budget, sink=RingBufferSink()
+        )
+
+        foil = one_pass_multiset_test(inst, sink=TallySink())
+        assert foil.report.within(
+            ResourceBudget(max_scans=1, max_internal_bits=0, max_tapes=1)
+        )
+        assert foil.accepted or not yes
 
 
 class TestMonteCarloArguments:

@@ -16,8 +16,9 @@ or enforcement denied a charge.  With ``--cache DIR`` (or
 ``$REPRO_CACHE_DIR``) sweep cells are memoized in the content-addressed
 result store of :mod:`repro.cache`: a warm rerun writes the same bytes
 without re-running a single check, and ``--no-cache`` forces the scratch
-path.  ``--jobs N`` fans the sweep out over N worker processes and
-writes the same bytes; ``--ledger PATH`` journals the sweep.
+path.  ``--ledger PATH`` journals the sweep.  Every command runs in
+this one process: the whole audit's work (about 50 ms) is less than a
+process pool costs to start.
 
 ``python -m repro report {summarize,compare,history,strip}`` works the
 observability artifacts: ``summarize`` rolls one or more sweep ledgers
@@ -36,7 +37,7 @@ sample of entries from their provenance stamps and diffs the canonical
 bytes against what is stored.
 
 ``python -m repro trace <algorithm|machine> [--n N] [--chrome out.json]
-[--jsonl out.jsonl] [--trials T [--jobs J]]`` runs one target under an
+[--jsonl out.jsonl] [--trials T]`` runs one target under an
 :class:`~repro.observability.trace.EngineProbe` and prints its span
 timeline: one line per phase with its reversals (in total and per tape),
 steps, internal bits and denials, folded from the whole event stream
@@ -86,7 +87,6 @@ def _cmd_audit(
     quick: bool,
     output: str,
     verbose: bool,
-    jobs: int,
     cache_dir: "str | None" = None,
     cache_stats: "str | None" = None,
     ledger_path: "str | None" = None,
@@ -106,17 +106,14 @@ def _cmd_audit(
         cache = ResultStore(cache_dir, ledger=ledger)
 
     mode = "quick" if quick else "full"
-    workers = f", {jobs} worker processes" if jobs != 1 else ""
     cached = f", cache at {cache_dir}" if cache is not None else ""
 
     print(
-        f"repro {__version__} — contract audit ({mode} sweep{workers}"
-        f"{cached}): measured (scans, bits, tapes) vs. claimed envelopes\n"
+        f"repro {__version__} — contract audit ({mode} sweep{cached}): "
+        "measured (scans, bits, tapes) vs. claimed envelopes\n"
     )
     try:
-        run = run_contract_audit(
-            quick=quick, jobs=jobs, cache=cache, ledger=ledger
-        )
+        run = run_contract_audit(quick=quick, cache=cache, ledger=ledger)
     finally:
         if ledger is not None:
             ledger.close()
@@ -323,7 +320,6 @@ def _cmd_trace(
     jsonl: "str | None",
     seed: int,
     trials: int = 0,
-    jobs: int = 1,
 ) -> int:
     import random
 
@@ -379,11 +375,10 @@ def _cmd_trace(
                 from .machines.randomized import estimate_acceptance_probability
 
                 estimate = estimate_acceptance_probability(
-                    machine, word, trials, seed=seed, jobs=jobs
+                    machine, word, trials, seed=seed
                 )
                 print(
-                    f"Monte Carlo estimate over {estimate.trials} trials "
-                    f"({jobs} job{'s' if jobs != 1 else ''}): "
+                    f"Monte Carlo estimate over {estimate.trials} trials: "
                     f"{estimate.accepted}/{estimate.trials} "
                     f"= {float(estimate.estimate):.4f}  (exact: {float(p):.4f})"
                 )
@@ -433,13 +428,6 @@ def main(argv=None) -> int:
     )
     audit.add_argument(
         "-v", "--verbose", action="store_true", help="print every sweep cell"
-    )
-    audit.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the sweep (default 1 = serial; results "
-        "and the JSON artifact are byte-identical at any value)",
     )
     audit.add_argument(
         "--cache",
@@ -596,16 +584,8 @@ def main(argv=None) -> int:
         help="for randomized machines: also run this many Monte Carlo "
         "trials (deterministically seeded) next to the exact DP",
     )
-    trace.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the --trials sweep (default 1 = serial)",
-    )
     args = parser.parse_args(argv)
     if args.command == "audit":
-        if args.jobs < 1:
-            parser.error("--jobs must be >= 1")
         cache_dir = None if args.no_cache else args.cache
         if args.cache_stats and cache_dir is None:
             parser.error("--cache-stats needs an active --cache directory")
@@ -613,7 +593,6 @@ def main(argv=None) -> int:
             args.quick,
             args.output,
             args.verbose,
-            args.jobs,
             cache_dir,
             args.cache_stats,
             args.ledger,
@@ -633,8 +612,6 @@ def main(argv=None) -> int:
     if args.command == "trace":
         if args.n < 0:
             parser.error("--n must be >= 0")
-        if args.jobs < 1:
-            parser.error("--jobs must be >= 1")
         if args.trials < 0:
             parser.error("--trials must be >= 0")
         randomized = sorted(
@@ -647,8 +624,6 @@ def main(argv=None) -> int:
                 "--trials needs a randomized machine target: "
                 + ", ".join(randomized)
             )
-        if args.jobs > 1 and args.trials == 0:
-            parser.error("--jobs applies to the --trials sweep only")
         return _cmd_trace(
             args.target,
             args.n,
@@ -656,7 +631,6 @@ def main(argv=None) -> int:
             args.jsonl,
             args.seed,
             args.trials,
-            args.jobs,
         )
     return _cmd_verify()
 

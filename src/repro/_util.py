@@ -14,7 +14,8 @@ def normalize_seed(seed: object) -> str:
     """Canonical string form of a user-supplied seed.
 
     The single choke point for every seed that feeds a derived stream:
-    :func:`repro.parallel.derive_task_rng` and
+    the per-block rngs of
+    :func:`repro.machines.randomized.estimate_acceptance_probability` and
     :func:`repro.algorithms.fingerprint.derive_lane_rng` both normalize
     through here, so the int ``7`` and the string ``"7"`` draw the same
     streams.

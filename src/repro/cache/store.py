@@ -230,8 +230,8 @@ class ResultStore:
         """Disk-derived statistics: entry counts per kind, bytes, stale.
 
         Pure function of the directory contents, so it works across
-        processes (worker-written entries count even though the workers'
-        hit/miss counters died with them).
+        processes (entries another command wrote count even though its
+        hit/miss counters died with it).
         """
         per_kind: Dict[str, int] = {}
         total = 0

@@ -25,13 +25,7 @@ from ..errors import MachineError
 
 
 class _Bracket:
-    """Angle-bracket singletons ⟨ and ⟩.
-
-    Equality is identity, so pickling must resolve back to the module
-    singletons: without :meth:`__reduce__`, an unpickled skeleton would
-    carry private bracket copies and never compare equal to one computed
-    in-process.
-    """
+    """Angle-bracket singletons ⟨ and ⟩; equality is identity."""
 
     __slots__ = ("_label",)
 
@@ -41,17 +35,9 @@ class _Bracket:
     def __repr__(self) -> str:
         return self._label
 
-    def __reduce__(self):
-        return (_bracket, (self._label,))
-
 
 LA = _Bracket("⟨")
 RA = _Bracket("⟩")
-
-
-def _bracket(label: str) -> _Bracket:
-    """Unpickling hook: map a bracket label back to its singleton."""
-    return LA if label == "⟨" else RA
 
 
 class Inp:

@@ -15,10 +15,10 @@ prints it on one line.
 
 :func:`estimate_acceptance_probability` is the Monte Carlo twin of the
 exact DP: it samples whole runs under uniformly random choice sequences
-(Definition 17 semantics) in blocks of :data:`TRIALS_PER_TASK`, one
-:mod:`repro.parallel` batch task per block with the runtime's per-task
-seeding, so the estimate is bit-identical at any ``jobs`` (``repro trace
-<machine> --trials T --jobs J`` fans it out).
+(Definition 17 semantics) in blocks of :data:`TRIALS_PER_TASK`, in
+process, each block drawing from its own rng keyed by the seed and the
+block's index, so the estimate is a function of ``(seed, trials)`` alone
+(``repro trace <machine> --trials T`` prints it).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence, Tuple
 
+from .._util import normalize_seed
 from ..errors import MachineError
 from .fast_engine import acceptance_probability, run_with_choices
 from .tm import TuringMachine
@@ -35,7 +36,7 @@ from .tm import TuringMachine
 #: The checkers' default per-word step ceiling.
 DEFAULT_CHECK_STEP_LIMIT = 100_000
 
-#: Trials per batch task of :func:`estimate_acceptance_probability`.
+#: Trials per block of :func:`estimate_acceptance_probability`.
 TRIALS_PER_TASK = 32
 
 #: Random choice values are drawn below this bound; it is divisible by
@@ -162,22 +163,6 @@ def sample_run_accepts(
     return run.accepts(machine)
 
 
-def mc_trial_block(
-    machine: TuringMachine,
-    word: str,
-    count: int,
-    step_limit: int,
-    rng: random.Random,
-) -> int:
-    """Batch task body: ``count`` samples, returns how many accepted."""
-    accepted = 0
-    for _ in range(count):
-        accepted += sample_run_accepts(
-            machine, word, rng, step_limit=step_limit
-        )
-    return accepted
-
-
 @dataclass(frozen=True)
 class MonteCarloAcceptance:
     """A sampled acceptance probability with its trial transcript."""
@@ -196,32 +181,25 @@ def estimate_acceptance_probability(
     trials: int,
     *,
     seed: Any = 0,
-    jobs: int = 1,
     step_limit: int = DEFAULT_CHECK_STEP_LIMIT,
 ) -> MonteCarloAcceptance:
     """Sample Pr(T accepts w) over ``trials`` independent random runs.
 
-    The sample is partitioned into blocks of :data:`TRIALS_PER_TASK`, one
-    batch task per block, each drawing from its own task-index-derived
-    rng — so the estimate depends only on ``(seed, trials)``, never on
-    ``jobs`` or scheduling.  The exact-DP answer is the oracle this
+    The sample is partitioned into blocks of :data:`TRIALS_PER_TASK`;
+    block ``i`` draws from ``random.Random(f"batch:{seed}:{i}")`` (the
+    seed through :func:`~repro._util.normalize_seed`), string-keyed so the
+    streams are stable across Python versions.  The estimate depends only
+    on ``(seed, trials)``.  The exact-DP answer is the oracle this
     estimator is tested against.
     """
     if trials < 1:
         raise MachineError(f"trials must be >= 1, got {trials}")
-    from ..parallel import BatchTask, run_batch
-
-    blocks = [
-        min(TRIALS_PER_TASK, trials - start)
-        for start in range(0, trials, TRIALS_PER_TASK)
-    ]
-    tasks = [
-        BatchTask.call(
-            mc_trial_block, machine, word, count, step_limit, seeded=True
-        )
-        for count in blocks
-    ]
-    counts = run_batch(
-        tasks, jobs=jobs, seed=seed, label="mc-acceptance"
-    ).values()
-    return MonteCarloAcceptance(trials=trials, accepted=sum(counts))
+    key = normalize_seed(seed)
+    accepted = 0
+    for index, start in enumerate(range(0, trials, TRIALS_PER_TASK)):
+        rng = random.Random(f"batch:{key}:{index}")
+        for _ in range(min(TRIALS_PER_TASK, trials - start)):
+            accepted += sample_run_accepts(
+                machine, word, rng, step_limit=step_limit
+            )
+    return MonteCarloAcceptance(trials=trials, accepted=accepted)

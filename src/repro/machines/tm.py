@@ -94,41 +94,6 @@ class TuringMachine:
                     "machine not normalized: more than one head moves in a step"
                 )
 
-    #: The known memoized derived structures, rebuilt lazily after
-    #: unpickling.  Documentation and test surface only: ``__getstate__``
-    #: strips *every* underscore-prefixed ``__dict__`` entry, so a new
-    #: memo attribute is covered the moment it exists — this tuple no
-    #: longer has to be remembered by hand when one is added.
-    _CACHE_ATTRS = (
-        "_transition_index",
-        "_compiled_steps",
-    )
-
-    def __getstate__(self) -> Dict[str, object]:
-        """Pickle the definition only, never the memoized caches.
-
-        ``transition_index()`` and the streaming engine's
-        ``_compiled_steps`` are stashed on the instance ``__dict__``;
-        shipping them to worker processes would bloat every task payload
-        with data the worker can rebuild in one pass over the (small)
-        transition table.  Every derived cache lives
-        under an underscore name while the dataclass fields never do, so
-        stripping by prefix covers future memo attributes automatically
-        (regression-tested in ``tests/test_parallel.py``).  Workers
-        therefore receive a bare machine and warm their own caches
-        locally on first use.
-        """
-        return {
-            key: value
-            for key, value in self.__dict__.items()
-            if not key.startswith("_")
-        }
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        # bypass the frozen-dataclass setattr guard; __post_init__ already
-        # validated this definition in the originating process
-        self.__dict__.update(state)
-
     @property
     def tape_count(self) -> int:
         return self.external_tapes + self.internal_tapes

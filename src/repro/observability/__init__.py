@@ -18,8 +18,8 @@ Layered bottom-up:
   the live stream into one span per phase (reversals in total and per
   tape, steps, internal bits, denials), and the ``probe=`` hook of the
   engines' run functions and ``acceptance_probability`` (``probe=None``
-  by default — no per-step cost).  Probes watch one in-process run;
-  batch sweeps do not take them;
+  by default — no per-step cost).  A probe watches one run;
+  sweeps do not take them;
 * :mod:`~repro.observability.audit` — the contract-audit harness behind
   ``python -m repro audit``: sweeps the paper's algorithms across decades
   of N and checks every measured envelope against its claimed one, and
@@ -27,11 +27,11 @@ Layered bottom-up:
   submodule imports the algorithm packages, so it is loaded lazily — the
   tracker itself only needs :mod:`events`.)
 * :mod:`~repro.observability.ledger` — the durable layer above a single
-  run, and the batch runtime's only observer: a :class:`LedgerWriter`
-  journals sweeps as canonical-JSON lines (sweep start/end tallies, task
-  outcomes, worker restarts, cache events) with
-  every wall-clock field isolated in a marked ``wall`` section, so
-  stripped ledgers of identical serial runs are byte-identical;
+  run: a :class:`LedgerWriter` journals the audit's one sweep as
+  canonical-JSON lines (sweep start/end tallies, one outcome per cell
+  with its seconds, cache events) with every wall-clock field isolated in
+  a marked ``wall`` section, so stripped ledgers of identical runs are
+  byte-identical;
 * :mod:`~repro.observability.report` — rollups and regression verdicts
   behind ``python -m repro report``: deterministic ledger summaries, the
   pairs comparer that judges ``benchmarks/e2e`` runs of a change against

@@ -25,6 +25,7 @@ all randomness is seeded per sweep cell, so the artifact is reproducible.
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -442,10 +443,9 @@ def run_audit_cell(spec: ContractSpec, m: int, n: int) -> ContractCheck:
     """One sweep cell: run the contract at (m, n) under an instrumented
     tracker and check measured-vs-claimed plus stream consistency.
 
-    Module-level and self-seeding (the rng is derived from the cell
-    coordinates alone), so cells are independent batch tasks: the audit
-    dispatches them through :func:`repro.parallel.run_batch` and the JSON
-    record is byte-identical at any ``jobs``.
+    Self-seeding: the rng is derived from the cell coordinates alone, so
+    a cell computes the same check alone, in a sweep, or when the result
+    store recomputes it to verify an entry.
     """
     rng = random.Random(f"audit:{spec.name}:{m}:{n}")
     sink = TallySink()
@@ -472,118 +472,67 @@ def run_audit_cell(spec: ContractSpec, m: int, n: int) -> ContractCheck:
     )
 
 
-def run_audit_cells(
-    cells: Sequence[Tuple[int, int]], spec: ContractSpec
-) -> List[ContractCheck]:
-    """Batch task body: one contract's whole (m, n) N-sweep in one task.
-
-    The per-spec sweep is the unit the audit hands the batch runtime;
-    each cell still seeds its own rng from its coordinates alone, so the
-    checks — and the JSON written from them — are byte-identical to
-    running the cells one by one, at any ``jobs``.
-    """
-    return [run_audit_cell(spec, m, n) for m, n in cells]
-
-
 def run_contract_audit(
     *,
     quick: bool = False,
     contracts: Optional[Sequence[ContractSpec]] = None,
     sweep: Optional[Sequence[Tuple[int, int]]] = None,
-    jobs: int = 1,
     cache=None,
     ledger=None,
 ) -> AuditRun:
     """Sweep every contract; returns the full measured-vs-claimed record.
 
-    Every contract runs over the same (m, n) cell list.  ``jobs`` fans
-    the per-contract N-sweeps out over worker processes via
-    :mod:`repro.parallel` — one task per contract, so each worker runs
-    a whole sweep in one call; every cell seeds its own rng from its
-    coordinates, so the result — and the JSON artifact written from it
-    — is byte-identical to the serial sweep for any ``jobs``.
+    Every contract runs over the same (m, n) cell list, in process, spec
+    by spec and cell by cell; every cell seeds its own rng from its
+    coordinates, so the JSON artifact written from the result is a pure
+    function of the code.
 
     ``cache`` (a :class:`~repro.cache.ResultStore`) memoizes per check:
-    cells whose content-addressed key is already stored skip their
-    contract runner entirely (zero engine work) and only the misses are
-    dispatched — with a warm cache the whole audit is lookups.  An entry
-    that does not decode back into a check is quarantined and
-    recomputed.  The assembled record is byte-identical with the cache
-    on, off, cold or warm; the store's hit/miss counters prove which
-    path served each cell.
+    a cell whose content-addressed key is already stored skips its
+    contract runner entirely (zero engine work) — with a warm cache the
+    whole audit is lookups.  An entry that does not decode back into a
+    check is quarantined and recomputed.  The assembled record is
+    byte-identical with the cache on, off, cold or warm; the store's
+    hit/miss counters prove which path served each cell.
 
     ``ledger`` (a :class:`~repro.observability.ledger.LedgerWriter`)
-    journals the run durably on two layers: the batch runtime writes one
-    ``task-outcome`` per dispatched task (label ``audit``, one per
-    contract), and this function writes a deterministic per-cell sweep
-    (label ``audit-cells``) — one ``task-outcome`` per contract check,
-    stamped ``{contract, m, n, source: cache|computed}`` — that
-    reconciles exactly with the checks in ``AUDIT_contracts.json`` and,
-    via its ``sweep-end`` cache counters, with the store's hit/miss
-    totals.
+    journals the run as one sweep, label ``audit-cells``: one
+    ``task-outcome`` per contract check, in spec × cell order, stamped
+    ``{contract, m, n, source: cache|computed}`` with the cell's seconds
+    under ``wall`` (0 for a cache hit).  The outcomes reconcile exactly
+    with the checks in ``AUDIT_contracts.json`` and, via the
+    ``sweep-end`` cache counters, with the store's hit/miss totals.
     """
-    from ..parallel import BatchTask, run_batch
-
     cells = tuple(sweep) if sweep is not None else (
         QUICK_SWEEP if quick else FULL_SWEEP
     )
     specs = tuple(contracts if contracts is not None else CONTRACTS)
 
-    checks: Dict[Tuple[str, int, int], ContractCheck] = {}
-    missing: Dict[str, List[Tuple[int, int]]] = {}
+    if ledger is not None:
+        ledger.sweep_start("audit-cells", tasks=len(specs) * len(cells))
+    outcomes = []
+    index = 0
     for spec in specs:
+        checks = []
         for m, n in cells:
             check = None
             if cache is not None:
-                check = cache.lookup(
-                    audit_cell_key(spec.name, m, n), check_from_payload
-                )
+                key = audit_cell_key(spec.name, m, n)
+                check = cache.lookup(key, check_from_payload)
+            source, seconds = "cache", 0.0
             if check is None:
-                missing.setdefault(spec.name, []).append((m, n))
-            else:
-                checks[(spec.name, m, n)] = check
-    hit_keys = frozenset(checks)
-    dispatch = [spec for spec in specs if spec.name in missing]
-    if dispatch:
-        tasks = [
-            BatchTask.call(run_audit_cells, missing[spec.name], spec)
-            for spec in dispatch
-        ]
-        sweeps = run_batch(
-            tasks,
-            jobs=jobs,
-            label="audit",
-            ledger=ledger,
-        ).values()
-        for spec, computed in zip(dispatch, sweeps):
-            for check in computed:
+                source = "computed"
+                started = time.perf_counter()
+                check = run_audit_cell(spec, m, n)
+                seconds = time.perf_counter() - started
                 if cache is not None:
-                    cache.store(
-                        audit_cell_key(check.contract, check.m, check.n),
-                        check_to_payload(check),
-                        engine="audit",
-                    )
-                checks[(spec.name, check.m, check.n)] = check
-
-    if ledger is not None:
-        # The reconciliation layer: one deterministic outcome record per
-        # contract check, in spec × cell order regardless of jobs or
-        # cache state, each stamped with what served it — these lines
-        # line up one-to-one with the checks in the JSON artifact.
-        ledger.sweep_start(
-            "audit-cells", tasks=len(specs) * len(cells), jobs=jobs
-        )
-        index = 0
-        for spec in specs:
-            for m, n in cells:
-                check = checks[(spec.name, m, n)]
-                source = (
-                    "cache" if (spec.name, m, n) in hit_keys else "computed"
-                )
+                    cache.store(key, check_to_payload(check), engine="audit")
+            if ledger is not None:
                 ledger.record_outcome(
                     "audit-cells",
                     index=index,
                     ok=check.ok,
+                    seconds=seconds,
                     detail={
                         "contract": spec.name,
                         "m": m,
@@ -591,20 +540,19 @@ def run_contract_audit(
                         "source": source,
                     },
                 )
-                index += 1
-        ledger.sweep_end(
-            "audit-cells",
-            cache=cache.counter_snapshot() if cache is not None else None,
-        )
-
-    outcomes = []
-    for spec in specs:
+            index += 1
+            checks.append(check)
         outcomes.append(
             ContractOutcome(
                 name=spec.name,
                 description=spec.description,
-                checks=tuple(checks[(spec.name, m, n)] for m, n in cells),
+                checks=tuple(checks),
             )
+        )
+    if ledger is not None:
+        ledger.sweep_end(
+            "audit-cells",
+            cache=cache.counter_snapshot() if cache is not None else None,
         )
     return AuditRun(
         mode="quick" if quick else "full", contracts=tuple(outcomes)

@@ -1,8 +1,7 @@
 """The sweep ledger: durable canonical-JSON records of what a sweep did.
 
 Every layer below this one observes a *single* run: events trace one
-tracker, spans trace one engine call, a ``BatchResult`` summarizes one
-batch and then dies with the process.  The ledger is the durable record
+tracker, spans trace one engine call.  The ledger is the durable record
 *across* runs: a :class:`LedgerWriter` appends one canonical-JSON line
 (:func:`~repro.cache.fingerprint.canonical_json` — sorted keys, compact
 separators) per sweep event, so a ``repro audit --ledger`` leaves
@@ -10,35 +9,30 @@ behind a journal of exactly what ran, what it cost, and what served it.
 
 Record kinds (all schema-versioned via :data:`LEDGER_SCHEMA`):
 
-* ``sweep-start`` — label, task count, jobs and the timestamp-free
+* ``sweep-start`` — label, task count and the timestamp-free
   provenance stamp (``repro_version``);
-* ``task-outcome`` — one per :class:`~repro.parallel.batch.TaskOutcome`:
-  index, ok, attempts (retries = attempts - 1), the structured error if
-  any, and an optional ``detail`` dict (the audit stamps
+* ``task-outcome`` — one per task: index, ok, the task's seconds under
+  ``wall``, and an optional ``detail`` dict (the audit stamps
   contract/cell/source attribution here);
-* ``worker-restart`` — a process-pool rebuild after a crash (quarantine
-  attribution rides in the eventual ``task-outcome``'s error);
 * ``cache`` — one :class:`~repro.cache.ResultStore` hit/miss/write/
   invalid event, with the entry kind and content-addressed key digest;
-* ``sweep-end`` — final tallies (tasks/completed/failed/restarts), the
-  sweep's elapsed time and, for the audit's ``audit-cells`` sweep, the
-  store's counter snapshot.
+* ``sweep-end`` — final tallies (tasks/completed/failed), the sweep's
+  elapsed time and, for the audit's ``audit-cells`` sweep, the store's
+  counter snapshot.
 
-There are no liveness records: the sweeps that write ledgers finish in
-about half a second, so a heartbeat or stall detector would have
-nothing to report.
-
-The ledger is the batch runtime's only observer: every fact about a
-sweep's dispatch (tasks, jobs, completed, failed, worker restarts,
-per-task seconds) is journaled here and nowhere else.
+Its one writer is the contract audit, which runs in process and
+journals one sweep, ``audit-cells``: a task that raises ends the
+sweep, so no record holds an error or a retry.  There are no liveness
+records: the audit finishes in well under a second, so a heartbeat or
+stall detector would have nothing to report.
 
 Determinism discipline — the property the ``ledger-determinism`` CI gate
 pins: every wall-clock-derived value lives in a clearly marked ``wall``
 section of its record (a task's seconds, a sweep's elapsed time).
 :func:`strip_nondeterministic` removes exactly those, after which two
-identical serial sweeps write byte-identical ledgers.  Everything
-outside ``wall`` is a pure function of the work: indices, counts, error
-structures, cache key digests, attempts.
+identical sweeps write byte-identical ledgers.  Everything outside
+``wall`` is a pure function of the work: indices, counts, cache key
+digests.
 
 Crash tolerance: records are flushed one whole line at a time, so a
 crash can leave at most one torn line, the last one, with no newline.
@@ -65,7 +59,6 @@ __all__ = [
     "LEDGER_KINDS",
     "KIND_SWEEP_START",
     "KIND_TASK_OUTCOME",
-    "KIND_WORKER_RESTART",
     "KIND_CACHE_EVENT",
     "KIND_SWEEP_END",
     "LedgerWriter",
@@ -77,18 +70,16 @@ __all__ = [
 
 #: Ledger record schema version: bump when the line shape changes;
 #: readers skip (and count) lines with any other value.
-LEDGER_SCHEMA = 1
+LEDGER_SCHEMA = 2
 
 KIND_SWEEP_START = "sweep-start"
 KIND_TASK_OUTCOME = "task-outcome"
-KIND_WORKER_RESTART = "worker-restart"
 KIND_CACHE_EVENT = "cache"
 KIND_SWEEP_END = "sweep-end"
 
 LEDGER_KINDS: Tuple[str, ...] = (
     KIND_SWEEP_START,
     KIND_TASK_OUTCOME,
-    KIND_WORKER_RESTART,
     KIND_CACHE_EVENT,
     KIND_SWEEP_END,
 )
@@ -100,7 +91,6 @@ def _sweep_state(total: Optional[int]) -> Dict[str, Any]:
         "total": total,
         "ok": 0,
         "failed": 0,
-        "restarts": 0,
         "started": time.perf_counter(),
     }
 
@@ -144,7 +134,7 @@ class LedgerWriter:
             state = self._sweeps[label] = _sweep_state(None)
         return state
 
-    def sweep_start(self, label: str, *, tasks: int, jobs: int = 1) -> None:
+    def sweep_start(self, label: str, *, tasks: int) -> None:
         """Open a sweep: reset the label's tallies and journal its shape."""
         self._sweeps[label] = _sweep_state(tasks)
         self.record(
@@ -153,7 +143,6 @@ class LedgerWriter:
                 "kind": KIND_SWEEP_START,
                 "label": label,
                 "tasks": tasks,
-                "jobs": jobs,
                 "provenance": {"repro_version": __version__},
             }
         )
@@ -164,9 +153,7 @@ class LedgerWriter:
         *,
         index: int,
         ok: bool,
-        attempts: int = 1,
         seconds: float = 0.0,
-        error: Optional[Dict[str, Any]] = None,
         detail: Optional[Dict[str, Any]] = None,
     ) -> None:
         """One task's outcome: one ``task-outcome`` record.
@@ -183,8 +170,6 @@ class LedgerWriter:
             "label": label,
             "index": index,
             "ok": bool(ok),
-            "attempts": attempts,
-            "error": error,
             "wall": {"seconds": round(seconds, 6)},
         }
         if detail is not None:
@@ -194,37 +179,6 @@ class LedgerWriter:
             state["ok"] += 1
         else:
             state["failed"] += 1
-
-    def task_outcome(self, label: str, outcome, *, detail=None) -> None:
-        """Adapter for a :class:`~repro.parallel.batch.TaskOutcome`."""
-        error = None
-        if outcome.error is not None:
-            error = {
-                "kind": outcome.error.kind,
-                "exception_type": outcome.error.exception_type,
-                "message": outcome.error.message,
-            }
-        self.record_outcome(
-            label,
-            index=outcome.index,
-            ok=outcome.ok,
-            attempts=outcome.attempts,
-            seconds=outcome.seconds,
-            error=error,
-            detail=detail,
-        )
-
-    def worker_restart(self, label: str, count: int = 1) -> None:
-        state = self._state(label)
-        state["restarts"] += count
-        self.record(
-            {
-                "schema": LEDGER_SCHEMA,
-                "kind": KIND_WORKER_RESTART,
-                "label": label,
-                "restarts": state["restarts"],
-            }
-        )
 
     def cache_event(self, event: str, entry_kind: str, key: str) -> None:
         """One result-store event; ``key`` is the content-addressed digest
@@ -261,7 +215,6 @@ class LedgerWriter:
             "tasks": state["total"],
             "completed": state["ok"],
             "failed": state["failed"],
-            "worker_restarts": state["restarts"],
             "wall": {
                 "elapsed_seconds": round(
                     time.perf_counter() - state["started"], 6

@@ -4,12 +4,11 @@ Three consumers of durable run records, all behind ``python -m repro
 report``:
 
 * :func:`summarize_ledgers` — deterministic rollups of one or more sweep
-  ledgers: per-label task/retry/restart tallies, error and cache-source
-  tables, and (under a marked ``wall`` section, mirroring the ledger's
-  own discipline) latency quantiles.  Aggregation is
-  order-insensitive and every table is sorted, so parallel sweeps whose
-  outcome records landed in completion order still summarize to the same
-  bytes.
+  ledgers: per-label task tallies, cache-source tables, and (under a
+  marked ``wall`` section, mirroring the ledger's own discipline) latency
+  quantiles of the per-task seconds.  Aggregation is order-insensitive
+  and every table is sorted, so ledgers given in any order summarize to
+  the same bytes.
 * :func:`compare_bench` — the verdict on a change, from
   ``benchmarks/e2e/run.py --output`` payloads taken in alternating
   pairs: per workload and end-to-end metric of ``BENCHMARK.json``, each
@@ -36,7 +35,6 @@ from .ledger import (
     KIND_SWEEP_END,
     KIND_SWEEP_START,
     KIND_TASK_OUTCOME,
-    KIND_WORKER_RESTART,
     load_ledger,
 )
 
@@ -94,9 +92,6 @@ def summarize_ledgers(
                 "tasks": 0,
                 "completed": 0,
                 "failed": 0,
-                "retries": 0,
-                "worker_restarts": 0,
-                "errors": {},
                 "sources": {},
                 "cache": None,
                 "_seconds": [],
@@ -114,12 +109,6 @@ def summarize_ledgers(
                 state["completed"] += 1
             else:
                 state["failed"] += 1
-                error = record.get("error") or {}
-                error_kind = error.get("kind", "?")
-                state["errors"][error_kind] = (
-                    state["errors"].get(error_kind, 0) + 1
-                )
-            state["retries"] += max(0, record.get("attempts", 1) - 1)
             detail = record.get("detail")
             if isinstance(detail, dict) and "source" in detail:
                 source_name = str(detail["source"])
@@ -129,18 +118,9 @@ def summarize_ledgers(
             seconds = record.get("wall", {}).get("seconds")
             if isinstance(seconds, (int, float)):
                 state["_seconds"].append(float(seconds))
-        elif kind == KIND_WORKER_RESTART:
-            state = sweep(label)
-            state["worker_restarts"] = max(
-                state["worker_restarts"], record.get("restarts", 0)
-            )
         elif kind == KIND_SWEEP_END:
-            state = sweep(label)
-            state["worker_restarts"] = max(
-                state["worker_restarts"], record.get("worker_restarts", 0)
-            )
             if record.get("cache") is not None:
-                state["cache"] = record["cache"]
+                sweep(label)["cache"] = record["cache"]
         elif kind == KIND_CACHE_EVENT:
             cell = cache_events.setdefault(
                 record.get("entry_kind", "?"),
@@ -155,17 +135,8 @@ def summarize_ledgers(
         state = sweeps[label]
         seconds = sorted(state.pop("_seconds"))
         entry: Dict[str, Any] = {
-            key: state[key]
-            for key in (
-                "tasks",
-                "completed",
-                "failed",
-                "retries",
-                "worker_restarts",
-            )
+            key: state[key] for key in ("tasks", "completed", "failed")
         }
-        if state["errors"]:
-            entry["errors"] = dict(sorted(state["errors"].items()))
         if state["sources"]:
             entry["sources"] = dict(sorted(state["sources"].items()))
         if state["cache"] is not None:
@@ -208,15 +179,8 @@ def render_summary(summary: Dict[str, Any]) -> List[str]:
     for label, sweep in summary["sweeps"].items():
         lines.append(
             f"  sweep {label}: {sweep['tasks']} tasks, "
-            f"{sweep['completed']} ok, {sweep['failed']} failed, "
-            f"{sweep['retries']} retries, "
-            f"{sweep['worker_restarts']} worker restarts"
+            f"{sweep['completed']} ok, {sweep['failed']} failed"
         )
-        if "errors" in sweep:
-            errors = ", ".join(
-                f"{kind}={count}" for kind, count in sweep["errors"].items()
-            )
-            lines.append(f"    errors: {errors}")
         if "sources" in sweep:
             sources = ", ".join(
                 f"{name}={count}" for name, count in sweep["sources"].items()

@@ -83,8 +83,9 @@ def _values(tokens: Iterator[Token]) -> Iterator[Tuple[int, str]]:
     A SAX-style automaton over the paper's document and no other:
     ``<instance>`` holding one ``<set1>`` and one ``<set2>`` (either
     first), each holding items ``<item><string>text</string></item>``,
-    the text optional.  Any other token, a set missing or repeated, an
-    unclosed element or content after ``</instance>`` raises
+    the text optional and a 0-1 string.  Any other token or text, a set
+    missing or repeated, an unclosed element or content after
+    ``</instance>`` raises
     :class:`XMLError`, as :func:`~repro.queries.xml.parse_tokens` or
     :func:`~repro.queries.xml.document_to_instance` refuses it.  Its
     state is constant: where it stands in that nesting (four levels at
@@ -118,6 +119,10 @@ def _values(tokens: Iterator[Token]) -> Iterator[Tuple[int, str]]:
             # a "1" prefix keeps empty strings representable (None is the
             # tape blank) without disturbing equality or order
             if type(tag) is Text:
+                if tag.value.strip("01"):
+                    raise XMLError(
+                        f"non-binary string content {tag.value!r}"
+                    )
                 value = "1" + tag.value
                 tag = next(tokens, None)
             else:

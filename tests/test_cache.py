@@ -13,6 +13,8 @@ The two load-bearing guarantees tested here:
 
 import json
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import given, strategies as st
@@ -40,14 +42,13 @@ from repro.observability.audit import (
     run_audit_cell,
     run_contract_audit,
 )
-from repro.parallel import BatchTask, run_batch
 
 
-# -- module-level batch bodies (must pickle for the parallel executor) ------
+# -- module-level race body (worker processes import it by name) -----------
 
 
 def racing_writer(root, tag):
-    """Many tasks, one key: every writer computes and stores the same
+    """Many writers, one key: every writer computes and stores the same
     payload; the rename race must end with one valid entry."""
     store = ResultStore(root)
     key = compose_key("race-test", target="shared")
@@ -287,12 +288,17 @@ class TestAdversarialEntries:
         assert store.hits + store.invalid == variants
         assert store.misses == store.invalid > 0
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_concurrent_writers_racing_one_key(self, tmp_path, jobs):
-        tasks = [
-            BatchTask.call(racing_writer, str(tmp_path), i) for i in range(6)
-        ]
-        values = run_batch(tasks, jobs=jobs, label="race").values()
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_concurrent_writers_racing_one_key(self, tmp_path, workers):
+        # two `repro audit --cache DIR` commands can race one key; here
+        # six writers do, in this process or in two worker processes
+        roots = [str(tmp_path)] * 6
+        if workers == 1:
+            values = list(map(racing_writer, roots, range(6)))
+        else:
+            spawn = multiprocessing.get_context("spawn")
+            with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
+                values = list(pool.map(racing_writer, roots, range(6)))
         assert values == [{"value": 42}] * 6
         # exactly one valid entry; nothing quarantined by the race
         store = ResultStore(tmp_path)
@@ -365,8 +371,8 @@ class TestCachedAudit:
     def test_parallel_cached_audit_is_byte_identical(self, tmp_path):
         store = ResultStore(tmp_path)
         plain = _audit_json()
-        assert _audit_json(cache=store, jobs=2) == plain
-        assert _audit_json(cache=store, jobs=2) == plain  # warm too
+        assert _audit_json(cache=store) == plain
+        assert _audit_json(cache=store) == plain  # warm too
 
     def test_check_payload_roundtrip_is_lossless(self):
         spec = CONTRACTS[0]

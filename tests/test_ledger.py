@@ -1,9 +1,9 @@
 """The sweep ledger and the report layer over it.
 
 Covers the ledger's surface: canonical-JSON ledger records with
-wall-clock isolation, the determinism strip, run_batch / audit /
-ResultStore threading, the summarize / compare / history rollups and
-their ``python -m repro report`` CLI.
+wall-clock isolation, the determinism strip, audit / ResultStore
+threading, the summarize / compare / history rollups and their
+``python -m repro report`` CLI.
 """
 
 import io
@@ -18,7 +18,6 @@ from repro.observability.ledger import (
     KIND_SWEEP_END,
     KIND_SWEEP_START,
     KIND_TASK_OUTCOME,
-    KIND_WORKER_RESTART,
     LEDGER_KINDS,
     LEDGER_SCHEMA,
     LedgerWriter,
@@ -41,13 +40,6 @@ def _records(stream):
     return [json.loads(line) for line in stream.getvalue().splitlines()]
 
 
-# -- module-level task bodies (workers import these by qualified name) ----
-
-
-def _square(x):
-    return x * x
-
-
 # -- the writer ------------------------------------------------------------
 
 
@@ -57,16 +49,12 @@ class TestLedgerWriter:
 
         stream = io.StringIO()
         with LedgerWriter(stream) as ledger:
-            ledger.sweep_start("demo", tasks=2, jobs=1)
+            ledger.sweep_start("demo", tasks=2)
             ledger.record_outcome(
                 "demo", index=0, ok=True, seconds=0.25,
                 detail={"cell": "a"},
             )
-            ledger.record_outcome(
-                "demo", index=1, ok=False, attempts=3,
-                error={"kind": "task", "exception_type": "ValueError",
-                       "message": "boom"},
-            )
+            ledger.record_outcome("demo", index=1, ok=False)
             ledger.cache_event("hit", "audit-cell", "ab" * 32)
             ledger.sweep_end("demo", cache={"hits": 1, "misses": 0,
                                             "writes": 0, "invalid": 0})
@@ -82,14 +70,22 @@ class TestLedgerWriter:
         start, ok_outcome, bad_outcome, cache, end = records
         assert start["provenance"]["repro_version"]
         assert start["tasks"] == 2
+        assert set(start) == {
+            "schema", "kind", "label", "tasks", "provenance",
+        }
         # wall-clock isolation: the only timing field lives under "wall"
         assert ok_outcome["wall"] == {"seconds": 0.25}
         assert "seconds" not in ok_outcome
         assert ok_outcome["detail"] == {"cell": "a"}
-        assert bad_outcome["attempts"] == 3
-        assert bad_outcome["error"]["exception_type"] == "ValueError"
+        assert set(bad_outcome) == {
+            "schema", "kind", "label", "index", "ok", "wall",
+        }
+        assert not bad_outcome["ok"] and bad_outcome["wall"] == {
+            "seconds": 0.0
+        }
         assert cache["event"] == "hit" and cache["entry_kind"] == "audit-cell"
         assert end["completed"] == 1 and end["failed"] == 1
+        assert "worker_restarts" not in end
         assert end["cache"]["hits"] == 1
         assert "elapsed_seconds" in end["wall"]
         assert ledger.records_written == 5
@@ -108,8 +104,8 @@ class TestLedgerWriter:
             [KIND_SWEEP_START] + [KIND_TASK_OUTCOME] * 40 + [KIND_SWEEP_END]
         )
         assert set(LEDGER_KINDS) == {
-            KIND_SWEEP_START, KIND_TASK_OUTCOME, KIND_WORKER_RESTART,
-            KIND_CACHE_EVENT, KIND_SWEEP_END,
+            KIND_SWEEP_START, KIND_TASK_OUTCOME, KIND_CACHE_EVENT,
+            KIND_SWEEP_END,
         }
         slow = records[9]
         assert strip_record(slow) == {
@@ -120,20 +116,6 @@ class TestLedgerWriter:
         assert all("wall" not in p for p in projected)
         # the deterministic payload survives intact
         assert sum(p["kind"] == KIND_TASK_OUTCOME for p in projected) == 40
-
-    def test_worker_restarts_accumulate(self):
-        stream = io.StringIO()
-        ledger = LedgerWriter(stream)
-        ledger.sweep_start("r", tasks=1)
-        ledger.worker_restart("r")
-        ledger.worker_restart("r")
-        ledger.record_outcome("r", index=0, ok=True)
-        ledger.sweep_end("r")
-        records = _records(stream)
-        restarts = [r for r in records if r["kind"] == KIND_WORKER_RESTART]
-        assert [r["restarts"] for r in restarts] == [1, 2]
-        end = next(r for r in records if r["kind"] == KIND_SWEEP_END)
-        assert end["worker_restarts"] == 2
 
     def test_writes_to_a_path_and_owns_the_handle(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
@@ -206,63 +188,6 @@ class TestLedgerReaders:
             assert summarize_ledgers([path])["skipped_lines"] == 0, cut
 
 
-# -- run_batch threading ---------------------------------------------------
-
-
-class TestRunBatchLedger:
-    def _ledger_of(self, jobs):
-        from repro.parallel import BatchTask, run_batch
-
-        stream = io.StringIO()
-        ledger = LedgerWriter(stream)
-        tasks = [BatchTask.call(_square, i) for i in range(6)]
-        result = run_batch(tasks, jobs=jobs, label="sq", ledger=ledger)
-        assert list(result.values()) == [i * i for i in range(6)]
-        return stream.getvalue().splitlines()
-
-    def test_serial_sweep_is_journaled(self):
-        records = [json.loads(line) for line in self._ledger_of(1)]
-        kinds = [r["kind"] for r in records]
-        assert kinds[0] == KIND_SWEEP_START and kinds[-1] == KIND_SWEEP_END
-        outcomes = [r for r in records if r["kind"] == KIND_TASK_OUTCOME]
-        assert sorted(r["index"] for r in outcomes) == list(range(6))
-        assert all(r["ok"] for r in outcomes)
-        end = records[-1]
-        assert end["completed"] == 6 and end["failed"] == 0
-
-    def test_parallel_strips_to_the_same_outcome_set(self):
-        def outcome_lines(lines):
-            return sorted(
-                line for line in strip_nondeterministic(lines)
-                if json.loads(line)["kind"] == KIND_TASK_OUTCOME
-            )
-
-        # completion order may differ across processes; content may not
-        # (sweep-start/-end legitimately differ: they record the jobs)
-        assert outcome_lines(self._ledger_of(1)) == outcome_lines(
-            self._ledger_of(2)
-        )
-
-    def test_failed_task_outcome_carries_the_error(self):
-        from repro.parallel import BatchTask, run_batch
-
-        stream = io.StringIO()
-        ledger = LedgerWriter(stream)
-        run_batch(
-            [BatchTask.call(_raise_value_error)],
-            jobs=1, label="bad", ledger=ledger,
-        )
-        outcome = next(
-            r for r in _records(stream) if r["kind"] == KIND_TASK_OUTCOME
-        )
-        assert not outcome["ok"]
-        assert outcome["error"]["exception_type"] == "ValueError"
-
-
-def _raise_value_error():
-    raise ValueError("scripted failure")
-
-
 # -- audit reconciliation --------------------------------------------------
 
 
@@ -299,8 +224,18 @@ class TestAuditLedger:
         ]
         assert journaled == expected
         assert len(cells) == sum(len(c.checks) for c in run.contracts) == 24
-        # cold run: every cell computed, every lookup a miss + a write
+        # the audit's one sweep, run in process
+        sweeps = [r for r in records if r["kind"] == KIND_SWEEP_START]
+        assert [(r["label"], r["tasks"]) for r in sweeps] == [
+            ("audit-cells", 24)
+        ]
+        assert {r["label"] for r in records if "label" in r} == {
+            "audit-cells"
+        }
+        # cold run: every cell computed and timed, every lookup a miss +
+        # a write
         assert {r["detail"]["source"] for r in cells} == {"computed"}
+        assert all(r["wall"]["seconds"] > 0 for r in cells)
         events = [r for r in records if r["kind"] == KIND_CACHE_EVENT]
         assert sum(e["event"] == "miss" for e in events) == 24
         assert sum(e["event"] == "write" for e in events) == 24
@@ -322,6 +257,8 @@ class TestAuditLedger:
             if r["kind"] == KIND_TASK_OUTCOME and r["label"] == "audit-cells"
         ]
         assert {r["detail"]["source"] for r in cells} == {"cache"}
+        # a cache hit runs nothing, and records no time
+        assert [r["wall"]["seconds"] for r in cells] == [0] * 24
         end = next(
             r for r in records
             if r["kind"] == KIND_SWEEP_END and r["label"] == "audit-cells"
@@ -372,20 +309,15 @@ class TestSummarize:
     def _ledger_lines(self):
         stream = io.StringIO()
         ledger = LedgerWriter(stream)
-        ledger.sweep_start("s", tasks=4, jobs=2)
+        ledger.sweep_start("s", tasks=4)
         ledger.record_outcome(
             "s", index=0, ok=True, seconds=0.1, detail={"source": "cache"}
         )
         ledger.record_outcome(
-            "s", index=1, ok=True, attempts=2, seconds=0.3,
+            "s", index=1, ok=True, seconds=0.3,
             detail={"source": "computed"},
         )
-        ledger.record_outcome(
-            "s", index=2, ok=False, seconds=0.2,
-            error={"kind": "task", "exception_type": "ValueError",
-                   "message": "x"},
-        )
-        ledger.worker_restart("s")
+        ledger.record_outcome("s", index=2, ok=False, seconds=0.2)
         ledger.record_outcome("s", index=3, ok=True, seconds=0.4)
         ledger.cache_event("hit", "audit-cell", "aa")
         ledger.cache_event("miss", "audit-cell", "bb")
@@ -399,14 +331,10 @@ class TestSummarize:
         sweep = summary["sweeps"]["s"]
         assert sweep["tasks"] == 4
         assert sweep["completed"] == 3 and sweep["failed"] == 1
-        assert sweep["retries"] == 1
-        assert sweep["worker_restarts"] == 1
-        assert sweep["errors"] == {"task": 1}
         assert sweep["sources"] == {"cache": 1, "computed": 1}
         assert sweep["cache"]["hits"] == 1
         assert set(sweep) == {
-            "tasks", "completed", "failed", "retries", "worker_restarts",
-            "errors", "sources", "cache", "wall",
+            "tasks", "completed", "failed", "sources", "cache", "wall",
         }
         assert set(sweep["wall"]) == {"latency_seconds"}
         latency = sweep["wall"]["latency_seconds"]
@@ -869,3 +797,9 @@ class TestReportCli:
             if r["kind"] == KIND_TASK_OUTCOME and r["label"] == "audit-cells"
         ]
         assert len(cells) == 24 and all(r["ok"] for r in cells)
+        # the rollup: one sweep, with the cells' latency
+        assert main(["report", "summarize", str(ledger_path)]) == 0
+        out = capsys.readouterr().out
+        sweeps = [line for line in out.splitlines() if "  sweep " in line]
+        assert sweeps == ["  sweep audit-cells: 24 tasks, 24 ok, 0 failed"]
+        assert "    latency (wall): p50=" in out

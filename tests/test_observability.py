@@ -595,6 +595,36 @@ class TestCliAudit:
         assert "ALL WITHIN CLAIMED ENVELOPES" in captured
 
 
+class TestOneProcess:
+    def test_serial_paths_load_no_process_machinery(self):
+        """The audit and the Monte Carlo trials run in this process: a
+        fresh interpreter that runs both has imported neither
+        ``multiprocessing`` nor ``concurrent.futures``."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        script = "\n".join([
+            "import sys",
+            "from repro.__main__ import main",
+            "from repro.observability.audit import run_contract_audit",
+            "assert run_contract_audit(quick=True).ok",
+            "assert main(['trace', 'coin-flip', '--n', '4',"
+            " '--trials', '64']) == 0",
+            "print(sorted({'multiprocessing', 'concurrent.futures'}"
+            " & set(sys.modules)))",
+        ])
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert done.stdout.splitlines()[-1] == "[]"
+
+
 class TestMemoryEventConsistency:
     def test_memory_and_tracker_agree_under_observation(self):
         sink = TallySink()
@@ -768,6 +798,20 @@ class TestEngineProbe:
         reference = RingBufferSink()
         _tracked_run(reference)
         assert list(replay_jsonl(lines)) == reference.events()
+
+    def test_dag_stats_reach_the_probe(self):
+        from repro.machines.fast_engine import acceptance_probability
+        from repro.machines.library import coin_flip_machine
+
+        probe = EngineProbe()
+        acceptance_probability(coin_flip_machine(), "01", probe=probe)
+        assert probe.dag_stats == {
+            "interned": 3, "memoized": 3, "memo_hits": 0, "frames": 1,
+        }
+        # a second DP under the same probe adds to the sums
+        acceptance_probability(coin_flip_machine(), "01", probe=probe)
+        assert probe.dag_stats["interned"] == 6
+        assert probe.dag_stats["frames"] == 2
 
 
 class TestSharedStepGuard:
@@ -960,9 +1004,9 @@ class TestCliTrace:
         from repro.__main__ import main
 
         argv = ["trace", "coin-flip", "--n", "2", "--trials", "64"]
-        assert main(argv + ["--jobs", "2"]) == 0
+        assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "Monte Carlo estimate over 64 trials (2 jobs): " in out
+        assert "Monte Carlo estimate over 64 trials: " in out
         assert "(exact: 0.5000)" in out
         # the probe watched the exact DP only, not the sweep's trials
         assert "configuration DAG: interned=3 memoized=3 memo_hits=0 frames=1" in out
@@ -971,14 +1015,12 @@ class TestCliTrace:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["equality", "--n", "4", "--trials", "100", "--jobs", "3"],
+            (["equality", "--n", "4", "--trials", "100"],
              "--trials needs a randomized machine"),
             (["fingerprint", "--trials", "8"],
              "--trials needs a randomized machine"),
             (["coin-flip", "--n", "2", "--trials", "-5"],
              "--trials must be >= 0"),
-            (["coin-flip", "--n", "2", "--jobs", "2"],
-             "--jobs applies to the --trials sweep only"),
             (["equality", "--n", "-3"], "--n must be >= 0"),
         ],
     )

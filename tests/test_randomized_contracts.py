@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from repro.errors import ReproError
+from repro.errors import MachineError, ReproError
 from repro.machines import coin_flip_machine, guess_bit_machine, parity_machine
 from repro.machines.randomized import (
     check_co_half_zero_rtm,
     check_half_zero_rtm,
+    estimate_acceptance_probability,
 )
 from repro.problems import (
     encode_instance,
@@ -55,6 +56,35 @@ class TestRTMContracts:
         assert not report.holds
         assert all(v.expected == "yes" for v in report.violations)
         assert check_co_half_zero_rtm(machine, [], ["1", "0"]).holds
+
+
+class TestMonteCarloEstimate:
+    @pytest.mark.parametrize(
+        "factory, word, trials, seed, accepted",
+        [
+            (coin_flip_machine, "0101", 96, 5, 46),
+            (coin_flip_machine, "01" * 16, 10_000, 0, 5010),
+            (guess_bit_machine, "0101", 100, 7, 48),
+        ],
+        ids=["coin_flip_96", "coin_flip_10000", "guess_bit_100"],
+    )
+    def test_estimates_are_pinned(self, factory, word, trials, seed, accepted):
+        """Each block of 32 trials draws from its own rng, keyed by the
+        seed and the block's index, so these counts pin the keys."""
+        estimate = estimate_acceptance_probability(
+            factory(), word, trials, seed=seed
+        )
+        assert (estimate.trials, estimate.accepted) == (trials, accepted)
+
+    def test_equal_seeds_draw_equal_streams(self):
+        machine = coin_flip_machine()
+        assert estimate_acceptance_probability(
+            machine, "0101", 96, seed="5"
+        ) == estimate_acceptance_probability(machine, "0101", 96, seed=5)
+
+    def test_trials_validated(self):
+        with pytest.raises(MachineError, match="trials"):
+            estimate_acceptance_probability(coin_flip_machine(), "01", 0)
 
 
 class TestTheorem13Protocol:

@@ -189,16 +189,31 @@ class TestMalformedTokenStreams:
                 "<instance><set1></set1><set2></set2></instance><x/>",
                 "content after </instance>",
             ),
+        ]
+        + [
+            (
+                doc.format(text),
+                f"non-binary string content {text!r}",
+            )
+            for text in ("ab", "2", "0 1")
+            for doc in (
+                "<instance><set1><item><string>{}</string></item></set1>"
+                "<set2><item><string>1</string></item></set2></instance>",
+                "<instance><set1><item><string>1</string></item></set1>"
+                "<set2><item><string>{}</string></item></set2></instance>",
+            )
         ],
         ids=[
             "mismatched", "unclosed", "second_set1", "root", "missing_set2",
-            "after_root",
+            "after_root", "ab_in_set1", "ab_in_set2", "2_in_set1",
+            "2_in_set2", "space_in_set1", "space_in_set2",
         ],
     )
     def test_refused_as_the_dom_path_refuses(self, query, doc, message):
         """Streams the DOM path rejects, in ``parse_tokens`` or in
         ``document_to_instance``; the first four were answered before
-        the extraction checked its nesting."""
+        the extraction checked its nesting, the last six (text that is
+        not a 0-1 string) before it checked its values."""
         with pytest.raises(XMLError):
             document_to_instance(parse_tokens(list(tokenize(doc))))
         tracker = ResourceTracker()

@@ -33,6 +33,8 @@ Quickstart::
     assert result.report.scans <= 2   # co-RST(2, O(log N), 1)
 """
 
-from ._version import __version__
+from ._exports import lazy_exports
 
-__all__ = ["__version__"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__, {"_version": ("__version__",)}
+)

@@ -16,65 +16,44 @@
   scan, tiny internal memory) used as foils in the lower-bound experiments.
 """
 
-from .fingerprint import (
-    FingerprintParameters,
-    FingerprintResult,
-    fingerprint_parameters,
-    multiset_equality_fingerprint,
-    amplified_multiset_equality,
-    fingerprint_space_budget,
-)
-from .mergesort_tape import tape_merge_sort, sort_instance_strings
-from .checksort import check_sort_deterministic
-from .setequality import (
-    multiset_equality_deterministic,
-    set_equality_deterministic,
-    sets_disjoint_deterministic,
-)
-from .nondet_verify import (
-    Certificate,
-    build_certificate,
-    verify_certificate,
-    nondeterministic_accepts,
-)
-from .onepass import (
-    XorSumSketch,
-    ModularSumSketch,
-    one_pass_multiset_test,
-)
-from .fingerprint_bitlevel import multiset_equality_fingerprint_bitlevel
-from .lasvegas import (
-    DONT_KNOW,
-    LasVegasResult,
-    LasVegasSorter,
-    check_sort_via_sorter,
-    las_vegas_success_amplification,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "FingerprintParameters",
-    "FingerprintResult",
-    "fingerprint_parameters",
-    "multiset_equality_fingerprint",
-    "amplified_multiset_equality",
-    "fingerprint_space_budget",
-    "tape_merge_sort",
-    "sort_instance_strings",
-    "check_sort_deterministic",
-    "multiset_equality_deterministic",
-    "set_equality_deterministic",
-    "sets_disjoint_deterministic",
-    "Certificate",
-    "build_certificate",
-    "verify_certificate",
-    "nondeterministic_accepts",
-    "XorSumSketch",
-    "ModularSumSketch",
-    "one_pass_multiset_test",
-    "multiset_equality_fingerprint_bitlevel",
-    "DONT_KNOW",
-    "LasVegasResult",
-    "LasVegasSorter",
-    "check_sort_via_sorter",
-    "las_vegas_success_amplification",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "fingerprint": (
+            "FingerprintParameters",
+            "FingerprintResult",
+            "fingerprint_parameters",
+            "multiset_equality_fingerprint",
+            "amplified_multiset_equality",
+            "fingerprint_space_budget",
+        ),
+        "mergesort_tape": ("tape_merge_sort", "sort_instance_strings"),
+        "checksort": ("check_sort_deterministic",),
+        "setequality": (
+            "multiset_equality_deterministic",
+            "set_equality_deterministic",
+            "sets_disjoint_deterministic",
+        ),
+        "nondet_verify": (
+            "Certificate",
+            "build_certificate",
+            "verify_certificate",
+            "nondeterministic_accepts",
+        ),
+        "onepass": (
+            "XorSumSketch",
+            "ModularSumSketch",
+            "one_pass_multiset_test",
+        ),
+        "fingerprint_bitlevel": ("multiset_equality_fingerprint_bitlevel",),
+        "lasvegas": (
+            "DONT_KNOW",
+            "LasVegasResult",
+            "LasVegasSorter",
+            "check_sort_via_sorter",
+            "las_vegas_success_amplification",
+        ),
+    },
+)

@@ -22,17 +22,13 @@ memoization).  Cache-on and cache-off outputs are byte-identical by
 construction, gated in CI and ``tests/test_cache.py``.
 """
 
-from .fingerprint import CacheKey, canonical_json, compose_key, digest_of
-from .recompute import recompute_payload, verify_entries
-from .store import SCHEMA_VERSION, ResultStore
+from .._exports import lazy_exports
 
-__all__ = [
-    "CacheKey",
-    "ResultStore",
-    "SCHEMA_VERSION",
-    "canonical_json",
-    "compose_key",
-    "digest_of",
-    "recompute_payload",
-    "verify_entries",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "fingerprint": ("CacheKey", "canonical_json", "compose_key", "digest_of"),
+        "recompute": ("recompute_payload", "verify_entries"),
+        "store": ("SCHEMA_VERSION", "ResultStore"),
+    },
+)

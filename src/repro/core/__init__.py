@@ -13,37 +13,22 @@ This package ties the substrates together into the paper's statements:
   experiment at a small scale and reports paper-claim vs. measured.
 """
 
-from .bounds import GrowthRate, lemma3_bound
-from .classes import (
-    ClassKind,
-    ComplexityClass,
-    ST,
-    NST,
-    RST,
-    CoRST,
-    LasVegasRST,
-    Containment,
-)
-from .theorems import (
-    TheoremCheck,
-    REGISTRY,
-    verify,
-    verify_all,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "GrowthRate",
-    "lemma3_bound",
-    "ClassKind",
-    "ComplexityClass",
-    "ST",
-    "NST",
-    "RST",
-    "CoRST",
-    "LasVegasRST",
-    "Containment",
-    "TheoremCheck",
-    "REGISTRY",
-    "verify",
-    "verify_all",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "bounds": ("GrowthRate", "lemma3_bound"),
+        "classes": (
+            "ClassKind",
+            "ComplexityClass",
+            "ST",
+            "NST",
+            "RST",
+            "CoRST",
+            "LasVegasRST",
+            "Containment",
+        ),
+        "theorems": ("TheoremCheck", "REGISTRY", "verify", "verify_all"),
+    },
+)

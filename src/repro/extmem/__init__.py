@@ -24,17 +24,14 @@ A :class:`~repro.extmem.tracker.ResourceTracker` aggregates charges and
 :class:`repro.errors.ResourceError` subclasses on violation.
 """
 
-from .tracker import ResourceBudget, ResourceReport, ResourceTracker
-from .memory import InternalMemory
-from .tape import SymbolTape, BLANK
-from .record_tape import RecordTape
+from .._exports import lazy_exports
 
-__all__ = [
-    "ResourceBudget",
-    "ResourceReport",
-    "ResourceTracker",
-    "InternalMemory",
-    "SymbolTape",
-    "RecordTape",
-    "BLANK",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "tracker": ("ResourceBudget", "ResourceReport", "ResourceTracker"),
+        "memory": ("InternalMemory",),
+        "tape": ("SymbolTape", "BLANK"),
+        "record_tape": ("RecordTape",),
+    },
+)

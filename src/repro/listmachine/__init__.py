@@ -21,104 +21,64 @@ executable here:
 block-trace side of the simulation lemma (Lemma 16).
 """
 
-from .nlm import (
-    NLM,
-    Cell,
-    Token,
-    Inp,
-    Choice,
-    StateTok,
-    LA,
-    RA,
-    Movement,
-)
-from .config import LMConfiguration, initial_configuration, successor
-from .run import (
-    LMRun,
-    run_with_choices,
-    run_deterministic,
-    acceptance_probability,
-    find_good_choice_sequence,
-)
-from .skeleton import (
-    LocalView,
-    local_view,
-    ind_string,
-    skeleton_of_run,
-    Skeleton,
-    compared_pairs,
-    positions_in_cell,
-)
-from .analysis import (
-    occurring_position_sequence,
-    monotone_cover_size,
-    compared_phi_pairs,
-    merge_lemma_holds,
-    lemma38_bound_holds,
-)
-from .bounds import (
-    lemma30_list_length_bound,
-    lemma30_cell_size_bound,
-    lemma31_run_length_bound,
-    lemma32_skeleton_bound,
-    check_run_shape,
-)
-from .composition import (
-    compose_inputs,
-    CompositionWitness,
-    lemma21_attack,
-    AttackOutcome,
-)
-from .render import render_run, render_skeleton, render_configuration
-from .simulating_machine import (
-    SimulatingListMachine,
-    verify_cells_partition,
-    verify_cell_contents,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "NLM",
-    "Cell",
-    "Token",
-    "Inp",
-    "Choice",
-    "StateTok",
-    "LA",
-    "RA",
-    "Movement",
-    "LMConfiguration",
-    "initial_configuration",
-    "successor",
-    "LMRun",
-    "run_with_choices",
-    "run_deterministic",
-    "acceptance_probability",
-    "find_good_choice_sequence",
-    "LocalView",
-    "local_view",
-    "ind_string",
-    "skeleton_of_run",
-    "Skeleton",
-    "compared_pairs",
-    "positions_in_cell",
-    "occurring_position_sequence",
-    "monotone_cover_size",
-    "compared_phi_pairs",
-    "merge_lemma_holds",
-    "lemma38_bound_holds",
-    "lemma30_list_length_bound",
-    "lemma30_cell_size_bound",
-    "lemma31_run_length_bound",
-    "lemma32_skeleton_bound",
-    "check_run_shape",
-    "compose_inputs",
-    "CompositionWitness",
-    "lemma21_attack",
-    "AttackOutcome",
-    "render_run",
-    "render_skeleton",
-    "render_configuration",
-    "SimulatingListMachine",
-    "verify_cells_partition",
-    "verify_cell_contents",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "nlm": (
+            "NLM",
+            "Cell",
+            "Token",
+            "Inp",
+            "Choice",
+            "StateTok",
+            "LA",
+            "RA",
+            "Movement",
+        ),
+        "config": ("LMConfiguration", "initial_configuration", "successor"),
+        "run": (
+            "LMRun",
+            "run_with_choices",
+            "run_deterministic",
+            "acceptance_probability",
+            "find_good_choice_sequence",
+        ),
+        "skeleton": (
+            "LocalView",
+            "local_view",
+            "ind_string",
+            "skeleton_of_run",
+            "Skeleton",
+            "compared_pairs",
+            "positions_in_cell",
+        ),
+        "analysis": (
+            "occurring_position_sequence",
+            "monotone_cover_size",
+            "compared_phi_pairs",
+            "merge_lemma_holds",
+            "lemma38_bound_holds",
+        ),
+        "bounds": (
+            "lemma30_list_length_bound",
+            "lemma30_cell_size_bound",
+            "lemma31_run_length_bound",
+            "lemma32_skeleton_bound",
+            "check_run_shape",
+        ),
+        "composition": (
+            "compose_inputs",
+            "CompositionWitness",
+            "lemma21_attack",
+            "AttackOutcome",
+        ),
+        "render": ("render_run", "render_skeleton", "render_configuration"),
+        "simulating_machine": (
+            "SimulatingListMachine",
+            "verify_cells_partition",
+            "verify_cell_contents",
+        ),
+    },
+)

@@ -16,32 +16,31 @@ This package holds the combinatorial side of the paper's lower-bound proof:
   fooling-input constructions for limited-memory streaming baselines.
 """
 
-from .sortedness import (
-    sortedness,
-    sortedness_bruteforce,
-    phi_permutation,
-    phi_one_based,
-    erdos_szekeres_bound,
-    phi_sortedness_bound,
-)
-from .parameters import (
-    LowerBoundParameters,
-    lemma21_hypotheses,
-    lemma22_thresholds,
-    theorem6_applies,
-    minimal_m_for_machine,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "sortedness",
-    "sortedness_bruteforce",
-    "phi_permutation",
-    "phi_one_based",
-    "erdos_szekeres_bound",
-    "phi_sortedness_bound",
-    "LowerBoundParameters",
-    "lemma21_hypotheses",
-    "lemma22_thresholds",
-    "theorem6_applies",
-    "minimal_m_for_machine",
-]
+# ``sortedness`` is both a function and the submodule defining it, and
+# the first import of the submodule binds the package attribute to the
+# module.  Importing the function here, after that first import, keeps
+# the name bound to the function whatever imports the submodule later.
+from .sortedness import sortedness
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "sortedness": (
+            "sortedness",
+            "sortedness_bruteforce",
+            "phi_permutation",
+            "phi_one_based",
+            "erdos_szekeres_bound",
+            "phi_sortedness_bound",
+        ),
+        "parameters": (
+            "LowerBoundParameters",
+            "lemma21_hypotheses",
+            "lemma22_thresholds",
+            "theorem6_applies",
+            "minimal_m_for_machine",
+        ),
+    },
+)

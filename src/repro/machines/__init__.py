@@ -35,67 +35,38 @@ streaming engine's; the reference versions stay at
 :mod:`repro.machines.execute`.
 """
 
-from .tm import TuringMachine, Transition, L, N, R
-from .config import Configuration
-from .execute import (
-    Run,
-    RunStatistics,
-    enumerate_runs,
-    choice_alphabet,
-)
+from .._exports import lazy_exports
 
-# acceptance_probability's DP is iterative: the reference oracle's exact
-# Fractions without its RecursionError on deep runs.
-from .fast_engine import (
-    FastRun,
-    StepState,
-    acceptance_probability,
-    run_deterministic,
-    run_with_choices,
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "tm": ("TuringMachine", "Transition", "L", "N", "R"),
+        "config": ("Configuration",),
+        "execute": ("Run", "RunStatistics", "enumerate_runs", "choice_alphabet"),
+        # acceptance_probability's DP is iterative: the reference oracle's
+        # exact Fractions without its RecursionError on deep runs.
+        "fast_engine": (
+            "FastRun",
+            "StepState",
+            "acceptance_probability",
+            "run_deterministic",
+            "run_with_choices",
+        ),
+        "builder": ("MachineBuilder",),
+        "library": (
+            "copy_machine",
+            "parity_machine",
+            "coin_flip_machine",
+            "guess_bit_machine",
+            "equality_machine",
+            "copy_reverse_machine",
+            "majority_machine",
+        ),
+        "randomized": (
+            "RTMReport",
+            "RTMViolation",
+            "check_half_zero_rtm",
+            "check_co_half_zero_rtm",
+        ),
+    },
 )
-from .builder import MachineBuilder
-from .library import (
-    copy_machine,
-    parity_machine,
-    coin_flip_machine,
-    guess_bit_machine,
-    equality_machine,
-    copy_reverse_machine,
-    majority_machine,
-)
-from .randomized import (
-    RTMReport,
-    RTMViolation,
-    check_half_zero_rtm,
-    check_co_half_zero_rtm,
-)
-
-__all__ = [
-    "TuringMachine",
-    "Transition",
-    "L",
-    "N",
-    "R",
-    "Configuration",
-    "Run",
-    "RunStatistics",
-    "run_deterministic",
-    "enumerate_runs",
-    "acceptance_probability",
-    "run_with_choices",
-    "choice_alphabet",
-    "FastRun",
-    "StepState",
-    "MachineBuilder",
-    "copy_machine",
-    "parity_machine",
-    "coin_flip_machine",
-    "guess_bit_machine",
-    "equality_machine",
-    "copy_reverse_machine",
-    "majority_machine",
-    "RTMReport",
-    "RTMViolation",
-    "check_half_zero_rtm",
-    "check_co_half_zero_rtm",
-]

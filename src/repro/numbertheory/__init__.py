@@ -12,36 +12,27 @@ sampling primes with rejection sampling exactly as the paper describes
 ("choose a random number ≤ k and test if it is prime; repeat").
 """
 
-from .primes import (
-    is_prime,
-    next_prime,
-    prev_prime,
-    primes_up_to,
-    primes_in_range,
-    random_prime_at_most,
-    bertrand_prime,
-    prime_count_upper,
-)
-from .modular import (
-    mod_pow,
-    mod_inverse,
-    poly_eval_mod,
-    power_sum_mod,
-    crt_pair,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "is_prime",
-    "next_prime",
-    "prev_prime",
-    "primes_up_to",
-    "primes_in_range",
-    "random_prime_at_most",
-    "bertrand_prime",
-    "prime_count_upper",
-    "mod_pow",
-    "mod_inverse",
-    "poly_eval_mod",
-    "power_sum_mod",
-    "crt_pair",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "primes": (
+            "is_prime",
+            "next_prime",
+            "prev_prime",
+            "primes_up_to",
+            "primes_in_range",
+            "random_prime_at_most",
+            "bertrand_prime",
+            "prime_count_upper",
+        ),
+        "modular": (
+            "mod_pow",
+            "mod_inverse",
+            "poly_eval_mod",
+            "power_sum_mod",
+            "crt_pair",
+        ),
+    },
+)

@@ -23,9 +23,7 @@ Layered bottom-up:
 * :mod:`~repro.observability.audit` — the contract-audit harness behind
   ``python -m repro audit``: sweeps the paper's algorithms across decades
   of N and checks every measured envelope against its claimed one, and
-  each cell's tally of the event stream against its counters.  (This
-  submodule imports the algorithm packages, so it is loaded lazily — the
-  tracker itself only needs :mod:`events`.)
+  each cell's tally of the event stream against its counters;
 * :mod:`~repro.observability.ledger` — the durable layer above a single
   run: a :class:`LedgerWriter` journals the audit's one sweep as
   canonical-JSON lines (sweep start/end tallies, one outcome per cell
@@ -39,80 +37,55 @@ Layered bottom-up:
   ``BENCH_e2e.jsonl`` trajectory.
 """
 
-from .events import (
-    EVENT_KINDS,
-    KIND_DENIED,
-    KIND_INTERNAL,
-    KIND_PHASE,
-    KIND_REVERSAL,
-    KIND_STEP,
-    KIND_TAPE,
-    ResourceEvent,
+from .._exports import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "events": (
+            "ResourceEvent",
+            "EVENT_KINDS",
+            "KIND_TAPE",
+            "KIND_REVERSAL",
+            "KIND_INTERNAL",
+            "KIND_STEP",
+            "KIND_PHASE",
+            "KIND_DENIED",
+        ),
+        "sinks": (
+            "EventSink",
+            "TallySink",
+            "RingBufferSink",
+            "JsonlFileSink",
+            "replay_jsonl",
+        ),
+        "trace": ("SETUP_PHASE", "Span", "Tracer", "EngineProbe"),
+        "audit": (
+            "AuditRun",
+            "CONTRACTS",
+            "ContractCheck",
+            "ContractOutcome",
+            "ContractSpec",
+            "FULL_SWEEP",
+            "QUICK_SWEEP",
+            "run_contract_audit",
+            "write_audit_json",
+        ),
+        "ledger": (
+            "LEDGER_SCHEMA",
+            "LedgerWriter",
+            "iter_ledger",
+            "load_ledger",
+            "strip_record",
+            "strip_nondeterministic",
+        ),
+        "report": (
+            "summarize_ledgers",
+            "render_summary",
+            "compare_bench",
+            "render_comparison",
+            "history_record",
+            "append_history",
+        ),
+    },
 )
-from .sinks import (
-    EventSink,
-    JsonlFileSink,
-    RingBufferSink,
-    TallySink,
-    replay_jsonl,
-)
-from .trace import SETUP_PHASE, EngineProbe, Span, Tracer
-
-#: Names resolved lazily via __getattr__, mapped to their submodule.
-#: The audit module imports repro.algorithms / repro.queries (which
-#: import repro.extmem — eager loading here would cycle through the
-#: tracker's events import); the ledger and report modules import
-#: repro.cache, which the package does not need to load up front.
-_LAZY_EXPORTS = {
-    "AuditRun": "audit",
-    "CONTRACTS": "audit",
-    "ContractCheck": "audit",
-    "ContractOutcome": "audit",
-    "ContractSpec": "audit",
-    "FULL_SWEEP": "audit",
-    "QUICK_SWEEP": "audit",
-    "run_contract_audit": "audit",
-    "write_audit_json": "audit",
-    "LEDGER_SCHEMA": "ledger",
-    "LedgerWriter": "ledger",
-    "iter_ledger": "ledger",
-    "load_ledger": "ledger",
-    "strip_record": "ledger",
-    "strip_nondeterministic": "ledger",
-    "summarize_ledgers": "report",
-    "render_summary": "report",
-    "compare_bench": "report",
-    "render_comparison": "report",
-    "history_record": "report",
-    "append_history": "report",
-}
-
-__all__ = [
-    "ResourceEvent",
-    "EVENT_KINDS",
-    "KIND_TAPE",
-    "KIND_REVERSAL",
-    "KIND_INTERNAL",
-    "KIND_STEP",
-    "KIND_PHASE",
-    "KIND_DENIED",
-    "EventSink",
-    "TallySink",
-    "RingBufferSink",
-    "JsonlFileSink",
-    "replay_jsonl",
-    "SETUP_PHASE",
-    "Span",
-    "Tracer",
-    "EngineProbe",
-] + sorted(_LAZY_EXPORTS)
-
-
-def __getattr__(name):
-    module_name = _LAZY_EXPORTS.get(name)
-    if module_name is not None:
-        import importlib
-
-        module = importlib.import_module(f".{module_name}", __name__)
-        return getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,60 +22,38 @@ Problems:
 * DISJOINT-SETS — the paper's open problem (implemented for completeness).
 """
 
-from .encoding import (
-    encode_instance,
-    decode_instance,
-    instance_size,
-    Instance,
-)
-from .definitions import (
-    Problem,
-    SET_EQUALITY,
-    MULTISET_EQUALITY,
-    CHECK_SORT,
-    DISJOINT_SETS,
-    short_variant,
-    check_phi_problem,
-    sort_strings,
-    ALL_PROBLEMS,
-)
-from .instances import (
-    IntervalFamily,
-    random_word,
-    random_words,
-    random_equal_instance,
-    random_unequal_instance,
-    near_miss_instance,
-    random_checksort_instance,
-    CheckPhiFamily,
-)
-from .reductions import (
-    check_phi_to_short,
-    short_block_length,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "encode_instance",
-    "decode_instance",
-    "instance_size",
-    "Instance",
-    "Problem",
-    "SET_EQUALITY",
-    "MULTISET_EQUALITY",
-    "CHECK_SORT",
-    "DISJOINT_SETS",
-    "short_variant",
-    "check_phi_problem",
-    "sort_strings",
-    "ALL_PROBLEMS",
-    "IntervalFamily",
-    "random_word",
-    "random_words",
-    "random_equal_instance",
-    "random_unequal_instance",
-    "near_miss_instance",
-    "random_checksort_instance",
-    "CheckPhiFamily",
-    "check_phi_to_short",
-    "short_block_length",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "encoding": (
+            "encode_instance",
+            "decode_instance",
+            "instance_size",
+            "Instance",
+        ),
+        "definitions": (
+            "Problem",
+            "SET_EQUALITY",
+            "MULTISET_EQUALITY",
+            "CHECK_SORT",
+            "DISJOINT_SETS",
+            "short_variant",
+            "check_phi_problem",
+            "sort_strings",
+            "ALL_PROBLEMS",
+        ),
+        "instances": (
+            "IntervalFamily",
+            "random_word",
+            "random_words",
+            "random_equal_instance",
+            "random_unequal_instance",
+            "near_miss_instance",
+            "random_checksort_instance",
+            "CheckPhiFamily",
+        ),
+        "reductions": ("check_phi_to_short", "short_block_length"),
+    },
+)

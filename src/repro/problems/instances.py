@@ -15,7 +15,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from .._util import ceil_log2, to_binary
 from ..errors import EncodingError
-from ..lowerbounds.sortedness import phi_permutation
 from .encoding import Instance
 
 
@@ -192,6 +191,8 @@ class CheckPhiFamily:
     n: int
 
     def __post_init__(self) -> None:
+        from ..lowerbounds.sortedness import phi_permutation
+
         # construct eagerly so invalid parameters fail at creation time
         phi_permutation(self.m)
         IntervalFamily(self.m, self.n)
@@ -199,6 +200,8 @@ class CheckPhiFamily:
     @property
     def phi(self) -> List[int]:
         """The 0-based reverse-binary permutation φ_m."""
+        from ..lowerbounds.sortedness import phi_permutation
+
         return phi_permutation(self.m)
 
     @property

@@ -5,31 +5,21 @@ text (no attributes, namespaces, comments or processing instructions).
 Documents stream as token sequences — the model's "XML document stream".
 """
 
-from .tokens import StartTag, EndTag, Text, Token, tokenize
-from .document import (
-    Node,
-    Element,
-    TextNode,
-    Document,
-    parse,
-    parse_tokens,
-    serialize,
-)
-from .encode import instance_to_document, document_to_instance
+from ..._exports import lazy_exports
 
-__all__ = [
-    "StartTag",
-    "EndTag",
-    "Text",
-    "Token",
-    "tokenize",
-    "Node",
-    "Element",
-    "TextNode",
-    "Document",
-    "parse",
-    "parse_tokens",
-    "serialize",
-    "instance_to_document",
-    "document_to_instance",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "tokens": ("StartTag", "EndTag", "Text", "Token", "tokenize"),
+        "document": (
+            "Node",
+            "Element",
+            "TextNode",
+            "Document",
+            "parse",
+            "parse_tokens",
+            "serialize",
+        ),
+        "encode": ("instance_to_document", "document_to_instance"),
+    },
+)

@@ -7,10 +7,12 @@ the string-value of an element is the concatenation of all descendant text.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Union
 
 from ...errors import XMLError
-from .tokens import EndTag, StartTag, Text, Token, tokenize
+
+if TYPE_CHECKING:
+    from .tokens import Token
 
 
 class Node:
@@ -114,6 +116,8 @@ class Document:
 
 def parse_tokens(tokens: Iterable[Token]) -> Document:
     """Build a document from a token stream (streaming, one pass)."""
+    from .tokens import EndTag, StartTag, Text
+
     stack: List[Element] = []
     root: Optional[Element] = None
     for tok in tokens:
@@ -149,6 +153,8 @@ def parse_tokens(tokens: Iterable[Token]) -> Document:
 
 def parse(source: str) -> Document:
     """Parse serialized XML."""
+    from .tokens import tokenize
+
     return parse_tokens(tokenize(source))
 
 

@@ -5,27 +5,20 @@ obvious neighbours), with XPath 1.0 semantics: node-sets in document
 order, existential general comparison, boolean(node-set) = nonempty.
 """
 
-from .ast import (
-    Axis,
-    LocationPath,
-    Step,
-    Comparison,
-    Not,
-    PathPredicate,
-)
-from .parser import parse_xpath
-from .evaluate import evaluate_xpath, matches, figure1_query, FIGURE1_TEXT
+from ..._exports import lazy_exports
 
-__all__ = [
-    "Axis",
-    "LocationPath",
-    "Step",
-    "Comparison",
-    "Not",
-    "PathPredicate",
-    "parse_xpath",
-    "evaluate_xpath",
-    "matches",
-    "figure1_query",
-    "FIGURE1_TEXT",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "ast": (
+            "Axis",
+            "LocationPath",
+            "Step",
+            "Comparison",
+            "Not",
+            "PathPredicate",
+        ),
+        "parser": ("parse_xpath",),
+        "evaluate": ("evaluate_xpath", "matches", "figure1_query", "FIGURE1_TEXT"),
+    },
+)

@@ -7,38 +7,26 @@ the XPath engine).  That is exactly the shape of the paper's query Q plus
 the natural closure.
 """
 
-from .ast import (
-    XQExpr,
-    ElementConstructor,
-    IfExpr,
-    AndExpr,
-    OrExpr,
-    Quantified,
-    ForExpr,
-    GeneralComparison,
-    PathExpr,
-    VarRef,
-    EmptySequence,
-    TextLiteral,
-)
-from .parser import parse_xquery
-from .evaluate import evaluate_xquery, theorem12_query, THEOREM12_TEXT
+from ..._exports import lazy_exports
 
-__all__ = [
-    "XQExpr",
-    "ElementConstructor",
-    "IfExpr",
-    "AndExpr",
-    "OrExpr",
-    "Quantified",
-    "ForExpr",
-    "GeneralComparison",
-    "PathExpr",
-    "VarRef",
-    "EmptySequence",
-    "TextLiteral",
-    "parse_xquery",
-    "evaluate_xquery",
-    "theorem12_query",
-    "THEOREM12_TEXT",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "ast": (
+            "XQExpr",
+            "ElementConstructor",
+            "IfExpr",
+            "AndExpr",
+            "OrExpr",
+            "Quantified",
+            "ForExpr",
+            "GeneralComparison",
+            "PathExpr",
+            "VarRef",
+            "EmptySequence",
+            "TextLiteral",
+        ),
+        "parser": ("parse_xquery",),
+        "evaluate": ("evaluate_xquery", "theorem12_query", "THEOREM12_TEXT"),
+    },
+)

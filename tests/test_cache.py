@@ -368,12 +368,6 @@ class TestCachedAudit:
             run_contract_audit(quick=True, contracts=[spec]).to_json_dict()
         )
 
-    def test_parallel_cached_audit_is_byte_identical(self, tmp_path):
-        store = ResultStore(tmp_path)
-        plain = _audit_json()
-        assert _audit_json(cache=store) == plain
-        assert _audit_json(cache=store) == plain  # warm too
-
     def test_check_payload_roundtrip_is_lossless(self):
         spec = CONTRACTS[0]
         check = run_audit_cell(spec, 4, 12)

@@ -12,7 +12,8 @@ swept across decades of N under an instrumented tracker, and the measured
 (r, s, t) envelope at every size.  The full record is written as JSON
 (default ``AUDIT_contracts.json``); exit status is nonzero if any measured
 envelope escapes its claim, the event stream disagrees with the counters,
-or enforcement denied a charge.  With ``--cache DIR`` (or
+enforcement denied a charge, or an algorithm answered otherwise than its
+reference decider (an error: no record is written).  With ``--cache DIR`` (or
 ``$REPRO_CACHE_DIR``) sweep cells are memoized in the content-addressed
 result store of :mod:`repro.cache`: a warm rerun writes the same bytes
 without re-running a single check, and ``--no-cache`` forces the scratch
@@ -183,7 +184,9 @@ def _cmd_cache(action: str, cache_dir: str, sample: int, seed: int) -> int:
         flag = {"ok": "ok ", "MISMATCH": "BAD", "unsupported": "?? "}[
             item["verdict"]
         ]
-        print(f"  [{flag}] {item['kind']:<18} {item['key'][:16]}")
+        # a refused stamp says why; a recomputed mismatch is in the bytes
+        refused = f"  {item['detail']}" if flag == "BAD" and "detail" in item else ""
+        print(f"  [{flag}] {item['kind']!s:<18} {item['key'][:16]}{refused}")
     print(
         f"\nverified {report['checked']} sampled entries: {report['ok']} ok, "
         f"{report['mismatched']} mismatched, {report['unsupported']} "
@@ -345,7 +348,7 @@ def _cmd_trace(
     if target in contracts:
         spec = contracts[target]
         rng = random.Random(f"trace:{target}:{n}:{seed}")
-        report, claimed = spec.run(n, 12, rng, probe)
+        report, claimed = spec.measure(n, 12, rng, probe)
         probe.finish()
         print(spec.description)
         print(

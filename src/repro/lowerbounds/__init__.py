@@ -2,7 +2,7 @@
 
 This package holds the combinatorial side of the paper's lower-bound proof:
 
-* :mod:`~repro.lowerbounds.sortedness` — Definition 19 / Remark 20: the
+* :mod:`~repro.lowerbounds.permutations` — Definition 19 / Remark 20: the
   ``sortedness`` of a permutation (longest monotone subsequence), the
   Erdős–Szekeres lower bound ``sortedness(π) ≥ √m``, and the reverse-binary
   permutation φ_m with ``sortedness(φ_m) ≤ 2√m − 1``;
@@ -18,16 +18,10 @@ This package holds the combinatorial side of the paper's lower-bound proof:
 
 from .._exports import lazy_exports
 
-# ``sortedness`` is both a function and the submodule defining it, and
-# the first import of the submodule binds the package attribute to the
-# module.  Importing the function here, after that first import, keeps
-# the name bound to the function whatever imports the submodule later.
-from .sortedness import sortedness
-
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "sortedness": (
+        "permutations": (
             "sortedness",
             "sortedness_bruteforce",
             "phi_permutation",

@@ -5,18 +5,23 @@ plus the (r, s, t) envelope the paper claims for it — Theorem 8(a)'s
 ``co-RST(2, O(log N), 1)`` for the fingerprinting machine, Corollary 7's
 ``ST(O(log N), O(1) records, O(1))`` for tape merge sort and CHECK-SORT,
 Theorem 11(a)'s ``O(c_Q · log N)`` for the relational evaluator, the
-Section 4 bound for the streaming XML queries.
+Section 4 bound for the streaming XML queries.  Each is one
+:class:`ContractSpec` in :data:`CONTRACTS`, which writes its instance
+kinds, its reference decider, its claim and its runner once.
 
 :func:`run_contract_audit` sweeps each contract across decades of input
-size N, runs the algorithm under an *unenforced* tracker with a
-:class:`~repro.observability.sinks.TallySink` attached, and checks
+size N, runs the algorithm on a yes-instance under an *unenforced*
+tracker with a :class:`~repro.observability.sinks.TallySink` attached,
+and checks
 
 1. the measured ``(scans, peak_internal_bits, tapes_used)`` is ``within``
    the claimed :class:`~repro.extmem.ResourceBudget` at every N,
 2. the event stream's final totals (those its last event carries) agree
    with ``report()`` (the stream and the counters are two independent
-   views of the same charges), and
-3. enforcement never fired (no ``denied`` event anywhere in the stream).
+   views of the same charges),
+3. enforcement never fired (no ``denied`` event anywhere in the stream),
+4. the answer is the reference decider's: a wrong one raises
+   :class:`~repro.errors.ReproError`, and the cell has no record.
 
 ``python -m repro audit`` wraps this and writes ``AUDIT_contracts.json``;
 all randomness is seeded per sweep cell, so the artifact is reproducible.
@@ -27,8 +32,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..errors import ReproError
 from ..extmem import ResourceBudget, ResourceReport, ResourceTracker
 from .sinks import EventSink, TallySink
 
@@ -36,16 +42,52 @@ from .sinks import EventSink, TallySink
 QUICK_SWEEP: Tuple[Tuple[int, int], ...] = ((4, 12), (16, 12), (64, 12))
 FULL_SWEEP: Tuple[Tuple[int, int], ...] = QUICK_SWEEP + ((256, 12), (1024, 12))
 
-Runner = Callable[[int, int, random.Random, EventSink], Tuple[ResourceReport, ResourceBudget]]
-
+#: A fully permissive budget: audit runs measure, they do not enforce.
+_UNENFORCED = ResourceBudget()
 
 @dataclass(frozen=True)
 class ContractSpec:
-    """One algorithm + its claimed envelope, as a sweepable runner."""
+    """One algorithm: the instances it is held on, its answer and its claim.
+
+    ``kinds`` maps each kind of instance to a builder ``(m, n, rng)`` that
+    draws one, or returns ``None`` where (m, n) has none; the audit and
+    ``repro trace`` draw ``"yes"``.  ``decide`` is the reference decider
+    (for the sorters, the reference sort); a ``one_sided`` contract must
+    accept every yes-instance and may accept a no-instance.  ``claim``
+    maps an instance to the claimed (r, s, t) envelope, and ``run(instance,
+    rng, budget, sink)`` runs the algorithm and returns (answer, report).
+    """
 
     name: str
     description: str
-    run: Runner
+    kinds: Mapping[str, Callable[[int, int, random.Random], Any]]
+    decide: Callable[[Any], Any]
+    one_sided: bool
+    claim: Callable[[Any], ResourceBudget]
+    run: Callable[..., Tuple[Any, ResourceReport]]
+
+    def agrees(self, instance: Any, answer: Any) -> bool:
+        """Is ``answer`` the decider's on ``instance``?"""
+        if self.one_sided:  # an accepted instance needs no decider
+            return bool(answer) or not self.decide(instance)
+        return answer == self.decide(instance)
+
+    def measure(
+        self, m: int, n: int, rng: random.Random, sink: EventSink
+    ) -> Tuple[ResourceReport, ResourceBudget]:
+        """Run the contract, unenforced, on a yes-instance drawn at (m, n)
+        from ``rng``, which then gives the algorithm its randomness; return
+        the report and the claim.  Raises
+        :class:`~repro.errors.ReproError` if the answer is not the decider's.
+        """
+        instance = self.kinds["yes"](m, n, rng)
+        answer, report = self.run(instance, rng, _UNENFORCED, sink)
+        if not self.agrees(instance, answer):
+            raise ReproError(
+                f"contract {self.name!r} at (m={m}, n={n}) answered "
+                "otherwise than its reference decider"
+            )
+        return report, self.claim(instance)
 
 
 @dataclass(frozen=True)
@@ -237,118 +279,168 @@ def check_from_payload(payload: Dict[str, Any]) -> ContractCheck:
     )
 
 
-#: A fully permissive budget: audit runs measure, they do not enforce.
-_UNENFORCED = ResourceBudget()
+# -- instance kinds ----------------------------------------------------------
 
 
-# -- contract runners ------------------------------------------------------
+def _problems(name: str) -> Callable[..., Any]:
+    """``repro.problems.<name>``, looked up when called: importing the
+    audit loads no problem module, as a runner imports its algorithm
+    only when it runs."""
+
+    def call(*args, **kwargs):
+        from .. import problems
+
+        return getattr(problems, name)(*args, **kwargs)
+
+    return call
 
 
-def _run_fingerprint(m, n, rng, sink):
-    from ..algorithms.fingerprint import (
-        fingerprint_space_budget,
-        multiset_equality_fingerprint,
-    )
-    from ..problems import random_equal_instance
+def _with_values(make):
+    """``make`` where (m, n) leaves a value to change: m, n >= 1."""
+    return lambda m, n, rng: make(m, n, rng) if m and n else None
 
-    inst = random_equal_instance(m, n, rng)
-    result = multiset_equality_fingerprint(
-        inst, rng, budget=_UNENFORCED, sink=sink
-    )
-    claimed = ResourceBudget(
+
+def _check_phi(yes: bool):
+    """A CHECK-φ instance (Lemma 22): m a power of two dividing 2^n, and
+    for a no-instance room for a second value in each interval."""
+
+    def build(m, n, rng):
+        from .._util import is_power_of_two
+
+        if m and n and is_power_of_two(m) and 2**n // m >= (1 if yes else 2):
+            family = _problems("CheckPhiFamily")(m, n)
+            return family.random_yes(rng) if yes else family.random_no(rng)
+        return None
+
+    return build
+
+
+def _as_database(make):
+    """``make``'s instance as Theorem 11(b)'s database: R1 and R2 hold the
+    two halves as unary rows."""
+
+    def build(m, n, rng):
+        from ..queries.relational.streaming import set_equality_database
+
+        inst = make(m, n, rng)
+        return None if inst is None else set_equality_database(inst)
+
+    return build
+
+
+_checksort_instance = _problems("random_checksort_instance")
+_SET_KINDS = {
+    "yes": _problems("random_equal_instance"),
+    "no": _with_values(_problems("random_unequal_instance")),
+    "near-miss": _with_values(_problems("near_miss_instance")),
+}
+_CHECK_PHI_KINDS = {"check-phi-yes": _check_phi(True), "check-phi-no": _check_phi(False)}
+_CHECKSORT_KINDS = {
+    "yes": lambda m, n, rng: _checksort_instance(m, n, rng, yes=True),
+    "no": lambda m, n, rng: (
+        _checksort_instance(m, n, rng, yes=False) if m >= 2 and n else None
+    ),
+    **_CHECK_PHI_KINDS,
+}
+
+
+# -- claims and runners --------------------------------------------------------
+
+
+def _fingerprint_claim(inst) -> ResourceBudget:
+    from ..algorithms.fingerprint import fingerprint_space_budget
+
+    return ResourceBudget(
         max_scans=2,
         max_internal_bits=fingerprint_space_budget(inst.size),
         max_tapes=1,
     )
-    return result.report, claimed
 
 
-def _run_mergesort(m, n, rng, sink):
-    from ..algorithms.mergesort_tape import (
-        mergesort_scan_budget,
-        sort_instance_strings,
-    )
-    from ..problems import random_words
+def _run_fingerprint(inst, rng, budget, sink):
+    from ..algorithms.fingerprint import multiset_equality_fingerprint
 
-    tracker = ResourceTracker()
-    tracker.attach_sink(sink)
-    ordered, tracker = sort_instance_strings(
-        random_words(m, n, rng), tracker=tracker
-    )
-    assert ordered == sorted(ordered)
+    result = multiset_equality_fingerprint(inst, rng, budget=budget, sink=sink)
+    return result.accepted, result.report
+
+
+def _sort_claim(words) -> ResourceBudget:
+    from ..algorithms.mergesort_tape import mergesort_scan_budget
+
     # tapes: input + three work tapes + the sorted output
-    claimed = ResourceBudget(
-        max_scans=mergesort_scan_budget(m), max_internal_bits=0, max_tapes=5
+    return ResourceBudget(
+        max_scans=mergesort_scan_budget(len(words)),
+        max_internal_bits=0,
+        max_tapes=5,
     )
-    return tracker.report(), claimed
 
 
-def _run_checksort(m, n, rng, sink):
-    from ..algorithms.checksort import (
-        check_sort_deterministic,
-        checksort_reversal_budget,
-    )
-    from ..problems import random_checksort_instance
+def _run_mergesort(words, rng, budget, sink):
+    from ..algorithms.mergesort_tape import sort_instance_strings
 
-    inst = random_checksort_instance(m, n, rng, yes=True)
-    result = check_sort_deterministic(inst, sink=sink)
+    tracker = ResourceTracker(budget)
+    tracker.attach_sink(sink)
+    ordered, tracker = sort_instance_strings(words, tracker=tracker)
+    return ordered, tracker.report()
+
+
+def _checksort_claim(inst) -> ResourceBudget:
+    from ..algorithms.checksort import checksort_reversal_budget
+
     # tapes: first + second + three work tapes + the sorted output
-    claimed = ResourceBudget(
-        max_scans=checksort_reversal_budget(m),
+    return ResourceBudget(
+        max_scans=checksort_reversal_budget(inst.m),
         max_internal_bits=0,
         max_tapes=6,
     )
-    return result.report, claimed
 
 
-def _run_onepass(m, n, rng, sink):
+def _run_checksort(inst, rng, budget, sink):
+    from ..algorithms.checksort import check_sort_deterministic
+
+    result = check_sort_deterministic(inst, budget=budget, sink=sink)
+    return result.accepted, result.report
+
+
+def _run_onepass(inst, rng, budget, sink):
     from ..algorithms.onepass import one_pass_multiset_test
-    from ..problems import random_equal_instance
 
-    inst = random_equal_instance(m, n, rng)
+    # the baseline takes no budget: its report is held to the claim
     result = one_pass_multiset_test(inst, sink=sink)
-    claimed = ResourceBudget(max_scans=1, max_internal_bits=0, max_tapes=1)
-    return result.report, claimed
+    return result.accepted, result.report
 
 
-def _run_lasvegas(m, n, rng, sink):
+def _run_lasvegas(words, rng, budget, sink):
     from ..algorithms.lasvegas import LasVegasSorter
-    from ..algorithms.mergesort_tape import mergesort_scan_budget
-    from ..problems import random_words
 
-    sorter = LasVegasSorter(failure_probability=0.0)
-    result = sorter.sort(random_words(m, n, rng), rng, sink=sink)
-    assert result.answered
-    claimed = ResourceBudget(
-        max_scans=mergesort_scan_budget(m), max_internal_bits=0, max_tapes=5
-    )
-    return result.report, claimed
+    # the sorter takes no budget: its report is held to the claim
+    result = LasVegasSorter(failure_probability=0.0).sort(words, rng, sink=sink)
+    return result.output, result.report
 
 
-def _run_relational(m, n, rng, sink):
+def _relational_claim(db) -> ResourceBudget:
     from ..queries.relational.algebra import symmetric_difference_query
-    from ..queries.relational.streaming import (
-        StreamingEvaluator,
-        set_equality_database,
-        streaming_scan_budget,
-    )
-    from ..problems import random_equal_instance
+    from ..queries.relational.streaming import streaming_scan_budget
 
-    inst = random_equal_instance(m, n, rng)
-    db = set_equality_database(inst)
-    query = symmetric_difference_query()
-    evaluator = StreamingEvaluator(db)
-    evaluator.tracker.attach_sink(sink)
-    result = evaluator.evaluate(query)
-    assert result.is_empty  # equal halves ⇒ empty symmetric difference
-    claimed = ResourceBudget(
-        max_scans=streaming_scan_budget(query, db.total_size()),
+    return ResourceBudget(
+        max_scans=streaming_scan_budget(
+            symmetric_difference_query(), db.total_size()
+        ),
         max_internal_bits=0,
     )
-    return evaluator.report(), claimed
 
 
-def _xml_claimed(inst) -> ResourceBudget:
+def _run_relational(db, rng, budget, sink):
+    from ..queries.relational.algebra import symmetric_difference_query
+    from ..queries.relational.streaming import StreamingEvaluator
+
+    evaluator = StreamingEvaluator(db, budget=budget)
+    evaluator.tracker.attach_sink(sink)
+    result = evaluator.evaluate(symmetric_difference_query())
+    return result.is_empty, evaluator.report()
+
+
+def _xml_claim(inst) -> ResourceBudget:
     from ..queries.xml.streaming import xml_streaming_scan_budget
 
     # tapes: tokens + set1/set2 + 2 × (three sort tapes + sorted + dedup)
@@ -359,78 +451,96 @@ def _xml_claimed(inst) -> ResourceBudget:
     )
 
 
-def _run_xml_figure1(m, n, rng, sink):
-    from ..queries.xml.streaming import (
-        figure1_filter_streaming,
-        instance_to_token_tape,
-    )
-    from ..problems import random_equal_instance
+def _run_xml(query: str):
+    """The runner of a streaming XML query: the instance's token tape is
+    written under the run's tracker, then the query reads it."""
 
-    inst = random_equal_instance(m, n, rng)
-    tracker = ResourceTracker()
-    tracker.attach_sink(sink)
-    token_tape, tracker = instance_to_token_tape(inst, tracker)
-    answer = figure1_filter_streaming(token_tape, tracker)
-    assert answer.answer is False  # equal halves ⇒ set1 ⊆ set2
-    return answer.report, _xml_claimed(inst)
+    def run(inst, rng, budget, sink):
+        from ..queries.xml import streaming
 
+        tracker = ResourceTracker(budget)
+        tracker.attach_sink(sink)
+        token_tape, tracker = streaming.instance_to_token_tape(inst, tracker)
+        answer = getattr(streaming, query)(token_tape, tracker)
+        return answer.answer, answer.report
 
-def _run_xml_theorem12(m, n, rng, sink):
-    from ..queries.xml.streaming import (
-        instance_to_token_tape,
-        theorem12_query_streaming,
-    )
-    from ..problems import random_equal_instance
-
-    inst = random_equal_instance(m, n, rng)
-    tracker = ResourceTracker()
-    tracker.attach_sink(sink)
-    token_tape, tracker = instance_to_token_tape(inst, tracker)
-    answer = theorem12_query_streaming(token_tape, tracker)
-    assert answer.answer is True  # equal halves ⇒ equal sets
-    return answer.report, _xml_claimed(inst)
+    return run
 
 
 CONTRACTS: Tuple[ContractSpec, ...] = (
     ContractSpec(
-        "fingerprint",
-        "Theorem 8(a): multiset equality in co-RST(2, O(log N), 1)",
-        _run_fingerprint,
+        name="fingerprint",
+        description="Theorem 8(a): multiset equality in co-RST(2, O(log N), 1)",
+        kinds={**_SET_KINDS, **_CHECK_PHI_KINDS},
+        decide=_problems("MULTISET_EQUALITY"),
+        one_sided=True,
+        claim=_fingerprint_claim,
+        run=_run_fingerprint,
     ),
     ContractSpec(
-        "mergesort",
-        "Chen-Yap / Corollary 7: tape merge sort in O(log N) scans, 5 tapes",
-        _run_mergesort,
+        name="mergesort",
+        description="Chen-Yap / Corollary 7: tape merge sort in O(log N) scans, 5 tapes",
+        kinds={"yes": _problems("random_words")},
+        decide=_problems("sort_strings"),
+        one_sided=False,
+        claim=_sort_claim,
+        run=_run_mergesort,
     ),
     ContractSpec(
-        "checksort",
-        "Corollary 10: deterministic CHECK-SORT in ST(O(log N), ., O(1))",
-        _run_checksort,
+        name="checksort",
+        description="Corollary 10: deterministic CHECK-SORT in ST(O(log N), ., O(1))",
+        kinds=_CHECKSORT_KINDS,
+        decide=_problems("CHECK_SORT"),
+        one_sided=False,
+        claim=_checksort_claim,
+        run=_run_checksort,
     ),
     ContractSpec(
-        "onepass",
-        "Theorem 6 foil: the one-pass sketch baseline uses exactly 1 scan",
-        _run_onepass,
+        name="onepass",
+        description="Theorem 6 foil: the one-pass sketch baseline uses exactly 1 scan",
+        kinds={**_SET_KINDS, **_CHECK_PHI_KINDS},
+        decide=_problems("MULTISET_EQUALITY"),
+        one_sided=True,
+        claim=lambda inst: ResourceBudget(max_scans=1, max_internal_bits=0, max_tapes=1),
+        run=_run_onepass,
     ),
     ContractSpec(
-        "lasvegas-sorter",
-        "Corollary 10: the Las Vegas sorter stays in the merge-sort envelope",
-        _run_lasvegas,
+        name="lasvegas-sorter",
+        description="Corollary 10: the Las Vegas sorter stays in the merge-sort envelope",
+        kinds={"yes": _problems("random_words")},
+        decide=_problems("sort_strings"),
+        one_sided=False,
+        claim=_sort_claim,
+        run=_run_lasvegas,
     ),
     ContractSpec(
-        "relational-streaming",
-        "Theorem 11(a): symmetric-difference query in O(c_Q . log N) scans",
-        _run_relational,
+        name="relational-streaming",
+        description="Theorem 11(a): symmetric-difference query in O(c_Q . log N) scans",
+        kinds={kind: _as_database(make) for kind, make in _SET_KINDS.items()},
+        # SET-EQUALITY through the reduction: equal halves as sets, R1 = R2
+        decide=lambda db: db["R1"] == db["R2"],
+        one_sided=False,
+        claim=_relational_claim,
+        run=_run_relational,
     ),
     ContractSpec(
-        "xml-figure1",
-        "Section 4: the Figure 1 filter on a token stream in O(log N) scans",
-        _run_xml_figure1,
+        name="xml-figure1",
+        description="Section 4: the Figure 1 filter on a token stream in O(log N) scans",
+        kinds=_SET_KINDS,
+        # Figure 1's filter: a value of the first half is not in the second
+        decide=lambda inst: not set(inst.first) <= set(inst.second),
+        one_sided=False,
+        claim=_xml_claim,
+        run=_run_xml("figure1_filter_streaming"),
     ),
     ContractSpec(
-        "xml-theorem12",
-        "Theorem 12: set equality on a token stream in O(log N) scans",
-        _run_xml_theorem12,
+        name="xml-theorem12",
+        description="Theorem 12: set equality on a token stream in O(log N) scans",
+        kinds=_SET_KINDS,
+        decide=_problems("SET_EQUALITY"),
+        one_sided=False,
+        claim=_xml_claim,
+        run=_run_xml("theorem12_query_streaming"),
     ),
 )
 
@@ -442,14 +552,17 @@ def _instance_size(m: int, n: int) -> int:
 def run_audit_cell(spec: ContractSpec, m: int, n: int) -> ContractCheck:
     """One sweep cell: run the contract at (m, n) under an instrumented
     tracker and check measured-vs-claimed plus stream consistency.
+    Raises :class:`~repro.errors.ReproError` if the answer is not the
+    reference decider's.
 
     Self-seeding: the rng is derived from the cell coordinates alone, so
     a cell computes the same check alone, in a sweep, or when the result
     store recomputes it to verify an entry.
     """
-    rng = random.Random(f"audit:{spec.name}:{m}:{n}")
     sink = TallySink()
-    report, claimed = spec.run(m, n, rng, sink)
+    report, claimed = spec.measure(
+        m, n, random.Random(f"audit:{spec.name}:{m}:{n}"), sink
+    )
     last = sink.last
     # every event carries the running totals; with no event, the stream
     # stands for a run that charged nothing
@@ -566,4 +679,3 @@ def write_audit_json(run: AuditRun, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(run.to_json_dict(), handle, indent=2, sort_keys=False)
         handle.write("\n")
-

@@ -191,7 +191,7 @@ class CheckPhiFamily:
     n: int
 
     def __post_init__(self) -> None:
-        from ..lowerbounds.sortedness import phi_permutation
+        from ..lowerbounds.permutations import phi_permutation
 
         # construct eagerly so invalid parameters fail at creation time
         phi_permutation(self.m)
@@ -200,7 +200,7 @@ class CheckPhiFamily:
     @property
     def phi(self) -> List[int]:
         """The 0-based reverse-binary permutation φ_m."""
-        from ..lowerbounds.sortedness import phi_permutation
+        from ..lowerbounds.permutations import phi_permutation
 
         return phi_permutation(self.m)
 

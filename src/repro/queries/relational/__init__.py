@@ -2,12 +2,6 @@
 
 from ..._exports import lazy_exports
 
-# ``evaluate`` is both a function and the submodule defining it, and the
-# first import of the submodule binds the package attribute to the
-# module.  Importing the function here, after that first import, keeps
-# the name bound to the function whatever imports the submodule later.
-from .evaluate import evaluate
-
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
@@ -27,7 +21,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "AttrEqualsAttr",
             "symmetric_difference_query",
         ),
-        "evaluate": ("evaluate",),
+        "reference": ("evaluate",),
         "parser": ("parse_algebra",),
         "streaming": ("StreamingEvaluator", "set_equality_database"),
     },

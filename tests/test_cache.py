@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tests.settings_profiles import QUICK_SETTINGS
+from tests.test_observability import hand_built_spec
 from repro._version import __version__
 from repro.cache import (
     ResultStore,
@@ -31,10 +32,10 @@ from repro.cache import (
     verify_entries,
 )
 from repro.errors import ReproError
+from repro.extmem import ResourceBudget
 from repro.observability.audit import (
     AUDIT_CELL_KIND,
     CONTRACTS,
-    ContractSpec,
     QUICK_SWEEP,
     audit_cell_key,
     check_from_payload,
@@ -341,12 +342,11 @@ class TestCachedAudit:
         store = ResultStore(tmp_path)
         run_contract_audit(quick=True, cache=store)
 
-        def detonate(m, n, rng, sink):
+        def detonate(m, sink):
             raise AssertionError("engine ran on a warm cache")
 
         tripwired = [
-            ContractSpec(name=s.name, description=s.description, run=detonate)
-            for s in CONTRACTS
+            hand_built_spec(s.name, ResourceBudget(), detonate) for s in CONTRACTS
         ]
         warm = run_contract_audit(
             quick=True, contracts=tripwired, cache=store
@@ -435,6 +435,34 @@ class TestVerifyEntries:
         report = verify_entries(store)
         assert report["mismatched"] == 1
         assert report["results"][0]["verdict"] == "MISMATCH"
+
+    def test_a_stamp_that_names_no_cell_is_a_bad_row(self, tmp_path, capsys):
+        """One stamp's m made the string "4", another's contract deleted,
+        schema, key and payload untouched: each is a BAD row counted with
+        the mismatches (exit 1), and every other entry still verifies."""
+        from repro.__main__ import main
+
+        store = ResultStore(tmp_path)
+        run_contract_audit(quick=True, cache=store)
+        (_, first), (_, second) = damaged = list(store.entries())[:2]
+        first["provenance"]["components"]["m"] = "4"
+        del second["provenance"]["components"]["contract"]
+        for path, entry in damaged:
+            path.write_text(json.dumps(entry), encoding="utf-8")
+        report = verify_entries(store, sample=24)
+        assert (report["ok"], report["mismatched"]) == (22, 2)
+        assert [row["detail"] for row in report["results"][:2]] == [
+            "audit-cell m must be an int >= 0, got '4'",
+            "unknown audit contract None",
+        ]
+        for stamp in ({"m": True, "n": 12}, {"m": 4, "n": -1}):
+            with pytest.raises(ReproError, match="must be an int >= 0"):
+                recompute_payload({"kind": AUDIT_CELL_KIND, "components": {
+                    "contract": "mergesort", **stamp,
+                }})
+        assert main(["cache", "verify", "--dir", str(tmp_path), "--sample", "24"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("[BAD]") == 2 and "22 ok, 2 mismatched" in out
 
     def test_unknown_kind_is_unsupported_not_fatal(self, tmp_path):
         # audit cells are the one recomputed kind: a stray trial block

@@ -4,9 +4,9 @@ import random
 from operator import itemgetter
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro._util import ceil_log2, is_power_of_two
+from repro._util import ceil_log2
 from repro.algorithms import (
     check_sort_deterministic,
     multiset_equality_deterministic,
@@ -15,28 +15,23 @@ from repro.algorithms import (
     tape_merge_sort,
 )
 from repro.algorithms.checksort import checksort_reversal_budget
-from repro.algorithms.lasvegas import LasVegasSorter
 from repro.algorithms.mergesort_tape import (
     RUN_SEP,
-    mergesort_scan_budget,
     per_record_merge_sort,
 )
 from repro.errors import ReproError, ReversalBudgetExceeded, TapeBudgetExceeded
 from repro.extmem import RecordTape, ResourceBudget, ResourceTracker
 from repro.extmem.record_tape import sorted_ahead
-from repro.observability.sinks import RingBufferSink, TallySink
+from repro.observability.sinks import RingBufferSink
 from repro.problems import (
     CHECK_SORT,
     MULTISET_EQUALITY,
     SET_EQUALITY,
-    CheckPhiFamily,
     encode_instance,
     random_checksort_instance,
     random_equal_instance,
     random_unequal_instance,
-    random_words,
 )
-from tests.settings_profiles import STANDARD_SETTINGS
 
 bit_words = st.lists(st.text(alphabet="01", min_size=1, max_size=8), max_size=24)
 
@@ -377,94 +372,3 @@ class TestEqualitySolvers:
             inst = random_equal_instance(m, 8, rng)
             result = multiset_equality_deterministic(inst)
             assert result.report.scans <= 2 * checksort_reversal_budget(m)
-
-
-def _checksort_instance(kind, m, n, rng):
-    """A CHECK-SORT instance of ``kind``, or ``None`` where (m, n) has none."""
-    if kind == "yes":
-        return random_checksort_instance(m, n, rng, yes=True)
-    if kind == "no":
-        if m >= 2 and n >= 1:
-            return random_checksort_instance(m, n, rng, yes=False)
-        return None
-    # CHECK-φ (Lemma 22): n >= 1 and m a power of two dividing 2^n, with
-    # room for a second value in each interval for a no-instance
-    room = 2 ** n // m if n and m and is_power_of_two(m) and m <= 2 ** n else 0
-    if kind == "check-phi yes" and room:
-        return CheckPhiFamily(m, n).random_yes(rng)
-    if kind == "check-phi no" and room >= 2:
-        return CheckPhiFamily(m, n).random_no(rng)
-    return None
-
-
-class TestClaimedBudgetOnEveryKind:
-    """The three sorting contracts within the audit's claimed envelope, on
-    every m in 0–33 and n in 0–6: enforced where the contract takes a
-    budget, with no denial and the decider's answer."""
-
-    @given(m=st.integers(0, 33), n=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
-    @example(m=0, n=0, seed=0)
-    @example(m=1, n=0, seed=0)
-    @example(m=4, n=12, seed=0)  # the audit's smallest cell
-    @STANDARD_SETTINGS
-    def test_mergesort(self, m, n, seed):
-        words = random_words(m, n, random.Random(seed))
-        tracker = ResourceTracker(
-            ResourceBudget(
-                max_scans=mergesort_scan_budget(m), max_internal_bits=0, max_tapes=5
-            )
-        )
-        tally = TallySink()
-        tracker.attach_sink(tally)
-        ordered, _ = sort_instance_strings(words, tracker=tracker)
-        assert ordered == sorted(words)
-        assert tally.denied == 0
-
-    @given(
-        m=st.integers(0, 33),
-        n=st.integers(0, 6),
-        kind=st.sampled_from(["yes", "no", "check-phi yes", "check-phi no"]),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    @example(m=0, n=0, kind="yes", seed=0)
-    @example(m=1, n=0, kind="yes", seed=0)
-    @example(m=1, n=0, kind="check-phi yes", seed=0)
-    @example(m=4, n=12, kind="yes", seed=0)
-    @example(m=4, n=12, kind="no", seed=0)
-    @example(m=4, n=12, kind="check-phi yes", seed=0)
-    @example(m=4, n=12, kind="check-phi no", seed=0)
-    @STANDARD_SETTINGS
-    def test_checksort(self, m, n, kind, seed):
-        inst = _checksort_instance(kind, m, n, random.Random(seed))
-        assume(inst is not None)
-        tally = TallySink()
-        result = check_sort_deterministic(
-            inst,
-            budget=ResourceBudget(
-                max_scans=checksort_reversal_budget(m),
-                max_internal_bits=0,
-                max_tapes=6,
-            ),
-            sink=tally,
-        )
-        assert result.accepted == CHECK_SORT(inst)
-        assert tally.denied == 0
-
-    @given(m=st.integers(0, 33), n=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
-    @example(m=0, n=0, seed=0)
-    @example(m=1, n=0, seed=0)
-    @example(m=4, n=12, seed=0)
-    @STANDARD_SETTINGS
-    def test_lasvegas_sorter(self, m, n, seed):
-        """The sorter takes no budget: its report is held to the claim."""
-        rng = random.Random(seed)
-        words = random_words(m, n, rng)
-        tally = TallySink()
-        result = LasVegasSorter(failure_probability=0.0).sort(words, rng, sink=tally)
-        assert result.output == sorted(words)
-        assert result.report.within(
-            ResourceBudget(
-                max_scans=mergesort_scan_budget(m), max_internal_bits=0, max_tapes=5
-            )
-        )
-        assert tally.denied == 0

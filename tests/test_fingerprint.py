@@ -3,15 +3,13 @@
 import random
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro._util import is_power_of_two
 from repro.algorithms import (
     amplified_multiset_equality,
     fingerprint_parameters,
     fingerprint_space_budget,
     multiset_equality_fingerprint,
-    one_pass_multiset_test,
 )
 from repro.algorithms.fingerprint import (
     FingerprintParameters,
@@ -30,14 +28,13 @@ from repro.observability.audit import FULL_SWEEP
 from repro.observability.sinks import RingBufferSink, TallySink
 from repro.problems import (
     MULTISET_EQUALITY,
-    CheckPhiFamily,
     Instance,
     encode_instance,
     near_miss_instance,
     random_equal_instance,
     random_unequal_instance,
 )
-from tests.settings_profiles import DIFFERENTIAL_SETTINGS, STANDARD_SETTINGS
+from tests.settings_profiles import DIFFERENTIAL_SETTINGS
 
 bit_words = st.lists(st.text(alphabet="01", min_size=1, max_size=10), max_size=8)
 
@@ -856,76 +853,6 @@ class TestTallyRuns:
 
         check()
         assert deferred == {True, False}
-
-
-def _instance(kind, m, n, rng):
-    """An instance of ``kind``, or ``None`` where (m, n) has none."""
-    if kind == "yes":
-        return random_equal_instance(m, n, rng)
-    if m == 0 or n == 0:
-        return None
-    if kind == "no":
-        return random_unequal_instance(m, n, rng)
-    if kind == "near-miss":
-        return near_miss_instance(m, n, rng)
-    # CHECK-φ (Lemma 22): m a power of two dividing 2^n, with room for a
-    # second value in each interval for a no-instance
-    room = 2**n // m if is_power_of_two(m) and m <= 2**n else 0
-    if kind == "check-phi yes" and room:
-        return CheckPhiFamily(m, n).random_yes(rng)
-    if kind == "check-phi no" and room >= 2:
-        return CheckPhiFamily(m, n).random_no(rng)
-    return None
-
-
-class TestClaimedBudgetOnEveryKind:
-    """The fingerprint under its claimed co-RST(2, O(log N), 1) budget,
-    enforced, and the one-pass foil within (1, 0, 1), on every kind of
-    instance: neither rejects a yes-instance, and the fingerprint rejects
-    only a true no."""
-
-    @given(
-        m=st.integers(0, 33),
-        n=st.integers(0, 6),
-        kind=st.sampled_from(
-            ["yes", "no", "near-miss", "check-phi yes", "check-phi no"]
-        ),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    @example(m=0, n=0, kind="yes", seed=0)
-    @example(m=1, n=0, kind="yes", seed=0)
-    @example(m=4, n=12, kind="yes", seed=0)  # the audit's smallest cell
-    @example(m=4, n=12, kind="no", seed=0)
-    @example(m=4, n=12, kind="near-miss", seed=0)
-    @example(m=4, n=12, kind="check-phi yes", seed=0)
-    @example(m=4, n=12, kind="check-phi no", seed=0)
-    @example(m=128, n=64, kind="near-miss", seed=0)  # E1's widest shape
-    @STANDARD_SETTINGS
-    def test_within_budget_and_decides(self, m, n, kind, seed):
-        inst = _instance(kind, m, n, random.Random(seed))
-        assume(inst is not None)
-        yes = MULTISET_EQUALITY(inst)
-        budget = ResourceBudget(
-            max_scans=2,
-            max_internal_bits=fingerprint_space_budget(inst.size),
-            max_tapes=1,
-        )
-        tally = TallySink()
-        tallied = multiset_equality_fingerprint(
-            inst, random.Random(seed), budget=budget, sink=tally
-        )
-        assert tally.denied == 0
-        assert tallied.accepted or not yes
-        # the ring buffer takes every store: the per-store path's run
-        assert tallied == multiset_equality_fingerprint(
-            inst, random.Random(seed), budget=budget, sink=RingBufferSink()
-        )
-
-        foil = one_pass_multiset_test(inst, sink=TallySink())
-        assert foil.report.within(
-            ResourceBudget(max_scans=1, max_internal_bits=0, max_tapes=1)
-        )
-        assert foil.accepted or not yes
 
 
 class TestMonteCarloArguments:

@@ -40,6 +40,7 @@ from repro.observability.audit import (
     run_contract_audit,
     write_audit_json,
 )
+from tests.test_imports import fresh
 
 
 def _tracked_run(sink):
@@ -430,9 +431,23 @@ class TestRunProfile:
         assert probe.tracer.spans() == []
 
 
-def _audit_one_cell(runner):
-    """Audit a test runner as a one-contract, one-cell sweep."""
-    spec = ContractSpec(runner.__name__, "a test runner", runner)
+def hand_built_spec(name, claimed, run):
+    """A test contract: its instance is the cell's m, ``run(m, sink)``
+    returns its report, and it answers ``None``, as its decider does."""
+    return ContractSpec(
+        name=name,
+        description=f"the hand-built contract {name}",
+        kinds={"yes": lambda m, n, rng: m},
+        decide=lambda m: None,
+        one_sided=False,
+        claim=lambda m: claimed,
+        run=lambda m, rng, budget, sink: (None, run(m, sink)),
+    )
+
+
+def _audit_one_cell(run):
+    """Audit a test runner that claims nothing as a one-cell sweep."""
+    spec = hand_built_spec(run.__name__, ResourceBudget(), run)
     (outcome,) = run_contract_audit(contracts=[spec], sweep=[(4, 4)]).contracts
     (check,) = outcome.checks
     return check
@@ -451,16 +466,16 @@ class TestContractAudit:
 
     def test_audit_detects_a_broken_envelope(self):
         # shrink one claim below reality: the harness must flag it
-        def overtight(m, n, rng, sink):
+        def overtight(m, sink):
             tracker = ResourceTracker()
             tracker.attach_sink(sink)
             tape = RecordTape(list(range(m)), tracker=tracker, name="t")
             tape.rewind()  # costs nothing at start... but then:
             tape.seek_end()
             tape.seek_start()  # one real reversal
-            return tracker.report(), ResourceBudget(max_scans=1)
+            return tracker.report()
 
-        spec = ContractSpec("overtight", "claims 1 scan, uses 2", overtight)
+        spec = hand_built_spec("overtight", ResourceBudget(max_scans=1), overtight)
         run = run_contract_audit(contracts=[spec], sweep=[(4, 4)])
         assert not run.ok
         assert not run.contracts[0].checks[0].within
@@ -495,14 +510,14 @@ class TestContractAudit:
     def test_audit_counts_a_denial_anywhere_in_the_stream(self):
         # the denial is the first of 2 + 2**16 events: more than a
         # 65,536-event suffix of the stream would hold
-        def denied_early(m, n, rng, sink):
+        def denied_early(m, sink):
             tracker = ResourceTracker(ResourceBudget(max_tapes=0))
             tracker.attach_sink(sink)
             with pytest.raises(TapeBudgetExceeded):
                 tracker.register_tape("t")
             for _ in range((1 << 16) + 1):
                 tracker.charge_step()
-            return tracker.report(), ResourceBudget()
+            return tracker.report()
 
         check = _audit_one_cell(denied_early)
         assert check.events == (1 << 16) + 2
@@ -511,13 +526,13 @@ class TestContractAudit:
         assert not check.ok
 
     def test_audit_flags_charges_made_after_the_sink_is_detached(self):
-        def detached(m, n, rng, sink):
+        def detached(m, sink):
             tracker = ResourceTracker()
             tracker.attach_sink(sink)
             tape = tracker.register_tape("t")
             tracker.detach_sink()
             tracker.charge_reversal(tape)  # counted, never emitted
-            return tracker.report(), ResourceBudget()
+            return tracker.report()
 
         check = _audit_one_cell(detached)
         assert check.events == 1
@@ -526,8 +541,8 @@ class TestContractAudit:
 
     def test_a_run_that_emits_nothing_is_consistent(self):
         # an empty stream reads as (scans, bits, tapes) = (1, 0, 0)
-        def silent(m, n, rng, sink):
-            return ResourceTracker().report(), ResourceBudget()
+        def silent(m, sink):
+            return ResourceTracker().report()
 
         check = _audit_one_cell(silent)
         assert (check.events, check.denied) == (0, 0)
@@ -567,18 +582,41 @@ class TestContractAudit:
         assert outcome.to_json_dict() == expected
 
     def test_summary_renders_a_contract_without_a_scan_claim(self):
-        def tapes_only(m, n, rng, sink):
+        def tapes_only(m, sink):
             tracker = ResourceTracker()
             tracker.attach_sink(sink)
             RecordTape(list(range(m)), tracker=tracker, name="t")
-            return tracker.report(), ResourceBudget(max_tapes=1)
+            return tracker.report()
 
-        spec = ContractSpec("tapes-only", "claims one tape only", tapes_only)
+        spec = hand_built_spec("tapes-only", ResourceBudget(max_tapes=1), tapes_only)
         run = run_contract_audit(contracts=[spec], sweep=[(4, 4), (16, 4)])
         assert run.ok
         (line,) = run.summary_lines()
         assert "tapes-only" in line
         assert line.endswith("max scan-headroom used: n/a")
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python -O"])
+    def test_audit_refuses_a_wrong_answer(self, flags):
+        """A merge sort whose output is sorted but is not a permutation of
+        its input (the first word twice, the last dropped) gives no cell,
+        also under ``python -O``, which strips every ``assert``."""
+        script = "\n".join([
+            "import repro.algorithms.mergesort_tape as mergesort_tape",
+            "from repro.errors import ReproError",
+            "from repro.observability.audit import CONTRACTS, run_audit_cell",
+            "sort = mergesort_tape.sort_instance_strings",
+            "def duplicate_first_drop_last(values, *, tracker=None):",
+            "    ordered, tracker = sort(values, tracker=tracker)",
+            "    return ordered[:1] + ordered[:-1], tracker",
+            "mergesort_tape.sort_instance_strings = duplicate_first_drop_last",
+            "spec = next(spec for spec in CONTRACTS if spec.name == 'mergesort')",
+            "try:",
+            "    run_audit_cell(spec, 4, 12)",
+            "except ReproError as exc:",
+            "    print(exc)",
+        ])
+        refusal = fresh(script, *flags)
+        assert refusal.startswith("contract 'mergesort' at (m=4, n=12)")
 
 
 class TestCliAudit:
@@ -970,7 +1008,7 @@ class TestCliTrace:
 
         tally = TallySink()
         spec = next(spec for spec in CONTRACTS if spec.name == "fingerprint")
-        spec.run(585, 12, random.Random("trace:fingerprint:585:0"), tally)
+        spec.measure(585, 12, random.Random("trace:fingerprint:585:0"), tally)
         assert tally.events > 1 << 16
         lines = jsonl.read_text().splitlines()
         assert len(list(replay_jsonl(lines))) == tally.events

@@ -15,7 +15,7 @@ from repro.lowerbounds import (
     sortedness,
     sortedness_bruteforce,
 )
-from repro.lowerbounds.sortedness import verify_phi
+from repro.lowerbounds.permutations import verify_phi
 
 
 class TestSortedness:

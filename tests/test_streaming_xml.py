@@ -4,16 +4,14 @@ import random
 import re
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro._util import ceil_log2
 from repro.errors import XMLError
-from repro.extmem import RecordTape, ResourceBudget, ResourceTracker
-from repro.observability.sinks import TallySink
+from repro.extmem import RecordTape, ResourceTracker
 from repro.problems import (
     decode_instance,
     encode_instance,
-    near_miss_instance,
     random_equal_instance,
     random_unequal_instance,
 )
@@ -27,20 +25,10 @@ from repro.queries.xml.streaming import (
     figure1_filter_streaming,
     instance_to_token_tape,
     theorem12_query_streaming,
-    xml_streaming_scan_budget,
 )
 from repro.queries.xpath import figure1_query, matches
 from repro.queries.xquery import evaluate_xquery, theorem12_query
 from repro.queries.xml.document import serialize
-from tests.settings_profiles import STANDARD_SETTINGS
-
-#: The three kinds of instance every contract must hold on.
-KINDS = {
-    "yes": random_equal_instance,
-    "no": random_unequal_instance,
-    "near-miss": near_miss_instance,
-}
-
 
 class TestTokenTapeEncoding:
     def test_single_scan(self):
@@ -284,40 +272,3 @@ class TestMalformedTokenStreams:
         )
         tape = RecordTape(tokenize(doc), name="tokens")
         assert figure1_filter_streaming(tape, tape.tracker).answer is True
-
-
-class TestClaimedBudgetOnEveryKind:
-    """Both queries within the audit's claimed envelope, enforced, and
-    deciding right, on yes-, no- and near-miss instances."""
-
-    @given(
-        m=st.integers(0, 33),
-        n=st.integers(0, 6),
-        kind=st.sampled_from(sorted(KINDS)),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    @example(m=1, n=0, kind="yes", seed=0)
-    @example(m=4, n=12, kind="yes", seed=0)  # the audit's smallest cell
-    @example(m=4, n=12, kind="no", seed=0)
-    @example(m=4, n=12, kind="near-miss", seed=0)
-    @STANDARD_SETTINGS
-    def test_within_budget_and_decides(self, m, n, kind, seed):
-        assume(kind == "yes" or m * n >= 1)
-        inst = KINDS[kind](m, n, random.Random(seed))
-        first, second = set(inst.first), set(inst.second)
-        for query, truth in (
-            (figure1_filter_streaming, bool(first - second)),
-            (theorem12_query_streaming, first == second),
-        ):
-            tracker = ResourceTracker(
-                ResourceBudget(
-                    max_scans=xml_streaming_scan_budget(inst.size),
-                    max_internal_bits=0,
-                    max_tapes=13,
-                )
-            )
-            tally = TallySink()
-            tracker.attach_sink(tally)
-            tape, _ = instance_to_token_tape(inst, tracker)
-            assert query(tape, tracker).answer == truth
-            assert tally.denied == 0
